@@ -56,7 +56,6 @@ from .projective import (
 )
 from .fluid import (
     CriticalPoint,
-    PressureField,
     TrajectoryReport,
     VorticityProfile,
     critical_points,

@@ -44,7 +44,6 @@ from .riemann import (
 )
 
 __all__ = [
-    "PressureField",
     "CriticalPoint",
     "VorticityProfile",
     "TrajectoryReport",
@@ -81,19 +80,6 @@ def pressure_scalar_field(H: HermitianOperator, chart_index) -> ScalarField:
         return 0.5 * dispersion_squared(H, state)
 
     return ScalarField(value)
-
-
-@dataclass(frozen=True)
-class PressureField:
-    """Pressure of the Schrodinger fluid for a fixed Hamiltonian."""
-
-    hamiltonian: HermitianOperator
-
-    def __call__(self, point) -> float:
-        return pressure(self.hamiltonian, point)
-
-    def on_chart(self, chart_index) -> ScalarField:
-        return pressure_scalar_field(self.hamiltonian, chart_index)
 
 
 def pressure_gradient(H: HermitianOperator, point, h=FD_STEP, cross_tol=1e-5) -> TangentAtPoint:

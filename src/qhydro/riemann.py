@@ -118,32 +118,55 @@ class ChartManifold:
     name: str = ""
 
     def contains(self, x) -> bool:
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.dim,):
-            return False
-        if not np.all(np.isfinite(x)):
-            return False
-        return True if self.chart_domain is None else bool(self.chart_domain(x))
+        return self._first_outside(np.asarray(x, dtype=float)[None]) is None
+
+    def _first_outside(self, points):
+        """Index of the first point of an (N, dim) stack that is not in the chart, or None."""
+        if points.ndim != 2 or points.shape[1] != self.dim:
+            return 0
+        finite = np.isfinite(points).all(axis=1)
+        for i, y in enumerate(points):
+            if not finite[i] or (self.chart_domain is not None and not self.chart_domain(y)):
+                return i
+        return None
 
     def metric_at(self, x) -> np.ndarray:
         """Metric matrix at x, validated symmetric positive-definite."""
-        x = np.asarray(x, dtype=float)
-        if not self.contains(x):
-            raise ChartBoundaryError(f"point {x} outside chart domain of {self.name or 'manifold'}")
-        g = np.asarray(self.metric(x), dtype=float)
-        if g.shape != (self.dim, self.dim):
-            raise ValueError(f"metric returned shape {g.shape}, expected {(self.dim, self.dim)}")
-        if float(np.abs(g - g.T).max()) > 1e-9 * max(float(np.abs(g).max()), 1e-300):
-            raise ValueError(f"metric not symmetric at {x}")
-        g = (g + g.T) / 2.0
+        return self._metric_stack(np.asarray(x, dtype=float)[None])[0]
+
+    def _metric_stack(self, points) -> np.ndarray:
+        """Metrics at a point (points[0]) and its stencil, each checked as metric_at checks one.
+
+        Errors of the point itself come first, then the domain of every stencil
+        point, then the matrix checks (shape, symmetry, Cholesky), each one
+        batch over the stack in which the first offending point raises.
+        """
+        outside = self._first_outside(points)
+        if outside == 0:
+            raise ChartBoundaryError(f"point {points[0]} outside chart domain of {self.name or 'manifold'}")
+        checked = points if outside is None else points[:1]
+        gs = [np.asarray(self.metric(y), dtype=float) for y in checked]
+        for g in gs:
+            if g.shape != (self.dim, self.dim):
+                raise ValueError(f"metric returned shape {g.shape}, expected {(self.dim, self.dim)}")
+        g = np.array(gs)
+        gt = g.transpose(0, 2, 1)
+        if not (g == gt).all():  # an exactly symmetric stack passes the tolerance test
+            asym = np.abs(g - gt).max(axis=(1, 2)) > 1e-9 * np.maximum(np.abs(g).max(axis=(1, 2)), 1e-300)
+            if asym.any():
+                raise ValueError(f"metric not symmetric at {checked[asym.argmax()]}")
+        g = (g + gt) / 2.0
         try:
             np.linalg.cholesky(g)
         except np.linalg.LinAlgError:
-            raise ValueError(f"metric not positive-definite at {x}") from None
+            for y, gi in zip(checked, g):
+                try:
+                    np.linalg.cholesky(gi)
+                except np.linalg.LinAlgError:
+                    raise ValueError(f"metric not positive-definite at {y}") from None
+        if outside is not None:
+            raise ChartBoundaryError(f"stencil point {points[outside]} outside chart domain")
         return g
-
-    def inverse_metric_at(self, x) -> np.ndarray:
-        return np.linalg.inv(self.metric_at(x))
 
 
 @dataclass(frozen=True)
@@ -159,19 +182,42 @@ class DiscreteCurve:
         return self.points.shape[0]
 
 
-def _partials(manifold, fn, x, h):
+# order -> (shifts in units of h, their weights, denominator in units of h)
+_STENCILS = {
+    2: (np.array([1, -1]), (1.0, -1.0), 2.0),
+    4: (np.array([2, 1, -1, -2]), (-1.0, 8.0, -8.0, 1.0), 12.0),
+}
+
+
+def _stencil_points(manifold, x, h, order):
+    """Central stencil of x, coordinate-major: one row per (coordinate, shift)."""
+    if order not in _STENCILS:
+        raise ValueError(f"unsupported stencil order {order}")
+    steps = _STENCILS[order][0][None, :, None] * (float(h) * np.eye(manifold.dim))[:, None, :]
+    return (x + steps).reshape(-1, manifold.dim)
+
+
+def _combine(values, h, order):
+    """[d_i fn(x)]_i from fn's values on the rows of _stencil_points."""
+    _, weights, denom = _STENCILS[order]
+    values = values.reshape(-1, len(weights), *values.shape[1:])
+    return sum(w * values[:, j] for j, w in enumerate(weights)) / (denom * h)
+
+
+def _partials(manifold, fn, x, h, order=2):
     """[d_i fn(x)]_i by central differences; every stencil point must be in-chart."""
+    points = _stencil_points(manifold, np.asarray(x, dtype=float), h, order)
+    outside = manifold._first_outside(points)
+    if outside is not None:
+        raise ChartBoundaryError(f"stencil point {points[outside]} outside chart domain")
+    return _combine(np.stack([np.asarray(fn(y), dtype=float) for y in points]), h, order)
+
+
+def _metric_partials(manifold, x, h):
+    """(g(x), dg) with dg[l] = d_l g(x), from one validated metric stack."""
     x = np.asarray(x, dtype=float)
-    outs = []
-    for i in range(manifold.dim):
-        step = np.zeros(manifold.dim)
-        step[i] = h
-        xp, xm = x + step, x - step
-        for y in (xp, xm):
-            if not manifold.contains(y):
-                raise ChartBoundaryError(f"stencil point {y} outside chart domain")
-        outs.append((np.asarray(fn(xp), dtype=float) - np.asarray(fn(xm), dtype=float)) / (2.0 * h))
-    return outs
+    g = manifold._metric_stack(np.concatenate([x[None], _stencil_points(manifold, x, h, 2)]))
+    return g[0], _combine(g[1:], h, 2)
 
 
 def christoffel(manifold, x, h=FD_STEP):
@@ -181,8 +227,8 @@ def christoffel(manifold, x, h=FD_STEP):
     Gamma^k_ij = 1/2 g^kl (d_i g_jl + d_j g_il - d_l g_ij), with central
     differences of step h. Symmetric in (i, j).
     """
-    ginv = manifold.inverse_metric_at(x)
-    dg = np.stack(_partials(manifold, manifold.metric_at, x, h))  # dg[l, i, j] = d_l g_ij
+    g, dg = _metric_partials(manifold, x, h)  # dg[l, i, j] = d_l g_ij
+    ginv = np.linalg.inv(g)
     # brackets[i, j, l] = d_i g_jl + d_j g_il - d_l g_ij
     brackets = dg + dg.transpose(1, 0, 2) - dg.transpose(1, 2, 0)
     return 0.5 * np.einsum("kl,ijl->kij", ginv, brackets)
@@ -191,32 +237,30 @@ def christoffel(manifold, x, h=FD_STEP):
 def covariant_derivative(manifold, X, Y, x, h=FD_STEP):
     """(nabla_X Y)^k = X^i d_i Y^k + Gamma^k_ij X^i Y^j at x."""
     Xx, Yx = X(x), Y(x)
-    dY = np.stack(_partials(manifold, Y, x, h))  # dY[i, k] = d_i Y^k
+    dY = _partials(manifold, Y, x, h)  # dY[i, k] = d_i Y^k
     gamma = christoffel(manifold, x, h)
     return Xx @ dY + np.einsum("kij,i,j->k", gamma, Xx, Yx)
 
 
 def lie_derivative_metric(manifold, X, x, h=FD_STEP):
     """Killing residual matrix (L_X g)_ij; zero iff X generates an isometry near x."""
-    g = manifold.metric_at(x)
-    dg = np.stack(_partials(manifold, manifold.metric_at, x, h))
-    dX = np.stack(_partials(manifold, X, x, h))  # dX[i, k] = d_i X^k
-    Xx = X(x)
-    out = np.einsum("k,kij->ij", Xx, dg) + dX @ g + (dX @ g).T
+    g, dg = _metric_partials(manifold, x, h)
+    dX = _partials(manifold, X, x, h)  # dX[i, k] = d_i X^k
+    out = np.einsum("k,kij->ij", X(x), dg) + dX @ g + (dX @ g).T
     return (out + out.T) / 2.0
 
 
 def lie_derivative_oneform(manifold, X, alpha, x, h=FD_STEP):
     """(L_X alpha)_i = X^j d_j alpha_i + alpha_j d_i X^j at x."""
-    da = np.stack(_partials(manifold, alpha, x, h))  # da[j, i] = d_j alpha_i
-    dX = np.stack(_partials(manifold, X, x, h))
+    da = _partials(manifold, alpha, x, h)  # da[j, i] = d_j alpha_i
+    dX = _partials(manifold, X, x, h)
     return X(x) @ da + dX @ alpha(x)
 
 
 def lie_derivative_twoform(manifold, X, w, x, h=FD_STEP):
     """(L_X w)_ij = X^k d_k w_ij + w_kj d_i X^k + w_ik d_j X^k at x."""
-    dw = np.stack(_partials(manifold, w, x, h))  # dw[k, i, j]
-    dX = np.stack(_partials(manifold, X, x, h))
+    dw = _partials(manifold, w, x, h)  # dw[k, i, j]
+    dX = _partials(manifold, X, x, h)
     wx = w(x)
     return np.einsum("k,kij->ij", X(x), dw) + dX @ wx + wx @ dX.T
 
@@ -238,19 +282,17 @@ def flat_form(manifold, X):
 
 def exterior_derivative_oneform(manifold, alpha, x, h=FD_STEP):
     """(d alpha)_ij = d_i alpha_j - d_j alpha_i at x, as an antisymmetric matrix."""
-    da = np.stack(_partials(manifold, alpha, x, h))  # da[i, j] = d_i alpha_j
+    da = _partials(manifold, alpha, x, h)  # da[i, j] = d_i alpha_j
     return da - da.T
 
 
 def divergence(manifold, X, x, h=FD_STEP):
     """Riemannian divergence (1 / sqrt det g) d_i (sqrt(det g) X^i) at x."""
-
-    def density_flux(y):
-        return np.sqrt(np.linalg.det(manifold.metric_at(y))) * X(y)
-
-    ds = _partials(manifold, density_flux, x, h)
-    total = sum(ds[i][i] for i in range(manifold.dim))
-    return float(total / np.sqrt(np.linalg.det(manifold.metric_at(x))))
+    x = np.asarray(x, dtype=float)
+    points = np.concatenate([x[None], _stencil_points(manifold, x, h, 2)])
+    density = np.sqrt(np.linalg.det(manifold._metric_stack(points)))
+    ds = _combine(np.stack([d * X(y) for d, y in zip(density[1:], points[1:])]), h, 2)
+    return float(sum(ds[i][i] for i in range(manifold.dim)) / density[0])
 
 
 def differential(manifold, f, x, h=FD_STEP, order=2):
@@ -259,26 +301,7 @@ def differential(manifold, f, x, h=FD_STEP, order=2):
     order 2 is the default central stencil; order 4 uses the five-point
     stencil when the caller needs gradient residuals well below h^2 scale.
     """
-    x = np.asarray(x, dtype=float)
-    out = np.empty(manifold.dim)
-    for i in range(manifold.dim):
-        step = np.zeros(manifold.dim)
-        step[i] = h
-        if order == 2:
-            pts = [x + step, x - step]
-            coeffs = [1.0, -1.0]
-            denom = 2.0 * h
-        elif order == 4:
-            pts = [x + 2 * step, x + step, x - step, x - 2 * step]
-            coeffs = [-1.0, 8.0, -8.0, 1.0]
-            denom = 12.0 * h
-        else:
-            raise ValueError(f"unsupported stencil order {order}")
-        for y in pts:
-            if not manifold.contains(y):
-                raise ChartBoundaryError(f"stencil point {y} outside chart domain")
-        out[i] = sum(c * f(y) for c, y in zip(coeffs, pts)) / denom
-    return out
+    return _partials(manifold, f, x, h, order)
 
 
 def euler_residual(manifold, X, p, x, h=FD_STEP):
@@ -317,6 +340,28 @@ def vector_norm(manifold, u, x):
     return float(np.sqrt(u @ manifold.metric_at(x) @ u))
 
 
+def _rk4(rhs, y0, T, steps, domain):
+    """Classical fixed-step RK4 of y' = rhs(y) over [0, T]: (times, states, exited).
+
+    A stage raising ChartBoundaryError, or a new state failing `domain`, ends the run early; that step is not recorded.
+    """
+    y, dt = y0, float(T) / int(steps)
+    states = [y]
+    for _ in range(int(steps)):
+        try:
+            k1 = rhs(y)
+            k2 = rhs(y + 0.5 * dt * k1)
+            k3 = rhs(y + 0.5 * dt * k2)
+            k4 = rhs(y + dt * k3)
+        except ChartBoundaryError:
+            break
+        y = y + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        if domain is not None and not domain(y):
+            break
+        states.append(y)
+    return np.arange(len(states)) * dt, np.array(states), len(states) <= int(steps)
+
+
 def geodesic_integrate(manifold, x0, u0, T, steps, fd_step=GEODESIC_FD_STEP):
     """Integrate the geodesic equation from (x0, u0) over [0, T].
 
@@ -330,58 +375,26 @@ def geodesic_integrate(manifold, x0, u0, T, steps, fd_step=GEODESIC_FD_STEP):
         steps+1 samples, or a shorter curve with exited=True if a stage
         point (or its Christoffel stencil) left the chart domain.
     """
-    x = np.asarray(x0, dtype=float).copy()
-    u = np.asarray(u0, dtype=float).copy()
-    dt = float(T) / int(steps)
-    times = [0.0]
-    points = [x.copy()]
-    velocities = [u.copy()]
+    d = manifold.dim
 
-    def rhs(xc, uc):
-        gamma = christoffel(manifold, xc, fd_step)
-        return uc, -np.einsum("kij,i,j->k", gamma, uc, uc)
+    def rhs(y):
+        gamma = christoffel(manifold, y[:d], fd_step)
+        return np.concatenate([y[d:], -np.einsum("kij,i,j->k", gamma, y[d:], y[d:])])
 
-    for m in range(int(steps)):
-        try:
-            k1x, k1u = rhs(x, u)
-            k2x, k2u = rhs(x + 0.5 * dt * k1x, u + 0.5 * dt * k1u)
-            k3x, k3u = rhs(x + 0.5 * dt * k2x, u + 0.5 * dt * k2u)
-            k4x, k4u = rhs(x + dt * k3x, u + dt * k3u)
-        except ChartBoundaryError:
-            return DiscreteCurve(np.array(times), np.array(points), np.array(velocities), exited=True)
-        x = x + (dt / 6.0) * (k1x + 2 * k2x + 2 * k3x + k4x)
-        u = u + (dt / 6.0) * (k1u + 2 * k2u + 2 * k3u + k4u)
-        if not manifold.contains(x):
-            return DiscreteCurve(np.array(times), np.array(points), np.array(velocities), exited=True)
-        times.append((m + 1) * dt)
-        points.append(x.copy())
-        velocities.append(u.copy())
-    return DiscreteCurve(np.array(times), np.array(points), np.array(velocities), exited=False)
+    y0 = np.concatenate([np.asarray(x0, dtype=float), np.asarray(u0, dtype=float)])
+    times, states, exited = _rk4(rhs, y0, T, steps, lambda y: manifold.contains(y[:d]))
+    return DiscreteCurve(times, states[:, :d], states[:, d:], exited)
 
 
 def flow_integrate(X, x0, T, steps, domain=None):
     """Integrate an autonomous flow x' = X(x) by fixed-step RK4.
 
     Records X(x_t) as the velocity samples; stops early (exited=True) if the
-    optional domain predicate fails.
+    optional domain predicate fails or a stage leaves the chart.
     """
-    x = np.asarray(x0, dtype=float).copy()
-    dt = float(T) / int(steps)
-    times = [0.0]
-    points = [x.copy()]
-    velocities = [np.asarray(X(x), dtype=float)]
-    for m in range(int(steps)):
-        k1 = np.asarray(X(x), dtype=float)
-        k2 = np.asarray(X(x + 0.5 * dt * k1), dtype=float)
-        k3 = np.asarray(X(x + 0.5 * dt * k2), dtype=float)
-        k4 = np.asarray(X(x + dt * k3), dtype=float)
-        x = x + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        if domain is not None and not domain(x):
-            return DiscreteCurve(np.array(times), np.array(points), np.array(velocities), exited=True)
-        times.append((m + 1) * dt)
-        points.append(x.copy())
-        velocities.append(np.asarray(X(x), dtype=float))
-    return DiscreteCurve(np.array(times), np.array(points), np.array(velocities), exited=False)
+    field = lambda x: np.asarray(X(x), dtype=float)  # noqa: E731
+    times, points, exited = _rk4(field, np.asarray(x0, dtype=float), T, steps, domain)
+    return DiscreteCurve(times, points, np.array([field(x) for x in points]), exited)
 
 
 def clairaut_check(manifold, curve, X):
@@ -391,11 +404,10 @@ def clairaut_check(manifold, curve, X):
     (Clairaut's theorem on surfaces of revolution); the returned number is
     max_t |<u_t, X(x_t)> - <u_0, X(x_0)>|.
     """
-    vals = [
+    vals = np.array([
         float(u @ manifold.metric_at(x) @ X(x))
         for x, u in zip(curve.points, curve.velocities)
-    ]
-    vals = np.asarray(vals)
+    ])
     return float(np.abs(vals - vals[0]).max())
 
 
@@ -428,7 +440,7 @@ def surface_of_revolution(rho, drho, z_domain=None):
         if r <= 0.0:
             raise ValueError(f"profile radius must be positive, got rho({x[0]}) = {r}")
         rp = float(drho(x[0]))
-        return np.diag([1.0 + rp * rp, r * r])
+        return np.array([[1.0 + rp * rp, 0.0], [0.0, r * r]])
 
     def domain(x):
         if z_domain is not None and not (z_domain[0] < x[0] < z_domain[1]):

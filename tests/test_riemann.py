@@ -1,5 +1,7 @@
 """Chart geometry operators against closed-form and hand-computed oracles."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -460,3 +462,198 @@ def test_halving_step_contracts_residuals():
     coarse = np.abs(lie_derivative_metric(sphere, J, x, h=2e-3)).max()
     fine = np.abs(lie_derivative_metric(sphere, J, x, h=1e-3)).max()
     assert coarse / fine >= 3.0
+
+
+# ---------------------------------------------------------------------------
+# The stencil engine against a per-point reference
+#
+# The reference loops below repeat, one stencil point at a time, the
+# arithmetic of a per-point central-difference implementation. The engine
+# evaluates whole stacks of points but must give the same floating-point
+# numbers, bit for bit.
+
+
+def reference_metric(manifold, y):
+    g = np.asarray(manifold.metric(y), dtype=float)
+    return (g + g.T) / 2.0
+
+
+def reference_partials(manifold, fn, x, h):
+    outs = []
+    for i in range(manifold.dim):
+        step = np.zeros(manifold.dim)
+        step[i] = h
+        outs.append((np.asarray(fn(x + step), dtype=float) - np.asarray(fn(x - step), dtype=float)) / (2.0 * h))
+    return np.stack(outs)
+
+
+def reference_christoffel(manifold, x, h):
+    ginv = np.linalg.inv(reference_metric(manifold, x))
+    dg = reference_partials(manifold, lambda y: reference_metric(manifold, y), x, h)
+    brackets = dg + dg.transpose(1, 0, 2) - dg.transpose(1, 2, 0)
+    return 0.5 * np.einsum("kl,ijl->kij", ginv, brackets)
+
+
+def reference_differential(manifold, f, x, h, order):
+    out = np.empty(manifold.dim)
+    for i in range(manifold.dim):
+        step = np.zeros(manifold.dim)
+        step[i] = h
+        if order == 2:
+            pts, coeffs, denom = [x + step, x - step], [1.0, -1.0], 2.0 * h
+        else:
+            pts, coeffs, denom = [x + 2 * step, x + step, x - step, x - 2 * step], [-1.0, 8.0, -8.0, 1.0], 12.0 * h
+        out[i] = sum(c * f(y) for c, y in zip(coeffs, pts)) / denom
+    return out
+
+
+def test_christoffel_matches_per_point_reference_on_cp3():
+    from qhydro.projective import chart_manifold
+
+    rng = np.random.default_rng(31)
+    for k in range(4):
+        M = chart_manifold(4, k)
+        for h in (1e-4, 1e-5):
+            x = rng.uniform(-0.9, 0.9, size=6)
+            assert np.array_equal(christoffel(M, x, h), reference_christoffel(M, x, h))
+
+
+def test_christoffel_matches_per_point_reference_on_surface():
+    rng = np.random.default_rng(32)
+    for _ in range(5):
+        a, b, c = rng.uniform(2.0, 3.0), rng.uniform(0.3, 1.0), rng.uniform(0.5, 1.5)
+        surf = surface_of_revolution(lambda z: a + b * np.sin(c * z), lambda z: b * c * np.cos(c * z))
+        for h in (1e-4, 1e-5):
+            x = rng.uniform(-2.0, 2.0, size=2)
+            assert np.array_equal(christoffel(surf.manifold, x, h), reference_christoffel(surf.manifold, x, h))
+
+
+@pytest.mark.parametrize("order", [2, 4])
+def test_differential_matches_per_point_reference(order):
+    from qhydro.fluid import pressure_scalar_field
+    from qhydro.projective import chart_manifold
+
+    from helpers import random_hermitian
+
+    rng = np.random.default_rng(33 + order)
+    surf = surface_of_revolution(lambda z: 2.0 + np.sin(z), np.cos)
+    H = random_hermitian(rng, 4)
+    cases = [(surf.manifold, surf.pressure, 2), (chart_manifold(4, 1), pressure_scalar_field(H, 1), 6)]
+    for M, f, dim in cases:
+        for _ in range(5):
+            x = rng.uniform(-0.9, 0.9, size=dim)
+            assert np.array_equal(differential(M, f, x, order=order), reference_differential(M, f, x, 1e-4, order))
+
+
+def test_differential_rejects_unsupported_order():
+    with pytest.raises(ValueError, match="unsupported stencil order 3"):
+        differential(PLANE, ScalarField(lambda x: x[0]), np.array([0.1, 0.2]), order=3)
+
+
+# Every stencil point gets every check of metric_at, with its exception
+# type and message. The metrics below go bad just right of x0 = 0.5, so the
+# base point 0.5 passes and only the stencil point 0.5 + h fails.
+
+STENCIL_X = np.array([0.5, 0.0])
+BAD_STENCIL_POINT = STENCIL_X + np.array([1e-4, 0.0])
+
+
+def bad_right_of_base(bad_matrix):
+    return ChartManifold(2, lambda x: bad_matrix if x[0] > 0.50005 else np.eye(2), name="test")
+
+
+def test_nonfinite_stencil_point_is_rejected():
+    x = np.array([1e308, 0.0])
+    message = f"stencil point {np.array([np.inf, 0.0])} outside chart domain"
+    for call in (lambda: christoffel(PLANE, x, h=1e308), lambda: differential(PLANE, ScalarField(sum), x, h=1e308)):
+        with np.errstate(over="ignore"), pytest.raises(ChartBoundaryError, match=re.escape(message)):
+            call()
+
+
+def test_out_of_domain_stencil_point_is_rejected():
+    strip = ChartManifold(2, lambda x: np.eye(2), lambda x: x[0] < 0.50005)
+    message = f"stencil point {BAD_STENCIL_POINT} outside chart domain"
+    for call in (
+        lambda: christoffel(strip, STENCIL_X),
+        lambda: divergence(strip, ROTATION, STENCIL_X),
+        lambda: lie_derivative_metric(strip, ROTATION, STENCIL_X),
+        lambda: differential(strip, ScalarField(sum), STENCIL_X),
+        lambda: lie_derivative_oneform(strip, ROTATION, flat_form(strip, ROTATION), STENCIL_X),
+    ):
+        with pytest.raises(ChartBoundaryError, match=re.escape(message)):
+            call()
+    # the five-point stencil meets x + 2h first
+    with pytest.raises(ChartBoundaryError, match=re.escape(f"stencil point {STENCIL_X + [2e-4, 0.0]} outside")):
+        differential(strip, ScalarField(sum), STENCIL_X, order=4)
+
+
+def test_asymmetric_metric_at_stencil_point_is_rejected():
+    M = bad_right_of_base(np.array([[1.0, 0.1], [0.0, 1.0]]))
+    message = f"metric not symmetric at {BAD_STENCIL_POINT}"
+    for call in (
+        lambda: christoffel(M, STENCIL_X),
+        lambda: divergence(M, ROTATION, STENCIL_X),
+        lambda: lie_derivative_metric(M, ROTATION, STENCIL_X),
+    ):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            call()
+
+
+def test_indefinite_metric_at_stencil_point_is_rejected():
+    M = bad_right_of_base(np.diag([1.0, -1.0]))
+    message = f"metric not positive-definite at {BAD_STENCIL_POINT}"
+    for call in (
+        lambda: christoffel(M, STENCIL_X),
+        lambda: divergence(M, ROTATION, STENCIL_X),
+        lambda: lie_derivative_metric(M, ROTATION, STENCIL_X),
+    ):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            call()
+
+
+def test_base_point_errors_come_before_stencil_errors():
+    # base point out of domain, and its right stencil point too
+    strip = ChartManifold(2, lambda x: np.eye(2), lambda x: x[0] < 0.4, name="strip")
+    with pytest.raises(ChartBoundaryError, match=re.escape(f"point {STENCIL_X} outside chart domain of strip")):
+        christoffel(strip, STENCIL_X)
+    # asymmetric at the base point, and a stencil point out of domain
+    skew = ChartManifold(2, lambda x: np.array([[1.0, 0.1], [0.0, 1.0]]), lambda x: x[0] < 0.50005)
+    with pytest.raises(ValueError, match=re.escape(f"metric not symmetric at {STENCIL_X}")):
+        christoffel(skew, STENCIL_X)
+
+
+def test_metric_at_checks_shape():
+    M = ChartManifold(2, lambda x: np.eye(3))
+    with pytest.raises(ValueError, match=re.escape("metric returned shape (3, 3), expected (2, 2)")):
+        M.metric_at(np.zeros(2))
+
+
+# ---------------------------------------------------------------------------
+# Fubini-Study geodesics against great circles
+
+
+@pytest.mark.parametrize("dim", [3, 4, 5])
+def test_geodesic_follows_great_circle(dim):
+    from qhydro.hilbert import StateVector
+    from qhydro.projective import AffineChart, chart_manifold, chart_of, fubini_study_distance, project_tangent
+
+    rng = np.random.default_rng(40 + dim)
+    v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    v /= np.linalg.norm(v)
+    r = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    w = r - v * np.vdot(v, r)  # horizontal: <v|w> = 0
+    w *= 0.6 / np.linalg.norm(w)
+    k = int(np.argmax(np.abs(v)))
+    curve = geodesic_integrate(
+        chart_manifold(dim, k), chart_of(StateVector(v), k).coords, project_tangent(v, w, k), 1.0, 200
+    )
+    assert not curve.exited and len(curve) == 201
+    speed = np.linalg.norm(w)
+    worst = max(
+        fubini_study_distance(
+            AffineChart(k, x).to_state(),
+            StateVector(np.cos(speed * s) * v + np.sin(speed * s) * w / speed, normalize=True),
+        )
+        for s, x in zip(curve.times, curve.points)
+    )
+    assert worst < 1e-6
