@@ -27,6 +27,10 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_INPUT_ERROR = 2
 
+# Most grid nodes one command may ask for: grid^2 per sphere for vorticity and
+# pressure (which samples every eigenstate pair), grid steps for trajectory.
+MAX_GRID_NODES = 2**18
+
 DEFAULT_TOLS = {
     "killing": 1e-5,
     "euler": 1e-5,
@@ -73,6 +77,14 @@ def _random_states(dim, count, seed):
     return [StateVector(row, normalize=True) for row in raw]
 
 
+def _require_affordable_grid(config, nodes):
+    if nodes > MAX_GRID_NODES:
+        raise ValueError(
+            f"--grid {config.grid} asks for about {nodes} grid nodes for {config.command}; "
+            f"the limit is {MAX_GRID_NODES}"
+        )
+
+
 def _check(name, max_residual, threshold, n_points):
     return {
         "check": name,
@@ -85,22 +97,22 @@ def _check(name, max_residual, threshold, n_points):
 
 def cmd_verify(config: RunConfig) -> int:
     H = hermitian_from_json(config.input_path)
-    states = _random_states(H.dim, 100, config.seed)
+    charts = [projective.chart_of(state) for state in _random_states(H.dim, 100, config.seed)]
     killing = euler = ortho = diver = transport = 0.0
-    for state in states:
-        chart = projective.chart_of(state)
-        manifold = projective.chart_manifold(H.dim, chart.chart_index)
-        X = projective.fundamental_field(H, H.dim, chart.chart_index)
-        p = fluid.pressure_scalar_field(H, chart.chart_index)
-        x = chart.coords
+    # the states of one chart go through each operator as one stack of base points
+    for k in sorted({chart.chart_index for chart in charts}):
+        x = np.array([chart.coords for chart in charts if chart.chart_index == k])
+        manifold = projective.chart_manifold(H.dim, k)
+        X = projective.fundamental_field(H, H.dim, k)
+        p = fluid.pressure_scalar_field(H, k)
         killing = max(killing, float(np.abs(riemann.lie_derivative_metric(manifold, X, x)).max()))
         residual = riemann.euler_residual(manifold, X, p, x)
-        euler = max(euler, riemann.covector_norm(manifold, residual, x))
+        euler = max(euler, float(riemann.covector_norm(manifold, residual, x).max()))
         dp = riemann.differential(manifold, p, x)
-        ortho = max(ortho, abs(float(dp @ X(x))))
-        diver = max(diver, abs(riemann.divergence(manifold, X, x)))
+        ortho = max(ortho, float(np.abs((dp * X.stack(x)).sum(axis=1)).max()))
+        diver = max(diver, float(np.abs(riemann.divergence(manifold, X, x)).max()))
         lemma = riemann.lie_derivative_oneform(manifold, X, riemann.flat_form(manifold, X), x)
-        transport = max(transport, riemann.covector_norm(manifold, lemma, x))
+        transport = max(transport, float(riemann.covector_norm(manifold, lemma, x).max()))
     dispersion_gap = 0.0
     for state in _random_states(H.dim, 50, config.seed + 1):
         gap = abs(projective.dispersion_via_metric(H, state) - dispersion_squared(H, state))
@@ -135,9 +147,11 @@ def cmd_pressure(config: RunConfig) -> int:
     H = hermitian_from_json(config.input_path)
     H.require_nondegenerate()
     base = _base_path(config, "pressure")
+    pairs = _pairs(config, H)
+    _require_affordable_grid(config, len(pairs) * config.grid**2)
     worst = 0.0
     written = []
-    for i, j in _pairs(config, H):
+    for i, j in pairs:
         rows = fluid.pressure_on_sphere(H, i, j, (config.grid, config.grid))
         path = f"{base}_S{i}{j}.csv"
         fluid.write_profile_csv(path, rows)
@@ -180,6 +194,7 @@ def cmd_vorticity(config: RunConfig) -> int:
     i, j = config.pair if config.pair is not None else (1, 0)
     if not (0 <= j < i < H.dim):
         raise ValueError(f"--pair must satisfy 0 <= j < i < {H.dim}, got {i} {j}")
+    _require_affordable_grid(config, config.grid**2)
     profile = fluid.vorticity_on_sphere(H, i, j, (config.grid, config.grid))
     path = _base_path(config, f"vorticity_S{i}{j}.csv")
     fluid.write_profile_csv(path, profile.rows())
@@ -246,6 +261,7 @@ def _hamiltonian_and_state(config):
 def cmd_trajectory(config: RunConfig) -> int:
     H, state = _hamiltonian_and_state(config)
     steps = max(config.grid, 2)
+    _require_affordable_grid(config, steps)
     report = fluid.schrodinger_trajectory(H, projective.ProjectivePoint(state), T=config.t, steps=steps)
     grad_norm = fluid.pressure_gradient(H, state).norm
     _emit(

@@ -20,6 +20,7 @@ from .hilbert import (
     HermitianOperator,
     StateVector,
     dispersion_squared,
+    dispersion_squared_stack,
     survival_probability,
 )
 from .projective import (
@@ -31,10 +32,12 @@ from .projective import (
     fundamental_field,
     geodesic_sphere,
     horizontal_lift,
+    representative,
 )
 from .riemann import (
     FD_STEP,
     ScalarField,
+    StackFunction,
     covariant_derivative,
     differential,
     exterior_derivative_oneform,
@@ -63,6 +66,11 @@ __all__ = [
 ]
 
 
+# Grid nodes per stack in vorticity_on_sphere: bounds the stencil stacks,
+# 2 * (2n) rows per node on CP^n.
+NODE_BLOCK = 32
+
+
 def _as_point(point) -> ProjectivePoint:
     return point if isinstance(point, ProjectivePoint) else ProjectivePoint(point)
 
@@ -72,14 +80,20 @@ def pressure(H: HermitianOperator, point) -> float:
     return 0.5 * dispersion_squared(H, _as_point(point).state)
 
 
+def _unit_rows(z):
+    """Each row of a complex (N, dim) stack scaled to unit norm, on its own."""
+    if not np.isfinite(z.view(float)).all():
+        raise ValueError("state vector has non-finite amplitudes")
+    return z / np.sqrt((z.real * z.real + z.imag * z.imag).sum(axis=1))[:, None]
+
+
 def pressure_scalar_field(H: HermitianOperator, chart_index) -> ScalarField:
-    """The pressure as a scalar field on one affine chart."""
+    """The pressure as a scalar field on one affine chart, evaluated on whole stacks of chart points."""
 
-    def value(xy):
-        state = AffineChart(chart_index, xy).to_state()
-        return 0.5 * dispersion_squared(H, state)
+    def value(points):
+        return 0.5 * dispersion_squared_stack(H, _unit_rows(representative(AffineChart(chart_index, points))))
 
-    return ScalarField(value)
+    return ScalarField(StackFunction(value))
 
 
 def pressure_gradient(H: HermitianOperator, point, h=FD_STEP, cross_tol=1e-5) -> TangentAtPoint:
@@ -165,15 +179,22 @@ def scalar_vorticity(H: HermitianOperator, i, j, theta, phi, h=FD_STEP) -> float
     poles included.
     """
     sphere = geodesic_sphere(H, i, j)
-    return _scalar_vorticity(H, sphere, theta, phi, h)
+    return float(_scalar_vorticities(H, [sphere.oriented_frame(theta, phi)], h)[0])
 
 
-def _scalar_vorticity(H, sphere, theta, phi, h):
-    chart, u1, u2 = sphere.oriented_frame(theta, phi)
-    manifold = chart_manifold(H.dim, chart.chart_index)
-    X = fundamental_field(H, H.dim, chart.chart_index)
-    w = exterior_derivative_oneform(manifold, flat_form(manifold, X), chart.coords, h)
-    return float(u1 @ w @ u2)
+def _scalar_vorticities(H, frames, h):
+    """Vorticity u1 . d(X^flat) . u2 at each (chart, u1, u2) frame; the frames of one chart form one stack."""
+    out = np.empty(len(frames))
+    for k in sorted({chart.chart_index for chart, _, _ in frames}):
+        rows = [n for n, (chart, _, _) in enumerate(frames) if chart.chart_index == k]
+        manifold = chart_manifold(H.dim, k)
+        X = fundamental_field(H, H.dim, k)
+        x = np.array([frames[n][0].coords for n in rows])
+        w = exterior_derivative_oneform(manifold, flat_form(manifold, X), x, h)
+        u1 = np.array([frames[n][1] for n in rows])
+        u2 = np.array([frames[n][2] for n in rows])
+        out[rows] = (u1 * (w * u2[:, None, :]).sum(axis=2)).sum(axis=1)
+    return out
 
 
 @dataclass(frozen=True)
@@ -212,10 +233,11 @@ def vorticity_on_sphere(H: HermitianOperator, i, j, grid=(64, 64), h=FD_STEP) ->
     sphere = geodesic_sphere(H, i, j)
     thetas = np.linspace(0.0, np.pi, n_theta)
     phis = np.linspace(0.0, 2.0 * np.pi, n_phi, endpoint=False)
-    numeric = np.empty((n_theta, n_phi))
-    for a, th in enumerate(thetas):
-        for b, ph in enumerate(phis):
-            numeric[a, b] = _scalar_vorticity(H, sphere, th, ph, h)
+    nodes = [(th, ph) for th in thetas for ph in phis]
+    numeric = np.concatenate([
+        _scalar_vorticities(H, [sphere.oriented_frame(th, ph) for th, ph in nodes[start : start + NODE_BLOCK]], h)
+        for start in range(0, len(nodes), NODE_BLOCK)
+    ]).reshape(n_theta, n_phi)
     analytic = 2.0 * sphere.omega * np.cos(thetas)
     abs_err = np.abs(numeric - analytic[:, None])
     peak = max(2.0 * abs(sphere.omega), 1e-300)
@@ -321,21 +343,21 @@ def schrodinger_trajectory(H: HermitianOperator, point, T=1.0, steps=1000) -> Tr
 def pressure_on_sphere(H: HermitianOperator, i, j, grid=(64, 64)):
     """Pressure landscape rows on S_ij: (theta, phi, numeric, analytic, abs_err).
 
-    The closed form on the pair sphere is omega^2 sin^2(theta) / 8.
+    The closed form on the pair sphere is omega^2 sin^2(theta) / 8. All grid
+    nodes are evaluated as one stack of states.
     """
     n_theta, n_phi = int(grid[0]), int(grid[1])
     if n_theta < 2 or n_phi < 2:
         raise ValueError(f"grid resolutions must be >= 2, got {grid}")
     sphere = geodesic_sphere(H, i, j)
-    thetas = np.linspace(0.0, np.pi, n_theta)
-    phis = np.linspace(0.0, 2.0 * np.pi, n_phi, endpoint=False)
-    rows = []
-    for th in thetas:
-        ana = sphere.omega**2 * np.sin(th) ** 2 / 8.0
-        for ph in phis:
-            num = pressure(H, sphere.state(th, ph))
-            rows.append((float(th), float(ph), float(num), float(ana), abs(float(num) - float(ana))))
-    return rows
+    thetas = np.repeat(np.linspace(0.0, np.pi, n_theta), n_phi)
+    phis = np.tile(np.linspace(0.0, 2.0 * np.pi, n_phi, endpoint=False), n_theta)
+    numeric = 0.5 * dispersion_squared_stack(H, _unit_rows(sphere.representative(thetas[:, None], phis[:, None])))
+    analytic = sphere.omega**2 * np.sin(thetas) ** 2 / 8.0
+    return [
+        (float(th), float(ph), float(num), float(ana), abs(float(num) - float(ana)))
+        for th, ph, num, ana in zip(thetas, phis, numeric, analytic)
+    ]
 
 
 def critical_point_report(H: HermitianOperator, grad_tol=1e-8, cross_tol=1e-5) -> dict:

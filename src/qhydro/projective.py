@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hilbert import HermitianOperator, StateVector
-from .riemann import ChartManifold, VectorField
+from .riemann import ChartManifold, StackFunction, VectorField
 
 __all__ = [
     "ProjectivePoint",
@@ -42,23 +42,33 @@ def chart_slots(dim, k):
 
 
 def _interleave(zeta):
-    out = np.empty(2 * zeta.size)
-    out[0::2] = zeta.real
-    out[1::2] = zeta.imag
+    out = np.empty(zeta.shape[:-1] + (2 * zeta.shape[-1],))
+    out[..., 0::2] = zeta.real
+    out[..., 1::2] = zeta.imag
     return out
 
 
 def _complexify(xy):
-    return xy[0::2] + 1j * xy[1::2]
+    return xy[..., 0::2] + 1j * xy[..., 1::2]
+
+
+def _rows(chart):
+    """A chart's coordinates as an (N, 2n) stack; one point is the one-row stack."""
+    return chart.coords.reshape(-1, chart.coords.shape[-1])
+
+
+def _shaped(chart, rows):
+    """Per-point results of _rows(chart), shaped back like the chart (one point: no leading axis)."""
+    return rows.reshape(chart.coords.shape[:-1] + rows.shape[1:])
 
 
 @dataclass(frozen=True)
 class AffineChart:
-    """A point of projective space in affine chart coordinates.
+    """A point of projective space in affine chart coordinates, or a stack of points of one chart.
 
     coords holds the realified inhomogeneous coordinates, interleaved as
     (Re zeta_1, Im zeta_1, ...) over the non-pivot ambient slots in
-    ascending order.
+    ascending order: a flat (2n,) array for one point, (N, 2n) for N points.
     """
 
     chart_index: int
@@ -66,24 +76,24 @@ class AffineChart:
 
     def __post_init__(self):
         coords = np.asarray(self.coords, dtype=float)
-        if coords.ndim != 1 or coords.size % 2 != 0 or coords.size == 0:
-            raise ValueError(f"chart coords must be a flat (2n,) array, got shape {coords.shape}")
+        if coords.ndim not in (1, 2) or coords.shape[-1] % 2 != 0 or coords.shape[-1] == 0:
+            raise ValueError(f"chart coords must be a flat (2n,) array or an (N, 2n) stack, got shape {coords.shape}")
         object.__setattr__(self, "coords", coords)
 
     @property
     def ambient_dim(self):
-        return self.coords.size // 2 + 1
+        return self.coords.shape[-1] // 2 + 1
 
     def to_state(self) -> StateVector:
         return StateVector(representative(self), normalize=True)
 
 
 def representative(chart: AffineChart) -> np.ndarray:
-    """Homogeneous representative with 1 at the pivot slot."""
+    """Homogeneous representative with 1 at the pivot slot (one row per point of a stack)."""
     dim = chart.ambient_dim
-    z = np.zeros(dim, dtype=complex)
-    z[chart.chart_index] = 1.0
-    z[chart_slots(dim, chart.chart_index)] = _complexify(chart.coords)
+    z = np.zeros(chart.coords.shape[:-1] + (dim,), dtype=complex)
+    z[..., chart.chart_index] = 1.0
+    z[..., chart_slots(dim, chart.chart_index)] = _complexify(chart.coords)
     return z
 
 
@@ -149,20 +159,25 @@ class TangentAtPoint:
 
 
 def fubini_study_metric(chart: AffineChart) -> np.ndarray:
-    """Metric matrix in realified chart coordinates.
+    """Metric matrix in realified chart coordinates (one matrix per point of a stack).
 
     For chart tangents u1, u2 with horizontal lifts w1, w2 at the unit
     representative, the matrix returns Re <w1|w2>; equivalently the squared
     length of the Schrodinger generator equals the Hamiltonian variance.
+
+    In closed form g = (I - r r^T - s s^T) / |z|^2, where r = x / |z| and s
+    is r with each (Re, Im) pair turned to (Im, -Re). Each point is computed
+    on its own, by elementwise products and row sums, so a point gives the
+    same matrix alone and in a stack.
     """
-    z = representative(chart)
-    nz2 = float(np.vdot(z, z).real)
-    v = z / np.sqrt(nz2)
-    vs = v[chart_slots(chart.ambient_dim, chart.chart_index)]
-    c = np.empty(chart.coords.size, dtype=complex)
-    c[0::2] = vs
-    c[1::2] = -1j * vs
-    return (np.eye(chart.coords.size) - np.outer(c, c.conj()).real) / nz2
+    xy = _rows(chart)
+    nz2 = 1.0 + (xy * xy).sum(axis=1)
+    r = xy / np.sqrt(nz2)[:, None]
+    s = np.empty_like(r)
+    s[:, 0::2] = r[:, 1::2]
+    s[:, 1::2] = -r[:, 0::2]
+    outer = r[:, :, None] * r[:, None, :] + s[:, :, None] * s[:, None, :]
+    return _shaped(chart, (np.eye(xy.shape[1]) - outer) / nz2[:, None, None])
 
 
 def chart_manifold(dim, chart_index, coord_bound=None) -> ChartManifold:
@@ -175,24 +190,25 @@ def chart_manifold(dim, chart_index, coord_bound=None) -> ChartManifold:
     if dim < 2 or not 0 <= chart_index < dim:
         raise ValueError(f"invalid chart: dim={dim}, index={chart_index}")
 
-    def metric(xy):
-        return fubini_study_metric(AffineChart(chart_index, xy))
-
+    metric = StackFunction(lambda points: fubini_study_metric(AffineChart(chart_index, points)))
     domain = None
     if coord_bound is not None:
-        domain = lambda xy: bool(np.abs(xy).max() < coord_bound)
+        domain = StackFunction(lambda points: np.abs(points).max(axis=1) < coord_bound)
     return ChartManifold(2 * (dim - 1), metric, domain, name=f"CP^{dim - 1} chart {chart_index}")
 
 
 def fundamental_field_at(A: HermitianOperator, chart: AffineChart) -> np.ndarray:
-    """Chart components of the flow generator of [v] -> [exp(-iAt) v]."""
-    z = representative(chart)
-    if A.dim != z.size:
-        raise ValueError(f"dimension mismatch: operator {A.dim}, chart ambient {z.size}")
-    Az = A.matrix @ z
-    slots = chart_slots(chart.ambient_dim, chart.chart_index)
-    zeta_dot = -1j * (Az[slots] - _complexify(chart.coords) * Az[chart.chart_index])
-    return _interleave(zeta_dot)
+    """Chart components of the flow generator of [v] -> [exp(-iAt) v] (one row per point of a stack).
+
+    Each point is computed on its own, as fubini_study_metric computes it.
+    """
+    if A.dim != chart.ambient_dim:
+        raise ValueError(f"dimension mismatch: operator {A.dim}, chart ambient {chart.ambient_dim}")
+    k = chart.chart_index
+    z = representative(chart).reshape(-1, A.dim)
+    Az = A.apply_stack(z)
+    slots = chart_slots(A.dim, k)
+    return _shaped(chart, _interleave(-1j * (Az[:, slots] - z[:, slots] * Az[:, k, None])))
 
 
 def fundamental_field(A: HermitianOperator, dim, chart_index) -> VectorField:
@@ -204,7 +220,7 @@ def fundamental_field(A: HermitianOperator, dim, chart_index) -> VectorField:
     """
     if A.dim != dim:
         raise ValueError(f"dimension mismatch: operator {A.dim}, requested {dim}")
-    return VectorField(lambda xy: fundamental_field_at(A, AffineChart(chart_index, xy)))
+    return VectorField(StackFunction(lambda points: fundamental_field_at(A, AffineChart(chart_index, points))))
 
 
 def horizontal_lift(chart: AffineChart, u) -> tuple[np.ndarray, np.ndarray]:
@@ -248,10 +264,18 @@ def dispersion_via_metric(H: HermitianOperator, point) -> float:
 
 
 def fubini_study_distance(u, v) -> float:
-    """Geodesic distance arccos |<u|v>| between rays (pi/2 for orthogonal states)."""
+    """Geodesic distance arccos |<u|v>| between rays (pi/2 for orthogonal states).
+
+    Evaluated as 2 asin(|v - e^{i phi} u| / 2), where e^{i phi}, the phase of
+    <u|v>, brings u closest to v. The chord keeps full relative precision for
+    nearby rays; arccos near 1 cannot resolve distances below about 2e-8.
+    """
     u = u.state if isinstance(u, ProjectivePoint) else u
     v = v.state if isinstance(v, ProjectivePoint) else v
-    return float(np.arccos(np.clip(abs(u.inner(v)), 0.0, 1.0)))
+    overlap = u.inner(v)
+    phase = overlap / abs(overlap) if overlap != 0 else 1.0
+    chord = float(np.linalg.norm(v.amplitudes - phase * u.amplitudes))
+    return 2.0 * float(np.arcsin(min(chord / 2.0, 1.0)))
 
 
 class GeodesicSphere:

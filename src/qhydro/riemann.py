@@ -5,11 +5,16 @@ Derivatives are central finite differences (second order, default step
 1e-4); every verifier returns a residual, never a boolean - thresholds are
 test policy, not library semantics. Stencil points must lie inside the
 chart domain; there is no extrapolation.
+
+Metrics, domains and fields are evaluated on whole (N, dim) stacks of
+points: a stencil, a curve. A callable given per point is lifted to stacks
+once, when the manifold or field is built; one wrapped in StackFunction is
+used as it is.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable
 
 import numpy as np
@@ -18,6 +23,7 @@ __all__ = [
     "FD_STEP",
     "ChartBoundaryError",
     "ChartManifold",
+    "StackFunction",
     "VectorField",
     "OneForm",
     "TwoForm",
@@ -57,43 +63,79 @@ class ChartBoundaryError(ValueError):
     """A requested point (or one of its stencil points) left the chart."""
 
 
+class StackFunction:
+    """A function of an (N, dim) stack of points with one result row per point.
+
+    Wrap a stack-native callable in it to build a ChartManifold metric or
+    domain, or a field; a bare callable is taken as a function of one point.
+    Called on one point it evaluates the one-row stack, so a point alone and
+    the same point in a stack go through the same arithmetic.
+    """
+
+    __slots__ = ("stack",)
+
+    def __init__(self, stack):
+        self.stack = stack
+
+    def __call__(self, x):
+        return self.stack(np.asarray(x, dtype=float)[None])[0]
+
+
+def _lift(fn):
+    """fn as a function of an (N, dim) stack: a StackFunction's own, else fn row by row."""
+    if isinstance(fn, StackFunction):
+        return fn.stack
+    return lambda points: [fn(y) for y in points]
+
+
+class _Field:
+    """Evaluation shared by the field types: their one callable is lifted to stacks once, when the field is built."""
+
+    def __post_init__(self):
+        object.__setattr__(self, "_rows", _lift(getattr(self, fields(self)[0].name)))
+
+    def __call__(self, x):
+        return self.stack(np.asarray(x, dtype=float)[None])[0]
+
+    def stack(self, points):
+        """Values at each row of an (N, dim) stack of points, one leading row per point."""
+        return np.asarray(self._rows(points), dtype=float)
+
+
 @dataclass(frozen=True)
-class VectorField:
+class VectorField(_Field):
     """Contravariant components X^i as a function of the chart point."""
 
     components: Callable
 
-    def __call__(self, x):
-        return np.asarray(self.components(np.asarray(x, dtype=float)), dtype=float)
-
 
 @dataclass(frozen=True)
-class OneForm:
+class OneForm(_Field):
     """Covariant components alpha_i as a function of the chart point."""
 
     components: Callable
 
-    def __call__(self, x):
-        return np.asarray(self.components(np.asarray(x, dtype=float)), dtype=float)
-
 
 @dataclass(frozen=True)
-class TwoForm:
+class TwoForm(_Field):
     """Antisymmetric coefficient matrix w_ij; antisymmetry is enforced."""
 
     components: Callable
 
-    def __call__(self, x):
-        w = np.asarray(self.components(np.asarray(x, dtype=float)), dtype=float)
-        return (w - w.T) / 2.0
+    def stack(self, points):
+        w = super().stack(points)
+        return (w - w.transpose(0, 2, 1)) / 2.0
 
 
 @dataclass(frozen=True)
-class ScalarField:
+class ScalarField(_Field):
     value: Callable
 
     def __call__(self, x):
-        return float(self.value(np.asarray(x, dtype=float)))
+        return float(super().__call__(x))
+
+    def stack(self, points):
+        return super().stack(points).reshape(len(points))
 
 
 @dataclass(frozen=True)
@@ -105,9 +147,11 @@ class ChartManifold:
     dim : int
         Number of chart coordinates.
     metric : callable
-        Point -> symmetric positive-definite (dim, dim) matrix.
+        Point -> symmetric positive-definite (dim, dim) matrix, or a
+        StackFunction from an (N, dim) stack to (N, dim, dim).
     chart_domain : callable, optional
-        Point -> bool; defaults to the whole chart.
+        Point -> bool, or a StackFunction from a stack to N booleans;
+        defaults to the whole chart.
     name : str
         Label used in error messages.
     """
@@ -117,39 +161,58 @@ class ChartManifold:
     chart_domain: Callable = None
     name: str = ""
 
+    def __post_init__(self):
+        object.__setattr__(self, "_metric_rows", _lift(self.metric))
+        object.__setattr__(self, "_domain_rows", None if self.chart_domain is None else _lift(self.chart_domain))
+
     def contains(self, x) -> bool:
         return self._first_outside(np.asarray(x, dtype=float)[None]) is None
 
     def _first_outside(self, points):
-        """Index of the first point of an (N, dim) stack that is not in the chart, or None."""
+        """Index of the first point of an (N, dim) stack that is not in the chart, or None.
+
+        The domain predicate sees the points before the first non-finite one.
+        """
         if points.ndim != 2 or points.shape[1] != self.dim:
             return 0
         finite = np.isfinite(points).all(axis=1)
-        for i, y in enumerate(points):
-            if not finite[i] or (self.chart_domain is not None and not self.chart_domain(y)):
-                return i
-        return None
+        first = len(points) if finite.all() else int(finite.argmin())
+        if self._domain_rows is not None and first:
+            inside = np.asarray(self._domain_rows(points[:first]), dtype=bool)
+            if not inside.all():
+                first = int(inside.argmin())
+        return None if first == len(points) else first
 
     def metric_at(self, x) -> np.ndarray:
         """Metric matrix at x, validated symmetric positive-definite."""
-        return self._metric_stack(np.asarray(x, dtype=float)[None])[0]
+        return self._metrics_at(np.asarray(x, dtype=float)[None])[0]
 
-    def _metric_stack(self, points) -> np.ndarray:
-        """Metrics at a point (points[0]) and its stencil, each checked as metric_at checks one.
+    def _metrics_at(self, points) -> np.ndarray:
+        """metric_at at every row of an (N, dim) stack, checked as one batch."""
+        return self._metric_stack(points, len(points))
 
-        Errors of the point itself come first, then the domain of every stencil
-        point, then the matrix checks (shape, symmetry, Cholesky), each one
-        batch over the stack in which the first offending point raises.
+    def _metric_stack(self, points, bases) -> np.ndarray:
+        """Metrics at an (N, dim) stack, each point checked as metric_at checks one.
+
+        The first `bases` rows are points in their own right (base points, or
+        every row of a curve); the rest are their stencil points. Errors of the
+        base points come first, then the domain of every stencil point, then
+        the matrix checks (shape, symmetry, Cholesky), each one batch over the
+        stack in which the first offending point raises.
         """
         outside = self._first_outside(points)
-        if outside == 0:
-            raise ChartBoundaryError(f"point {points[0]} outside chart domain of {self.name or 'manifold'}")
-        checked = points if outside is None else points[:1]
-        gs = [np.asarray(self.metric(y), dtype=float) for y in checked]
-        for g in gs:
-            if g.shape != (self.dim, self.dim):
-                raise ValueError(f"metric returned shape {g.shape}, expected {(self.dim, self.dim)}")
-        g = np.array(gs)
+        if outside is not None and outside < bases:
+            raise ChartBoundaryError(f"point {points[outside]} outside chart domain of {self.name or 'manifold'}")
+        checked = points if outside is None else points[:bases]
+        rows = self._metric_rows(checked)
+        try:
+            g = np.asarray(rows, dtype=float)
+            shaped = g.shape == (len(checked), self.dim, self.dim)
+        except ValueError:  # rows of different shapes
+            shaped = False
+        if not shaped:
+            shape = next((np.shape(r) for r in rows if np.shape(r) != (self.dim, self.dim)), np.shape(rows))
+            raise ValueError(f"metric returned shape {shape}, expected {(self.dim, self.dim)}")
         gt = g.transpose(0, 2, 1)
         if not (g == gt).all():  # an exactly symmetric stack passes the tolerance test
             asym = np.abs(g - gt).max(axis=(1, 2)) > 1e-9 * np.maximum(np.abs(g).max(axis=(1, 2)), 1e-300)
@@ -182,6 +245,27 @@ class DiscreteCurve:
         return self.points.shape[0]
 
 
+# The operators below take one point x of shape (dim,) or a stack of base
+# points of shape (M, dim), and then return one result per base point along a
+# new leading axis. One point is the one-row stack: it runs the same code.
+
+
+def _bases(x):
+    """x as an (M, dim) stack of base points."""
+    x = np.asarray(x, dtype=float)
+    return x if x.ndim == 2 else x[None]
+
+
+def _like(x, out):
+    """Results per base point, without the leading axis when x is one point."""
+    return out if np.ndim(x) == 2 else out[0]
+
+
+def _scalar_like(x, out):
+    """_like, with a Python float for one point."""
+    return out if np.ndim(x) == 2 else float(out[0])
+
+
 # order -> (shifts in units of h, their weights, denominator in units of h)
 _STENCILS = {
     2: (np.array([1, -1]), (1.0, -1.0), 2.0),
@@ -189,35 +273,44 @@ _STENCILS = {
 }
 
 
-def _stencil_points(manifold, x, h, order):
-    """Central stencil of x, coordinate-major: one row per (coordinate, shift)."""
+def _stencil_points(manifold, xs, h, order):
+    """Central stencils of the base points xs: one row per (base point, coordinate, shift)."""
     if order not in _STENCILS:
         raise ValueError(f"unsupported stencil order {order}")
     steps = _STENCILS[order][0][None, :, None] * (float(h) * np.eye(manifold.dim))[:, None, :]
-    return (x + steps).reshape(-1, manifold.dim)
+    return (xs[:, None, None, :] + steps).reshape(-1, manifold.dim)
 
 
-def _combine(values, h, order):
-    """[d_i fn(x)]_i from fn's values on the rows of _stencil_points."""
+def _combine(manifold, values, h, order):
+    """[d_i fn(x)]_i per base point, shape (M, dim, ...), from fn's values on the rows of _stencil_points."""
     _, weights, denom = _STENCILS[order]
-    values = values.reshape(-1, len(weights), *values.shape[1:])
-    return sum(w * values[:, j] for j, w in enumerate(weights)) / (denom * h)
+    values = values.reshape(-1, manifold.dim, len(weights), *values.shape[1:])
+    return sum(w * values[:, :, j] for j, w in enumerate(weights)) / (denom * h)
 
 
-def _partials(manifold, fn, x, h, order=2):
-    """[d_i fn(x)]_i by central differences; every stencil point must be in-chart."""
-    points = _stencil_points(manifold, np.asarray(x, dtype=float), h, order)
+def _partials(manifold, fn, xs, h, order=2):
+    """[d_i fn(x)]_i per base point by central differences; every stencil point must be in-chart."""
+    points = _stencil_points(manifold, xs, h, order)
     outside = manifold._first_outside(points)
     if outside is not None:
         raise ChartBoundaryError(f"stencil point {points[outside]} outside chart domain")
-    return _combine(np.stack([np.asarray(fn(y), dtype=float) for y in points]), h, order)
+    return _combine(manifold, fn.stack(points), h, order)
 
 
-def _metric_partials(manifold, x, h):
-    """(g(x), dg) with dg[l] = d_l g(x), from one validated metric stack."""
-    x = np.asarray(x, dtype=float)
-    g = manifold._metric_stack(np.concatenate([x[None], _stencil_points(manifold, x, h, 2)]))
-    return g[0], _combine(g[1:], h, 2)
+def _metric_partials(manifold, xs, h):
+    """(g, dg) per base point, dg[m, l] = d_l g(x_m), from one validated metric stack."""
+    g = manifold._metric_stack(np.concatenate([xs, _stencil_points(manifold, xs, h, 2)]), len(xs))
+    return g[: len(xs)], _combine(manifold, g[len(xs):], h, 2)
+
+
+def _lower(g, u):
+    """Rows g_m u_m of a metric stack and a vector stack, each summed on its own."""
+    return (g * u[:, None, :]).sum(axis=2)
+
+
+def _squared_norms(g, u):
+    """Rows u_m g_m u_m of a metric stack and a vector stack."""
+    return (u * _lower(g, u)).sum(axis=1)
 
 
 def christoffel(manifold, x, h=FD_STEP):
@@ -227,72 +320,78 @@ def christoffel(manifold, x, h=FD_STEP):
     Gamma^k_ij = 1/2 g^kl (d_i g_jl + d_j g_il - d_l g_ij), with central
     differences of step h. Symmetric in (i, j).
     """
-    g, dg = _metric_partials(manifold, x, h)  # dg[l, i, j] = d_l g_ij
+    g, dg = _metric_partials(manifold, _bases(x), h)  # dg[m, l, i, j] = d_l g_ij
     ginv = np.linalg.inv(g)
-    # brackets[i, j, l] = d_i g_jl + d_j g_il - d_l g_ij
-    brackets = dg + dg.transpose(1, 0, 2) - dg.transpose(1, 2, 0)
-    return 0.5 * np.einsum("kl,ijl->kij", ginv, brackets)
+    # brackets[m, i, j, l] = d_i g_jl + d_j g_il - d_l g_ij
+    brackets = dg + dg.transpose(0, 2, 1, 3) - dg.transpose(0, 2, 3, 1)
+    return _like(x, 0.5 * np.einsum("mkl,mijl->mkij", ginv, brackets))
 
 
 def covariant_derivative(manifold, X, Y, x, h=FD_STEP):
     """(nabla_X Y)^k = X^i d_i Y^k + Gamma^k_ij X^i Y^j at x."""
-    Xx, Yx = X(x), Y(x)
-    dY = _partials(manifold, Y, x, h)  # dY[i, k] = d_i Y^k
-    gamma = christoffel(manifold, x, h)
-    return Xx @ dY + np.einsum("kij,i,j->k", gamma, Xx, Yx)
+    xs = _bases(x)
+    Xx, Yx = X.stack(xs), Y.stack(xs)
+    dY = _partials(manifold, Y, xs, h)  # dY[m, i, k] = d_i Y^k
+    gamma = christoffel(manifold, xs, h)
+    return _like(x, np.einsum("mi,mik->mk", Xx, dY) + np.einsum("mkij,mi,mj->mk", gamma, Xx, Yx))
 
 
 def lie_derivative_metric(manifold, X, x, h=FD_STEP):
     """Killing residual matrix (L_X g)_ij; zero iff X generates an isometry near x."""
-    g, dg = _metric_partials(manifold, x, h)
-    dX = _partials(manifold, X, x, h)  # dX[i, k] = d_i X^k
-    out = np.einsum("k,kij->ij", X(x), dg) + dX @ g + (dX @ g).T
-    return (out + out.T) / 2.0
+    xs = _bases(x)
+    g, dg = _metric_partials(manifold, xs, h)
+    dXg = _partials(manifold, X, xs, h) @ g  # d_i X^k g_kj
+    out = np.einsum("mk,mkij->mij", X.stack(xs), dg) + dXg + dXg.transpose(0, 2, 1)
+    return _like(x, (out + out.transpose(0, 2, 1)) / 2.0)
 
 
 def lie_derivative_oneform(manifold, X, alpha, x, h=FD_STEP):
     """(L_X alpha)_i = X^j d_j alpha_i + alpha_j d_i X^j at x."""
-    da = _partials(manifold, alpha, x, h)  # da[j, i] = d_j alpha_i
-    dX = _partials(manifold, X, x, h)
-    return X(x) @ da + dX @ alpha(x)
+    xs = _bases(x)
+    da = _partials(manifold, alpha, xs, h)  # da[m, j, i] = d_j alpha_i
+    dX = _partials(manifold, X, xs, h)
+    return _like(x, np.einsum("mj,mji->mi", X.stack(xs), da) + np.einsum("mij,mj->mi", dX, alpha.stack(xs)))
 
 
 def lie_derivative_twoform(manifold, X, w, x, h=FD_STEP):
     """(L_X w)_ij = X^k d_k w_ij + w_kj d_i X^k + w_ik d_j X^k at x."""
-    dw = _partials(manifold, w, x, h)  # dw[k, i, j]
-    dX = _partials(manifold, X, x, h)
-    wx = w(x)
-    return np.einsum("k,kij->ij", X(x), dw) + dX @ wx + wx @ dX.T
+    xs = _bases(x)
+    dw = _partials(manifold, w, xs, h)  # dw[m, k, i, j]
+    dX = _partials(manifold, X, xs, h)
+    wx = w.stack(xs)
+    return _like(x, np.einsum("mk,mkij->mij", X.stack(xs), dw) + dX @ wx + wx @ dX.transpose(0, 2, 1))
 
 
 def flat(manifold, X, x):
     """Index lowering: components of X^flat = g(X, .) at x."""
-    return manifold.metric_at(x) @ X(x)
+    return _like(x, flat_form(manifold, X).stack(_bases(x)))
 
 
 def sharp(manifold, alpha, x):
     """Index raising: components of alpha^sharp = g^{-1} alpha at x."""
-    return np.linalg.solve(manifold.metric_at(x), alpha(x))
+    xs = _bases(x)
+    return _like(x, np.linalg.solve(manifold._metrics_at(xs), alpha.stack(xs)[:, :, None])[:, :, 0])
 
 
 def flat_form(manifold, X):
     """X^flat as a OneForm (for feeding derivative operators)."""
-    return OneForm(lambda y: manifold.metric_at(y) @ X(y))
+    return OneForm(StackFunction(lambda points: _lower(manifold._metrics_at(points), X.stack(points))))
 
 
 def exterior_derivative_oneform(manifold, alpha, x, h=FD_STEP):
     """(d alpha)_ij = d_i alpha_j - d_j alpha_i at x, as an antisymmetric matrix."""
-    da = _partials(manifold, alpha, x, h)  # da[i, j] = d_i alpha_j
-    return da - da.T
+    da = _partials(manifold, alpha, _bases(x), h)  # da[m, i, j] = d_i alpha_j
+    return _like(x, da - da.transpose(0, 2, 1))
 
 
 def divergence(manifold, X, x, h=FD_STEP):
     """Riemannian divergence (1 / sqrt det g) d_i (sqrt(det g) X^i) at x."""
-    x = np.asarray(x, dtype=float)
-    points = np.concatenate([x[None], _stencil_points(manifold, x, h, 2)])
-    density = np.sqrt(np.linalg.det(manifold._metric_stack(points)))
-    ds = _combine(np.stack([d * X(y) for d, y in zip(density[1:], points[1:])]), h, 2)
-    return float(sum(ds[i][i] for i in range(manifold.dim)) / density[0])
+    xs = _bases(x)
+    m = len(xs)
+    points = np.concatenate([xs, _stencil_points(manifold, xs, h, 2)])
+    density = np.sqrt(np.linalg.det(manifold._metric_stack(points, m)))
+    ds = _combine(manifold, density[m:, None] * X.stack(points[m:]), h, 2)
+    return _scalar_like(x, sum(ds[:, i, i] for i in range(manifold.dim)) / density[:m])
 
 
 def differential(manifold, f, x, h=FD_STEP, order=2):
@@ -301,13 +400,14 @@ def differential(manifold, f, x, h=FD_STEP, order=2):
     order 2 is the default central stencil; order 4 uses the five-point
     stencil when the caller needs gradient residuals well below h^2 scale.
     """
-    return _partials(manifold, f, x, h, order)
+    return _like(x, _partials(manifold, f, _bases(x), h, order))
 
 
 def euler_residual(manifold, X, p, x, h=FD_STEP):
     """Stationary Euler residual (nabla_X X)^flat + dp at x (zero iff satisfied)."""
-    acc = covariant_derivative(manifold, X, X, x, h)
-    return manifold.metric_at(x) @ acc + differential(manifold, p, x, h)
+    xs = _bases(x)
+    acc = _lower(manifold._metrics_at(xs), covariant_derivative(manifold, X, X, xs, h))
+    return _like(x, acc + differential(manifold, p, xs, h))
 
 
 def self_advection_identity_residual(manifold, Y, x, h=FD_STEP):
@@ -316,28 +416,32 @@ def self_advection_identity_residual(manifold, Y, x, h=FD_STEP):
     The identity holds for every smooth field; the residual measures only
     the finite-difference truncation and is a self-test of the operators.
     """
-    lhs = lie_derivative_oneform(manifold, Y, flat_form(manifold, Y), x, h)
-    rhs = manifold.metric_at(x) @ covariant_derivative(manifold, Y, Y, x, h)
-    kinetic = ScalarField(lambda y: float(Y(y) @ manifold.metric_at(y) @ Y(y)))
-    rhs = rhs + 0.5 * differential(manifold, kinetic, x, h)
-    return lhs - rhs
+    xs = _bases(x)
+    lhs = lie_derivative_oneform(manifold, Y, flat_form(manifold, Y), xs, h)
+    rhs = _lower(manifold._metrics_at(xs), covariant_derivative(manifold, Y, Y, xs, h))
+    kinetic = ScalarField(StackFunction(lambda points: _squared_norms(manifold._metrics_at(points), Y.stack(points))))
+    rhs = rhs + 0.5 * differential(manifold, kinetic, xs, h)
+    return _like(x, lhs - rhs)
 
 
 def kinetic_energy_field(manifold, X):
     """The pressure candidate p = 1/2 <X, X> of a Killing field."""
-    return ScalarField(lambda y: 0.5 * float(X(y) @ manifold.metric_at(y) @ X(y)))
+    return ScalarField(StackFunction(lambda points: 0.5 * _squared_norms(manifold._metrics_at(points), X.stack(points))))
 
 
 def covector_norm(manifold, alpha_value, x):
     """Intrinsic norm sqrt(a g^{-1} a) of covector components at x."""
-    a = np.asarray(alpha_value, dtype=float)
-    return float(np.sqrt(a @ np.linalg.solve(manifold.metric_at(x), a)))
+    xs = _bases(x)
+    a = np.asarray(alpha_value, dtype=float).reshape(xs.shape)
+    raised = np.linalg.solve(manifold._metrics_at(xs), a[:, :, None])[:, :, 0]
+    return _scalar_like(x, np.sqrt((a * raised).sum(axis=1)))
 
 
 def vector_norm(manifold, u, x):
     """Intrinsic norm sqrt(u g u) of vector components at x."""
-    u = np.asarray(u, dtype=float)
-    return float(np.sqrt(u @ manifold.metric_at(x) @ u))
+    xs = _bases(x)
+    u = np.asarray(u, dtype=float).reshape(xs.shape)
+    return _scalar_like(x, np.sqrt([um @ gm @ um for um, gm in zip(u, manifold._metrics_at(xs))]))
 
 
 def _rk4(rhs, y0, T, steps, domain):
@@ -387,14 +491,14 @@ def geodesic_integrate(manifold, x0, u0, T, steps, fd_step=GEODESIC_FD_STEP):
 
 
 def flow_integrate(X, x0, T, steps, domain=None):
-    """Integrate an autonomous flow x' = X(x) by fixed-step RK4.
+    """Integrate the autonomous flow x' = X(x) of a VectorField by fixed-step RK4.
 
-    Records X(x_t) as the velocity samples; stops early (exited=True) if the
-    optional domain predicate fails or a stage leaves the chart.
+    Records X(x_t) as the velocity samples, one stack over the curve; stops
+    early (exited=True) if the optional domain predicate fails or a stage
+    leaves the chart.
     """
-    field = lambda x: np.asarray(X(x), dtype=float)  # noqa: E731
-    times, points, exited = _rk4(field, np.asarray(x0, dtype=float), T, steps, domain)
-    return DiscreteCurve(times, points, np.array([field(x) for x in points]), exited)
+    times, points, exited = _rk4(X, np.asarray(x0, dtype=float), T, steps, domain)
+    return DiscreteCurve(times, points, X.stack(points), exited)
 
 
 def clairaut_check(manifold, curve, X):
@@ -402,12 +506,11 @@ def clairaut_check(manifold, curve, X):
 
     Along a geodesic this inner product is conserved for Killing X
     (Clairaut's theorem on surfaces of revolution); the returned number is
-    max_t |<u_t, X(x_t)> - <u_0, X(x_0)>|.
+    max_t |<u_t, X(x_t)> - <u_0, X(x_0)>|. The metric at all samples is one
+    validated stack.
     """
-    vals = np.array([
-        float(u @ manifold.metric_at(x) @ X(x))
-        for x, u in zip(curve.points, curve.velocities)
-    ])
+    g = manifold._metrics_at(curve.points)
+    vals = np.array([float(u @ gi @ Xi) for u, gi, Xi in zip(curve.velocities, g, X.stack(curve.points))])
     return float(np.abs(vals - vals[0]).max())
 
 

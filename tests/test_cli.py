@@ -187,3 +187,21 @@ def test_reports_reparse_as_json(tmp_path):
         out = tmp_path / f"{command}.json"
         assert main([command, "--input", h, "--output", str(out)] + extra) == EXIT_OK
         json.loads(out.read_text())
+
+
+def test_absurd_grid_is_rejected_with_its_estimate(tmp_path, capsys):
+    from qhydro.cli import MAX_GRID_NODES
+
+    h = write_json(tmp_path / "H.json", H123_JSON)
+    base = tmp_path / "p"
+    # pressure samples all three pairs: 3 * 600^2 nodes
+    assert main(["pressure", "--input", h, "--grid", "600", "--output", str(base)]) == EXIT_INPUT_ERROR
+    assert f"about {3 * 600**2} grid nodes" in capsys.readouterr().err
+    assert not list(tmp_path.glob("p_*"))
+    assert main(["vorticity", "--input", h, "--grid", "1025", "--pair", "1", "0"]) == EXIT_INPUT_ERROR
+    assert f"about {1025**2} grid nodes" in capsys.readouterr().err
+    steps = MAX_GRID_NODES + 1
+    assert main(["trajectory", "--input", h, "--grid", str(steps)]) == EXIT_INPUT_ERROR
+    assert f"about {steps} grid nodes" in capsys.readouterr().err
+    # the grids the documented examples and the test suite use stay well inside the bound
+    assert 10 * 64**2 <= MAX_GRID_NODES and 1000 <= MAX_GRID_NODES

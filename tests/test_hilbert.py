@@ -181,3 +181,22 @@ def test_hermitian_from_json_reports_offending_entry(mangle, needle):
     mangle(data)
     with pytest.raises(ValueError, match=needle):
         hermitian_from_json(data)
+
+
+def test_dispersion_stack_matches_row_by_row_and_keeps_the_negative_guard():
+    from qhydro.hilbert import dispersion_squared_stack
+
+    rng = np.random.default_rng(70)
+    H = random_hermitian(rng, 4)
+    rows = np.array([random_state(rng, 4).amplitudes for _ in range(6)])
+    values = dispersion_squared_stack(H, rows)
+    for row, value in zip(rows, values):
+        assert value == dispersion_squared(H, StateVector(row))
+    # an eigenvector row clamps to exactly zero or stays at round-off
+    assert 0.0 <= dispersion_squared_stack(H, H.eigenvectors.T.copy()).max() < 1e-14
+    # a row of norm 2 has |Hv|^2 - <v|Hv>^2 far below zero: the stack raises
+    doubled = np.array([rows[0], 2.0 * H.eigenvectors[:, 3]])
+    with pytest.raises(ValueError, match="negative beyond round-off"):
+        dispersion_squared_stack(H, doubled)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        dispersion_squared_stack(H, rows[:, :3])

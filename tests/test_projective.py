@@ -317,3 +317,75 @@ def test_sphere_frame_is_orthonormal_and_smooth_at_poles():
         assert u1 @ g @ u1 == pytest.approx(1.0, abs=1e-12)
         assert u2 @ g @ u2 == pytest.approx(1.0, abs=1e-12)
         assert u1 @ g @ u2 == pytest.approx(0.0, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Stack evaluation: a point alone and the same point in a stack give the
+# same floating-point numbers
+
+
+@pytest.mark.parametrize("dim", [3, 4, 5])
+def test_stack_evaluation_equals_row_by_row(dim):
+    from qhydro.fluid import pressure_scalar_field
+
+    rng = np.random.default_rng(60 + dim)
+    H = random_hermitian(rng, dim)
+    for k in range(dim):
+        points = rng.uniform(-0.9, 0.9, size=(17, 2 * (dim - 1)))
+        M = chart_manifold(dim, k)
+        X = fundamental_field(H, dim, k)
+        p = pressure_scalar_field(H, k)
+        metrics = fubini_study_metric(AffineChart(k, points))
+        fields = X.stack(points)
+        pressures = p.stack(points)
+        assert metrics.shape == (17, 2 * (dim - 1), 2 * (dim - 1)) and fields.shape == points.shape
+        for n, y in enumerate(points):
+            assert np.array_equal(metrics[n], fubini_study_metric(AffineChart(k, y)))
+            assert np.array_equal(metrics[n], M.metric(y))
+            assert np.array_equal(fields[n], X(y))
+            assert np.array_equal(fields[n], fundamental_field_at(H, AffineChart(k, y)))
+            assert pressures[n] == p(y)
+
+
+@pytest.mark.parametrize("dim", [3, 4])
+def test_coord_bound_stencil_point_is_rejected(dim):
+    import re
+
+    from qhydro.riemann import ChartBoundaryError, christoffel
+
+    M = chart_manifold(dim, 0, coord_bound=0.5)
+    X = fundamental_field(random_hermitian(np.random.default_rng(67), dim), dim, 0)
+    x = np.full(2 * (dim - 1), 0.1)
+    x[0] = 0.5 - 0.5e-4  # inside; its stencil point x + h e_0 is not
+    bad = x.copy()
+    bad[0] += 1e-4
+    for call in (
+        lambda: christoffel(M, x),
+        lambda: divergence(M, X, x),
+        lambda: lie_derivative_metric(M, X, x),
+    ):
+        with pytest.raises(ChartBoundaryError, match=re.escape(f"stencil point {bad} outside chart domain")):
+            call()
+    nonfinite = np.full(2 * (dim - 1), 0.1)
+    nonfinite[1] = np.nan
+    for call in (
+        lambda: christoffel(M, nonfinite),
+        lambda: divergence(M, X, nonfinite),
+        lambda: lie_derivative_metric(M, X, nonfinite),
+    ):
+        with pytest.raises(ChartBoundaryError, match=re.escape(f"point {nonfinite} outside chart domain of {M.name}")):
+            call()
+
+
+def test_distance_resolves_nearby_rays():
+    rng = np.random.default_rng(68)
+    for dim in (2, 3, 5):
+        u = random_state(rng, dim).amplitudes
+        r = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        w = r - u * np.vdot(u, r)
+        w /= np.linalg.norm(w)
+        for d in (1e-10, 1e-8, 1e-3):
+            v = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi)) * (np.cos(d) * u + np.sin(d) * w)
+            distance = fubini_study_distance(StateVector(u), StateVector(v, normalize=True))
+            assert distance == pytest.approx(d, rel=1e-3)
+        assert fubini_study_distance(StateVector(u), StateVector(w)) == pytest.approx(np.pi / 2, abs=1e-14)
