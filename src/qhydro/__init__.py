@@ -10,7 +10,6 @@ half the Hamiltonian variance.
 from .hilbert import (
     DegenerateSpectrumError,
     HermitianOperator,
-    Projector,
     StateVector,
     dispersion_squared,
     evolve,

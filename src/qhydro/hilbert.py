@@ -14,7 +14,6 @@ import numpy as np
 __all__ = [
     "StateVector",
     "HermitianOperator",
-    "Projector",
     "DegenerateSpectrumError",
     "expectation",
     "dispersion_squared",
@@ -200,34 +199,6 @@ class HermitianOperator:
 
     def __repr__(self):
         return f"HermitianOperator(dim={self.dim})"
-
-
-class Projector:
-    """Rank-one orthogonal projector |v><v| onto a ray."""
-
-    __slots__ = ("matrix",)
-
-    def __init__(self, matrix, tol=1e-10):
-        mat = np.asarray(matrix, dtype=complex).copy()
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise ValueError("projector must be a square matrix")
-        scale = max(float(np.abs(mat).max()), 1e-300)
-        if float(np.abs(mat - mat.conj().T).max()) > tol * scale:
-            raise ValueError("projector is not self-adjoint")
-        if float(np.abs(mat @ mat - mat).max()) > tol * max(scale, 1.0):
-            raise ValueError("projector is not idempotent")
-        if abs(np.trace(mat).real - 1.0) > tol:
-            raise ValueError("projector does not have unit trace")
-        mat.setflags(write=False)
-        object.__setattr__(self, "matrix", mat)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Projector is immutable")
-
-    @classmethod
-    def from_state(cls, v: StateVector):
-        amp = v.amplitudes
-        return cls(np.outer(amp, amp.conj()))
 
 
 def expectation(A: HermitianOperator, v: StateVector) -> float:

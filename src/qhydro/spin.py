@@ -10,6 +10,7 @@ i.e. 2s for a full-degree polynomial.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import numbers
@@ -69,7 +70,7 @@ class SpinWaveFunction:
     unitary for it.
     """
 
-    __slots__ = ("two_s", "coeffs", "_divisor")
+    __slots__ = ("two_s", "coeffs", "_dcoeffs", "_divisor")
 
     def __init__(self, two_s, coeffs, allow_zero=False):
         if not isinstance(two_s, (int, np.integer)) or isinstance(two_s, bool) or two_s < 0:
@@ -82,8 +83,12 @@ class SpinWaveFunction:
         if not allow_zero and not np.any(c != 0):
             raise ValueError("wave function must not be identically zero")
         c.setflags(write=False)
+        dc = P.polyder(c)
+        dc.setflags(write=False)
         object.__setattr__(self, "two_s", int(two_s))
         object.__setattr__(self, "coeffs", c)
+        object.__setattr__(self, "_dcoeffs", dc)
+        # the VorticityDivisor, or the message of its ClusterAmbiguityError
         object.__setattr__(self, "_divisor", None)
 
     def __setattr__(self, name, value):
@@ -125,7 +130,7 @@ class SpinWaveFunction:
         return P.polyval(zeta, self.coeffs)
 
     def derivative_values(self, zeta):
-        return P.polyval(zeta, P.polyder(self.coeffs))
+        return P.polyval(zeta, self._dcoeffs)
 
     def log_derivative(self, zeta):
         """chi'(zeta) / chi(zeta); poles at the roots."""
@@ -154,8 +159,15 @@ class SpinWaveFunction:
         return np.array([a for a, mu in div.entries for _ in range(mu)]) if div.entries else np.array([])
 
     def divisor(self):
+        """The vorticity divisor, computed once; an ambiguous clustering raises on every call."""
         if self._divisor is None:
-            object.__setattr__(self, "_divisor", vorticity_divisor(self))
+            try:
+                found = vorticity_divisor(self)
+            except ClusterAmbiguityError as exc:
+                found = str(exc)
+            object.__setattr__(self, "_divisor", found)
+        if isinstance(self._divisor, str):
+            raise ClusterAmbiguityError(self._divisor)
         return self._divisor
 
     def __repr__(self):
@@ -266,14 +278,20 @@ def su2_matrix(g: SU2Element, two_s) -> np.ndarray:
     g^{-1}, dehomogenized back to zeta.
     """
     a, b = g.a, g.b
+    left, right = _powers([np.conj(a), -b], two_s), _powers([np.conj(b), a], two_s)
     out = np.zeros((two_s + 1, two_s + 1), dtype=complex)
     for k in range(two_s + 1):
-        col = P.polymul(
-            P.polypow([np.conj(a), -b], two_s - k),
-            P.polypow([np.conj(b), a], k),
-        )
+        col = P.polymul(left[two_s - k], right[k])
         out[: col.size, k] = col
     return out
+
+
+def _powers(c, top):
+    """[c^0, c^1, ..., c^top], each as P.polypow(c, j) builds it (np.convolve with c, j - 1 times)."""
+    powers = [P.polypow(c, 0), P.polypow(c, 1)]
+    while len(powers) <= top:
+        powers.append(np.convolve(powers[-1], powers[1]))
+    return powers[: top + 1]
 
 
 def su2_act(g: SU2Element, chi: SpinWaveFunction) -> SpinWaveFunction:
@@ -320,7 +338,12 @@ class CircleContour:
         return points, tangents
 
     def distance_to(self, z) -> float:
-        return abs(abs(complex(z) - self.center) - self.radius)
+        return float(self.distances_to(np.array([complex(z)]))[0])
+
+    def distances_to(self, points) -> np.ndarray:
+        """Distance from each point of a 1-d complex array to the circle."""
+        d = np.asarray(points, dtype=complex) - complex(self.center)
+        return np.abs(np.hypot(d.real, d.imag) - self.radius)
 
 
 @dataclass(frozen=True)
@@ -341,7 +364,7 @@ class PolygonContour:
         object.__setattr__(self, "vertices", verts)
 
     def quadrature(self):
-        t, w = np.polynomial.legendre.leggauss(self.nodes_per_edge)
+        t, w = _gauss_legendre(self.nodes_per_edge)
         points = []
         tangents = []
         verts = self.vertices
@@ -353,16 +376,35 @@ class PolygonContour:
         return np.concatenate(points), np.concatenate(tangents)
 
     def distance_to(self, z) -> float:
-        z = complex(z)
-        best = np.inf
+        return float(self.distances_to(np.array([complex(z)]))[0])
+
+    def distances_to(self, points) -> np.ndarray:
+        """Distance from each point of a 1-d complex array to the polygon."""
+        z = np.asarray(points, dtype=complex)
+        best = np.full(z.shape, np.inf)
         verts = self.vertices
         for idx in range(len(verts)):
             a, b = verts[idx], verts[(idx + 1) % len(verts)]
             edge = b - a
             length2 = abs(edge) ** 2
-            frac = 0.0 if length2 == 0 else np.clip(((z - a) * np.conj(edge)).real / length2, 0.0, 1.0)
-            best = min(best, abs(z - (a + frac * edge)))
-        return float(best)
+            frac = 0.0
+            if length2 != 0:
+                along = (z.real - a.real) * edge.real + (z.imag - a.imag) * edge.imag
+                frac = np.clip(along / length2, 0.0, 1.0)
+            # z - (a + frac * edge) in the scalar formula's order; fmin skips
+            # a NaN distance as the scalar min over edges did
+            foot_re, foot_im = a.real + frac * edge.real, a.imag + frac * edge.imag
+            best = np.fmin(best, np.hypot(z.real - foot_re, z.imag - foot_im))
+        return best
+
+
+@functools.lru_cache(maxsize=8)
+def _gauss_legendre(n):
+    """Gauss-Legendre nodes and weights on [-1, 1], read-only, computed once per n."""
+    t, w = np.polynomial.legendre.leggauss(n)
+    t.setflags(write=False)
+    w.setflags(write=False)
+    return t, w
 
 
 def circulation(chi: SpinWaveFunction, contour) -> float:
@@ -374,7 +416,8 @@ def circulation(chi: SpinWaveFunction, contour) -> float:
     """
     locs = chi.roots()
     if locs.size:
-        nearest = min(contour.distance_to(a) for a in locs)
+        # Python's min over floats: the message shows a float's repr
+        nearest = min(contour.distances_to(locs).tolist())
         if nearest <= EXCLUSION_TOL:
             raise ContourTooCloseError(
                 f"contour passes within {nearest!r} of a root (need > {EXCLUSION_TOL})"
@@ -402,25 +445,34 @@ def total_spin_circulation(chi: SpinWaveFunction, nodes=256) -> float:
     return circulation(chi, ring)
 
 
-def _cluster(points, radius):
-    """Single-linkage clusters of complex points at the given radius."""
-    n = len(points)
-    parent = list(range(n))
+def _cluster(dist, radius):
+    """Single-linkage clusters at the given radius, from a pairwise-distance matrix.
 
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
+    Returns each point's cluster label, the first index in its cluster, so
+    the points with label[i] == i start the clusters in index order.
+    """
+    n = len(dist)
+    near = dist <= radius
+    label = np.arange(n)
+    while True:
+        # each point takes the lowest label among itself and its neighbours
+        lowest = np.minimum(label, np.where(near, label, n).min(axis=1))
+        if np.array_equal(lowest, label):
+            return label
+        label = lowest
 
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(points[i] - points[j]) <= radius:
-                parent[find(i)] = find(j)
-    groups = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-    return list(groups.values())
+
+def _horner(coeffs, z):
+    """P.polyval(z, coeffs) for a list of Python complex coefficients and a scalar z.
+
+    Python's complex product and sum round like numpy's scalar arithmetic,
+    so the value is the same to the last bit; numpy's array product (fused
+    multiply-add) is not.
+    """
+    value = coeffs[-1] + z * 0
+    for c in coeffs[-2::-1]:
+        value = c + value * z
+    return value
 
 
 def vorticity_divisor(chi: SpinWaveFunction) -> VorticityDivisor:
@@ -435,16 +487,18 @@ def vorticity_divisor(chi: SpinWaveFunction) -> VorticityDivisor:
     if deg == 0:
         return VorticityDivisor(())
     c = chi.coeffs[: deg + 1]
-    dchi = P.polyder(c)
+    # the derivative of the truncation is the truncated derivative
+    cs, dcs = c.tolist(), chi._dcoeffs[:deg].tolist()
 
     def polish(z):
         # Newton converges quadratically on simple roots and pulls the
         # eigenvalue cloud of a multiple root well inside the cluster radius
         for _ in range(20):
-            deriv = P.polyval(z, dchi)
+            deriv = _horner(dcs, z)
             if deriv == 0:
                 return z
-            step = P.polyval(z, c) / deriv
+            # numpy's complex division, which rounds unlike Python's
+            step = complex(np.complex128(_horner(cs, z)) / deriv)
             if abs(step) > 0.1 * (1.0 + abs(z)):
                 return z  # left the local basin; keep the eigenvalue estimate
             z -= step
@@ -452,16 +506,22 @@ def vorticity_divisor(chi: SpinWaveFunction) -> VorticityDivisor:
                 break
         return z
 
-    refined = np.array([polish(z) for z in np.roots(c[::-1])])
+    refined = np.array([polish(z) for z in np.roots(c[::-1]).tolist()])
     radius = 1e-6 * (1.0 + float(np.abs(refined).max()))
-    clusters = _cluster(list(refined), radius)
+    # np.hypot on the parts, not np.abs, rounds like the scalar abs
+    diff = refined[:, None] - refined[None, :]
+    dist = np.hypot(diff.real, diff.imag)
+    index = np.arange(refined.size)
+    label = _cluster(dist, radius)
+    firsts = np.flatnonzero(label == index)
     for factor in (0.25, 4.0):
-        if len(_cluster(list(refined), radius * factor)) != len(clusters):
+        if np.count_nonzero(_cluster(dist, radius * factor) == index) != firsts.size:
             raise ClusterAmbiguityError(
                 f"root clusters unstable near radius {radius!r}; "
                 "multiplicities cannot be assigned reliably"
             )
-    entries = [(complex(np.mean(refined[group])), len(group)) for group in clusters]
+    groups = [refined[label == first] for first in firsts]
+    entries = [(complex(np.mean(group)), group.size) for group in groups]
     entries.sort(key=lambda e: (e[0].real, e[0].imag))
     return VorticityDivisor(tuple(entries))
 

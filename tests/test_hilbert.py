@@ -9,7 +9,6 @@ from helpers import random_hermitian, random_state
 from qhydro.hilbert import (
     DegenerateSpectrumError,
     HermitianOperator,
-    Projector,
     StateVector,
     dispersion_squared,
     evolve,
@@ -137,20 +136,6 @@ def test_phase_equality_predicates():
     w = StateVector([np.exp(0.4j), 0.0])
     assert v.phase_equal(w)
     assert not v.allclose(w)
-
-
-def test_projector_from_state():
-    rng = np.random.default_rng(14)
-    P = Projector.from_state(random_state(rng, 4))
-    assert np.abs(P.matrix @ P.matrix - P.matrix).max() < 1e-12
-    assert np.trace(P.matrix).real == pytest.approx(1.0, abs=1e-12)
-
-
-def test_projector_rejects_bad_matrices():
-    with pytest.raises(ValueError, match="idempotent"):
-        Projector(np.diag([0.5, 0.5]))
-    with pytest.raises(ValueError, match="unit trace"):
-        Projector(np.diag([1.0, 1.0]))
 
 
 def test_hermitian_from_json_roundtrip(tmp_path):

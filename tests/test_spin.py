@@ -1,11 +1,15 @@
 """Polynomial spin wave functions: rotation action, velocity form, circulation."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as P
 
+from qhydro import spin
 from qhydro.spin import (
+    EXCLUSION_TOL,
     SZ_ACTION_SIGN,
     CircleContour,
     ClusterAmbiguityError,
@@ -418,3 +422,222 @@ def test_contour_json_forms():
         contour_from_json({"circle": {"center": [0, 0], "radius": -1.0}})
     with pytest.raises(ValueError, match="circle.*polygon|polygon.*circle"):
         contour_from_json({"square": {}})
+
+
+# ---------------------------------------------------------------------------
+# Reference equality: the divisor and circulation path against a copy of the
+# plain algorithm (scalar polyval Newton, O(n^2) union-find clustering,
+# per-root distance minimum), bit for bit
+
+
+def _reference_cluster(points, radius):
+    n = len(points)
+    parent = list(range(n))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i in range(n):
+        for j in range(i + 1, n):
+            if abs(points[i] - points[j]) <= radius:
+                parent[find(i)] = find(j)
+    groups = {}
+    for i in range(n):
+        groups.setdefault(find(i), []).append(i)
+    return list(groups.values())
+
+
+def _reference_divisor(chi):
+    """Divisor entries, or the ClusterAmbiguityError message as a string."""
+    deg = chi.effective_degree
+    if deg == 0:
+        return ()
+    c = chi.coeffs[: deg + 1]
+    dchi = P.polyder(c)
+
+    def polish(z):
+        for _ in range(20):
+            deriv = P.polyval(z, dchi)
+            if deriv == 0:
+                return z
+            step = P.polyval(z, c) / deriv
+            if abs(step) > 0.1 * (1.0 + abs(z)):
+                return z
+            z -= step
+            if abs(step) < 1e-15 * (1.0 + abs(z)):
+                break
+        return z
+
+    refined = np.array([polish(z) for z in np.roots(c[::-1])])
+    radius = 1e-6 * (1.0 + float(np.abs(refined).max()))
+    clusters = _reference_cluster(list(refined), radius)
+    for factor in (0.25, 4.0):
+        if len(_reference_cluster(list(refined), radius * factor)) != len(clusters):
+            return (
+                f"root clusters unstable near radius {radius!r}; "
+                "multiplicities cannot be assigned reliably"
+            )
+    entries = [(complex(np.mean(refined[group])), len(group)) for group in clusters]
+    entries.sort(key=lambda e: (e[0].real, e[0].imag))
+    return tuple(entries)
+
+
+def _reference_distance(contour, z):
+    z = complex(z)
+    if isinstance(contour, CircleContour):
+        return abs(abs(z - contour.center) - contour.radius)
+    best = np.inf
+    verts = contour.vertices
+    for idx in range(len(verts)):
+        a, b = verts[idx], verts[(idx + 1) % len(verts)]
+        edge = b - a
+        length2 = abs(edge) ** 2
+        frac = 0.0 if length2 == 0 else np.clip(((z - a) * np.conj(edge)).real / length2, 0.0, 1.0)
+        best = min(best, abs(z - (a + frac * edge)))
+    return float(best)
+
+
+def _reference_circulation(chi, entries, contour):
+    """Circulation value, or the exception type and message it raises."""
+    if isinstance(entries, str):
+        return ClusterAmbiguityError, entries
+    locs = [a for a, mu in entries for _ in range(mu)]
+    if locs:
+        nearest = min(_reference_distance(contour, a) for a in locs)
+        if nearest <= EXCLUSION_TOL:
+            return ContourTooCloseError, f"contour passes within {nearest!r} of a root (need > {EXCLUSION_TOL})"
+    if isinstance(contour, CircleContour):
+        points, tangents = contour.quadrature()
+    else:
+        t, w = np.polynomial.legendre.leggauss(contour.nodes_per_edge)
+        verts = contour.vertices
+        ends = [(verts[i], verts[(i + 1) % len(verts)]) for i in range(len(verts))]
+        points = np.concatenate([(a + b) / 2.0 + t * ((b - a) / 2.0) for a, b in ends])
+        tangents = np.concatenate([w * ((b - a) / 2.0) for a, b in ends])
+    q = P.polyval(points, P.polyder(chi.coeffs)) / P.polyval(points, chi.coeffs)
+    return float(np.sum(q * tangents).imag / (2.0 * np.pi))
+
+
+def _reference_total(chi, entries):
+    if isinstance(entries, str):
+        return ClusterAmbiguityError, entries
+    locs = np.array([a for a, mu in entries for _ in range(mu)])
+    maxmod = float(np.abs(locs).max()) if locs.size else 0.0
+    return _reference_circulation(chi, entries, CircleContour(0.0, 2.0 * maxmod + 1.0, nodes=256))
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except (ClusterAmbiguityError, ContourTooCloseError) as exc:
+        return type(exc), str(exc)
+
+
+def _reference_su2_matrix(g, two_s):
+    a, b = g.a, g.b
+    out = np.zeros((two_s + 1, two_s + 1), dtype=complex)
+    for k in range(two_s + 1):
+        col = P.polymul(P.polypow([np.conj(a), -b], two_s - k), P.polypow([np.conj(b), a], k))
+        out[: col.size, k] = col
+    return out
+
+
+def _seeded_corpus(rng):
+    """Simple, double, triple and rotated-coherent states, with contours, for 2s up to 16."""
+    def point(half):
+        return complex(rng.uniform(-half, half), rng.uniform(-half, half))
+
+    for _ in range(2):
+        for two_s in (1, 2, 3, 4, 6, 8, 12, 16):
+            for cap in (1, 2, 3, None):  # None: one 2s-fold root, a rotated coherent state
+                roots, left = [], two_s
+                while left:
+                    mu = left if cap is None else int(rng.integers(1, min(cap, left) + 1))
+                    roots.append((point(1.5), mu))
+                    left -= mu
+                chi = SpinWaveFunction.from_roots(roots)
+                chi = SpinWaveFunction(two_s, chi.coeffs * np.exp(2j * np.pi * rng.uniform()) / np.linalg.norm(chi.coeffs))
+                contours = [CircleContour(point(2.0), float(rng.uniform(0.3, 2.5))) for _ in range(3)]
+                for _ in range(2):
+                    k = int(rng.integers(3, 7))
+                    angles = rng.uniform(0.0, 2.0 * np.pi) + 2.0 * np.pi * (np.arange(k) + rng.uniform(-0.3, 0.3, size=k)) / k
+                    contours.append(PolygonContour(tuple(point(2.0) + rng.uniform(0.3, 2.5, size=k) * np.exp(1j * angles))))
+                yield chi, SU2Element.random(rng), contours
+
+
+def test_divisor_and_circulations_equal_reference_bit_for_bit():
+    rng = np.random.default_rng(71)
+    ambiguous = multiple = 0
+    for chi, g, contours in _seeded_corpus(rng):
+        matrix = su2_matrix(g, chi.two_s)
+        assert np.array_equal(matrix, _reference_su2_matrix(g, chi.two_s))
+        for psi in (chi, su2_act(g, chi)):
+            expected = _reference_divisor(psi)
+            found = _outcome(lambda: psi.divisor().entries)
+            if isinstance(expected, str):
+                ambiguous += 1
+                assert found == (ClusterAmbiguityError, expected)
+            else:
+                multiple += any(mu > 1 for _, mu in expected)
+                assert found == expected
+            for contour in contours:
+                assert _outcome(lambda: circulation(psi, contour)) == _reference_circulation(psi, expected, contour)
+                probes = np.array([a for a, _ in expected]) if not isinstance(expected, str) else np.array([0j])
+                assert contour.distances_to(probes).tolist() == [_reference_distance(contour, z) for z in probes]
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # deficient degree after rounding
+                assert _outcome(lambda: total_spin_circulation(psi)) == _reference_total(psi, expected)
+    # the corpus reaches both the ambiguity refusal and multiple roots
+    assert ambiguous > 0 and multiple > 0
+
+
+def test_cluster_ambiguity_is_computed_once_and_raised_every_time(monkeypatch):
+    calls = []
+    original = spin.vorticity_divisor
+
+    def counting(chi):
+        calls.append(chi)
+        return original(chi)
+
+    monkeypatch.setattr(spin, "vorticity_divisor", counting)
+    chi = SpinWaveFunction.from_roots([(0.0, 1), (2e-6, 1)])
+    message = _reference_divisor(chi)
+    assert isinstance(message, str)
+    square = PolygonContour((1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j))
+    for call in (
+        chi.divisor,
+        chi.roots,
+        lambda: circulation(chi, CircleContour(0.0, 1.0)),
+        lambda: circulation(chi, square),
+        lambda: total_spin_circulation(chi),
+        chi.divisor,
+    ):
+        with pytest.raises(ClusterAmbiguityError) as info:
+            call()
+        assert str(info.value) == message
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "contour, roots",
+    [
+        (CircleContour(0.0, 1.0), [-1.0 - 6e-7, (1.0 + 2e-7) * 1j, 0.3, 1.0 + 4e-7]),
+        (PolygonContour((1 - 1j, 1 + 1j, -1 + 1j, -1 - 1j)), [-1.0 - 5e-7 + 0.2j, 0.1 + (1.0 - 3e-7) * 1j, 0.2, 1.0 + 4e-7 - 0.5j]),
+    ],
+    ids=["circle", "polygon"],
+)
+def test_contour_too_close_reports_the_per_root_minimum(contour, roots):
+    # three roots within EXCLUSION_TOL of the contour; the nearest is not the first entry
+    chi = SpinWaveFunction.from_roots([(a, 1) for a in roots])
+    entries = _reference_divisor(chi)
+    assert chi.divisor().entries == entries
+    kind, message = _reference_circulation(chi, entries, contour)
+    assert kind is ContourTooCloseError
+    with pytest.raises(ContourTooCloseError) as info:
+        circulation(chi, contour)
+    assert str(info.value) == message
+    for a, _ in entries:
+        assert contour.distance_to(a) == _reference_distance(contour, a)
