@@ -15,21 +15,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import fluid, projective, riemann, spin
+from . import fluid, jsonio, projective, riemann, spin
 from .hilbert import (
     DegenerateSpectrumError,
     StateVector,
     dispersion_squared,
     hermitian_from_json,
 )
+from .jsonio import MAX_GRID_NODES
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_INPUT_ERROR = 2
-
-# Most grid nodes one command may ask for: grid^2 per sphere for vorticity and
-# pressure (which samples every eigenstate pair), grid steps for trajectory.
-MAX_GRID_NODES = 2**18
 
 DEFAULT_TOLS = {
     "killing": 1e-5,
@@ -191,9 +188,7 @@ def cmd_critical_points(config: RunConfig) -> int:
 def cmd_vorticity(config: RunConfig) -> int:
     H = hermitian_from_json(config.input_path)
     H.require_nondegenerate()
-    i, j = config.pair if config.pair is not None else (1, 0)
-    if not (0 <= j < i < H.dim):
-        raise ValueError(f"--pair must satisfy 0 <= j < i < {H.dim}, got {i} {j}")
+    i, j = _pairs(config, H)[0]  # without --pair, the first pair is (1, 0)
     _require_affordable_grid(config, config.grid**2)
     profile = fluid.vorticity_on_sphere(H, i, j, (config.grid, config.grid))
     path = _base_path(config, f"vorticity_S{i}{j}.csv")
@@ -220,37 +215,17 @@ def cmd_vorticity(config: RunConfig) -> int:
     return EXIT_OK if passed else EXIT_CHECK_FAILED
 
 
-def _read_json(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
-
-
-def _number_list(name, obj, length):
-    if not isinstance(obj, list) or len(obj) != length:
-        raise ValueError(f"'{name}' must be a list of {length} numbers")
-    out = []
-    for idx, entry in enumerate(obj):
-        if isinstance(entry, bool) or not isinstance(entry, (int, float)):
-            raise ValueError(f"'{name}[{idx}]' is not a number: {entry!r}")
-        out.append(float(entry))
-    return out
-
-
 def _hamiltonian_and_state(config):
-    data = _read_json(config.input_path)
-    if isinstance(data, dict) and "hamiltonian" in data:
+    data = jsonio.load_object(config.input_path, "input")
+    if "hamiltonian" in data:
         H = hermitian_from_json(data["hamiltonian"])
         if "state" in data and data["state"] is not None:
             st = data["state"]
             if not isinstance(st, dict) or "re" not in st:
                 raise ValueError("'state' must be an object with 're' (and optional 'im') lists")
-            re = _number_list("state.re", st["re"], H.dim)
-            im = (
-                _number_list("state.im", st["im"], H.dim)
-                if st.get("im") is not None
-                else [0.0] * H.dim
-            )
-            return H, StateVector(np.array(re) + 1j * np.array(im), normalize=True)
+            re = jsonio.real_array("state.re", st["re"], (H.dim,))
+            im = jsonio.real_array("state.im", st["im"], (H.dim,)) if st.get("im") is not None else np.zeros(H.dim)
+            return H, StateVector(re + 1j * im, normalize=True)
     else:
         H = hermitian_from_json(data)
     # default start: equal superposition of the two lowest eigenstates

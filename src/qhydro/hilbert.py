@@ -6,10 +6,9 @@ All objects are immutable after construction and safe for concurrent reads.
 
 from __future__ import annotations
 
-import json
-import numbers
-
 import numpy as np
+
+from . import jsonio
 
 __all__ = [
     "StateVector",
@@ -255,23 +254,6 @@ def survival_probability(H: HermitianOperator, v: StateVector, t: float) -> floa
     return float(min(abs(amp) ** 2, 1.0))
 
 
-def _as_real_grid(name, obj, dim):
-    if not isinstance(obj, list) or len(obj) != dim:
-        raise ValueError(f"'{name}' must be a list of {dim} rows")
-    out = np.empty((dim, dim), dtype=float)
-    for i, row in enumerate(obj):
-        if not isinstance(row, list) or len(row) != dim:
-            raise ValueError(f"'{name}[{i}]' must be a list of {dim} numbers")
-        for j, entry in enumerate(row):
-            if isinstance(entry, bool) or not isinstance(entry, numbers.Real):
-                raise ValueError(f"'{name}[{i}][{j}]' is not a number: {entry!r}")
-            val = float(entry)
-            if not np.isfinite(val):
-                raise ValueError(f"'{name}[{i}][{j}]' is not finite: {entry!r}")
-            out[i, j] = val
-    return out
-
-
 def hermitian_from_json(source) -> HermitianOperator:
     """Parse a Hermitian operator from JSON.
 
@@ -279,26 +261,8 @@ def hermitian_from_json(source) -> HermitianOperator:
     `{"dim": n+1, "re": [[...]], "im": [[...]]}`; "im" may be omitted for
     real symmetric input. Validation errors name the offending entry.
     """
-    if isinstance(source, dict):
-        data = source
-    else:
-        text = source
-        if not (isinstance(source, str) and source.lstrip().startswith(("{", "["))):
-            with open(source, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        data = json.loads(text)
-    if not isinstance(data, dict):
-        raise ValueError("hermitian JSON must be an object")
-    if "dim" not in data:
-        raise ValueError("missing 'dim'")
-    dim = data["dim"]
-    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 2:
-        raise ValueError(f"'dim' must be an integer >= 2, got {dim!r}")
-    if "re" not in data:
-        raise ValueError("missing 're'")
-    re = _as_real_grid("re", data["re"], dim)
-    if "im" in data and data["im"] is not None:
-        im = _as_real_grid("im", data["im"], dim)
-    else:
-        im = np.zeros((dim, dim))
+    data = jsonio.load_object(source, "hermitian")
+    dim = jsonio.integer("dim", data.get("dim"), 2, jsonio.MAX_DIM)
+    re = jsonio.real_array("re", data.get("re"), (dim, dim))
+    im = jsonio.real_array("im", data["im"], (dim, dim)) if data.get("im") is not None else np.zeros((dim, dim))
     return HermitianOperator(re + 1j * im)

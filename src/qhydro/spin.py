@@ -11,14 +11,14 @@ i.e. 2s for a full-degree polynomial.
 from __future__ import annotations
 
 import functools
-import json
 import math
-import numbers
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import polynomial as P
+
+from . import jsonio
 
 __all__ = [
     "EXCLUSION_TOL",
@@ -140,12 +140,6 @@ class SpinWaveFunction:
         weights = np.array([1.0 / math.comb(self.two_s, k) for k in range(self.two_s + 1)])
         return float(np.sqrt(np.sum(weights * np.abs(self.coeffs) ** 2)))
 
-    def weighted_inner(self, other):
-        if other.two_s != self.two_s:
-            raise ValueError("wave functions live in different spin spaces")
-        weights = np.array([1.0 / math.comb(self.two_s, k) for k in range(self.two_s + 1)])
-        return complex(np.sum(weights * np.conj(self.coeffs) * other.coeffs))
-
     def normalized(self):
         return SpinWaveFunction(self.two_s, self.coeffs / self.weighted_norm())
 
@@ -187,9 +181,6 @@ class VorticityDivisor:
     @property
     def total(self):
         return sum(mu for _, mu in self.entries)
-
-    def locations(self):
-        return np.array([a for a, _ in self.entries])
 
 
 class SU2Element:
@@ -552,82 +543,53 @@ def bohr_sommerfeld_check(chi: SpinWaveFunction, contours, tol=1e-8) -> list:
     return out
 
 
-def _require_number_list(name, obj, length=None):
-    if not isinstance(obj, list):
-        raise ValueError(f"'{name}' must be a list")
-    if length is not None and len(obj) != length:
-        raise ValueError(f"'{name}' must have {length} entries, got {len(obj)}")
-    for idx, entry in enumerate(obj):
-        if isinstance(entry, bool) or not isinstance(entry, numbers.Real):
-            raise ValueError(f"'{name}[{idx}]' is not a number: {entry!r}")
-        if not np.isfinite(float(entry)):
-            raise ValueError(f"'{name}[{idx}]' is not finite")
-    return [float(entry) for entry in obj]
-
-
-def _load_json(source):
-    if isinstance(source, dict):
-        return source
-    text = source
-    if not (isinstance(source, str) and source.lstrip().startswith(("{", "["))):
-        with open(source, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    return json.loads(text)
-
-
 def wavefunction_from_json(source) -> SpinWaveFunction:
     """Parse a wave function from JSON: coefficient or factored form.
 
     Coefficient form: {"two_s": 3, "coeffs_re": [...], "coeffs_im": [...]}
     (im optional). Factored form: {"roots": [[re, im, mult], ...]} with an
-    optional "two_s" override when the degree is deficient.
+    optional "two_s" override when the degree is deficient. Degrees and
+    multiplicities are bounded by jsonio.MAX_DEGREE.
     """
-    data = _load_json(source)
-    if not isinstance(data, dict):
-        raise ValueError("wave function JSON must be an object")
+    data = jsonio.load_object(source, "wave function")
+    two_s = data.get("two_s")
     if "roots" in data:
-        pairs = []
-        if not isinstance(data["roots"], list):
+        raw = data["roots"]
+        if not isinstance(raw, list):
             raise ValueError("'roots' must be a list of [re, im, mult] triples")
-        for idx, entry in enumerate(data["roots"]):
-            triple = _require_number_list(f"roots[{idx}]", entry, 3)
-            mult = triple[2]
-            if mult != int(mult) or int(mult) < 1:
-                raise ValueError(f"'roots[{idx}][2]' must be a positive integer multiplicity")
-            pairs.append((triple[0] + 1j * triple[1], int(mult)))
-        return SpinWaveFunction.from_roots(pairs, two_s=data.get("two_s"))
-    if "two_s" not in data:
-        raise ValueError("missing 'two_s'")
-    two_s = data["two_s"]
-    if not isinstance(two_s, int) or isinstance(two_s, bool) or two_s < 0:
-        raise ValueError(f"'two_s' must be a nonnegative integer, got {two_s!r}")
-    if "coeffs_re" not in data:
-        raise ValueError("missing 'coeffs_re'")
-    re = _require_number_list("coeffs_re", data["coeffs_re"], two_s + 1)
-    if "coeffs_im" in data and data["coeffs_im"] is not None:
-        im = _require_number_list("coeffs_im", data["coeffs_im"], two_s + 1)
+        triples = jsonio.real_array("roots", raw, (len(raw), 3)).tolist()
+        pairs = [
+            (re + 1j * im, jsonio.integer(f"roots[{idx}][2]", mult, 1, jsonio.MAX_DEGREE))
+            for idx, (re, im, mult) in enumerate(triples)
+        ]
+        jsonio.integer("total multiplicity of roots", sum(mu for _, mu in pairs), 0, jsonio.MAX_DEGREE)
+        if two_s is not None:
+            two_s = jsonio.integer("two_s", two_s, 0, jsonio.MAX_DEGREE)
+        return SpinWaveFunction.from_roots(pairs, two_s=two_s)
+    two_s = jsonio.integer("two_s", two_s, 0, jsonio.MAX_DEGREE)
+    re = jsonio.real_array("coeffs_re", data.get("coeffs_re"), (two_s + 1,))
+    if data.get("coeffs_im") is not None:
+        im = jsonio.real_array("coeffs_im", data["coeffs_im"], (two_s + 1,))
     else:
-        im = [0.0] * (two_s + 1)
-    return SpinWaveFunction(two_s, np.array(re) + 1j * np.array(im))
+        im = np.zeros(two_s + 1)
+    return SpinWaveFunction(two_s, re + 1j * im)
 
 
 def contour_from_json(source):
-    """Parse a contour: {"circle": {...}} or {"polygon": {...}}."""
-    data = _load_json(source)
-    if not isinstance(data, dict):
-        raise ValueError("contour JSON must be an object")
+    """Parse a contour: {"circle": {...}} or {"polygon": {...}}.
+
+    A circle takes at most jsonio.MAX_GRID_NODES nodes; a polygon at most
+    jsonio.MAX_GAUSS_NODES per edge and MAX_GRID_NODES in all.
+    """
+    data = jsonio.load_object(source, "contour")
     if "circle" in data:
         params = data["circle"]
         if not isinstance(params, dict):
             raise ValueError("'circle' must be an object")
-        center = _require_number_list("circle.center", params.get("center", [0.0, 0.0]), 2)
-        radius = params.get("radius")
-        if isinstance(radius, bool) or not isinstance(radius, numbers.Real) or radius <= 0:
-            raise ValueError(f"'circle.radius' must be a positive number, got {radius!r}")
-        nodes = params.get("nodes", 256)
-        if not isinstance(nodes, int) or isinstance(nodes, bool) or nodes < 4:
-            raise ValueError(f"'circle.nodes' must be an integer >= 4, got {nodes!r}")
-        return CircleContour(center[0] + 1j * center[1], float(radius), nodes, bool(params.get("ccw", True)))
+        x, y = jsonio.real_array("circle.center", params.get("center", [0.0, 0.0]), (2,)).tolist()
+        radius = jsonio.real_array("circle.radius", params.get("radius"), ())
+        nodes = jsonio.integer("circle.nodes", params.get("nodes", 256), 4, jsonio.MAX_GRID_NODES)
+        return CircleContour(x + 1j * y, radius, nodes, bool(params.get("ccw", True)))
     if "polygon" in data:
         params = data["polygon"]
         if not isinstance(params, dict):
@@ -635,12 +597,8 @@ def contour_from_json(source):
         raw = params.get("vertices")
         if not isinstance(raw, list) or len(raw) < 3:
             raise ValueError("'polygon.vertices' must list at least 3 [re, im] pairs")
-        verts = []
-        for idx, entry in enumerate(raw):
-            pair = _require_number_list(f"polygon.vertices[{idx}]", entry, 2)
-            verts.append(pair[0] + 1j * pair[1])
-        nodes = params.get("nodes_per_edge", 32)
-        if not isinstance(nodes, int) or isinstance(nodes, bool) or nodes < 2:
-            raise ValueError(f"'polygon.nodes_per_edge' must be an integer >= 2, got {nodes!r}")
-        return PolygonContour(tuple(verts), nodes)
+        verts = tuple(x + 1j * y for x, y in jsonio.real_array("polygon.vertices", raw, (len(raw), 2)).tolist())
+        most = min(jsonio.MAX_GAUSS_NODES, jsonio.MAX_GRID_NODES // len(verts))
+        nodes = jsonio.integer("polygon.nodes_per_edge", params.get("nodes_per_edge", 32), 2, most)
+        return PolygonContour(verts, nodes)
     raise ValueError("contour JSON needs a 'circle' or 'polygon' key")

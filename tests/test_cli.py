@@ -205,3 +205,53 @@ def test_absurd_grid_is_rejected_with_its_estimate(tmp_path, capsys):
     assert f"about {steps} grid nodes" in capsys.readouterr().err
     # the grids the documented examples and the test suite use stay well inside the bound
     assert 10 * 64**2 <= MAX_GRID_NODES and 1000 <= MAX_GRID_NODES
+
+
+@pytest.mark.parametrize(
+    "command, payload, needle",
+    [
+        ("trajectory", [1, 2], "input JSON must be an object"),
+        ("zeno", [1, 2], "input JSON must be an object"),
+        ("zeno", {"hamiltonian": [1, 2]}, "hermitian JSON must be an object"),
+        ("verify", None, "hermitian JSON must be an object"),
+        ("spin-divisor", "x", "wave function JSON must be an object"),
+    ],
+)
+def test_non_object_input_is_bad_input(tmp_path, capsys, command, payload, needle):
+    h = write_json(tmp_path / "in.json", payload)
+    assert main([command, "--input", h]) == EXIT_INPUT_ERROR
+    assert capsys.readouterr().err == f"error: {needle}\n"
+
+
+NAN, INF = float("nan"), float("inf")
+CHI_JSON = {"roots": [[0.5, 0.0, 1]]}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "argv, files, needle",
+    [
+        # non-finite and non-integer values name their key
+        (["spin-circulation"], {"input": CHI_JSON, "contour": {"circle": {"radius": NAN}}}, "'circle.radius' is not finite: nan"),
+        (["spin-circulation"], {"input": CHI_JSON, "contour": {"circle": {"radius": INF}}}, "'circle.radius' is not finite: inf"),
+        (["trajectory"], {"input": {"hamiltonian": H01_JSON, "state": {"re": [1, 0], "im": [INF, 0]}}}, "'state.im[0]' is not finite: inf"),
+        (["spin-divisor"], {"input": {"roots": [[1, 0, 1]], "two_s": "x"}}, "'two_s' must be an integer in [0, 1024], got 'x'"),
+        # sizes: the message carries the requested size and the bound
+        (["spin-divisor"], {"input": {"roots": [[1, 0, 1e300]]}}, "'roots[0][2]' must be an integer in [1, 1024], got 1e+300"),
+        (["spin-divisor"], {"input": {"roots": [[0, 0, 600], [1, 0, 600]]}}, "in [0, 1024], got 1200"),
+        (["spin-divisor"], {"input": {"two_s": 5000, "coeffs_re": [1.0]}}, "'two_s' must be an integer in [0, 1024], got 5000"),
+        (["spin-circulation"], {"input": CHI_JSON, "contour": {"circle": {"radius": 1.0, "nodes": 10**8}}},
+         "'circle.nodes' must be an integer in [4, 262144], got 100000000"),
+        (["spin-circulation"], {"input": CHI_JSON, "contour": {"polygon": {"vertices": [[0, 0], [1, 0], [0, 1]], "nodes_per_edge": 10**5}}},
+         "'polygon.nodes_per_edge' must be an integer in [2, 1024], got 100000"),
+        (["verify"], {"input": {"dim": 5000, "re": []}}, "'dim' must be an integer in [2, 1024], got 5000"),
+    ],
+)
+def test_malformed_values_exit_2_with_one_line_naming_the_key(tmp_path, capsys, argv, files, needle):
+    for flag, payload in files.items():
+        argv = argv + [f"--{flag}", write_json(tmp_path / f"{flag}.json", payload)]
+    assert main(argv) == EXIT_INPUT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert needle in captured.err

@@ -641,3 +641,34 @@ def test_contour_too_close_reports_the_per_root_minimum(contour, roots):
     assert str(info.value) == message
     for a, _ in entries:
         assert contour.distance_to(a) == _reference_distance(contour, a)
+
+
+@pytest.mark.parametrize(
+    "loader, data, needle",
+    [
+        (contour_from_json, {"circle": {"radius": float("nan")}}, "'circle.radius' is not finite"),
+        (contour_from_json, {"circle": {"radius": float("-inf")}}, "'circle.radius' is not finite"),
+        (contour_from_json, {"circle": {"center": [0.0, float("inf")], "radius": 1.0}}, "'circle.center[1]' is not finite"),
+        (contour_from_json, {"circle": {"radius": 1.0, "nodes": 3}}, "'circle.nodes' must be an integer in [4, "),
+        (contour_from_json, {"polygon": {"vertices": [[0, 0], [1, 0], [0, float("nan")]]}}, "'polygon.vertices[2][1]' is not finite"),
+        (contour_from_json, {"polygon": {"vertices": [[0, 0], [1, 0], [0, 1]], "nodes_per_edge": 2.5}}, "'polygon.nodes_per_edge'"),
+        (wavefunction_from_json, {"roots": [[1, 0, 1]], "two_s": "x"}, "'two_s' must be an integer"),
+        (wavefunction_from_json, {"roots": [[1, 0, True]]}, "'roots[0][2]' is not a number: True"),
+        (wavefunction_from_json, {"roots": [[1, 0, 2]], "two_s": 1}, "total multiplicity 2 exceeds 2s = 1"),
+        (wavefunction_from_json, {"two_s": 1, "coeffs_re": [1.0, float("nan")]}, "'coeffs_re[1]' is not finite: nan"),
+        (wavefunction_from_json, {"two_s": 1.5, "coeffs_re": [1.0, 0.0]}, "'two_s' must be an integer"),
+    ],
+)
+def test_json_loaders_reject_nonfinite_and_nonintegral_values_by_key(loader, data, needle):
+    with pytest.raises(ValueError) as info:
+        loader(data)
+    assert needle in str(info.value)
+
+
+def test_json_whole_floats_count_as_integers():
+    # a JSON writer may emit 2.0 for 2; the factored form always took it as a multiplicity
+    assert np.array_equal(
+        wavefunction_from_json({"roots": [[1.0, 0.0, 2.0]], "two_s": 3.0}).coeffs,
+        wavefunction_from_json({"roots": [[1.0, 0.0, 2]], "two_s": 3}).coeffs,
+    )
+    assert contour_from_json({"circle": {"radius": 1.0, "nodes": 64.0}}).nodes == 64
