@@ -70,6 +70,7 @@ from .spin import (
     CircleContour,
     ClusterAmbiguityError,
     ContourTooCloseError,
+    NumericalBreakdownError,
     PolygonContour,
     SU2Element,
     SpinWaveFunction,

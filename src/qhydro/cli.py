@@ -2,8 +2,9 @@
 
 Commands ingest Hamiltonians / wave functions from JSON, run residual
 verification suites, and export landscape / profile grids as CSV plus JSON
-reports. Exit codes: 0 all checks passed, 1 a residual check failed,
-2 malformed input or violated precondition.
+reports. Exit codes: 0 all checks passed, 1 a residual check failed or the
+arithmetic broke down on well-formed input, 2 malformed input or violated
+precondition.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -277,11 +279,16 @@ def cmd_zeno(config: RunConfig) -> int:
 
 def cmd_spin_circulation(config: RunConfig) -> int:
     chi = spin.wavefunction_from_json(config.input_path)
-    if config.contour_path:
-        contour = spin.contour_from_json(config.contour_path)
-        value = spin.circulation(chi, contour)
-    else:
-        value = spin.total_spin_circulation(chi)
+    # warnings go to stderr as fixed lines and into the report, never with a source location
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        if config.contour_path:
+            value = spin.circulation(chi, spin.contour_from_json(config.contour_path))
+        else:
+            value = spin.total_spin_circulation(chi)
+    messages = [str(w.message) for w in caught]
+    for message in messages:
+        sys.stderr.write(f"warning: {message}\n")
     sys.stdout.write(f"{value:.9f}\n")
     nearest = int(np.rint(value))
     deviation = abs(value - nearest)
@@ -295,6 +302,7 @@ def cmd_spin_circulation(config: RunConfig) -> int:
                 "nearest_integer": nearest,
                 "deviation": deviation,
                 "passed": ok,
+                "warnings": messages,
             },
         )
     return EXIT_OK if ok else EXIT_CHECK_FAILED
@@ -389,6 +397,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT_ERROR
+    except spin.NumericalBreakdownError as exc:  # well-formed input, so a failed check and not bad input
+        sys.stderr.write(f"error: {exc}\n")
+        return EXIT_CHECK_FAILED
 
 
 if __name__ == "__main__":

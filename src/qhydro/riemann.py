@@ -15,6 +15,7 @@ used as it is.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -57,6 +58,11 @@ FD_STEP = 1e-4
 # Christoffel truncation error, not the RK4 error, dominates conserved
 # quantities, and 1e-5 sits near the optimum of truncation vs round-off.
 GEODESIC_FD_STEP = 1e-5
+
+
+def _all(mask):
+    """mask.all() for a boolean array, without the fixed cost of a ufunc reduction (it dominates on a stencil)."""
+    return np.count_nonzero(mask) == mask.size
 
 
 class ChartBoundaryError(ValueError):
@@ -175,11 +181,10 @@ class ChartManifold:
         """
         if points.ndim != 2 or points.shape[1] != self.dim:
             return 0
-        finite = np.isfinite(points).all(axis=1)
-        first = len(points) if finite.all() else int(finite.argmin())
+        first = len(points) if _all(np.isfinite(points)) else int(np.isfinite(points).all(axis=1).argmin())
         if self._domain_rows is not None and first:
             inside = np.asarray(self._domain_rows(points[:first]), dtype=bool)
-            if not inside.all():
+            if not _all(inside):
                 first = int(inside.argmin())
         return None if first == len(points) else first
 
@@ -214,7 +219,7 @@ class ChartManifold:
             shape = next((np.shape(r) for r in rows if np.shape(r) != (self.dim, self.dim)), np.shape(rows))
             raise ValueError(f"metric returned shape {shape}, expected {(self.dim, self.dim)}")
         gt = g.transpose(0, 2, 1)
-        if not (g == gt).all():  # an exactly symmetric stack passes the tolerance test
+        if not _all(g == gt):  # an exactly symmetric stack passes the tolerance test
             asym = np.abs(g - gt).max(axis=(1, 2)) > 1e-9 * np.maximum(np.abs(g).max(axis=(1, 2)), 1e-300)
             if asym.any():
                 raise ValueError(f"metric not symmetric at {checked[asym.argmax()]}")
@@ -273,18 +278,31 @@ _STENCILS = {
 }
 
 
+@lru_cache(maxsize=32)
+def _stencil_offsets(dim, h, order):
+    """Offsets of a central stencil from its base point, (dim, shifts, dim): built once per (dim, h, order), read-only."""
+    steps = _STENCILS[order][0][None, :, None] * (h * np.eye(dim))[:, None, :]
+    steps.flags.writeable = False
+    return steps
+
+
 def _stencil_points(manifold, xs, h, order):
     """Central stencils of the base points xs: one row per (base point, coordinate, shift)."""
     if order not in _STENCILS:
         raise ValueError(f"unsupported stencil order {order}")
-    steps = _STENCILS[order][0][None, :, None] * (float(h) * np.eye(manifold.dim))[:, None, :]
-    return (xs[:, None, None, :] + steps).reshape(-1, manifold.dim)
+    return (xs[:, None, None, :] + _stencil_offsets(manifold.dim, float(h), order)).reshape(-1, manifold.dim)
 
 
 def _combine(manifold, values, h, order):
     """[d_i fn(x)]_i per base point, shape (M, dim, ...), from fn's values on the rows of _stencil_points."""
     _, weights, denom = _STENCILS[order]
     values = values.reshape(-1, manifold.dim, len(weights), *values.shape[1:])
+    if order == 2:
+        # rounds as the weighted sum below does, zeros included: that sum starts at int 0, and 0 + (-0.0) is +0.0
+        diff = values[:, :, 0] + 0.0
+        diff -= values[:, :, 1]
+        diff /= denom * h
+        return diff
     return sum(w * values[:, :, j] for j, w in enumerate(weights)) / (denom * h)
 
 
@@ -450,16 +468,22 @@ def _rk4(rhs, y0, T, steps, domain):
     A stage raising ChartBoundaryError, or a new state failing `domain`, ends the run early; that step is not recorded.
     """
     y, dt = y0, float(T) / int(steps)
+    half, sixth = 0.5 * dt, dt / 6.0
     states = [y]
     for _ in range(int(steps)):
         try:
             k1 = rhs(y)
-            k2 = rhs(y + 0.5 * dt * k1)
-            k3 = rhs(y + 0.5 * dt * k2)
+            k2 = rhs(y + half * k1)
+            k3 = rhs(y + half * k2)
             k4 = rhs(y + dt * k3)
         except ChartBoundaryError:
             break
-        y = y + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        # k1 + 2 k2 + 2 k3 + k4, summed in that order, in one buffer
+        incr = k1 + 2 * k2
+        incr += 2 * k3
+        incr += k4
+        incr *= sixth
+        y = y + incr
         if domain is not None and not domain(y):
             break
         states.append(y)
@@ -482,8 +506,9 @@ def geodesic_integrate(manifold, x0, u0, T, steps, fd_step=GEODESIC_FD_STEP):
     d = manifold.dim
 
     def rhs(y):
-        gamma = christoffel(manifold, y[:d], fd_step)
-        return np.concatenate([y[d:], -np.einsum("kij,i,j->k", gamma, y[d:], y[d:])])
+        u = y[d:]
+        acc = np.einsum("kij,i,j->k", christoffel(manifold, y[:d], fd_step), u, u)
+        return np.concatenate([u, np.negative(acc, out=acc)])
 
     y0 = np.concatenate([np.asarray(x0, dtype=float), np.asarray(u0, dtype=float)])
     times, states, exited = _rk4(rhs, y0, T, steps, lambda y: manifold.contains(y[:d]))
@@ -528,7 +553,8 @@ def surface_of_revolution(rho, drho, z_domain=None):
 
     The chart is (z, phi) with metric diag(1 + rho'(z)^2, rho(z)^2). The
     rotation field d/dphi is Killing, with pressure 1/2 rho^2; its critical
-    parallels sit at rho' = 0.
+    parallels sit at rho' = 0. The metric and the domain are evaluated on
+    stacks of points, calling rho and drho once per point.
 
     Parameters
     ----------
@@ -538,19 +564,20 @@ def surface_of_revolution(rho, drho, z_domain=None):
         Open z-interval of the chart; default unrestricted.
     """
 
-    def metric(x):
-        r = float(rho(x[0]))
-        if r <= 0.0:
-            raise ValueError(f"profile radius must be positive, got rho({x[0]}) = {r}")
-        rp = float(drho(x[0]))
-        return np.array([[1.0 + rp * rp, 0.0], [0.0, r * r]])
+    def metric(points):
+        entries = []
+        for z in points[:, 0]:
+            r = float(rho(z))
+            if r <= 0.0:
+                raise ValueError(f"profile radius must be positive, got rho({z}) = {r}")
+            rp = float(drho(z))
+            entries.append((1.0 + rp * rp, 0.0, 0.0, r * r))
+        return np.array(entries).reshape(len(points), 2, 2)
 
-    def domain(x):
-        if z_domain is not None and not (z_domain[0] < x[0] < z_domain[1]):
-            return False
-        return float(rho(x[0])) > 0.0
+    def domain(points):
+        return [(z_domain is None or z_domain[0] < z < z_domain[1]) and float(rho(z)) > 0.0 for z in points[:, 0]]
 
-    manifold = ChartManifold(2, metric, domain, name="surface_of_revolution")
+    manifold = ChartManifold(2, StackFunction(metric), StackFunction(domain), name="surface_of_revolution")
     killing = VectorField(lambda x: np.array([0.0, 1.0]))
     pressure = ScalarField(lambda x: 0.5 * float(rho(x[0])) ** 2)
     return SurfaceOfRevolution(manifold, killing, pressure)

@@ -10,6 +10,7 @@ i.e. 2s for a full-degree polynomial.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 import warnings
@@ -30,6 +31,7 @@ __all__ = [
     "SU2Element",
     "ContourTooCloseError",
     "ClusterAmbiguityError",
+    "NumericalBreakdownError",
     "IntegralityRecord",
     "sz_apply",
     "su2_matrix",
@@ -61,6 +63,13 @@ class ClusterAmbiguityError(ValueError):
     """Root clustering changes with the clustering radius; multiplicities unsafe."""
 
 
+class NumericalBreakdownError(ArithmeticError):
+    """Finite input whose divisor leaves double precision: a derivative coefficient, the companion matrix or a root overflows.
+
+    Not a ValueError: the input is well formed, the arithmetic broke down.
+    """
+
+
 class SpinWaveFunction:
     """Polynomial wave function of a spin-s particle, s = two_s / 2.
 
@@ -83,7 +92,8 @@ class SpinWaveFunction:
         if not allow_zero and not np.any(c != 0):
             raise ValueError("wave function must not be identically zero")
         c.setflags(write=False)
-        dc = P.polyder(c)
+        with np.errstate(over="ignore", invalid="ignore"):  # overflow is refused by vorticity_divisor
+            dc = P.polyder(c)
         dc.setflags(write=False)
         object.__setattr__(self, "two_s", int(two_s))
         object.__setattr__(self, "coeffs", c)
@@ -480,6 +490,8 @@ def vorticity_divisor(chi: SpinWaveFunction) -> VorticityDivisor:
     c = chi.coeffs[: deg + 1]
     # the derivative of the truncation is the truncated derivative
     cs, dcs = c.tolist(), chi._dcoeffs[:deg].tolist()
+    if not all(map(cmath.isfinite, dcs)):
+        raise NumericalBreakdownError("derivative coefficients overflow double precision")
 
     def polish(z):
         # Newton converges quadratically on simple roots and pulls the
@@ -497,7 +509,15 @@ def vorticity_divisor(chi: SpinWaveFunction) -> VorticityDivisor:
                 break
         return z
 
-    refined = np.array([polish(z) for z in np.roots(c[::-1]).tolist()])
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite value is refused below
+        try:
+            eigenvalues = np.roots(c[::-1]).tolist()
+        except np.linalg.LinAlgError:  # the companion matrix overflowed
+            raise NumericalBreakdownError("companion matrix of the roots overflows double precision") from None
+        refined = [polish(z) for z in eigenvalues]
+    if not all(map(cmath.isfinite, refined)):
+        raise NumericalBreakdownError("Newton polish of the roots overflows double precision")
+    refined = np.array(refined)
     radius = 1e-6 * (1.0 + float(np.abs(refined).max()))
     # np.hypot on the parts, not np.abs, rounds like the scalar abs
     diff = refined[:, None] - refined[None, :]

@@ -152,6 +152,28 @@ def test_spin_divisor_report(tmp_path):
     assert sorted(mu for _, _, mu in report["roots"]) == [1, 2]
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command", ["spin-divisor", "spin-circulation"])
+def test_divisor_overflow_exits_1_with_one_line(tmp_path, capsys, command):
+    chi = write_json(tmp_path / "chi.json", {"two_s": 2, "coeffs_re": [1, 0, 1e308]})
+    out = tmp_path / "out.json"
+    assert main([command, "--input", chi, "--output", str(out)]) == EXIT_CHECK_FAILED
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err == "error: derivative coefficients overflow double precision\n"
+
+
+def test_spin_circulation_degree_deficit_warning_is_one_fixed_line(tmp_path, capsys):
+    chi = write_json(tmp_path / "chi.json", {"two_s": 5, "roots": [[0.5, 0.1, 2], [0.2, -0.3, 2]]})
+    out = tmp_path / "circ.json"
+    assert main(["spin-circulation", "--input", chi, "--output", str(out)]) == EXIT_OK
+    message = "degree 4 < 2s = 5: the remaining vorticity sits at infinity"
+    captured = capsys.readouterr()
+    assert captured.err == f"warning: {message}\n"
+    assert captured.out == "4.000000000\n"
+    assert json.loads(out.read_text())["warnings"] == [message]
+
+
 def test_missing_input_file(tmp_path, capsys):
     assert main(["verify", "--input", str(tmp_path / "nope.json")]) == EXIT_INPUT_ERROR
     assert "not found" in capsys.readouterr().err

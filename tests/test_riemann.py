@@ -9,6 +9,7 @@ from helpers import euclidean_plane, round_sphere
 from qhydro.riemann import (
     ChartBoundaryError,
     ChartManifold,
+    DiscreteCurve,
     OneForm,
     ScalarField,
     TwoForm,
@@ -718,3 +719,140 @@ def test_stack_function_is_the_one_row_case_of_its_stack():
     assert np.array_equal(christoffel(stacked, x), christoffel(per_point, x))
     assert calls == [5]  # the base point and its four stencil points, in one call
     assert np.array_equal(stacked.metric(x), per_point.metric(x))
+
+
+# ---------------------------------------------------------------------------
+# The geodesic path against a copy of its uncached form
+#
+# The copy below builds the stencil offsets afresh on every call, combines
+# the stencil values with a weighted sum, and evaluates the surface of
+# revolution one point at a time; it integrates with the plain RK4 step.
+# The library caches the offsets, differences order 2 directly, fills the
+# surface metric and domain as stacks and sums RK4 stages in one buffer,
+# and must give the same floating-point numbers, bit for bit.
+
+
+def uncached_stencil_points(dim, xs, h):
+    steps = np.array([1, -1])[None, :, None] * (float(h) * np.eye(dim))[:, None, :]
+    return (xs[:, None, None, :] + steps).reshape(-1, dim)
+
+
+def weighted_sum_combine(dim, values, h):
+    values = values.reshape(-1, dim, 2, *values.shape[1:])
+    return sum(w * values[:, :, j] for j, w in enumerate((1.0, -1.0))) / (2.0 * h)
+
+
+def test_order_2_difference_rounds_like_the_weighted_sum_down_to_the_sign_of_zero():
+    # the sum starts at int 0, and 0 + (-0.0) is +0.0: a difference -0.0 - 0.0 comes out +0.0
+    f = ScalarField(lambda x: -0.0 if x[0] > 0.1 else 0.0)
+    x = np.array([0.1, 0.2])
+    out = differential(PLANE, f, x)
+    ref = weighted_sum_combine(2, f.stack(uncached_stencil_points(2, x[None], 1e-4)), 1e-4)[0]
+    assert np.array_equal(out, ref) and np.array_equal(np.signbit(out), np.signbit(ref))
+    assert not np.signbit(out).any()
+
+
+def uncached_christoffel(manifold, x, h):
+    xs = x[None]
+    g = manifold._metric_stack(np.concatenate([xs, uncached_stencil_points(manifold.dim, xs, h)]), 1)
+    dg = weighted_sum_combine(manifold.dim, g[1:], h)
+    brackets = dg + dg.transpose(0, 2, 1, 3) - dg.transpose(0, 2, 3, 1)
+    return 0.5 * np.einsum("mkl,mijl->mkij", np.linalg.inv(g[:1]), brackets)[0]
+
+
+def uncached_geodesic(manifold, x0, u0, T, steps, h):
+    d = manifold.dim
+
+    def rhs(y):
+        gamma = uncached_christoffel(manifold, y[:d], h)
+        return np.concatenate([y[d:], -np.einsum("kij,i,j->k", gamma, y[d:], y[d:])])
+
+    y, dt = np.concatenate([x0, u0]), float(T) / int(steps)
+    states = [y]
+    for _ in range(steps):
+        try:
+            k1 = rhs(y)
+            k2 = rhs(y + 0.5 * dt * k1)
+            k3 = rhs(y + 0.5 * dt * k2)
+            k4 = rhs(y + dt * k3)
+        except ChartBoundaryError:
+            break
+        y = y + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        if not manifold.contains(y[:d]):
+            break
+        states.append(y)
+    states = np.array(states)
+    return states[:, :d], states[:, d:], len(states) <= steps
+
+
+def per_point_surface(rho, drho, z_domain=None):
+    def metric(x):
+        r = float(rho(x[0]))
+        if r <= 0.0:
+            raise ValueError(f"profile radius must be positive, got rho({x[0]}) = {r}")
+        rp = float(drho(x[0]))
+        return np.array([[1.0 + rp * rp, 0.0], [0.0, r * r]])
+
+    def domain(x):
+        if z_domain is not None and not (z_domain[0] < x[0] < z_domain[1]):
+            return False
+        return float(rho(x[0])) > 0.0
+
+    return ChartManifold(2, metric, domain, name="surface_of_revolution")
+
+
+def assert_geodesic_bits(manifold, reference, field, x0, u0, T, steps, h=1e-5):
+    curve = geodesic_integrate(manifold, x0, u0, T, steps, fd_step=h)
+    points, velocities, exited = uncached_geodesic(reference, x0, u0, T, steps, h)
+    assert curve.exited == exited
+    assert np.array_equal(curve.points, points) and np.array_equal(curve.velocities, velocities)
+    # the signs of zeros too: array_equal takes -0.0 == 0.0
+    assert np.array_equal(np.signbit(curve.points), np.signbit(points))
+    assert np.array_equal(np.signbit(curve.velocities), np.signbit(velocities))
+    ref_curve = DiscreteCurve(curve.times, points, velocities, exited)
+    assert clairaut_check(manifold, curve, field) == clairaut_check(reference, ref_curve, field)
+    return curve
+
+
+def test_geodesics_on_random_surfaces_equal_the_uncached_path_bit_for_bit():
+    rng = np.random.default_rng(60)
+    for k in range(10):
+        a, b, c = rng.uniform(2.0, 3.0), rng.uniform(0.3, 1.0), rng.uniform(0.5, 1.5)
+        rho, drho = (lambda z: a + b * np.sin(c * z)), (lambda z: b * c * np.cos(c * z))
+        surf = surface_of_revolution(rho, drho)
+        x0 = np.array([rng.uniform(-1.5, 1.5), rng.uniform(0.0, 2.0 * np.pi)])
+        u0 = rng.normal(size=2) * 0.5
+        h = 1e-4 if k % 5 == 0 else 1e-5
+        curve = assert_geodesic_bits(surf.manifold, per_point_surface(rho, drho), surf.killing_field, x0, u0, 1.0, 60, h)
+        assert not curve.exited
+
+
+def test_geodesics_on_cpn_charts_equal_the_uncached_path_bit_for_bit():
+    from qhydro.projective import chart_manifold, fundamental_field
+
+    from helpers import random_hermitian
+
+    rng = np.random.default_rng(61)
+    for dim in (3, 4, 5):
+        k = int(rng.integers(dim))
+        M = chart_manifold(dim, k)
+        x0 = rng.uniform(-0.5, 0.5, size=2 * (dim - 1))
+        u0 = rng.normal(size=2 * (dim - 1)) * 0.3
+        assert_geodesic_bits(M, M, fundamental_field(random_hermitian(rng, dim), dim, k), x0, u0, 1.0, 30)
+
+
+def test_geodesic_leaving_z_domain_stops_at_the_uncached_step():
+    rho, drho = (lambda z: 2.0 + np.sin(z)), np.cos
+    surf = surface_of_revolution(rho, drho, z_domain=(-0.5, 0.5))
+    reference = per_point_surface(rho, drho, z_domain=(-0.5, 0.5))
+    curve = assert_geodesic_bits(surf.manifold, reference, surf.killing_field, np.array([0.3, 0.0]), np.array([1.0, 0.2]), 1.0, 50)
+    assert curve.exited and 1 < len(curve) < 51
+
+
+def test_surface_metric_refuses_nonpositive_radius_with_the_per_point_text():
+    rho, drho = (lambda z: z), (lambda z: 1.0)
+    point = np.array([-0.5, 0.0])
+    message = "profile radius must be positive, got rho(-0.5) = -0.5"
+    for metric in (surface_of_revolution(rho, drho).manifold.metric, per_point_surface(rho, drho).metric):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            metric(point)

@@ -15,6 +15,7 @@ from qhydro.spin import (
     ClusterAmbiguityError,
     ContourTooCloseError,
     IntegralityRecord,
+    NumericalBreakdownError,
     PolygonContour,
     SpinWaveFunction,
     SU2Element,
@@ -335,6 +336,24 @@ def test_divisor_ambiguity_error_on_borderline_cluster():
     chi = SpinWaveFunction.from_roots([(0.0, 1), (gap, 1)])
     with pytest.raises(ClusterAmbiguityError):
         vorticity_divisor(chi)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "coeffs, stage",
+    [
+        ([1.0, 0.0, 1e308], "derivative coefficients"),  # 2 * 1e308 overflows in the derivative
+        ([8.4e307 - 1.1e308j, -4.9e302 + 2.3e302j, -1.1e297 - 1.2e297j], "companion matrix"),
+        ([4e300 + 5.5e300j, -1.2e308 - 7.6e307j, -6.9e306 - 1.95e307j], "Newton polish"),
+    ],
+)
+def test_divisor_breakdown_on_finite_input_is_named_and_silent(coeffs, stage):
+    chi = SpinWaveFunction(2, coeffs)
+    with pytest.raises(NumericalBreakdownError, match=stage) as info:
+        vorticity_divisor(chi)
+    assert not isinstance(info.value, ValueError)  # well-formed input: not a bad-input error
+    with pytest.raises(NumericalBreakdownError):
+        total_spin_circulation(chi)
 
 
 # ---------------------------------------------------------------------------
