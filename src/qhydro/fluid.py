@@ -28,11 +28,13 @@ from .projective import (
     ProjectivePoint,
     TangentAtPoint,
     chart_manifold,
-    fubini_study_distance,
+    chart_of,
+    fubini_study_distance_stack,
     fundamental_field,
     geodesic_sphere,
     horizontal_lift,
     representative,
+    unit_representative,
 )
 from .riemann import (
     FD_STEP,
@@ -103,22 +105,42 @@ def pressure_gradient(H: HermitianOperator, point, h=FD_STEP, cross_tol=1e-5) ->
     pressure scalar (returned), and -nabla_X X through the chart Christoffel
     machinery. Disagreement beyond cross_tol means the metric normalization
     and the algebraic variance have fallen out of sync, which is a bug, so
-    it raises rather than returning either value.
+    it raises rather than returning either value. One state is the one-row
+    case of the stacked gradients of critical_points.
     """
-    point = _as_point(point)
-    chart = point.chart()
-    manifold = chart_manifold(H.dim, chart.chart_index)
-    p = pressure_scalar_field(H, chart.chart_index)
-    dp = differential(manifold, p, chart.coords, h, order=4)
-    grad = np.linalg.solve(manifold.metric_at(chart.coords), dp)
+    chart = _as_point(point).chart()
+    grads, mismatches = _pressure_gradients(H, [chart], h)
+    return _gradient_tangent(chart, grads[0], mismatches[0], cross_tol)
 
-    X = fundamental_field(H, H.dim, chart.chart_index)
-    advection = covariant_derivative(manifold, X, X, chart.coords, h)
-    mismatch = grad + advection  # (dp)^sharp should equal -nabla_X X
-    mismatch_norm = float(np.sqrt(mismatch @ manifold.metric_at(chart.coords) @ mismatch))
-    if mismatch_norm > cross_tol:
+
+def _pressure_gradients(H, charts, h):
+    """(dp)^sharp at each chart point, and the norm of its mismatch with -nabla_X X.
+
+    The points of one chart form one stack.
+    """
+    dim = 2 * (H.dim - 1)
+    grads, mismatches = np.empty((len(charts), dim)), np.empty(len(charts))
+    ks = np.array([chart.chart_index for chart in charts])
+    for k in sorted(set(ks.tolist())):
+        rows = np.flatnonzero(ks == k)
+        x = np.array([charts[n].coords for n in rows])
+        manifold = chart_manifold(H.dim, k)
+        dp = differential(manifold, pressure_scalar_field(H, k), x, h, order=4)
+        g = manifold.metric_at(x)
+        grad = np.linalg.solve(g, dp[:, :, None])[:, :, 0]
+        X = fundamental_field(H, H.dim, k)
+        mismatch = grad + covariant_derivative(manifold, X, X, x, h)  # (dp)^sharp should equal -nabla_X X
+        grads[rows] = grad
+        # m g m row by row: the stacked product rounds differently
+        mismatches[rows] = np.sqrt([m @ gm @ m for m, gm in zip(mismatch, g)])
+    return grads, mismatches
+
+
+def _gradient_tangent(chart, grad, mismatch, cross_tol):
+    """The gradient at one chart point as a horizontal tangent, once its two routes agree to cross_tol."""
+    if mismatch > cross_tol:
         raise ValueError(
-            f"pressure gradient routes disagree by {mismatch_norm!r} (> {cross_tol}); "
+            f"pressure gradient routes disagree by {float(mismatch)!r} (> {cross_tol}); "
             "metric normalization or field generator is inconsistent"
         )
     base_v, w = horizontal_lift(chart, grad)
@@ -145,28 +167,34 @@ def critical_points(H: HermitianOperator, grad_tol=1e-8, cross_tol=1e-5) -> list
     i > j, each with pressure (lambda_i - lambda_j)^2 / 8. Pair entries are
     phase-orbit representatives (azimuth alpha = 0): the full critical set
     is their U(1) circle. Each returned point is certified by a pressure
-    gradient below grad_tol.
+    gradient below grad_tol; the gradients of all candidates are one stack
+    per chart, and the first candidate in this order that fails raises.
     """
     H.require_nondegenerate()
     vals, vecs = H.eigenvalues, H.eigenvectors
+    candidates = [
+        (StateVector(vecs[:, i], normalize=True), "eigenstate", (i,), 0.0, False) for i in range(H.dim)
+    ] + [
+        (
+            StateVector((vecs[:, j] + vecs[:, i]) / np.sqrt(2.0), normalize=True),
+            "pair_superposition",
+            (i, j),
+            float(vals[i] - vals[j]) ** 2 / 8.0,
+            True,
+        )
+        for i in range(H.dim)
+        for j in range(i)
+    ]
+    charts = [chart_of(state) for state, *_ in candidates]
+    grads, mismatches = _pressure_gradients(H, charts, FD_STEP)
     out = []
-
-    def certified(state, kind, indices, press, phase_orbit):
-        norm = pressure_gradient(H, state, cross_tol=cross_tol).norm
+    for (state, kind, indices, press, phase_orbit), chart, grad, mismatch in zip(candidates, charts, grads, mismatches):
+        norm = _gradient_tangent(chart, grad, mismatch, cross_tol).norm
         if norm > grad_tol:
             raise ValueError(
                 f"enumerated {kind} {indices} fails the gradient check: |grad p| = {norm!r}"
             )
-        return CriticalPoint(kind, indices, state, press, phase_orbit, norm)
-
-    for i in range(H.dim):
-        state = StateVector(vecs[:, i], normalize=True)
-        out.append(certified(state, "eigenstate", (i,), 0.0, False))
-    for i in range(H.dim):
-        for j in range(i):
-            state = StateVector((vecs[:, j] + vecs[:, i]) / np.sqrt(2.0), normalize=True)
-            press = float(vals[i] - vals[j]) ** 2 / 8.0
-            out.append(certified(state, "pair_superposition", (i, j), press, True))
+        out.append(CriticalPoint(kind, indices, state, press, phase_orbit, norm))
     return out
 
 
@@ -178,22 +206,24 @@ def scalar_vorticity(H: HermitianOperator, i, j, theta, phi, h=FD_STEP) -> float
     value is comparable with the closed form 2 omega cos(theta) everywhere,
     poles included.
     """
-    sphere = geodesic_sphere(H, i, j)
-    return float(_scalar_vorticities(H, [sphere.oriented_frame(theta, phi)], h)[0])
+    ks, coords, u1, u2 = geodesic_sphere(H, i, j).oriented_frames([theta], [phi])
+    return float(_scalar_vorticities(H, ks, coords, u1, u2, h)[0])
 
 
-def _scalar_vorticities(H, frames, h):
-    """Vorticity u1 . d(X^flat) . u2 at each (chart, u1, u2) frame; the frames of one chart form one stack."""
-    out = np.empty(len(frames))
-    for k in sorted({chart.chart_index for chart, _, _ in frames}):
-        rows = [n for n, (chart, _, _) in enumerate(frames) if chart.chart_index == k]
+def _scalar_vorticities(H, ks, coords, u1, u2, h):
+    """Vorticity u1 . d(X^flat) . u2 at each frame (ks[n], coords[n], u1[n], u2[n]).
+
+    The frames of one chart form stacks of at most NODE_BLOCK nodes.
+    """
+    out = np.empty(len(ks))
+    for k in sorted(set(ks.tolist())):
         manifold = chart_manifold(H.dim, k)
-        X = fundamental_field(H, H.dim, k)
-        x = np.array([frames[n][0].coords for n in rows])
-        w = exterior_derivative_oneform(manifold, flat_form(manifold, X), x, h)
-        u1 = np.array([frames[n][1] for n in rows])
-        u2 = np.array([frames[n][2] for n in rows])
-        out[rows] = (u1 * (w * u2[:, None, :]).sum(axis=2)).sum(axis=1)
+        alpha = flat_form(manifold, fundamental_field(H, H.dim, k))
+        chart_rows = np.flatnonzero(ks == k)
+        for start in range(0, len(chart_rows), NODE_BLOCK):
+            rows = chart_rows[start : start + NODE_BLOCK]
+            w = exterior_derivative_oneform(manifold, alpha, coords[rows], h)
+            out[rows] = (u1[rows] * (w * u2[rows][:, None, :]).sum(axis=2)).sum(axis=1)
     return out
 
 
@@ -233,11 +263,8 @@ def vorticity_on_sphere(H: HermitianOperator, i, j, grid=(64, 64), h=FD_STEP) ->
     sphere = geodesic_sphere(H, i, j)
     thetas = np.linspace(0.0, np.pi, n_theta)
     phis = np.linspace(0.0, 2.0 * np.pi, n_phi, endpoint=False)
-    nodes = [(th, ph) for th in thetas for ph in phis]
-    numeric = np.concatenate([
-        _scalar_vorticities(H, [sphere.oriented_frame(th, ph) for th, ph in nodes[start : start + NODE_BLOCK]], h)
-        for start in range(0, len(nodes), NODE_BLOCK)
-    ]).reshape(n_theta, n_phi)
+    frames = sphere.oriented_frames(np.repeat(thetas, n_phi), np.tile(phis, n_theta))
+    numeric = _scalar_vorticities(H, *frames, h).reshape(n_theta, n_phi)
     analytic = 2.0 * sphere.omega * np.cos(thetas)
     abs_err = np.abs(numeric - analytic[:, None])
     peak = max(2.0 * abs(sphere.omega), 1e-300)
@@ -328,14 +355,8 @@ def schrodinger_trajectory(H: HermitianOperator, point, T=1.0, steps=1000) -> Tr
     flow = flow_integrate(X, chart.coords, T, steps)
     geo = geodesic_integrate(manifold, chart.coords, X(chart.coords), T, steps)
     m = min(len(flow), len(geo))
-    devs = np.array(
-        [
-            fubini_study_distance(
-                AffineChart(k, flow.points[s]).to_state(),
-                AffineChart(k, geo.points[s]).to_state(),
-            )
-            for s in range(m)
-        ]
+    devs = fubini_study_distance_stack(
+        unit_representative(AffineChart(k, flow.points[:m])), unit_representative(AffineChart(k, geo.points[:m]))
     )
     return TrajectoryReport(k, flow, geo, devs, float(devs.max()))
 

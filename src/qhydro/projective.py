@@ -10,6 +10,7 @@ projective line is a round sphere of radius 1/2.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -31,7 +32,10 @@ __all__ = [
     "horizontal_lift",
     "project_tangent",
     "dispersion_via_metric",
+    "dispersion_via_metric_stack",
+    "unit_representative",
     "fubini_study_distance",
+    "fubini_study_distance_stack",
     "geodesic_sphere",
 ]
 
@@ -39,6 +43,22 @@ __all__ = [
 def chart_slots(dim, k):
     """Ambient indices carrying chart coordinates (all but the pivot k)."""
     return [a for a in range(dim) if a != k]
+
+
+@lru_cache(maxsize=None)
+def _slots(dim, k):
+    """chart_slots(dim, k) as an index array: built once per (dim, k), read-only."""
+    slots = np.array(chart_slots(dim, k), dtype=np.intp)
+    slots.flags.writeable = False
+    return slots
+
+
+@lru_cache(maxsize=None)
+def _identity(n):
+    """The (n, n) identity matrix: built once per n, read-only."""
+    eye = np.eye(n)
+    eye.flags.writeable = False
+    return eye
 
 
 def _interleave(zeta):
@@ -93,8 +113,37 @@ def representative(chart: AffineChart) -> np.ndarray:
     dim = chart.ambient_dim
     z = np.zeros(chart.coords.shape[:-1] + (dim,), dtype=complex)
     z[..., chart.chart_index] = 1.0
-    z[..., chart_slots(dim, chart.chart_index)] = _complexify(chart.coords)
+    z[..., _slots(dim, chart.chart_index)] = _complexify(chart.coords)
     return z
+
+
+def unit_representative(chart: AffineChart) -> np.ndarray:
+    """representative(chart) scaled to unit norm, each row as StateVector(row, normalize=True) scales it."""
+    return _shaped(chart, _state_rows(representative(chart).reshape(-1, chart.ambient_dim)))
+
+
+def _state_rows(z):
+    """Each row of a complex (N, dim) stack normalized as StateVector(row, normalize=True) normalizes it.
+
+    That is by its 1-d np.linalg.norm (BLAS), row by row: a row sum of squares rounds differently.
+    """
+    if not np.isfinite(z.view(float)).all():
+        raise ValueError("state vector has non-finite amplitudes")
+    return z / np.array([np.linalg.norm(row) for row in z])[:, None]
+
+
+def _coords_in_chart(vectors, k):
+    """Chart-k coordinates v_a / v_k of each row of an (N, dim) stack of vectors."""
+    if not vectors[:, k].all():
+        raise ValueError(f"state has zero amplitude at chart index {k}")
+    return _interleave(vectors[:, _slots(vectors.shape[1], k)] / vectors[:, k, None])
+
+
+def _charts_of_rows(vectors, ks):
+    """(rows, chart) per chart index k in ks: the rows n with ks[n] = k, as one chart-k stack."""
+    for k in sorted(set(ks.tolist())):
+        rows = np.flatnonzero(ks == k)
+        yield rows, AffineChart(k, _coords_in_chart(vectors[rows], k))
 
 
 class ProjectivePoint:
@@ -131,11 +180,7 @@ def chart_of(state, chart_index=None) -> AffineChart:
     amp = state.amplitudes
     if chart_index is None:
         chart_index = int(np.argmax(np.abs(amp)))
-    pivot = amp[chart_index]
-    if pivot == 0:
-        raise ValueError(f"state has zero amplitude at chart index {chart_index}")
-    zeta = amp[chart_slots(amp.size, chart_index)] / pivot
-    return AffineChart(chart_index, _interleave(zeta))
+    return AffineChart(chart_index, _coords_in_chart(amp[None], chart_index)[0])
 
 
 @dataclass(frozen=True)
@@ -176,8 +221,11 @@ def fubini_study_metric(chart: AffineChart) -> np.ndarray:
     s = np.empty_like(r)
     s[:, 0::2] = r[:, 1::2]
     s[:, 1::2] = -r[:, 0::2]
-    outer = r[:, :, None] * r[:, None, :] + s[:, :, None] * s[:, None, :]
-    return _shaped(chart, (np.eye(xy.shape[1]) - outer) / nz2[:, None, None])
+    g = r[:, :, None] * r[:, None, :]
+    g += s[:, :, None] * s[:, None, :]
+    np.subtract(_identity(xy.shape[1]), g, out=g)
+    g /= nz2[:, None, None]
+    return _shaped(chart, g)
 
 
 def chart_manifold(dim, chart_index, coord_bound=None) -> ChartManifold:
@@ -207,7 +255,7 @@ def fundamental_field_at(A: HermitianOperator, chart: AffineChart) -> np.ndarray
     k = chart.chart_index
     z = representative(chart).reshape(-1, A.dim)
     Az = A.apply_stack(z)
-    slots = chart_slots(A.dim, k)
+    slots = _slots(A.dim, k)
     return _shaped(chart, _interleave(-1j * (Az[:, slots] - z[:, slots] * Az[:, k, None])))
 
 
@@ -235,18 +283,21 @@ def horizontal_lift(chart: AffineChart, u) -> tuple[np.ndarray, np.ndarray]:
 
 
 def project_tangent(v, w, chart_index) -> np.ndarray:
-    """Chart velocity of a curve through [v] whose representative velocity is w.
+    """Chart velocity of a curve through [v] whose representative velocity is w (one row per row of a stack).
 
     Insensitive to the vertical (phase/scale) part of w, so w need not be
-    horizontal; v and w must come from the same representative gauge.
+    horizontal; v and w must come from the same representative gauge. Each
+    row is computed on its own, so a row gives the same velocity alone and
+    in a stack.
     """
     v = np.asarray(v, dtype=complex)
     w = np.asarray(w, dtype=complex)
-    pivot = v[chart_index]
-    if pivot == 0:
+    pivot = v[..., chart_index, None]
+    if not pivot.all():
         raise ValueError(f"curve leaves chart {chart_index}: zero pivot amplitude")
-    slots = chart_slots(v.size, chart_index)
-    zeta_dot = (w[slots] * pivot - v[slots] * w[chart_index]) / pivot**2
+    slots = _slots(v.shape[-1], chart_index)
+    # np.power rounds as a complex scalar's ** 2 does; np.square and pivot * pivot do not
+    zeta_dot = (w[..., slots] * pivot - v[..., slots] * w[..., chart_index, None]) / np.power(pivot, 2)
     return _interleave(zeta_dot)
 
 
@@ -254,13 +305,24 @@ def dispersion_via_metric(H: HermitianOperator, point) -> float:
     """Hamiltonian variance read off the metric: g(X, X) for the flow generator X.
 
     Agrees with the algebraic variance <H^2> - <H>^2; the agreement is the
-    normalization contract of the metric.
+    normalization contract of the metric. One point is the one-row
+    dispersion_via_metric_stack.
     """
     point = point if isinstance(point, ProjectivePoint) else ProjectivePoint(point)
-    chart = point.chart()
-    X = fundamental_field_at(H, chart)
-    g = fubini_study_metric(chart)
-    return float(X @ g @ X)
+    return float(dispersion_via_metric_stack(H, point.state.amplitudes[None])[0])
+
+
+def dispersion_via_metric_stack(H: HermitianOperator, vectors) -> np.ndarray:
+    """dispersion_via_metric at each row of an (N, dim) stack of unit vectors.
+
+    Each row is taken in its preferred chart (its largest amplitude); the
+    rows of one chart are one field stack and one metric stack.
+    """
+    out = np.empty(len(vectors))
+    for rows, chart in _charts_of_rows(vectors, np.abs(vectors).argmax(axis=1)):
+        X = fundamental_field_at(H, chart)
+        out[rows] = [x @ g @ x for x, g in zip(X, fubini_study_metric(chart))]
+    return out
 
 
 def fubini_study_distance(u, v) -> float:
@@ -269,13 +331,24 @@ def fubini_study_distance(u, v) -> float:
     Evaluated as 2 asin(|v - e^{i phi} u| / 2), where e^{i phi}, the phase of
     <u|v>, brings u closest to v. The chord keeps full relative precision for
     nearby rays; arccos near 1 cannot resolve distances below about 2e-8.
+    Two states are the one-row fubini_study_distance_stack.
     """
     u = u.state if isinstance(u, ProjectivePoint) else u
     v = v.state if isinstance(v, ProjectivePoint) else v
-    overlap = u.inner(v)
-    phase = overlap / abs(overlap) if overlap != 0 else 1.0
-    chord = float(np.linalg.norm(v.amplitudes - phase * u.amplitudes))
-    return 2.0 * float(np.arcsin(min(chord / 2.0, 1.0)))
+    return float(fubini_study_distance_stack(u.amplitudes[None], v.amplitudes[None])[0])
+
+
+def fubini_study_distance_stack(us, vs) -> np.ndarray:
+    """fubini_study_distance between the rows of two (N, dim) stacks of unit vectors, row by row."""
+    # the phase and the chord norm are taken row by row, as Python complex and 1-d BLAS
+    # arithmetic: their array forms round differently
+    phases = np.empty(len(us), dtype=complex)
+    for n, (u, v) in enumerate(zip(us, vs)):
+        overlap = complex(np.vdot(u, v))
+        phases[n] = overlap / abs(overlap) if overlap != 0 else 1.0
+    chords = vs - phases[:, None] * us
+    half = np.array([np.linalg.norm(chord) for chord in chords]) / 2.0
+    return 2.0 * np.arcsin(np.minimum(half, 1.0))
 
 
 class GeodesicSphere:
@@ -332,31 +405,45 @@ class GeodesicSphere:
     def oriented_frame(self, theta, phi, pole_tol=1e-8):
         """Positively oriented orthonormal tangent frame in chart coordinates.
 
-        Returns (chart, u1, u2) at the point; away from the poles u1, u2
-        point along d/dtheta and d/dphi. At the poles d/dphi degenerates, so
-        the frame is built from two meridian directions (phi and phi + pi/2),
-        each lifted through its own representative gauge, with the ordering
-        flipped at theta = pi where meridians converge.
+        Returns (chart, u1, u2) at the point: the one-row oriented_frames.
         """
-        v = self.representative(theta, phi)
-        k = int(np.argmax(np.abs(v)))
-        chart = chart_of(StateVector(v, normalize=True), k)
-        g = fubini_study_metric(chart)
-        if abs(np.sin(theta)) > pole_tol:
-            d_th, d_ph = self.embedding_velocities(theta, phi)
-            t1 = project_tangent(v, d_th, k)
-            t2 = project_tangent(v, d_ph, k)
-        else:
-            d_th1, _ = self.embedding_velocities(theta, phi)
-            v2 = self.representative(theta, phi + np.pi / 2.0)
-            d_th2, _ = self.embedding_velocities(theta, phi + np.pi / 2.0)
-            t1 = project_tangent(v, d_th1, k)
-            t2 = project_tangent(v2, d_th2, k)
-            if theta > np.pi / 2.0:
-                t2 = -t2
-        u1 = t1 / np.sqrt(t1 @ g @ t1)
-        u2 = t2 / np.sqrt(t2 @ g @ t2)
-        return chart, u1, u2
+        ks, coords, u1, u2 = self.oriented_frames([theta], [phi], pole_tol)
+        return AffineChart(int(ks[0]), coords[0]), u1[0], u2[0]
+
+    def oriented_frames(self, thetas, phis, pole_tol=1e-8):
+        """oriented_frame at each node (thetas[n], phis[n]): (chart indices, coords, u1, u2), one row per node.
+
+        Each node is taken in the chart of its largest amplitude; away from
+        the poles u1, u2 point along d/dtheta and d/dphi. At the poles d/dphi
+        degenerates, so the frame is built from two meridian directions (phi
+        and phi + pi/2), each lifted through its own representative gauge,
+        with the ordering flipped at theta = pi where meridians converge.
+        The nodes of one chart are one metric stack.
+        """
+        th = np.asarray(thetas, dtype=float).reshape(-1, 1)
+        ph = np.asarray(phis, dtype=float).reshape(-1, 1)
+        v = self.representative(th, ph)
+        d_th, d_ph = self.embedding_velocities(th, ph)
+        # the second direction: d/dphi, or at a pole the meridian at phi + pi/2 in its own gauge
+        pole = np.abs(np.sin(th[:, 0])) <= pole_tol
+        v2, d2 = v.copy(), d_ph
+        v2[pole] = self.representative(th[pole], ph[pole] + np.pi / 2.0)
+        d2[pole] = self.embedding_velocities(th[pole], ph[pole] + np.pi / 2.0)[0]
+        flip = pole & (th[:, 0] > np.pi / 2.0)
+        ks = np.abs(v).argmax(axis=1)
+        coords = np.empty((len(v), 2 * (self.dim - 1)))
+        u1, u2 = np.empty_like(coords), np.empty_like(coords)
+        for rows, chart in _charts_of_rows(_state_rows(v), ks):
+            k = chart.chart_index
+            t1 = project_tangent(v[rows], d_th[rows], k)
+            t2 = project_tangent(v2[rows], d2[rows], k)
+            t2[flip[rows]] *= -1.0
+            g = fubini_study_metric(chart)
+            coords[rows] = chart.coords
+            # t g t row by row: the stacked product rounds differently
+            u1[rows] = t1 / np.sqrt([t @ gm @ t for t, gm in zip(t1, g)])[:, None]
+            u2[rows] = t2 / np.sqrt([t @ gm @ t for t, gm in zip(t2, g)])[:, None]
+        return ks, coords, u1, u2
 
 
 def geodesic_sphere(H: HermitianOperator, i, j) -> GeodesicSphere:

@@ -189,8 +189,8 @@ class ChartManifold:
         return None if first == len(points) else first
 
     def metric_at(self, x) -> np.ndarray:
-        """Metric matrix at x, validated symmetric positive-definite."""
-        return self._metrics_at(np.asarray(x, dtype=float)[None])[0]
+        """Metric matrix at x (one per row of an (N, dim) stack), validated symmetric positive-definite."""
+        return _like(x, self._metrics_at(_bases(x)))
 
     def _metrics_at(self, points) -> np.ndarray:
         """metric_at at every row of an (N, dim) stack, checked as one batch."""

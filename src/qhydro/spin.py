@@ -64,7 +64,10 @@ class ClusterAmbiguityError(ValueError):
 
 
 class NumericalBreakdownError(ArithmeticError):
-    """Finite input whose divisor leaves double precision: a derivative coefficient, the companion matrix or a root overflows.
+    """Finite input whose divisor or circulation leaves double precision.
+
+    A derivative coefficient, the companion matrix, a root or the contour
+    integral overflows.
 
     Not a ValueError: the input is well formed, the arithmetic broke down.
     """
@@ -424,8 +427,14 @@ def circulation(chi: SpinWaveFunction, contour) -> float:
                 f"contour passes within {nearest!r} of a root (need > {EXCLUSION_TOL})"
             )
     points, tangents = contour.quadrature()
-    integral = np.sum(chi.log_derivative(points) * tangents)
-    return float(integral.imag / (2.0 * np.pi))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # a non-finite integral is refused below
+        integral = np.sum(chi.log_derivative(points) * tangents)
+    value = float(integral.imag / (2.0 * np.pi))
+    if not math.isfinite(value):
+        raise NumericalBreakdownError(
+            f"circulation integral is {value!r}: chi'/chi overflows double precision on the contour"
+        )
+    return value
 
 
 def total_spin_circulation(chi: SpinWaveFunction, nodes=256) -> float:

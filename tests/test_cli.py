@@ -163,6 +163,33 @@ def test_divisor_overflow_exits_1_with_one_line(tmp_path, capsys, command):
     assert captured.err == "error: derivative coefficients overflow double precision\n"
 
 
+@pytest.mark.parametrize("command", ["spin-divisor", "spin-circulation"])
+def test_cluster_ambiguity_exits_1_with_one_line(tmp_path, capsys, command):
+    chi = write_json(tmp_path / "chi.json", {"roots": [[0, 0, 1], [2e-6, 0, 1]]})
+    out = tmp_path / "out.json"
+    assert main([command, "--input", chi, "--output", str(out)]) == EXIT_CHECK_FAILED
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err.startswith("divisor computation failed: root clusters unstable")
+    assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "coeffs, value",
+    [([4e304, 6e301, -1e306, 5e302], "nan"), ([-1e300, 7e303, -4e303, 5e307], "inf")],
+)
+def test_non_finite_circulation_exits_1_with_one_line_and_no_value(tmp_path, capsys, coeffs, value):
+    chi = write_json(tmp_path / "chi.json", {"two_s": 3, "coeffs_re": coeffs})
+    out = tmp_path / "circ.json"
+    assert main(["spin-circulation", "--input", chi, "--output", str(out)]) == EXIT_CHECK_FAILED
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err == (
+        f"error: circulation integral is {value}: chi'/chi overflows double precision on the contour\n"
+    )
+
+
 def test_spin_circulation_degree_deficit_warning_is_one_fixed_line(tmp_path, capsys):
     chi = write_json(tmp_path / "chi.json", {"two_s": 5, "roots": [[0.5, 0.1, 2], [0.2, -0.3, 2]]})
     out = tmp_path / "circ.json"

@@ -1,15 +1,20 @@
 """Pressure, critical set, vorticity, Zeno law, and trajectory comparisons."""
 
+import json
+
 import numpy as np
 import pytest
 
 from helpers import random_hermitian, random_state
+from qhydro.cli import main
 from qhydro.fluid import (
+    NODE_BLOCK,
     CriticalPoint,
     critical_points,
     pressure,
     pressure_gradient,
     pressure_on_sphere,
+    pressure_scalar_field,
     schrodinger_trajectory,
     scalar_vorticity,
     vorticity_on_sphere,
@@ -17,8 +22,31 @@ from qhydro.fluid import (
     write_profile_csv,
     zeno_decay,
 )
-from qhydro.hilbert import DegenerateSpectrumError, HermitianOperator, StateVector
-from qhydro.projective import ProjectivePoint, chart_of, fundamental_field_at
+from qhydro.hilbert import (
+    DegenerateSpectrumError,
+    HermitianOperator,
+    StateVector,
+    dispersion_squared,
+    hermitian_from_json,
+)
+from qhydro.projective import (
+    AffineChart,
+    ProjectivePoint,
+    TangentAtPoint,
+    chart_manifold,
+    chart_of,
+    dispersion_via_metric,
+    dispersion_via_metric_stack,
+    fubini_study_distance,
+    fubini_study_metric,
+    fundamental_field,
+    fundamental_field_at,
+    geodesic_sphere,
+    horizontal_lift,
+    project_tangent,
+    representative,
+)
+from qhydro.riemann import FD_STEP, covariant_derivative, differential, exterior_derivative_oneform, flat_form
 
 H01 = HermitianOperator.diagonal([0.0, 1.0])
 H123 = HermitianOperator.diagonal([1.0, 2.0, 3.0])
@@ -287,3 +315,298 @@ def test_profile_csv_round_trip(tmp_path):
     assert len(lines) == 1 + 3 * 2
     first = [float(tok) for tok in lines[1].split(",")]
     assert first[3] == pytest.approx(2.0)  # analytic 2 omega cos(0)
+
+
+# ---------------------------------------------------------------------------
+# The stacked paths against copies of the per-item loops they replaced
+#
+# The copies below take sphere nodes, critical-point candidates, states and
+# trajectory samples one at a time, through StateVector and single-point
+# arithmetic, and build the chart metric, representative and field with
+# fresh slot lists and a fresh identity matrix. The library takes each set
+# as stacks, and must give the same floating-point numbers, bit for bit.
+
+
+def same_bits(a, b):
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    if np.iscomplexobj(a) or np.iscomplexobj(b):
+        a, b = a.astype(complex).view(float), b.astype(complex).view(float)
+    return a.shape == b.shape and np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def loop_slots(dim, k):
+    return [a for a in range(dim) if a != k]
+
+
+def loop_interleave(zeta):
+    out = np.empty(2 * zeta.size)
+    out[0::2] = zeta.real
+    out[1::2] = zeta.imag
+    return out
+
+
+def loop_chart(state, k):
+    amp = state.amplitudes
+    return AffineChart(k, loop_interleave(amp[loop_slots(amp.size, k)] / amp[k]))
+
+
+def loop_representative(k, xy):
+    z = np.zeros(xy.size // 2 + 1, dtype=complex)
+    z[k] = 1.0
+    z[loop_slots(z.size, k)] = xy[0::2] + 1j * xy[1::2]
+    return z
+
+
+def loop_metric(xy):
+    xy = xy[None]
+    nz2 = 1.0 + (xy * xy).sum(axis=1)
+    r = xy / np.sqrt(nz2)[:, None]
+    s = np.empty_like(r)
+    s[:, 0::2] = r[:, 1::2]
+    s[:, 1::2] = -r[:, 0::2]
+    outer = r[:, :, None] * r[:, None, :] + s[:, :, None] * s[:, None, :]
+    return ((np.eye(xy.shape[1]) - outer) / nz2[:, None, None])[0]
+
+
+def loop_field(H, k, xy):
+    z = loop_representative(k, xy)[None]
+    Az = H.apply_stack(z)
+    slots = loop_slots(H.dim, k)
+    return loop_interleave((-1j * (Az[:, slots] - z[:, slots] * Az[:, k, None]))[0])
+
+
+def loop_project_tangent(v, w, k):
+    pivot = v[k]
+    slots = loop_slots(v.size, k)
+    return loop_interleave((w[slots] * pivot - v[slots] * w[k]) / pivot**2)
+
+
+def loop_oriented_frame(sphere, theta, phi, pole_tol=1e-8):
+    v = sphere.representative(theta, phi)
+    k = int(np.argmax(np.abs(v)))
+    chart = loop_chart(StateVector(v, normalize=True), k)
+    g = loop_metric(chart.coords)
+    if abs(np.sin(theta)) > pole_tol:
+        d_th, d_ph = sphere.embedding_velocities(theta, phi)
+        t1 = loop_project_tangent(v, d_th, k)
+        t2 = loop_project_tangent(v, d_ph, k)
+    else:
+        d_th1, _ = sphere.embedding_velocities(theta, phi)
+        v2 = sphere.representative(theta, phi + np.pi / 2.0)
+        d_th2, _ = sphere.embedding_velocities(theta, phi + np.pi / 2.0)
+        t1 = loop_project_tangent(v, d_th1, k)
+        t2 = loop_project_tangent(v2, d_th2, k)
+        if theta > np.pi / 2.0:
+            t2 = -t2
+    return chart, t1 / np.sqrt(t1 @ g @ t1), t2 / np.sqrt(t2 @ g @ t2)
+
+
+def loop_scalar_vorticities(H, frames, h=FD_STEP):
+    out = np.empty(len(frames))
+    for k in sorted({chart.chart_index for chart, _, _ in frames}):
+        rows = [n for n, (chart, _, _) in enumerate(frames) if chart.chart_index == k]
+        manifold = chart_manifold(H.dim, k)
+        X = fundamental_field(H, H.dim, k)
+        x = np.array([frames[n][0].coords for n in rows])
+        w = exterior_derivative_oneform(manifold, flat_form(manifold, X), x, h)
+        u1 = np.array([frames[n][1] for n in rows])
+        u2 = np.array([frames[n][2] for n in rows])
+        out[rows] = (u1 * (w * u2[:, None, :]).sum(axis=2)).sum(axis=1)
+    return out
+
+
+def loop_vorticity_grid(H, sphere, thetas, phis):
+    nodes = [(th, ph) for th in thetas for ph in phis]
+    blocks = [
+        loop_scalar_vorticities(H, [loop_oriented_frame(sphere, *node) for node in nodes[start : start + NODE_BLOCK]])
+        for start in range(0, len(nodes), NODE_BLOCK)
+    ]
+    return np.concatenate(blocks).reshape(len(thetas), len(phis))
+
+
+def loop_gradient_routes(H, state, h=FD_STEP):
+    chart = loop_chart(state, int(np.argmax(np.abs(state.amplitudes))))
+    manifold = chart_manifold(H.dim, chart.chart_index)
+    p = pressure_scalar_field(H, chart.chart_index)
+    dp = differential(manifold, p, chart.coords, h, order=4)
+    grad = np.linalg.solve(manifold.metric_at(chart.coords), dp)
+    X = fundamental_field(H, H.dim, chart.chart_index)
+    advection = covariant_derivative(manifold, X, X, chart.coords, h)
+    mismatch = grad + advection
+    return chart, grad, float(np.sqrt(mismatch @ manifold.metric_at(chart.coords) @ mismatch))
+
+
+def loop_pressure_gradient(H, state, cross_tol=1e-5):
+    chart, grad, mismatch_norm = loop_gradient_routes(H, state)
+    if mismatch_norm > cross_tol:
+        raise ValueError(
+            f"pressure gradient routes disagree by {mismatch_norm!r} (> {cross_tol}); "
+            "metric normalization or field generator is inconsistent"
+        )
+    base_v, w = horizontal_lift(chart, grad)
+    return TangentAtPoint(ProjectivePoint(StateVector(base_v)), w)
+
+
+def loop_candidates(H):
+    vals, vecs = H.eigenvalues, H.eigenvectors
+    out = [(StateVector(vecs[:, i], normalize=True), "eigenstate", (i,), 0.0, False) for i in range(H.dim)]
+    for i in range(H.dim):
+        for j in range(i):
+            state = StateVector((vecs[:, j] + vecs[:, i]) / np.sqrt(2.0), normalize=True)
+            out.append((state, "pair_superposition", (i, j), float(vals[i] - vals[j]) ** 2 / 8.0, True))
+    return out
+
+
+def loop_critical_points(H, grad_tol=1e-8, cross_tol=1e-5):
+    out = []
+    for state, kind, indices, press, phase_orbit in loop_candidates(H):
+        norm = loop_pressure_gradient(H, state, cross_tol=cross_tol).norm
+        if norm > grad_tol:
+            raise ValueError(f"enumerated {kind} {indices} fails the gradient check: |grad p| = {norm!r}")
+        out.append(CriticalPoint(kind, indices, state, press, phase_orbit, norm))
+    return out
+
+
+def loop_dispersion_via_metric(H, state):
+    chart = loop_chart(state, int(np.argmax(np.abs(state.amplitudes))))
+    X = loop_field(H, chart.chart_index, chart.coords)
+    return float(X @ loop_metric(chart.coords) @ X)
+
+
+def loop_fubini_study_distance(u, v):
+    overlap = u.inner(v)
+    phase = overlap / abs(overlap) if overlap != 0 else 1.0
+    chord = float(np.linalg.norm(v.amplitudes - phase * u.amplitudes))
+    return 2.0 * float(np.arcsin(min(chord / 2.0, 1.0)))
+
+
+def test_chart_metric_representative_and_field_equal_loop_copies_bit_for_bit():
+    rng = np.random.default_rng(61)
+    for dim in (2, 3, 4, 5):
+        H = random_hermitian(rng, dim)
+        for k in range(dim):
+            xy = rng.normal(scale=rng.choice([0.3, 1.0, 3.0]), size=(7, 2 * (dim - 1)))
+            chart = AffineChart(k, xy)
+            assert same_bits(fubini_study_metric(chart), [loop_metric(x) for x in xy])
+            assert same_bits(representative(chart), [loop_representative(k, x) for x in xy])
+            assert same_bits(fundamental_field_at(H, chart), [loop_field(H, k, x) for x in xy])
+            for x in xy:
+                one = AffineChart(k, x)
+                assert same_bits(fubini_study_metric(one), loop_metric(x))
+                assert same_bits(fundamental_field_at(H, one), loop_field(H, k, x))
+            state = random_state(rng, dim)
+            assert same_bits(chart_of(state, k).coords, loop_chart(state, k).coords)
+            v, w = rng.normal(size=(2, dim)) + 1j * rng.normal(size=(2, dim))
+            assert same_bits(project_tangent(v, w, k), loop_project_tangent(v, w, k))
+
+
+@pytest.mark.parametrize("dim", [3, 4, 5])
+def test_vorticity_grid_equals_per_node_loop_bit_for_bit(dim):
+    rng = np.random.default_rng(62 + dim)
+    H = random_hermitian(rng, dim)
+    for grid in ((9, 6), (17, 8)):  # 17 x 8 puts more than NODE_BLOCK nodes in a chart
+        i = int(rng.integers(1, dim))
+        j = int(rng.integers(0, i))
+        sphere = geodesic_sphere(H, i, j)
+        thetas = np.linspace(0.0, np.pi, grid[0])
+        phis = np.linspace(0.0, 2.0 * np.pi, grid[1], endpoint=False)
+        ks, coords, u1, u2 = sphere.oriented_frames(np.repeat(thetas, grid[1]), np.tile(phis, grid[0]))
+        frames = [loop_oriented_frame(sphere, th, ph) for th in thetas for ph in phis]
+        assert len(set(ks.tolist())) >= 2  # the grid spans two charts or more
+        assert ks.tolist() == [chart.chart_index for chart, _, _ in frames]
+        assert same_bits(coords, [chart.coords for chart, _, _ in frames])
+        assert same_bits(u1, [f[1] for f in frames]) and same_bits(u2, [f[2] for f in frames])
+        for n in (0, len(frames) - 1, len(frames) // 2):  # both poles and a node between them
+            chart, e1, e2 = sphere.oriented_frame(np.repeat(thetas, grid[1])[n], np.tile(phis, grid[0])[n])
+            assert chart.chart_index == frames[n][0].chart_index and same_bits(chart.coords, frames[n][0].coords)
+            assert same_bits(e1, frames[n][1]) and same_bits(e2, frames[n][2])
+        profile = vorticity_on_sphere(H, i, j, grid=grid)
+        assert same_bits(profile.numeric, loop_vorticity_grid(H, sphere, thetas, phis))
+        one = loop_scalar_vorticities(H, [frames[grid[1] + 2]])[0]
+        assert scalar_vorticity(H, i, j, thetas[1], phis[2]) == float(one)
+
+
+@pytest.mark.parametrize("dim", [3, 4, 5])
+def test_critical_points_and_gradients_equal_per_point_loop_bit_for_bit(dim):
+    rng = np.random.default_rng(65 + dim)
+    H = random_hermitian(rng, dim)
+    cps, ref = critical_points(H), loop_critical_points(H)
+    assert len(cps) == len(ref) == dim + dim * (dim - 1) // 2
+    for cp, expect in zip(cps, ref):
+        assert (cp.kind, cp.indices, cp.pressure, cp.phase_orbit) == (
+            expect.kind, expect.indices, expect.pressure, expect.phase_orbit
+        )
+        assert same_bits(cp.state.amplitudes, expect.state.amplitudes)
+        assert cp.gradient_norm == expect.gradient_norm
+    for _ in range(5):
+        state = random_state(rng, dim)
+        grad, expect = pressure_gradient(H, state), loop_pressure_gradient(H, state)
+        assert same_bits(grad.horizontal, expect.horizontal)
+        assert same_bits(grad.base.state.amplitudes, expect.base.state.amplitudes)
+
+
+@pytest.mark.parametrize("dim", [3, 4, 5])
+def test_critical_point_failures_raise_the_loop_message_in_enumeration_order(dim):
+    rng = np.random.default_rng(68 + dim)
+    H = random_hermitian(rng, dim)
+    states = [state for state, *_ in loop_candidates(H)]
+    mismatches = [loop_gradient_routes(H, state)[2] for state in states]
+    norms = [cp.gradient_norm for cp in loop_critical_points(H)]
+    # a threshold between the candidates' values: the first candidate above it, in enumeration order, raises
+    for grad_tol, cross_tol, message in (
+        (1e-8, float(np.median(mismatches)), "routes disagree"),
+        (float(np.median(norms)), 1e-5, "fails the gradient check"),
+    ):
+        with pytest.raises(ValueError, match=message) as stacked:
+            critical_points(H, grad_tol=grad_tol, cross_tol=cross_tol)
+        with pytest.raises(ValueError) as loop:
+            loop_critical_points(H, grad_tol=grad_tol, cross_tol=cross_tol)
+        assert str(stacked.value) == str(loop.value)
+    with pytest.raises(ValueError, match="routes disagree") as stacked:
+        critical_points(H, cross_tol=0.0)
+    with pytest.raises(ValueError) as loop:
+        loop_critical_points(H, cross_tol=0.0)
+    assert str(stacked.value) == str(loop.value)
+
+
+def test_dispersion_identity_equals_per_state_loop_bit_for_bit(tmp_path):
+    rng = np.random.default_rng(72)
+    for dim in (2, 3, 4, 5):
+        H = random_hermitian(rng, dim)
+        states = [random_state(rng, dim) for _ in range(40)]
+        amps = np.array([state.amplitudes for state in states])
+        expect = [loop_dispersion_via_metric(H, state) for state in states]
+        assert same_bits(dispersion_via_metric_stack(H, amps), expect)
+        assert [dispersion_via_metric(H, state) for state in states[:5]] == expect[:5]
+    # the verify command's dispersion_identity check, against its per-state loop on the same states
+    H = random_hermitian(rng, 4)
+    path = tmp_path / "H.json"
+    path.write_text(json.dumps({"dim": 4, "re": H.matrix.real.tolist(), "im": H.matrix.imag.tolist()}))
+    out = tmp_path / "verify.json"
+    assert main(["verify", "--input", str(path), "--seed", "5", "--output", str(out)]) == 0
+    check = next(c for c in json.loads(out.read_text())["checks"] if c["check"] == "dispersion_identity")
+    H = hermitian_from_json(str(path))
+    states_rng = np.random.default_rng(5 + 1)
+    raw = states_rng.normal(size=(50, 4)) + 1j * states_rng.normal(size=(50, 4))
+    gap = 0.0
+    for state in (StateVector(row, normalize=True) for row in raw):
+        gap = max(gap, abs(loop_dispersion_via_metric(H, state) - dispersion_squared(H, state)))
+    assert check["max_residual"] == gap
+
+
+@pytest.mark.parametrize("dim", [3, 4, 5])
+def test_trajectory_deviations_equal_per_sample_loop_bit_for_bit(dim):
+    rng = np.random.default_rng(75 + dim)
+    H = random_hermitian(rng, dim)
+    report = schrodinger_trajectory(H, ProjectivePoint(random_state(rng, dim)), T=1.0, steps=60)
+    k, m = report.chart_index, min(len(report.flow), len(report.geodesic))
+    expect = [
+        loop_fubini_study_distance(
+            AffineChart(k, report.flow.points[s]).to_state(), AffineChart(k, report.geodesic.points[s]).to_state()
+        )
+        for s in range(m)
+    ]
+    assert same_bits(report.deviations, expect) and report.max_deviation == max(expect)
+    u, v = random_state(rng, dim), random_state(rng, dim)
+    assert fubini_study_distance(u, v) == loop_fubini_study_distance(u, v)
+    assert fubini_study_distance(u, u) == loop_fubini_study_distance(u, u)

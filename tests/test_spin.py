@@ -356,6 +356,23 @@ def test_divisor_breakdown_on_finite_input_is_named_and_silent(coeffs, stage):
         total_spin_circulation(chi)
 
 
+# The divisor of each is fine; chi'/chi overflows on the contour, to nan and to inf
+NON_FINITE_CIRCULATION = [[4e304, 6e301, -1e306, 5e302], [-1e300, 7e303, -4e303, 5e307]]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("coeffs", NON_FINITE_CIRCULATION)
+def test_non_finite_circulation_is_a_named_breakdown(coeffs):
+    chi = SpinWaveFunction(3, coeffs)
+    assert vorticity_divisor(chi).total == 3
+    with pytest.raises(NumericalBreakdownError, match="circulation integral is (nan|inf)") as info:
+        total_spin_circulation(chi)
+    assert not isinstance(info.value, ValueError)
+    ring = CircleContour(0.0, 2.0 * float(np.abs(chi.roots()).max()) + 1.0)
+    with pytest.raises(NumericalBreakdownError):
+        circulation(chi, ring)
+
+
 # ---------------------------------------------------------------------------
 # Quantization checks
 
