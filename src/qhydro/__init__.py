@@ -43,7 +43,6 @@ from .riemann import (
 from .projective import (
     AffineChart,
     GeodesicSphere,
-    ProjectivePoint,
     TangentAtPoint,
     chart_manifold,
     chart_of,
@@ -51,7 +50,6 @@ from .projective import (
     fubini_study_distance,
     fubini_study_metric,
     fundamental_field,
-    geodesic_sphere,
 )
 from .fluid import (
     CriticalPoint,

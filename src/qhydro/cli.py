@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import warnings
 from dataclasses import dataclass, field
@@ -18,13 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import fluid, jsonio, projective, riemann, spin
-from .hilbert import (
-    DegenerateSpectrumError,
-    StateVector,
-    dispersion_squared,
-    dispersion_squared_stack,
-    hermitian_from_json,
-)
+from .hilbert import DegenerateSpectrumError, StateVector, dispersion_squared, hermitian_from_json, normalized_rows
 from .jsonio import MAX_GRID_NODES
 
 EXIT_OK = 0
@@ -72,9 +67,9 @@ def _emit(config: RunConfig, report: dict):
 
 
 def _random_states(dim, count, seed):
+    """A (count, dim) stack of random unit vectors."""
     rng = np.random.default_rng(seed)
-    raw = rng.normal(size=(count, dim)) + 1j * rng.normal(size=(count, dim))
-    return [StateVector(row, normalize=True) for row in raw]
+    return normalized_rows(rng.normal(size=(count, dim)) + 1j * rng.normal(size=(count, dim)))
 
 
 def _require_affordable_grid(config, nodes):
@@ -97,11 +92,11 @@ def _check(name, max_residual, threshold, n_points):
 
 def cmd_verify(config: RunConfig) -> int:
     H = hermitian_from_json(config.input_path)
-    charts = [projective.chart_of(state) for state in _random_states(H.dim, 100, config.seed)]
+    states = _random_states(H.dim, 100, config.seed)
     killing = euler = ortho = diver = transport = 0.0
     # the states of one chart go through each operator as one stack of base points
-    for k in sorted({chart.chart_index for chart in charts}):
-        x = np.array([chart.coords for chart in charts if chart.chart_index == k])
+    for k, rows in projective.chart_rows(np.abs(states).argmax(axis=1)):
+        x = projective.chart_of(states[rows], k).coords
         manifold = projective.chart_manifold(H.dim, k)
         X = projective.fundamental_field(H, H.dim, k)
         p = fluid.pressure_scalar_field(H, k)
@@ -113,8 +108,8 @@ def cmd_verify(config: RunConfig) -> int:
         diver = max(diver, float(np.abs(riemann.divergence(manifold, X, x)).max()))
         lemma = riemann.lie_derivative_oneform(manifold, X, riemann.flat_form(manifold, X), x)
         transport = max(transport, float(riemann.covector_norm(manifold, lemma, x).max()))
-    states = np.array([state.amplitudes for state in _random_states(H.dim, 50, config.seed + 1)])
-    gaps = np.abs(projective.dispersion_via_metric_stack(H, states) - dispersion_squared_stack(H, states))
+    states = _random_states(H.dim, 50, config.seed + 1)
+    gaps = np.abs(projective.dispersion_via_metric(H, states) - dispersion_squared(H, states))
     checks = [
         _check("killing_residual", killing, config.tol("killing"), 100),
         _check("euler_residual", euler, config.tol("euler"), 100),
@@ -238,7 +233,7 @@ def cmd_trajectory(config: RunConfig) -> int:
     H, state = _hamiltonian_and_state(config)
     steps = max(config.grid, 2)
     _require_affordable_grid(config, steps)
-    report = fluid.schrodinger_trajectory(H, projective.ProjectivePoint(state), T=config.t, steps=steps)
+    report = fluid.schrodinger_trajectory(H, state, T=config.t, steps=steps)
     grad_norm = fluid.pressure_gradient(H, state).norm
     _emit(
         config,
@@ -370,11 +365,17 @@ def main(argv=None) -> int:
     if args.grid < 2:
         sys.stderr.write("error: --grid must be >= 2\n")
         return EXIT_INPUT_ERROR
+    if not math.isfinite(args.t):
+        sys.stderr.write(f"error: --t must be finite, got {args.t!r}\n")
+        return EXIT_INPUT_ERROR
     tolerances = {}
-    if args.tol_euler is not None:
-        tolerances["euler"] = args.tol_euler
-    if args.tol_killing is not None:
-        tolerances["killing"] = args.tol_killing
+    for name, tol in (("euler", args.tol_euler), ("killing", args.tol_killing)):
+        if tol is None:
+            continue
+        if not (math.isfinite(tol) and tol > 0.0):
+            sys.stderr.write(f"error: --tol-{name} must be finite and > 0, got {tol!r}\n")
+            return EXIT_INPUT_ERROR
+        tolerances[name] = tol
     config = RunConfig(
         command=args.command,
         input_path=args.input,

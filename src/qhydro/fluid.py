@@ -6,6 +6,12 @@ pressure p = (Delta H)^2 / 2, half the local variance. This module computes
 the pressure field, its gradient and critical set, the signed vorticity on
 eigenstate-pair spheres, the repeated-measurement (Zeno) survival law, and
 flow-vs-geodesic trajectory comparisons.
+
+A state is a StateVector; pressure also takes an (N, dim) stack of unit
+rows, one value per row. Grid nodes, candidate points and trajectory
+samples are evaluated as stacks, the rows of one chart (grouped by
+projective.chart_rows) as one stack per operator, and give the same bits
+as the one-point calls.
 """
 
 from __future__ import annotations
@@ -16,25 +22,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import (
-    HermitianOperator,
-    StateVector,
-    dispersion_squared,
-    dispersion_squared_stack,
-    survival_probability,
-)
+from .hilbert import HermitianOperator, StateVector, dispersion_squared, normalized_rows, survival_probability
 from .projective import (
     AffineChart,
-    ProjectivePoint,
+    GeodesicSphere,
     TangentAtPoint,
     chart_manifold,
     chart_of,
-    fubini_study_distance_stack,
+    chart_rows,
+    fubini_study_distance,
     fundamental_field,
-    geodesic_sphere,
     horizontal_lift,
     representative,
-    unit_representative,
 )
 from .riemann import (
     FD_STEP,
@@ -73,17 +72,21 @@ __all__ = [
 NODE_BLOCK = 32
 
 
-def _as_point(point) -> ProjectivePoint:
-    return point if isinstance(point, ProjectivePoint) else ProjectivePoint(point)
+def pressure(H: HermitianOperator, point):
+    """Fluid pressure at a state: half the variance of H (zero exactly at eigenstates).
 
-
-def pressure(H: HermitianOperator, point) -> float:
-    """Fluid pressure at a state: half the variance of H (zero exactly at eigenstates)."""
-    return 0.5 * dispersion_squared(H, _as_point(point).state)
+    A float for a StateVector, one value per row of an (N, dim) unit stack.
+    """
+    return 0.5 * dispersion_squared(H, point)
 
 
 def _unit_rows(z):
-    """Each row of a complex (N, dim) stack scaled to unit norm, on its own."""
+    """Each row of a complex (N, dim) stack scaled to unit norm, on its own.
+
+    By a row sum of squares, not hilbert.normalized_rows: the pressure field
+    and the pressure CSV grids are computed with it, and the BLAS norm would
+    round their last bits differently.
+    """
     if not np.isfinite(z.view(float)).all():
         raise ValueError("state vector has non-finite amplitudes")
     return z / np.sqrt((z.real * z.real + z.imag * z.imag).sum(axis=1))[:, None]
@@ -93,7 +96,7 @@ def pressure_scalar_field(H: HermitianOperator, chart_index) -> ScalarField:
     """The pressure as a scalar field on one affine chart, evaluated on whole stacks of chart points."""
 
     def value(points):
-        return 0.5 * dispersion_squared_stack(H, _unit_rows(representative(AffineChart(chart_index, points))))
+        return 0.5 * dispersion_squared(H, _unit_rows(representative(AffineChart(chart_index, points))))
 
     return ScalarField(StackFunction(value))
 
@@ -108,7 +111,7 @@ def pressure_gradient(H: HermitianOperator, point, h=FD_STEP, cross_tol=1e-5) ->
     it raises rather than returning either value. One state is the one-row
     case of the stacked gradients of critical_points.
     """
-    chart = _as_point(point).chart()
+    chart = chart_of(point)
     grads, mismatches = _pressure_gradients(H, [chart], h)
     return _gradient_tangent(chart, grads[0], mismatches[0], cross_tol)
 
@@ -120,9 +123,7 @@ def _pressure_gradients(H, charts, h):
     """
     dim = 2 * (H.dim - 1)
     grads, mismatches = np.empty((len(charts), dim)), np.empty(len(charts))
-    ks = np.array([chart.chart_index for chart in charts])
-    for k in sorted(set(ks.tolist())):
-        rows = np.flatnonzero(ks == k)
+    for k, rows in chart_rows([chart.chart_index for chart in charts]):
         x = np.array([charts[n].coords for n in rows])
         manifold = chart_manifold(H.dim, k)
         dp = differential(manifold, pressure_scalar_field(H, k), x, h, order=4)
@@ -144,7 +145,7 @@ def _gradient_tangent(chart, grad, mismatch, cross_tol):
             "metric normalization or field generator is inconsistent"
         )
     base_v, w = horizontal_lift(chart, grad)
-    return TangentAtPoint(ProjectivePoint(StateVector(base_v)), w)
+    return TangentAtPoint(StateVector(base_v), w)
 
 
 @dataclass(frozen=True)
@@ -206,7 +207,7 @@ def scalar_vorticity(H: HermitianOperator, i, j, theta, phi, h=FD_STEP) -> float
     value is comparable with the closed form 2 omega cos(theta) everywhere,
     poles included.
     """
-    ks, coords, u1, u2 = geodesic_sphere(H, i, j).oriented_frames([theta], [phi])
+    ks, coords, u1, u2 = GeodesicSphere(H, i, j).oriented_frames([theta], [phi])
     return float(_scalar_vorticities(H, ks, coords, u1, u2, h)[0])
 
 
@@ -216,12 +217,11 @@ def _scalar_vorticities(H, ks, coords, u1, u2, h):
     The frames of one chart form stacks of at most NODE_BLOCK nodes.
     """
     out = np.empty(len(ks))
-    for k in sorted(set(ks.tolist())):
+    for k, in_chart in chart_rows(ks):
         manifold = chart_manifold(H.dim, k)
         alpha = flat_form(manifold, fundamental_field(H, H.dim, k))
-        chart_rows = np.flatnonzero(ks == k)
-        for start in range(0, len(chart_rows), NODE_BLOCK):
-            rows = chart_rows[start : start + NODE_BLOCK]
+        for start in range(0, len(in_chart), NODE_BLOCK):
+            rows = in_chart[start : start + NODE_BLOCK]
             w = exterior_derivative_oneform(manifold, alpha, coords[rows], h)
             out[rows] = (u1[rows] * (w * u2[rows][:, None, :]).sum(axis=2)).sum(axis=1)
     return out
@@ -260,7 +260,7 @@ def vorticity_on_sphere(H: HermitianOperator, i, j, grid=(64, 64), h=FD_STEP) ->
     n_theta, n_phi = int(grid[0]), int(grid[1])
     if n_theta < 2 or n_phi < 2:
         raise ValueError(f"grid resolutions must be >= 2, got {grid}")
-    sphere = geodesic_sphere(H, i, j)
+    sphere = GeodesicSphere(H, i, j)
     thetas = np.linspace(0.0, np.pi, n_theta)
     phis = np.linspace(0.0, 2.0 * np.pi, n_phi, endpoint=False)
     frames = sphere.oriented_frames(np.repeat(thetas, n_phi), np.tile(phis, n_theta))
@@ -290,7 +290,7 @@ def vorticity_transport_residual(H: HermitianOperator, i, j, theta, phi, field=N
     pair or a callable of (theta, phi); the default is the Schrodinger
     rotation (0, omega).
     """
-    sphere = geodesic_sphere(H, i, j)
+    sphere = GeodesicSphere(H, i, j)
     omega = sphere.omega
 
     def w_tilde(th):
@@ -347,16 +347,16 @@ def schrodinger_trajectory(H: HermitianOperator, point, T=1.0, steps=1000) -> Tr
     point and grows at generic starts, where the flow follows a non-geodesic
     latitude circle.
     """
-    point = _as_point(point)
-    chart = point.chart()
+    chart = chart_of(point)
     k = chart.chart_index
     manifold = chart_manifold(H.dim, k)
     X = fundamental_field(H, H.dim, k)
     flow = flow_integrate(X, chart.coords, T, steps)
     geo = geodesic_integrate(manifold, chart.coords, X(chart.coords), T, steps)
     m = min(len(flow), len(geo))
-    devs = fubini_study_distance_stack(
-        unit_representative(AffineChart(k, flow.points[:m])), unit_representative(AffineChart(k, geo.points[:m]))
+    devs = fubini_study_distance(
+        normalized_rows(representative(AffineChart(k, flow.points[:m]))),
+        normalized_rows(representative(AffineChart(k, geo.points[:m]))),
     )
     return TrajectoryReport(k, flow, geo, devs, float(devs.max()))
 
@@ -370,10 +370,10 @@ def pressure_on_sphere(H: HermitianOperator, i, j, grid=(64, 64)):
     n_theta, n_phi = int(grid[0]), int(grid[1])
     if n_theta < 2 or n_phi < 2:
         raise ValueError(f"grid resolutions must be >= 2, got {grid}")
-    sphere = geodesic_sphere(H, i, j)
+    sphere = GeodesicSphere(H, i, j)
     thetas = np.repeat(np.linspace(0.0, np.pi, n_theta), n_phi)
     phis = np.tile(np.linspace(0.0, 2.0 * np.pi, n_phi, endpoint=False), n_theta)
-    numeric = 0.5 * dispersion_squared_stack(H, _unit_rows(sphere.representative(thetas[:, None], phis[:, None])))
+    numeric = 0.5 * dispersion_squared(H, _unit_rows(sphere.representative(thetas[:, None], phis[:, None])))
     analytic = sphere.omega**2 * np.sin(thetas) ** 2 / 8.0
     return [
         (float(th), float(ph), float(num), float(ana), abs(float(num) - float(ana)))

@@ -16,10 +16,10 @@ __all__ = [
     "DegenerateSpectrumError",
     "expectation",
     "dispersion_squared",
-    "dispersion_squared_stack",
     "evolve",
     "survival_probability",
     "hermitian_from_json",
+    "normalized_rows",
 ]
 
 # Relative thresholds for validating operator input; the underlying theory
@@ -28,6 +28,8 @@ HERMITICITY_RTOL = 1e-10
 DEGENERACY_RTOL = 1e-8
 NORM_TOL = 1e-10
 PHASE_TOL = 1e-10
+# Below this norm a row's sum of squares is subnormal or zero, and inexact.
+_MIN_NORM = float(np.sqrt(np.finfo(float).tiny))
 # Rows per block of HermitianOperator.apply_stack.
 STACK_BLOCK = 4096
 
@@ -50,15 +52,12 @@ class StateVector:
         amp = np.asarray(amplitudes, dtype=complex).copy()
         if amp.ndim != 1 or amp.size < 2:
             raise ValueError(f"state vector must be 1-d with dimension >= 2, got shape {amp.shape}")
-        if not np.all(np.isfinite(amp.view(float))):
-            raise ValueError("state vector has non-finite amplitudes")
-        nrm = float(np.linalg.norm(amp))
-        if nrm == 0.0:
-            raise ValueError("state vector must be nonzero")
         if normalize:
-            amp = amp / nrm
-        elif abs(nrm - 1.0) > NORM_TOL:
-            raise ValueError(f"state vector not normalized: |v| = {nrm!r}")
+            amp = normalized_rows(amp[None])[0]
+        else:
+            nrm = float(_row_norms(amp[None])[0])
+            if abs(nrm - 1.0) > NORM_TOL:
+                raise ValueError(f"state vector not normalized: |v| = {nrm!r}")
         amp.setflags(write=False)
         object.__setattr__(self, "amplitudes", amp)
 
@@ -94,6 +93,46 @@ class StateVector:
 
     def __repr__(self):
         return f"StateVector({np.array2string(self.amplitudes, precision=6)})"
+
+
+def _row_norms(z):
+    """The 1-d np.linalg.norm (BLAS) of each row of a stack, as a list; inf where the sum of squares overflows."""
+    if not np.isfinite(z.view(float)).all():
+        raise ValueError("state vector has non-finite amplitudes")
+    with np.errstate(over="ignore"):
+        return [np.linalg.norm(row) for row in z]
+
+
+def normalized_rows(z):
+    """Each row of a complex (N, dim) stack divided by its norm: the normalizer of StateVector.
+
+    The norm of a row is its 1-d np.linalg.norm (BLAS), row by row: a row
+    sum of squares rounds differently. Where that norm overflows, or its sum
+    of squares underflows, the row is first divided by its largest real or
+    imaginary part; ordinary rows never take that branch. An all-zero row
+    raises.
+    """
+    norms = np.array(_row_norms(z))
+    if not all(_MIN_NORM <= norm < np.inf for norm in norms.tolist()):
+        extreme = (norms < _MIN_NORM) | (norms == np.inf)
+        parts = z[extreme].view(float)
+        scale = np.abs(parts).max(axis=1)
+        if not scale.all():
+            raise ValueError("state vector must be nonzero")
+        z = z.copy()
+        # real division: a complex one forms 1 / scale, which overflows for a subnormal scale
+        z[extreme] = (parts / scale[:, None]).view(complex)
+        norms[extreme] = _row_norms(z[extreme])
+    return z / norms[:, None]
+
+
+def _per_state(rows_fn, *states):
+    """rows_fn, a function of (N, dim) stacks of unit vectors, on StateVectors (a float) or on stacks (N values)."""
+    if isinstance(states[0], StateVector):
+        return float(rows_fn(*(state.amplitudes[None] for state in states))[0])
+    if any(np.ndim(stack) != 2 for stack in states):
+        raise ValueError("expected StateVectors or (N, dim) stacks of unit vectors")
+    return rows_fn(*(np.asarray(stack) for stack in states))
 
 
 class HermitianOperator:
@@ -213,26 +252,25 @@ def expectation(A: HermitianOperator, v: StateVector) -> float:
     return float(raw.real)
 
 
-def dispersion_squared(H: HermitianOperator, v: StateVector) -> float:
-    """Variance <v|H^2 v> - <v|H v>^2 of H in the state v: the one-row dispersion_squared_stack."""
-    return float(dispersion_squared_stack(H, v.amplitudes[None])[0])
-
-
-def dispersion_squared_stack(H: HermitianOperator, vectors) -> np.ndarray:
-    """Variance of H in each row of an (N, dim) stack of unit vectors.
+def dispersion_squared(H: HermitianOperator, v):
+    """Variance <v|H^2 v> - <v|H v>^2 of H: a float for a StateVector, one value per row of a unit stack.
 
     Computed as |Hv|^2 - <H>^2, which is nonnegative up to round-off; small
     negative round-off is clamped to zero, and a row negative beyond it
     raises. Each row is computed on its own (H.apply_stack, row sums).
     """
-    w = H.apply_stack(vectors)
-    mean = (vectors.real * w.real + vectors.imag * w.imag).sum(axis=1)
-    second = (w.real * w.real + w.imag * w.imag).sum(axis=1)
-    out = second - mean * mean
-    negative = out < -1e-12 * np.maximum(second, 1.0)
-    if negative.any():
-        raise ValueError(f"dispersion came out negative beyond round-off: {float(out[negative.argmax()])!r}")
-    return np.where(out < 0.0, 0.0, out)
+
+    def rows(vectors):
+        w = H.apply_stack(vectors)
+        mean = (vectors.real * w.real + vectors.imag * w.imag).sum(axis=1)
+        second = (w.real * w.real + w.imag * w.imag).sum(axis=1)
+        out = second - mean * mean
+        negative = out < -1e-12 * np.maximum(second, 1.0)
+        if negative.any():
+            raise ValueError(f"dispersion came out negative beyond round-off: {float(out[negative.argmax()])!r}")
+        return np.where(out < 0.0, 0.0, out)
+
+    return _per_state(rows, v)
 
 
 def evolve(H: HermitianOperator, v: StateVector, t: float) -> StateVector:

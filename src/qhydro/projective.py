@@ -5,6 +5,14 @@ zeta_a = z_a / z_k (a != k), realified by interleaving (Re, Im). The metric
 is normalized so that the squared length of the generator of the Schrodinger
 flow equals the variance of the Hamiltonian; under this convention the
 projective line is a round sphere of radius 1/2.
+
+A point of CP^n is passed as a StateVector, any unit representative of its
+ray (StateVector.phase_equal compares rays). Many points are an (N, dim)
+stack of unit rows: the functions of states follow riemann's point-or-stack
+convention, a float for a StateVector and one value per row for a stack.
+Chart coordinates, of one point or of a stack in one chart, are an
+AffineChart; chart_rows groups the rows of a stack by chart index, so that
+the rows of one chart go through each operator as one stack.
 """
 
 from __future__ import annotations
@@ -14,17 +22,16 @@ from functools import lru_cache
 
 import numpy as np
 
-from .hilbert import HermitianOperator, StateVector
+from .hilbert import HermitianOperator, StateVector, _per_state, normalized_rows
 from .riemann import ChartManifold, StackFunction, VectorField
 
 __all__ = [
-    "ProjectivePoint",
     "AffineChart",
     "TangentAtPoint",
     "GeodesicSphere",
-    "chart_slots",
     "representative",
     "chart_of",
+    "chart_rows",
     "fubini_study_metric",
     "chart_manifold",
     "fundamental_field",
@@ -32,23 +39,14 @@ __all__ = [
     "horizontal_lift",
     "project_tangent",
     "dispersion_via_metric",
-    "dispersion_via_metric_stack",
-    "unit_representative",
     "fubini_study_distance",
-    "fubini_study_distance_stack",
-    "geodesic_sphere",
 ]
-
-
-def chart_slots(dim, k):
-    """Ambient indices carrying chart coordinates (all but the pivot k)."""
-    return [a for a in range(dim) if a != k]
 
 
 @lru_cache(maxsize=None)
 def _slots(dim, k):
-    """chart_slots(dim, k) as an index array: built once per (dim, k), read-only."""
-    slots = np.array(chart_slots(dim, k), dtype=np.intp)
+    """Ambient indices carrying chart-k coordinates (all but the pivot k): built once per (dim, k), read-only."""
+    slots = np.array([a for a in range(dim) if a != k], dtype=np.intp)
     slots.flags.writeable = False
     return slots
 
@@ -117,83 +115,42 @@ def representative(chart: AffineChart) -> np.ndarray:
     return z
 
 
-def unit_representative(chart: AffineChart) -> np.ndarray:
-    """representative(chart) scaled to unit norm, each row as StateVector(row, normalize=True) scales it."""
-    return _shaped(chart, _state_rows(representative(chart).reshape(-1, chart.ambient_dim)))
-
-
-def _state_rows(z):
-    """Each row of a complex (N, dim) stack normalized as StateVector(row, normalize=True) normalizes it.
-
-    That is by its 1-d np.linalg.norm (BLAS), row by row: a row sum of squares rounds differently.
-    """
-    if not np.isfinite(z.view(float)).all():
-        raise ValueError("state vector has non-finite amplitudes")
-    return z / np.array([np.linalg.norm(row) for row in z])[:, None]
-
-
-def _coords_in_chart(vectors, k):
-    """Chart-k coordinates v_a / v_k of each row of an (N, dim) stack of vectors."""
-    if not vectors[:, k].all():
-        raise ValueError(f"state has zero amplitude at chart index {k}")
-    return _interleave(vectors[:, _slots(vectors.shape[1], k)] / vectors[:, k, None])
-
-
-def _charts_of_rows(vectors, ks):
-    """(rows, chart) per chart index k in ks: the rows n with ks[n] = k, as one chart-k stack."""
+def chart_rows(ks):
+    """(k, rows) for each chart index k in ks, ascending: rows holds the n with ks[n] = k."""
+    ks = np.asarray(ks)
     for k in sorted(set(ks.tolist())):
-        rows = np.flatnonzero(ks == k)
-        yield rows, AffineChart(k, _coords_in_chart(vectors[rows], k))
-
-
-class ProjectivePoint:
-    """A ray of C^(n+1): a pure quantum state up to phase."""
-
-    __slots__ = ("state",)
-
-    def __init__(self, state: StateVector):
-        object.__setattr__(self, "state", state)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ProjectivePoint is immutable")
-
-    @property
-    def chart_index(self):
-        """Index of the largest-modulus amplitude; keeps chart coords in the unit polydisc."""
-        return int(np.argmax(np.abs(self.state.amplitudes)))
-
-    def same_ray(self, other, tol=1e-10) -> bool:
-        state = other.state if isinstance(other, ProjectivePoint) else other
-        return self.state.phase_equal(state, tol)
-
-    def chart(self, chart_index=None) -> AffineChart:
-        return chart_of(self.state, chart_index)
-
-    def __repr__(self):
-        return f"ProjectivePoint({self.state!r})"
+        yield k, np.flatnonzero(ks == k)
 
 
 def chart_of(state, chart_index=None) -> AffineChart:
-    """Affine chart coordinates of a state (default: its preferred chart)."""
-    if isinstance(state, ProjectivePoint):
-        state = state.state
-    amp = state.amplitudes
-    if chart_index is None:
-        chart_index = int(np.argmax(np.abs(amp)))
-    return AffineChart(chart_index, _coords_in_chart(amp[None], chart_index)[0])
+    """Chart coordinates v_a / v_k of a StateVector, or of each row of an (N, dim) stack of vectors.
+
+    A state defaults to its preferred chart k, the index of its largest-modulus
+    amplitude, which keeps its coordinates in the unit polydisc; a stack
+    needs chart_index.
+    """
+    one = isinstance(state, StateVector)
+    vectors = state.amplitudes[None] if one else np.asarray(state)
+    if chart_index is None and not one:
+        raise ValueError("a stack of states needs an explicit chart index")
+    k = int(np.argmax(np.abs(vectors[0]))) if chart_index is None else chart_index
+    if not vectors[:, k].all():
+        raise ValueError(f"state has zero amplitude at chart index {k}")
+    coords = _interleave(vectors[:, _slots(vectors.shape[1], k)] / vectors[:, k, None])
+    return AffineChart(k, coords[0] if one else coords)
 
 
 @dataclass(frozen=True)
 class TangentAtPoint:
     """Tangent vector presented as a horizontal lift: <v|w> = 0."""
 
-    base: ProjectivePoint
+    base: StateVector
     horizontal: np.ndarray
 
     def __post_init__(self):
         w = np.asarray(self.horizontal, dtype=complex)
         object.__setattr__(self, "horizontal", w)
-        residue = abs(np.vdot(self.base.state.amplitudes, w))
+        residue = abs(np.vdot(self.base.amplitudes, w))
         if residue > 1e-12 * max(1.0, float(np.linalg.norm(w))):
             raise ValueError(f"tangent vector is not horizontal: |<v|w>| = {residue!r}")
 
@@ -277,7 +234,7 @@ def horizontal_lift(chart: AffineChart, u) -> tuple[np.ndarray, np.ndarray]:
     nz = float(np.linalg.norm(z))
     v = z / nz
     U = np.zeros(chart.ambient_dim, dtype=complex)
-    U[chart_slots(chart.ambient_dim, chart.chart_index)] = _complexify(np.asarray(u, dtype=float))
+    U[_slots(chart.ambient_dim, chart.chart_index)] = _complexify(np.asarray(u, dtype=float))
     w = (U - v * np.vdot(v, U)) / nz
     return v, w
 
@@ -301,54 +258,49 @@ def project_tangent(v, w, chart_index) -> np.ndarray:
     return _interleave(zeta_dot)
 
 
-def dispersion_via_metric(H: HermitianOperator, point) -> float:
+def dispersion_via_metric(H: HermitianOperator, v):
     """Hamiltonian variance read off the metric: g(X, X) for the flow generator X.
 
-    Agrees with the algebraic variance <H^2> - <H>^2; the agreement is the
-    normalization contract of the metric. One point is the one-row
-    dispersion_via_metric_stack.
+    A float for a StateVector, one value per row of an (N, dim) stack of unit
+    vectors. Agrees with the algebraic variance <H^2> - <H>^2; the agreement
+    is the normalization contract of the metric. Each row is taken in its
+    preferred chart (its largest amplitude); the rows of one chart are one
+    field stack and one metric stack.
     """
-    point = point if isinstance(point, ProjectivePoint) else ProjectivePoint(point)
-    return float(dispersion_via_metric_stack(H, point.state.amplitudes[None])[0])
+
+    def values(vectors):
+        out = np.empty(len(vectors))
+        for k, rows in chart_rows(np.abs(vectors).argmax(axis=1)):
+            chart = chart_of(vectors[rows], k)
+            X = fundamental_field_at(H, chart)
+            out[rows] = [x @ g @ x for x, g in zip(X, fubini_study_metric(chart))]
+        return out
+
+    return _per_state(values, v)
 
 
-def dispersion_via_metric_stack(H: HermitianOperator, vectors) -> np.ndarray:
-    """dispersion_via_metric at each row of an (N, dim) stack of unit vectors.
-
-    Each row is taken in its preferred chart (its largest amplitude); the
-    rows of one chart are one field stack and one metric stack.
-    """
-    out = np.empty(len(vectors))
-    for rows, chart in _charts_of_rows(vectors, np.abs(vectors).argmax(axis=1)):
-        X = fundamental_field_at(H, chart)
-        out[rows] = [x @ g @ x for x, g in zip(X, fubini_study_metric(chart))]
-    return out
-
-
-def fubini_study_distance(u, v) -> float:
+def fubini_study_distance(u, v):
     """Geodesic distance arccos |<u|v>| between rays (pi/2 for orthogonal states).
 
-    Evaluated as 2 asin(|v - e^{i phi} u| / 2), where e^{i phi}, the phase of
-    <u|v>, brings u closest to v. The chord keeps full relative precision for
-    nearby rays; arccos near 1 cannot resolve distances below about 2e-8.
-    Two states are the one-row fubini_study_distance_stack.
+    A float for two StateVectors, one value per row pair for two (N, dim)
+    stacks of unit vectors. Evaluated as 2 asin(|v - e^{i phi} u| / 2), where
+    e^{i phi}, the phase of <u|v>, brings u closest to v. The chord keeps
+    full relative precision for nearby rays; arccos near 1 cannot resolve
+    distances below about 2e-8.
     """
-    u = u.state if isinstance(u, ProjectivePoint) else u
-    v = v.state if isinstance(v, ProjectivePoint) else v
-    return float(fubini_study_distance_stack(u.amplitudes[None], v.amplitudes[None])[0])
 
+    def values(us, vs):
+        # the phase and the chord norm are taken row by row, as Python complex and 1-d BLAS
+        # arithmetic: their array forms round differently
+        phases = np.empty(len(us), dtype=complex)
+        for n, (a, b) in enumerate(zip(us, vs)):
+            overlap = complex(np.vdot(a, b))
+            phases[n] = overlap / abs(overlap) if overlap != 0 else 1.0
+        chords = vs - phases[:, None] * us
+        half = np.array([np.linalg.norm(chord) for chord in chords]) / 2.0
+        return 2.0 * np.arcsin(np.minimum(half, 1.0))
 
-def fubini_study_distance_stack(us, vs) -> np.ndarray:
-    """fubini_study_distance between the rows of two (N, dim) stacks of unit vectors, row by row."""
-    # the phase and the chord norm are taken row by row, as Python complex and 1-d BLAS
-    # arithmetic: their array forms round differently
-    phases = np.empty(len(us), dtype=complex)
-    for n, (u, v) in enumerate(zip(us, vs)):
-        overlap = complex(np.vdot(u, v))
-        phases[n] = overlap / abs(overlap) if overlap != 0 else 1.0
-    chords = vs - phases[:, None] * us
-    half = np.array([np.linalg.norm(chord) for chord in chords]) / 2.0
-    return 2.0 * np.arcsin(np.minimum(half, 1.0))
+    return _per_state(values, u, v)
 
 
 class GeodesicSphere:
@@ -402,18 +354,11 @@ class GeodesicSphere:
         """Coefficient of dtheta ^ dphi in the area form."""
         return 0.25 * np.sin(theta)
 
-    def oriented_frame(self, theta, phi, pole_tol=1e-8):
-        """Positively oriented orthonormal tangent frame in chart coordinates.
-
-        Returns (chart, u1, u2) at the point: the one-row oriented_frames.
-        """
-        ks, coords, u1, u2 = self.oriented_frames([theta], [phi], pole_tol)
-        return AffineChart(int(ks[0]), coords[0]), u1[0], u2[0]
-
     def oriented_frames(self, thetas, phis, pole_tol=1e-8):
-        """oriented_frame at each node (thetas[n], phis[n]): (chart indices, coords, u1, u2), one row per node.
+        """Positively oriented orthonormal tangent frames in chart coordinates, one row per node.
 
-        Each node is taken in the chart of its largest amplitude; away from
+        Returns (chart indices, coords, u1, u2) for the nodes (thetas[n],
+        phis[n]). Each node is taken in the chart of its largest amplitude; away from
         the poles u1, u2 point along d/dtheta and d/dphi. At the poles d/dphi
         degenerates, so the frame is built from two meridian directions (phi
         and phi + pi/2), each lifted through its own representative gauge,
@@ -433,8 +378,9 @@ class GeodesicSphere:
         ks = np.abs(v).argmax(axis=1)
         coords = np.empty((len(v), 2 * (self.dim - 1)))
         u1, u2 = np.empty_like(coords), np.empty_like(coords)
-        for rows, chart in _charts_of_rows(_state_rows(v), ks):
-            k = chart.chart_index
+        unit = normalized_rows(v)
+        for k, rows in chart_rows(ks):
+            chart = chart_of(unit[rows], k)
             t1 = project_tangent(v[rows], d_th[rows], k)
             t2 = project_tangent(v2[rows], d2[rows], k)
             t2[flip[rows]] *= -1.0
@@ -445,7 +391,3 @@ class GeodesicSphere:
             u2[rows] = t2 / np.sqrt([t @ gm @ t for t, gm in zip(t2, g)])[:, None]
         return ks, coords, u1, u2
 
-
-def geodesic_sphere(H: HermitianOperator, i, j) -> GeodesicSphere:
-    """The eigenstate-pair sphere S_ij (i > j) in the eigenbasis of H."""
-    return GeodesicSphere(H, i, j)

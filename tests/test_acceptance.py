@@ -11,7 +11,7 @@ import numpy as np
 from helpers import random_hermitian, random_state
 from qhydro import fluid, projective, riemann, spin
 from qhydro.hilbert import HermitianOperator, StateVector, dispersion_squared
-from qhydro.projective import ProjectivePoint, chart_of, dispersion_via_metric
+from qhydro.projective import chart_of, dispersion_via_metric
 from qhydro.riemann import ScalarField, VectorField
 
 H01 = HermitianOperator.diagonal([0.0, 1.0])
@@ -215,9 +215,9 @@ def test_criterion_07_vorticity_profile():
 
 def test_criterion_08_geodesic_iff_critical():
     equal = StateVector(np.array([1.0, 1.0]) / np.sqrt(2.0))
-    on_equator = fluid.schrodinger_trajectory(H01, ProjectivePoint(equal), T=1.0, steps=1000)
+    on_equator = fluid.schrodinger_trajectory(H01, equal, T=1.0, steps=1000)
     tilted = StateVector([np.sqrt(0.3), np.sqrt(0.7)])
-    off_equator = fluid.schrodinger_trajectory(H01, ProjectivePoint(tilted), T=1.0, steps=1000)
+    off_equator = fluid.schrodinger_trajectory(H01, tilted, T=1.0, steps=1000)
     report(
         8,
         "flow is geodesic exactly at pressure-critical starts",

@@ -304,3 +304,24 @@ def test_malformed_values_exit_2_with_one_line_naming_the_key(tmp_path, capsys, 
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert needle in captured.err
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "argv, needle",
+    [
+        (["trajectory", "--t", "nan"], "--t must be finite, got nan"),
+        (["zeno", "--t", "inf"], "--t must be finite, got inf"),
+        (["zeno", "--t=-inf"], "--t must be finite, got -inf"),
+        (["verify", "--tol-killing", "inf"], "--tol-killing must be finite and > 0, got inf"),
+        (["verify", "--tol-killing", "nan"], "--tol-killing must be finite and > 0, got nan"),
+        (["verify", "--tol-euler", "0"], "--tol-euler must be finite and > 0, got 0.0"),
+        (["verify", "--tol-euler=-1e-5"], "--tol-euler must be finite and > 0, got -1e-05"),
+    ],
+)
+def test_non_finite_time_and_tolerances_exit_2_with_one_line(tmp_path, capsys, argv, needle):
+    h = write_json(tmp_path / "H.json", H01_JSON)
+    assert main(argv + ["--input", h]) == EXIT_INPUT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {needle}\n"

@@ -49,6 +49,40 @@ def test_state_vector_requires_normalization():
     assert np.linalg.norm(v.amplitudes) == pytest.approx(1.0, abs=1e-15)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scale", [1e308, 1e-160, 1e-200, 5e-324])
+def test_normalize_keeps_extreme_but_finite_amplitudes(scale):
+    # the plain norm overflows to inf or underflows to 0 (or to a subnormal square) for these
+    v = StateVector([scale, scale * 1j], normalize=True)
+    assert np.abs(v.amplitudes) == pytest.approx([np.sqrt(0.5)] * 2, rel=1e-15)
+    assert float(np.linalg.norm(v.amplitudes)) == pytest.approx(1.0, abs=1e-15)
+
+
+@pytest.mark.filterwarnings("error")
+def test_normalize_extremes_through_charts_and_stacks():
+    from qhydro.hilbert import normalized_rows
+    from qhydro.projective import AffineChart
+
+    v = AffineChart(0, [1e308, 1e308]).to_state()
+    assert float(np.linalg.norm(v.amplitudes)) == pytest.approx(1.0, abs=1e-15)
+    assert abs(v.amplitudes[1]) == pytest.approx(1.0, abs=1e-15)
+    # an ordinary row keeps the bits of the plain BLAS-norm division next to an extreme one
+    rng = np.random.default_rng(13)
+    row = rng.normal(size=3) + 1j * rng.normal(size=3)
+    rows = normalized_rows(np.array([row, [1e308, 0, 0], [0, 1e-200, 0]]))
+    assert np.array_equal(rows[0], row / np.linalg.norm(row))
+    assert np.array_equal(rows[1:], [[1, 0, 0], [0, 1, 0]])
+    for zero in ([0.0, 0.0], [0.0, -0.0j]):
+        with pytest.raises(ValueError, match="must be nonzero"):
+            StateVector(zero, normalize=True)
+        with pytest.raises(ValueError, match="not normalized"):
+            StateVector(zero)
+    with pytest.raises(ValueError, match="not normalized"):
+        StateVector([1e308, 1e308])
+    with pytest.raises(ValueError, match="non-finite"):
+        StateVector([np.inf, 1.0], normalize=True)
+
+
 def test_dispersion_examples():
     assert dispersion_squared(H01, StateVector.basis(2, 1)) == pytest.approx(0.0, abs=1e-14)
     assert dispersion_squared(H01, EQUAL) == pytest.approx(0.25, abs=1e-14)
@@ -136,6 +170,9 @@ def test_phase_equality_predicates():
     w = StateVector([np.exp(0.4j), 0.0])
     assert v.phase_equal(w)
     assert not v.allclose(w)
+    u = StateVector([1.0, 1.0j], normalize=True)
+    assert u.phase_equal(StateVector(np.exp(0.7j) * u.amplitudes))
+    assert not u.phase_equal(StateVector.basis(2, 0))
 
 
 def test_hermitian_from_json_roundtrip(tmp_path):
@@ -169,19 +206,17 @@ def test_hermitian_from_json_reports_offending_entry(mangle, needle):
 
 
 def test_dispersion_stack_matches_row_by_row_and_keeps_the_negative_guard():
-    from qhydro.hilbert import dispersion_squared_stack
-
     rng = np.random.default_rng(70)
     H = random_hermitian(rng, 4)
     rows = np.array([random_state(rng, 4).amplitudes for _ in range(6)])
-    values = dispersion_squared_stack(H, rows)
+    values = dispersion_squared(H, rows)
     for row, value in zip(rows, values):
         assert value == dispersion_squared(H, StateVector(row))
     # an eigenvector row clamps to exactly zero or stays at round-off
-    assert 0.0 <= dispersion_squared_stack(H, H.eigenvectors.T.copy()).max() < 1e-14
+    assert 0.0 <= dispersion_squared(H, H.eigenvectors.T.copy()).max() < 1e-14
     # a row of norm 2 has |Hv|^2 - <v|Hv>^2 far below zero: the stack raises
     doubled = np.array([rows[0], 2.0 * H.eigenvectors[:, 3]])
     with pytest.raises(ValueError, match="negative beyond round-off"):
-        dispersion_squared_stack(H, doubled)
+        dispersion_squared(H, doubled)
     with pytest.raises(ValueError, match="dimension mismatch"):
-        dispersion_squared_stack(H, rows[:, :3])
+        dispersion_squared(H, rows[:, :3])

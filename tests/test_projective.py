@@ -7,7 +7,7 @@ from helpers import random_hermitian, random_state
 from qhydro.hilbert import HermitianOperator, StateVector, dispersion_squared, evolve
 from qhydro.projective import (
     AffineChart,
-    ProjectivePoint,
+    GeodesicSphere,
     TangentAtPoint,
     chart_manifold,
     chart_of,
@@ -16,7 +16,6 @@ from qhydro.projective import (
     fubini_study_metric,
     fundamental_field,
     fundamental_field_at,
-    geodesic_sphere,
     horizontal_lift,
     project_tangent,
 )
@@ -52,16 +51,26 @@ def test_chart_round_trip():
             assert np.abs(again.coords - chart.coords).max() < 1e-12
 
 
+def test_chart_of_a_stack_and_chart_rows_group_states_by_chart():
+    from qhydro.projective import chart_rows
+
+    rng = np.random.default_rng(32)
+    states = [random_state(rng, 4) for _ in range(12)]
+    amps = np.array([state.amplitudes for state in states])
+    groups = list(chart_rows([chart_of(state).chart_index for state in states]))
+    assert [k for k, _ in groups] == sorted({chart_of(state).chart_index for state in states})
+    assert sorted(np.concatenate([rows for _, rows in groups]).tolist()) == list(range(12))
+    for k, rows in groups:
+        assert np.array_equal(chart_of(amps[rows], k).coords, [chart_of(states[n]).coords for n in rows])
+    with pytest.raises(ValueError, match="explicit chart index"):
+        chart_of(amps)
+    with pytest.raises(ValueError, match="stacks of unit vectors"):
+        fubini_study_distance(amps[0], amps[1])
+
+
 def test_chart_requires_nonzero_pivot():
     with pytest.raises(ValueError, match="zero amplitude"):
         chart_of(StateVector.basis(3, 0), chart_index=1)
-
-
-def test_projective_point_equality_is_phase_blind():
-    v = StateVector([1.0, 1.0j], normalize=True)
-    w = StateVector(np.exp(0.7j) * v.amplitudes)
-    assert ProjectivePoint(v).same_ray(ProjectivePoint(w))
-    assert not ProjectivePoint(v).same_ray(StateVector.basis(2, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -255,8 +264,8 @@ def test_chart_flow_matches_projected_evolution():
 def test_tangent_requires_horizontality():
     v = StateVector.basis(2, 0)
     with pytest.raises(ValueError, match="not horizontal"):
-        TangentAtPoint(ProjectivePoint(v), np.array([1.0, 0.0], dtype=complex))
-    TangentAtPoint(ProjectivePoint(v), np.array([0.0, 0.7 - 0.2j]))
+        TangentAtPoint(v, np.array([1.0, 0.0], dtype=complex))
+    TangentAtPoint(v, np.array([0.0, 0.7 - 0.2j]))
 
 
 # ---------------------------------------------------------------------------
@@ -264,20 +273,20 @@ def test_tangent_requires_horizontality():
 
 
 def test_sphere_poles_are_eigenstates():
-    sph = geodesic_sphere(H01, 1, 0)
+    sph = GeodesicSphere(H01, 1, 0)
     assert sph.state(0.0, 0.3).phase_equal(StateVector.basis(2, 0))
     assert sph.state(np.pi, 1.2).phase_equal(StateVector.basis(2, 1))
 
 
 def test_sphere_rejects_bad_indices():
     with pytest.raises(ValueError):
-        geodesic_sphere(H01, 1, 1)
+        GeodesicSphere(H01, 1, 1)
     with pytest.raises(ValueError):
-        geodesic_sphere(H01, 0, 1)
+        GeodesicSphere(H01, 0, 1)
 
 
 def test_sphere_total_area():
-    sph = geodesic_sphere(H01, 1, 0)
+    sph = GeodesicSphere(H01, 1, 0)
     thetas = np.linspace(0.0, np.pi, 2001)
     ring = np.trapezoid([sph.area_coefficient(t) for t in thetas], thetas)
     assert ring * 2.0 * np.pi == pytest.approx(np.pi, abs=1e-6)
@@ -286,7 +295,7 @@ def test_sphere_total_area():
 def test_sphere_induced_metric_matches_pullback():
     rng = np.random.default_rng(40)
     H = random_hermitian(rng, 4, spectral_range=3.0)
-    sph = geodesic_sphere(H, 3, 1)
+    sph = GeodesicSphere(H, 3, 1)
     for _ in range(10):
         theta = rng.uniform(0.2, np.pi - 0.2)
         phi = rng.uniform(0.0, 2 * np.pi)
@@ -302,7 +311,7 @@ def test_sphere_induced_metric_matches_pullback():
 
 def test_sphere_flow_rotates_azimuth_forward():
     # d phi / dt = + omega in the sphere's azimuth convention
-    sph = geodesic_sphere(H01, 1, 0)
+    sph = GeodesicSphere(H01, 1, 0)
     theta, phi, dt = 1.0, 0.4, 1e-3
     moved = evolve(H01, sph.state(theta, phi), dt)
     expected = sph.state(theta, phi + sph.omega * dt)
@@ -310,10 +319,11 @@ def test_sphere_flow_rotates_azimuth_forward():
 
 
 def test_sphere_frame_is_orthonormal_and_smooth_at_poles():
-    sph = geodesic_sphere(H01, 1, 0)
+    sph = GeodesicSphere(H01, 1, 0)
     for theta in (0.0, 0.7, np.pi / 2, 2.5, np.pi):
-        chart, u1, u2 = sph.oriented_frame(theta, 0.9)
-        g = fubini_study_metric(chart)
+        ks, coords, u1, u2 = sph.oriented_frames([theta], [0.9])
+        g = fubini_study_metric(AffineChart(int(ks[0]), coords[0]))
+        u1, u2 = u1[0], u2[0]
         assert u1 @ g @ u1 == pytest.approx(1.0, abs=1e-12)
         assert u2 @ g @ u2 == pytest.approx(1.0, abs=1e-12)
         assert u1 @ g @ u2 == pytest.approx(0.0, abs=1e-12)
