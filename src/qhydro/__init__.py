@@ -53,8 +53,8 @@ from .projective import (
 )
 from .fluid import (
     CriticalPoint,
+    SphereProfile,
     TrajectoryReport,
-    VorticityProfile,
     critical_points,
     pressure,
     pressure_gradient,

@@ -2,9 +2,9 @@
 
 Commands ingest Hamiltonians / wave functions from JSON, run residual
 verification suites, and export landscape / profile grids as CSV plus JSON
-reports. Exit codes: 0 all checks passed, 1 a residual check failed or the
-arithmetic broke down on well-formed input, 2 malformed input or violated
-precondition.
+reports; every JSON report is built here and written by _emit. Exit codes:
+0 all checks passed, 1 a residual check failed or the arithmetic broke down
+on well-formed input, 2 malformed input or violated precondition.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import json
 import math
 import sys
 import warnings
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -40,27 +39,11 @@ DEFAULT_TOLS = {
 }
 
 
-@dataclass
-class RunConfig:
-    command: str
-    input_path: str
-    output_path: str = None
-    contour_path: str = None
-    grid: int = 64
-    seed: int = 0
-    t: float = 0.1
-    n_measure: int = 10
-    pair: tuple = None
-    tolerances: dict = field(default_factory=dict)
-
-    def tol(self, name):
-        return self.tolerances.get(name, DEFAULT_TOLS[name])
-
-
-def _emit(config: RunConfig, report: dict):
+def _emit(report: dict, path=None):
+    """Write a report as deterministic JSON (sorted keys, fixed layout) to path, or to stdout."""
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    if config.output_path:
-        with open(config.output_path, "w", encoding="utf-8", newline="\n") as fh:
+    if path:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -72,10 +55,10 @@ def _random_states(dim, count, seed):
     return normalized_rows(rng.normal(size=(count, dim)) + 1j * rng.normal(size=(count, dim)))
 
 
-def _require_affordable_grid(config, nodes):
+def _require_affordable_grid(args, nodes):
     if nodes > MAX_GRID_NODES:
         raise ValueError(
-            f"--grid {config.grid} asks for about {nodes} grid nodes for {config.command}; "
+            f"--grid {args.grid} asks for about {nodes} grid nodes for {args.command}; "
             f"the limit is {MAX_GRID_NODES}"
         )
 
@@ -90,15 +73,15 @@ def _check(name, max_residual, threshold, n_points):
     }
 
 
-def cmd_verify(config: RunConfig) -> int:
-    H = hermitian_from_json(config.input_path)
-    states = _random_states(H.dim, 100, config.seed)
+def cmd_verify(args: argparse.Namespace) -> int:
+    H = hermitian_from_json(args.input)
+    states = _random_states(H.dim, 100, args.seed)
     killing = euler = ortho = diver = transport = 0.0
     # the states of one chart go through each operator as one stack of base points
     for k, rows in projective.chart_rows(np.abs(states).argmax(axis=1)):
         x = projective.chart_of(states[rows], k).coords
         manifold = projective.chart_manifold(H.dim, k)
-        X = projective.fundamental_field(H, H.dim, k)
+        X = projective.fundamental_field(H, k)
         p = fluid.pressure_scalar_field(H, k)
         killing = max(killing, float(np.abs(riemann.lie_derivative_metric(manifold, X, x)).max()))
         residual = riemann.euler_residual(manifold, X, p, x)
@@ -108,55 +91,74 @@ def cmd_verify(config: RunConfig) -> int:
         diver = max(diver, float(np.abs(riemann.divergence(manifold, X, x)).max()))
         lemma = riemann.lie_derivative_oneform(manifold, X, riemann.flat_form(manifold, X), x)
         transport = max(transport, float(riemann.covector_norm(manifold, lemma, x).max()))
-    states = _random_states(H.dim, 50, config.seed + 1)
+    states = _random_states(H.dim, 50, args.seed + 1)
     gaps = np.abs(projective.dispersion_via_metric(H, states) - dispersion_squared(H, states))
     checks = [
-        _check("killing_residual", killing, config.tol("killing"), 100),
-        _check("euler_residual", euler, config.tol("euler"), 100),
-        _check("pressure_gradient_orthogonality", ortho, config.tol("orthogonality"), 100),
-        _check("divergence", diver, config.tol("divergence"), 100),
-        _check("velocity_form_transport", transport, config.tol("velocity_form_transport"), 100),
-        _check("dispersion_identity", gaps.max(), config.tol("dispersion"), 50),
+        _check("killing_residual", killing, args.tols["killing"], 100),
+        _check("euler_residual", euler, args.tols["euler"], 100),
+        _check("pressure_gradient_orthogonality", ortho, args.tols["orthogonality"], 100),
+        _check("divergence", diver, args.tols["divergence"], 100),
+        _check("velocity_form_transport", transport, args.tols["velocity_form_transport"], 100),
+        _check("dispersion_identity", gaps.max(), args.tols["dispersion"], 50),
     ]
     passed = all(c["passed"] for c in checks)
-    _emit(config, {"command": "verify", "dim": H.dim, "seed": config.seed, "checks": checks, "passed": passed})
+    _emit({"command": "verify", "dim": H.dim, "seed": args.seed, "checks": checks, "passed": passed}, args.output)
     return EXIT_OK if passed else EXIT_CHECK_FAILED
 
 
-def _pairs(config, H):
-    if config.pair is not None:
-        i, j = config.pair
+def _pairs(args, H):
+    if args.pair is not None:
+        i, j = args.pair
         if not (0 <= j < i < H.dim):
             raise ValueError(f"--pair must satisfy 0 <= j < i < {H.dim}, got {i} {j}")
         return [(i, j)]
     return [(i, j) for i in range(H.dim) for j in range(i)]
 
 
-def _base_path(config, default):
-    return config.output_path if config.output_path else default
+def _critical_report(H):
+    """The critical set of a nondegenerate H as a report, or None (after one stderr line) if a point fails its check."""
+    try:
+        points = fluid.critical_points(H)
+    except ValueError as exc:
+        sys.stderr.write(f"critical-point gradient check failed: {exc}\n")
+        return None
+    return {
+        "dim": H.dim,
+        "eigenvalues": [float(v) for v in H.eigenvalues],
+        "critical_points": [
+            {
+                "kind": cp.kind,
+                "indices": list(cp.indices),
+                "pressure": cp.pressure,
+                "gradient_norm": cp.gradient_norm,
+                "phase_orbit": cp.phase_orbit,
+                "state_re": [float(a.real) for a in cp.state.amplitudes],
+                "state_im": [float(a.imag) for a in cp.state.amplitudes],
+            }
+            for cp in points
+        ],
+    }
 
 
-def cmd_pressure(config: RunConfig) -> int:
-    H = hermitian_from_json(config.input_path)
+def cmd_pressure(args: argparse.Namespace) -> int:
+    H = hermitian_from_json(args.input)
     H.require_nondegenerate()
-    base = _base_path(config, "pressure")
-    pairs = _pairs(config, H)
-    _require_affordable_grid(config, len(pairs) * config.grid**2)
+    base = args.output or "pressure"
+    pairs = _pairs(args, H)
+    _require_affordable_grid(args, len(pairs) * args.grid**2)
     worst = 0.0
     written = []
     for i, j in pairs:
-        rows = fluid.pressure_on_sphere(H, i, j, (config.grid, config.grid))
+        profile = fluid.pressure_on_sphere(H, i, j, (args.grid, args.grid))
         path = f"{base}_S{i}{j}.csv"
-        fluid.write_profile_csv(path, rows)
+        fluid.write_profile_csv(path, profile)
         written.append(path)
-        worst = max(worst, max(r[4] for r in rows))
-    try:
-        report = fluid.critical_point_report(H)
-    except ValueError as exc:
-        sys.stderr.write(f"critical-point gradient check failed: {exc}\n")
+        worst = max(worst, profile.max_abs_err)
+    report = _critical_report(H)
+    if report is None:
         return EXIT_CHECK_FAILED
-    fluid.write_json_report(f"{base}_critical.json", report)
-    grid_check = _check("pressure_grid_error", worst, config.tol("pressure_grid"), config.grid**2)
+    _emit(report, f"{base}_critical.json")
+    grid_check = _check("pressure_grid_error", worst, args.tols["pressure_grid"], args.grid**2)
     summary = {
         "command": "pressure",
         "csv_files": written,
@@ -164,39 +166,36 @@ def cmd_pressure(config: RunConfig) -> int:
         "checks": [grid_check],
         "passed": grid_check["passed"],
     }
-    sys.stdout.write(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    _emit(summary)
     return EXIT_OK if grid_check["passed"] else EXIT_CHECK_FAILED
 
 
-def cmd_critical_points(config: RunConfig) -> int:
-    H = hermitian_from_json(config.input_path)
-    try:
-        report = fluid.critical_point_report(H)
-    except DegenerateSpectrumError:
-        raise
-    except ValueError as exc:
-        sys.stderr.write(f"critical-point gradient check failed: {exc}\n")
+def cmd_critical_points(args: argparse.Namespace) -> int:
+    H = hermitian_from_json(args.input)
+    H.require_nondegenerate()
+    report = _critical_report(H)
+    if report is None:
         return EXIT_CHECK_FAILED
-    _emit(config, report)
+    _emit(report, args.output)
     return EXIT_OK
 
 
-def cmd_vorticity(config: RunConfig) -> int:
-    H = hermitian_from_json(config.input_path)
+def cmd_vorticity(args: argparse.Namespace) -> int:
+    H = hermitian_from_json(args.input)
     H.require_nondegenerate()
-    i, j = _pairs(config, H)[0]  # without --pair, the first pair is (1, 0)
-    _require_affordable_grid(config, config.grid**2)
-    profile = fluid.vorticity_on_sphere(H, i, j, (config.grid, config.grid))
-    path = _base_path(config, f"vorticity_S{i}{j}.csv")
-    fluid.write_profile_csv(path, profile.rows())
+    i, j = _pairs(args, H)[0]  # without --pair, the first pair is (1, 0)
+    _require_affordable_grid(args, args.grid**2)
+    profile = fluid.vorticity_on_sphere(H, i, j, (args.grid, args.grid))
+    path = args.output or f"vorticity_S{i}{j}.csv"
+    fluid.write_profile_csv(path, profile)
     transport = max(
         fluid.vorticity_transport_residual(H, i, j, th, ph)
         for th in profile.thetas
         for ph in profile.phis[:: max(1, len(profile.phis) // 8)]
     )
     checks = [
-        _check("vorticity_profile_rel_error", profile.max_rel_err, config.tol("vorticity"), config.grid**2),
-        _check("vorticity_transport_residual", transport, config.tol("transport"), config.grid),
+        _check("vorticity_profile_rel_error", profile.max_rel_err, args.tols["vorticity"], args.grid**2),
+        _check("vorticity_transport_residual", transport, args.tols["transport"], args.grid),
     ]
     passed = all(c["passed"] for c in checks)
     summary = {
@@ -207,12 +206,12 @@ def cmd_vorticity(config: RunConfig) -> int:
         "checks": checks,
         "passed": passed,
     }
-    sys.stdout.write(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    _emit(summary)
     return EXIT_OK if passed else EXIT_CHECK_FAILED
 
 
-def _hamiltonian_and_state(config):
-    data = jsonio.load_object(config.input_path, "input")
+def _hamiltonian_and_state(args):
+    data = jsonio.load_object(args.input, "input")
     if "hamiltonian" in data:
         H = hermitian_from_json(data["hamiltonian"])
         if "state" in data and data["state"] is not None:
@@ -229,17 +228,16 @@ def _hamiltonian_and_state(config):
     return H, StateVector((vecs[:, 0] + vecs[:, 1]) / np.sqrt(2.0), normalize=True)
 
 
-def cmd_trajectory(config: RunConfig) -> int:
-    H, state = _hamiltonian_and_state(config)
-    steps = max(config.grid, 2)
-    _require_affordable_grid(config, steps)
-    report = fluid.schrodinger_trajectory(H, state, T=config.t, steps=steps)
+def cmd_trajectory(args: argparse.Namespace) -> int:
+    H, state = _hamiltonian_and_state(args)
+    steps = max(args.grid, 2)
+    _require_affordable_grid(args, steps)
+    report = fluid.schrodinger_trajectory(H, state, T=args.t, steps=steps)
     grad_norm = fluid.pressure_gradient(H, state).norm
     _emit(
-        config,
         {
             "command": "trajectory",
-            "t": config.t,
+            "t": args.t,
             "steps": steps,
             "chart_index": report.chart_index,
             "flow_exited": bool(report.flow.exited),
@@ -247,33 +245,34 @@ def cmd_trajectory(config: RunConfig) -> int:
             "pressure_gradient_norm": grad_norm,
             "max_deviation": report.max_deviation,
         },
+        args.output,
     )
     return EXIT_OK
 
 
-def cmd_zeno(config: RunConfig) -> int:
-    H, state = _hamiltonian_and_state(config)
-    survival = fluid.zeno_decay(H, state, config.t, config.n_measure)
+def cmd_zeno(args: argparse.Namespace) -> int:
+    H, state = _hamiltonian_and_state(args)
+    survival = fluid.zeno_decay(H, state, args.t, args.n_measure)
     disp = dispersion_squared(H, state)
-    predicted = disp * config.t**2 / config.n_measure
+    predicted = disp * args.t**2 / args.n_measure
     _emit(
-        config,
         {
             "command": "zeno",
-            "t": config.t,
-            "N": config.n_measure,
+            "t": args.t,
+            "N": args.n_measure,
             "dispersion_squared": disp,
             "survival": survival,
             "deficit": 1.0 - survival,
             "quadratic_prediction": predicted,
         },
+        args.output,
     )
     return EXIT_OK
 
 
-def cmd_spin_circulation(config: RunConfig) -> int:
-    chi = spin.wavefunction_from_json(config.input_path)
-    contour = spin.contour_from_json(config.contour_path) if config.contour_path else None
+def cmd_spin_circulation(args: argparse.Namespace) -> int:
+    chi = spin.wavefunction_from_json(args.input)
+    contour = spin.contour_from_json(args.contour) if args.contour else None
     failure = None
     # warnings go to stderr as fixed lines and into the report, never with a source location
     with warnings.catch_warnings(record=True) as caught:
@@ -293,10 +292,9 @@ def cmd_spin_circulation(config: RunConfig) -> int:
     sys.stdout.write(f"{value:.9f}\n")
     nearest = int(np.rint(value))
     deviation = abs(value - nearest)
-    ok = deviation <= config.tol("integrality")
-    if config.output_path:
+    ok = deviation <= args.tols["integrality"]
+    if args.output:
         _emit(
-            config,
             {
                 "command": "spin-circulation",
                 "circulation": value,
@@ -305,19 +303,19 @@ def cmd_spin_circulation(config: RunConfig) -> int:
                 "passed": ok,
                 "warnings": messages,
             },
+            args.output,
         )
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
-def cmd_spin_divisor(config: RunConfig) -> int:
-    chi = spin.wavefunction_from_json(config.input_path)
+def cmd_spin_divisor(args: argparse.Namespace) -> int:
+    chi = spin.wavefunction_from_json(args.input)
     try:
         divisor = chi.divisor()
     except spin.ClusterAmbiguityError as exc:
         sys.stderr.write(f"divisor computation failed: {exc}\n")
         return EXIT_CHECK_FAILED
     _emit(
-        config,
         {
             "command": "spin-divisor",
             "two_s": chi.two_s,
@@ -325,6 +323,7 @@ def cmd_spin_divisor(config: RunConfig) -> int:
             "total_strength": divisor.total,
             "roots": [[a.real, a.imag, mu] for a, mu in divisor.entries],
         },
+        args.output,
     )
     return EXIT_OK
 
@@ -368,28 +367,19 @@ def main(argv=None) -> int:
     if not math.isfinite(args.t):
         sys.stderr.write(f"error: --t must be finite, got {args.t!r}\n")
         return EXIT_INPUT_ERROR
-    tolerances = {}
-    for name, tol in (("euler", args.tol_euler), ("killing", args.tol_killing)):
+    args.tols = dict(DEFAULT_TOLS)  # every command reads its thresholds here
+    for name in ("euler", "killing"):
+        tol = getattr(args, f"tol_{name}")
         if tol is None:
             continue
         if not (math.isfinite(tol) and tol > 0.0):
             sys.stderr.write(f"error: --tol-{name} must be finite and > 0, got {tol!r}\n")
             return EXIT_INPUT_ERROR
-        tolerances[name] = tol
-    config = RunConfig(
-        command=args.command,
-        input_path=args.input,
-        output_path=args.output,
-        contour_path=args.contour,
-        grid=args.grid,
-        seed=args.seed,
-        t=args.t,
-        n_measure=args.n_measure,
-        pair=tuple(args.pair) if args.pair is not None else None,
-        tolerances=tolerances,
-    )
+        args.tols[name] = tol
     try:
-        return COMMANDS[args.command](config)
+        # an overflow or invalid value raises where it happens, instead of a warning and a wrong number
+        with np.errstate(over="raise", invalid="raise"):
+            return COMMANDS[args.command](args)
     except DegenerateSpectrumError as exc:
         sys.stderr.write(
             f"error: {exc} (critical-point enumeration assumes a nondegenerate spectrum)\n"
@@ -404,7 +394,7 @@ def main(argv=None) -> int:
     except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT_ERROR
-    except spin.NumericalBreakdownError as exc:  # well-formed input, so a failed check and not bad input
+    except ArithmeticError as exc:  # a numerical breakdown on well-formed input: a failed check, not bad input
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_CHECK_FAILED
 

@@ -5,7 +5,8 @@ Fubini-Study metric, so it solves the stationary Euler equation with
 pressure p = (Delta H)^2 / 2, half the local variance. This module computes
 the pressure field, its gradient and critical set, the signed vorticity on
 eigenstate-pair spheres, the repeated-measurement (Zeno) survival law, and
-flow-vs-geodesic trajectory comparisons.
+flow-vs-geodesic trajectory comparisons. The pressure and the vorticity on a
+pair sphere are sampled as one SphereProfile each, and exported as CSV.
 
 A state is a StateVector; pressure also takes an (N, dim) stack of unit
 rows, one value per row. Grid nodes, candidate points and trajectory
@@ -16,7 +17,6 @@ as the one-point calls.
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass
 
@@ -39,6 +39,7 @@ from .riemann import (
     FD_STEP,
     ScalarField,
     StackFunction,
+    _bilinear_rows,
     covariant_derivative,
     differential,
     exterior_derivative_oneform,
@@ -49,7 +50,7 @@ from .riemann import (
 
 __all__ = [
     "CriticalPoint",
-    "VorticityProfile",
+    "SphereProfile",
     "TrajectoryReport",
     "pressure",
     "pressure_scalar_field",
@@ -61,9 +62,7 @@ __all__ = [
     "zeno_decay",
     "schrodinger_trajectory",
     "pressure_on_sphere",
-    "critical_point_report",
     "write_profile_csv",
-    "write_json_report",
 ]
 
 
@@ -129,11 +128,10 @@ def _pressure_gradients(H, charts, h):
         dp = differential(manifold, pressure_scalar_field(H, k), x, h, order=4)
         g = manifold.metric_at(x)
         grad = np.linalg.solve(g, dp[:, :, None])[:, :, 0]
-        X = fundamental_field(H, H.dim, k)
+        X = fundamental_field(H, k)
         mismatch = grad + covariant_derivative(manifold, X, X, x, h)  # (dp)^sharp should equal -nabla_X X
         grads[rows] = grad
-        # m g m row by row: the stacked product rounds differently
-        mismatches[rows] = np.sqrt([m @ gm @ m for m, gm in zip(mismatch, g)])
+        mismatches[rows] = np.sqrt(_bilinear_rows(mismatch, g, mismatch))
     return grads, mismatches
 
 
@@ -219,7 +217,7 @@ def _scalar_vorticities(H, ks, coords, u1, u2, h):
     out = np.empty(len(ks))
     for k, in_chart in chart_rows(ks):
         manifold = chart_manifold(H.dim, k)
-        alpha = flat_form(manifold, fundamental_field(H, H.dim, k))
+        alpha = flat_form(manifold, fundamental_field(H, k))
         for start in range(0, len(in_chart), NODE_BLOCK):
             rows = in_chart[start : start + NODE_BLOCK]
             w = exterior_derivative_oneform(manifold, alpha, coords[rows], h)
@@ -228,57 +226,55 @@ def _scalar_vorticities(H, ks, coords, u1, u2, h):
 
 
 @dataclass(frozen=True)
-class VorticityProfile:
-    """Numeric vs analytic vorticity of the flow sampled on a pair sphere."""
+class SphereProfile:
+    """A field sampled on a (theta, phi) grid of the pair sphere S_ij, next to its closed form.
+
+    The theta grid runs from pole to pole, both included; numeric and
+    analytic have shape (len(thetas), len(phis)).
+    """
 
     i: int
     j: int
     omega: float
     thetas: np.ndarray
     phis: np.ndarray
-    numeric: np.ndarray  # shape (len(thetas), len(phis))
-    analytic: np.ndarray  # shape (len(thetas),), 2 omega cos(theta)
-    max_abs_err: float
-    max_rel_err: float  # relative to the profile peak 2|omega|
+    numeric: np.ndarray
+    analytic: np.ndarray
 
-    def rows(self):
-        """(theta, phi, numeric, analytic, abs_err) per grid node."""
-        for a, th in enumerate(self.thetas):
-            for b, ph in enumerate(self.phis):
-                num = float(self.numeric[a, b])
-                ana = float(self.analytic[a])
-                yield th, ph, num, ana, abs(num - ana)
+    @property
+    def abs_err(self) -> np.ndarray:
+        return np.abs(self.numeric - self.analytic)
+
+    @property
+    def max_abs_err(self) -> float:
+        return float(self.abs_err.max())
+
+    @property
+    def max_rel_err(self) -> float:
+        """The largest error relative to the peak max|analytic|, since the closed forms cross zero."""
+        return self.max_abs_err / max(float(np.abs(self.analytic).max()), 1e-300)
 
 
-def vorticity_on_sphere(H: HermitianOperator, i, j, grid=(64, 64), h=FD_STEP) -> VorticityProfile:
-    """Sample the sphere vorticity on a (theta, phi) grid against 2 omega cos(theta).
-
-    The theta grid includes both poles; the relative error is measured
-    against the profile peak 2|omega| since the analytic profile crosses
-    zero on the equator.
-    """
+def _sphere_grid(grid):
+    """The theta nodes (both poles included), the phi nodes, and their (n_theta, n_phi) node grids."""
     n_theta, n_phi = int(grid[0]), int(grid[1])
     if n_theta < 2 or n_phi < 2:
         raise ValueError(f"grid resolutions must be >= 2, got {grid}")
-    sphere = GeodesicSphere(H, i, j)
     thetas = np.linspace(0.0, np.pi, n_theta)
     phis = np.linspace(0.0, 2.0 * np.pi, n_phi, endpoint=False)
-    frames = sphere.oriented_frames(np.repeat(thetas, n_phi), np.tile(phis, n_theta))
-    numeric = _scalar_vorticities(H, *frames, h).reshape(n_theta, n_phi)
-    analytic = 2.0 * sphere.omega * np.cos(thetas)
-    abs_err = np.abs(numeric - analytic[:, None])
-    peak = max(2.0 * abs(sphere.omega), 1e-300)
-    return VorticityProfile(
-        i=int(i),
-        j=int(j),
-        omega=sphere.omega,
-        thetas=thetas,
-        phis=phis,
-        numeric=numeric,
-        analytic=analytic,
-        max_abs_err=float(abs_err.max()),
-        max_rel_err=float(abs_err.max() / peak),
-    )
+    return (thetas, phis, *np.meshgrid(thetas, phis, indexing="ij"))
+
+
+def vorticity_on_sphere(H: HermitianOperator, i, j, grid=(64, 64), h=FD_STEP) -> SphereProfile:
+    """Sample the sphere vorticity on a (theta, phi) grid against 2 omega cos(theta).
+
+    The theta grid includes both poles, so max_rel_err is relative to the
+    profile peak 2|omega|.
+    """
+    thetas, phis, th, ph = _sphere_grid(grid)
+    sphere = GeodesicSphere(H, i, j)
+    numeric = _scalar_vorticities(H, *sphere.oriented_frames(th.ravel(), ph.ravel()), h).reshape(th.shape)
+    return SphereProfile(int(i), int(j), sphere.omega, thetas, phis, numeric, 2.0 * sphere.omega * np.cos(th))
 
 
 def vorticity_transport_residual(H: HermitianOperator, i, j, theta, phi, field=None, h=FD_STEP) -> float:
@@ -317,7 +313,11 @@ def zeno_decay(H: HermitianOperator, v: StateVector, t: float, N: int) -> float:
     """
     if int(N) < 1:
         raise ValueError(f"measurement count must be >= 1, got {N}")
-    regime = dispersion_squared(H, v) * float(t) ** 2
+    try:
+        t_squared = float(t) ** 2
+    except OverflowError:
+        raise OverflowError(f"t^2 overflows a double at t = {t!r}") from None
+    regime = dispersion_squared(H, v) * t_squared
     if regime >= 0.1:
         warnings.warn(
             f"(Delta H)^2 t^2 = {regime:.3g} >= 0.1: outside the quadratic decay regime",
@@ -350,7 +350,7 @@ def schrodinger_trajectory(H: HermitianOperator, point, T=1.0, steps=1000) -> Tr
     chart = chart_of(point)
     k = chart.chart_index
     manifold = chart_manifold(H.dim, k)
-    X = fundamental_field(H, H.dim, k)
+    X = fundamental_field(H, k)
     flow = flow_integrate(X, chart.coords, T, steps)
     geo = geodesic_integrate(manifold, chart.coords, X(chart.coords), T, steps)
     m = min(len(flow), len(geo))
@@ -361,57 +361,26 @@ def schrodinger_trajectory(H: HermitianOperator, point, T=1.0, steps=1000) -> Tr
     return TrajectoryReport(k, flow, geo, devs, float(devs.max()))
 
 
-def pressure_on_sphere(H: HermitianOperator, i, j, grid=(64, 64)):
-    """Pressure landscape rows on S_ij: (theta, phi, numeric, analytic, abs_err).
+def pressure_on_sphere(H: HermitianOperator, i, j, grid=(64, 64)) -> SphereProfile:
+    """Sample the pressure on a (theta, phi) grid of S_ij against omega^2 sin^2(theta) / 8.
 
-    The closed form on the pair sphere is omega^2 sin^2(theta) / 8. All grid
-    nodes are evaluated as one stack of states.
+    All grid nodes are evaluated as one stack of states.
     """
-    n_theta, n_phi = int(grid[0]), int(grid[1])
-    if n_theta < 2 or n_phi < 2:
-        raise ValueError(f"grid resolutions must be >= 2, got {grid}")
+    thetas, phis, th, ph = _sphere_grid(grid)
     sphere = GeodesicSphere(H, i, j)
-    thetas = np.repeat(np.linspace(0.0, np.pi, n_theta), n_phi)
-    phis = np.tile(np.linspace(0.0, 2.0 * np.pi, n_phi, endpoint=False), n_theta)
-    numeric = 0.5 * dispersion_squared(H, _unit_rows(sphere.representative(thetas[:, None], phis[:, None])))
-    analytic = sphere.omega**2 * np.sin(thetas) ** 2 / 8.0
-    return [
-        (float(th), float(ph), float(num), float(ana), abs(float(num) - float(ana)))
-        for th, ph, num, ana in zip(thetas, phis, numeric, analytic)
+    states = _unit_rows(sphere.representative(th.reshape(-1, 1), ph.reshape(-1, 1)))
+    numeric = 0.5 * dispersion_squared(H, states).reshape(th.shape)
+    return SphereProfile(int(i), int(j), sphere.omega, thetas, phis, numeric, sphere.omega**2 * np.sin(th) ** 2 / 8.0)
+
+
+def write_profile_csv(path, profile: SphereProfile):
+    """Write one (theta, phi, numeric, analytic, abs_err) row per grid node, theta-major, under a fixed header."""
+    n_theta, n_phi = profile.numeric.shape
+    columns = [
+        np.repeat(profile.thetas, n_phi).tolist(),
+        np.tile(profile.phis, n_theta).tolist(),
+        *(a.ravel().tolist() for a in (profile.numeric, profile.analytic, profile.abs_err)),
     ]
-
-
-def critical_point_report(H: HermitianOperator, grad_tol=1e-8, cross_tol=1e-5) -> dict:
-    """JSON-ready critical-set report for a nondegenerate Hamiltonian."""
-    points = critical_points(H, grad_tol=grad_tol, cross_tol=cross_tol)
-    return {
-        "dim": H.dim,
-        "eigenvalues": [float(v) for v in H.eigenvalues],
-        "critical_points": [
-            {
-                "kind": cp.kind,
-                "indices": list(cp.indices),
-                "pressure": cp.pressure,
-                "gradient_norm": cp.gradient_norm,
-                "phase_orbit": cp.phase_orbit,
-                "state_re": [float(a.real) for a in cp.state.amplitudes],
-                "state_im": [float(a.imag) for a in cp.state.amplitudes],
-            }
-            for cp in points
-        ],
-    }
-
-
-def write_profile_csv(path, rows):
-    """Write (theta, phi, numeric, analytic, abs_err) rows with the fixed header."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("theta,phi,numeric,analytic,abs_err\n")
-        for row in rows:
-            fh.write(",".join(repr(float(entry)) for entry in row) + "\n")
-
-
-def write_json_report(path, report):
-    """Write a report dict as deterministic JSON (sorted keys, fixed layout)."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.writelines(f"{a!r},{b!r},{c!r},{d!r},{e!r}\n" for a, b, c, d, e in zip(*columns))

@@ -23,7 +23,7 @@ from functools import lru_cache
 import numpy as np
 
 from .hilbert import HermitianOperator, StateVector, _per_state, normalized_rows
-from .riemann import ChartManifold, StackFunction, VectorField
+from .riemann import ChartManifold, StackFunction, VectorField, _bilinear_rows
 
 __all__ = [
     "AffineChart",
@@ -216,15 +216,13 @@ def fundamental_field_at(A: HermitianOperator, chart: AffineChart) -> np.ndarray
     return _shaped(chart, _interleave(-1j * (Az[:, slots] - z[:, slots] * Az[:, k, None])))
 
 
-def fundamental_field(A: HermitianOperator, dim, chart_index) -> VectorField:
-    """The Schrodinger velocity field of a Hermitian generator on one chart.
+def fundamental_field(A: HermitianOperator, chart_index) -> VectorField:
+    """The Schrodinger velocity field of a Hermitian generator on one chart of CP^(A.dim - 1).
 
     The Hermitian input is converted internally to the skew-Hermitian
     generator -iA of the unitary flow; the horizontal lift of the returned
     field at a unit v is -i (A - <A>) v.
     """
-    if A.dim != dim:
-        raise ValueError(f"dimension mismatch: operator {A.dim}, requested {dim}")
     return VectorField(StackFunction(lambda points: fundamental_field_at(A, AffineChart(chart_index, points))))
 
 
@@ -273,7 +271,7 @@ def dispersion_via_metric(H: HermitianOperator, v):
         for k, rows in chart_rows(np.abs(vectors).argmax(axis=1)):
             chart = chart_of(vectors[rows], k)
             X = fundamental_field_at(H, chart)
-            out[rows] = [x @ g @ x for x, g in zip(X, fubini_study_metric(chart))]
+            out[rows] = _bilinear_rows(X, fubini_study_metric(chart), X)
         return out
 
     return _per_state(values, v)
@@ -386,8 +384,7 @@ class GeodesicSphere:
             t2[flip[rows]] *= -1.0
             g = fubini_study_metric(chart)
             coords[rows] = chart.coords
-            # t g t row by row: the stacked product rounds differently
-            u1[rows] = t1 / np.sqrt([t @ gm @ t for t, gm in zip(t1, g)])[:, None]
-            u2[rows] = t2 / np.sqrt([t @ gm @ t for t, gm in zip(t2, g)])[:, None]
+            u1[rows] = t1 / np.sqrt(_bilinear_rows(t1, g, t1))[:, None]
+            u2[rows] = t2 / np.sqrt(_bilinear_rows(t2, g, t2))[:, None]
         return ks, coords, u1, u2
 

@@ -455,11 +455,21 @@ def covector_norm(manifold, alpha_value, x):
     return _scalar_like(x, np.sqrt((a * raised).sum(axis=1)))
 
 
+def _bilinear_rows(a, g, b):
+    """a[n] @ g[n] @ b[n] for each row n of the stacks a, g and b.
+
+    Row by row, as 1-d products: the stacked product (matmul or einsum over
+    the stack) rounds differently, and reported residuals and exported
+    grids are pinned to these bits.
+    """
+    return np.array([an @ gn @ bn for an, gn, bn in zip(a, g, b)])
+
+
 def vector_norm(manifold, u, x):
     """Intrinsic norm sqrt(u g u) of vector components at x."""
     xs = _bases(x)
     u = np.asarray(u, dtype=float).reshape(xs.shape)
-    return _scalar_like(x, np.sqrt([um @ gm @ um for um, gm in zip(u, manifold._metrics_at(xs))]))
+    return _scalar_like(x, np.sqrt(_bilinear_rows(u, manifold._metrics_at(xs), u)))
 
 
 def _rk4(rhs, y0, T, steps, domain):
@@ -534,8 +544,7 @@ def clairaut_check(manifold, curve, X):
     max_t |<u_t, X(x_t)> - <u_0, X(x_0)>|. The metric at all samples is one
     validated stack.
     """
-    g = manifold._metrics_at(curve.points)
-    vals = np.array([float(u @ gi @ Xi) for u, gi, Xi in zip(curve.velocities, g, X.stack(curve.points))])
+    vals = _bilinear_rows(curve.velocities, manifold._metrics_at(curve.points), X.stack(curve.points))
     return float(np.abs(vals - vals[0]).max())
 
 

@@ -341,9 +341,6 @@ class CircleContour:
         tangents = sign * 2j * np.pi * self.radius * ring / self.nodes
         return points, tangents
 
-    def distance_to(self, z) -> float:
-        return float(self.distances_to(np.array([complex(z)]))[0])
-
     def distances_to(self, points) -> np.ndarray:
         """Distance from each point of a 1-d complex array to the circle."""
         d = np.asarray(points, dtype=complex) - complex(self.center)
@@ -378,9 +375,6 @@ class PolygonContour:
             points.append(mid + t * half)
             tangents.append(w * half)
         return np.concatenate(points), np.concatenate(tangents)
-
-    def distance_to(self, z) -> float:
-        return float(self.distances_to(np.array([complex(z)]))[0])
 
     def distances_to(self, points) -> np.ndarray:
         """Distance from each point of a 1-d complex array to the polygon."""

@@ -190,6 +190,26 @@ def test_non_finite_circulation_exits_1_with_one_line_and_no_value(tmp_path, cap
     )
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "argv, needle",
+    [
+        (["zeno", "--t", "1e300"], "t^2 overflows a double at t = 1e+300"),
+        (["trajectory", "--t", "1e300", "--grid", "10"], "overflow encountered"),
+        (["trajectory", "--t", "2.0", "--grid", "400"], "overflow encountered"),
+    ],
+)
+def test_numerical_breakdown_exits_1_with_one_line(tmp_path, capsys, argv, needle):
+    # sigma_x carries its default start, a basis state, to the point at infinity of its chart at t = pi/2
+    h = write_json(tmp_path / "H.json", {"dim": 2, "re": [[0, 1], [1, 0]]})
+    out = tmp_path / "out.json"
+    assert main(argv + ["--input", h, "--output", str(out)]) == EXIT_CHECK_FAILED
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1 and captured.err.endswith("\n")
+    assert needle in captured.err
+
+
 def test_spin_circulation_degree_deficit_warning_is_one_fixed_line(tmp_path, capsys):
     chi = write_json(tmp_path / "chi.json", {"two_s": 5, "roots": [[0.5, 0.1, 2], [0.2, -0.3, 2]]})
     out = tmp_path / "circ.json"

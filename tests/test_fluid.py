@@ -287,7 +287,7 @@ def test_euler_residual_with_half_variance_pressure():
     for _ in range(10):
         chart = chart_of(random_state(rng, 3))
         M = projective.chart_manifold(3, chart.chart_index)
-        X = projective.fundamental_field(H, 3, chart.chart_index)
+        X = projective.fundamental_field(H, chart.chart_index)
         p = fluid.pressure_scalar_field(H, chart.chart_index)
         res = riemann.euler_residual(M, X, p, chart.coords)
         assert riemann.covector_norm(M, res, chart.coords) < 1e-5
@@ -298,21 +298,75 @@ def test_euler_residual_with_half_variance_pressure():
 
 
 def test_pressure_landscape_matches_closed_form():
-    rows = pressure_on_sphere(H123, 2, 0, grid=(9, 6))
-    for theta, phi, num, ana, err in rows:
-        assert ana == pytest.approx(4.0 * np.sin(theta) ** 2 / 8.0, abs=1e-13)
-        assert err < 1e-12
+    profile = pressure_on_sphere(H123, 2, 0, grid=(9, 6))
+    assert profile.numeric.shape == profile.analytic.shape == (9, 6)
+    closed_form = np.broadcast_to(4.0 * np.sin(profile.thetas[:, None]) ** 2 / 8.0, (9, 6))
+    assert profile.analytic == pytest.approx(closed_form, abs=1e-13)
+    assert profile.max_abs_err < 1e-12
 
 
 def test_profile_csv_round_trip(tmp_path):
     path = tmp_path / "profile.csv"
     profile = vorticity_on_sphere(H01, 1, 0, grid=(3, 2))
-    write_profile_csv(path, profile.rows())
+    write_profile_csv(path, profile)
     lines = path.read_text().strip().split("\n")
     assert lines[0] == "theta,phi,numeric,analytic,abs_err"
     assert len(lines) == 1 + 3 * 2
     first = [float(tok) for tok in lines[1].split(",")]
     assert first[3] == pytest.approx(2.0)  # analytic 2 omega cos(0)
+
+
+def row_csv(rows):
+    """The per-row CSV writer that write_profile_csv replaced: repr(float) of every value."""
+    return "theta,phi,numeric,analytic,abs_err\n" + "".join(
+        ",".join(repr(float(entry)) for entry in row) + "\n" for row in rows
+    )
+
+
+def row_pressure(H, i, j, grid):
+    """Pressure rows as the tuple-list sampler built them, on the flat theta-major node arrays."""
+    sphere = GeodesicSphere(H, i, j)
+    thetas = np.repeat(np.linspace(0.0, np.pi, grid[0]), grid[1])
+    phis = np.tile(np.linspace(0.0, 2.0 * np.pi, grid[1], endpoint=False), grid[0])
+    z = sphere.representative(thetas[:, None], phis[:, None])
+    numeric = 0.5 * dispersion_squared(H, z / np.sqrt((z.real * z.real + z.imag * z.imag).sum(axis=1))[:, None])
+    analytic = sphere.omega**2 * np.sin(thetas) ** 2 / 8.0
+    return [
+        (float(th), float(ph), float(num), float(ana), abs(float(num) - float(ana)))
+        for th, ph, num, ana in zip(thetas, phis, numeric, analytic)
+    ]
+
+
+def row_vorticity(profile):
+    """Vorticity rows as the per-node generator gave them, with one analytic value 2 omega cos(theta) per theta."""
+    analytic = 2.0 * profile.omega * np.cos(profile.thetas)
+    for a, th in enumerate(profile.thetas):
+        for b, ph in enumerate(profile.phis):
+            num, ana = float(profile.numeric[a, b]), float(analytic[a])
+            yield th, ph, num, ana, abs(num - ana)
+
+
+@pytest.mark.parametrize("grid", [(9, 6), (16, 7)])  # odd and even n_theta; both hold both poles
+def test_profile_csv_equals_per_row_writer_byte_for_byte(tmp_path, grid):
+    H = random_hermitian(np.random.default_rng(69), 3)
+    i, j = 2, 0
+    sphere = GeodesicSphere(H, i, j)
+    thetas = np.linspace(0.0, np.pi, grid[0])
+    phis = np.linspace(0.0, 2.0 * np.pi, grid[1], endpoint=False)
+    v = sphere.representative(np.repeat(thetas, grid[1])[:, None], np.tile(phis, grid[0])[:, None])
+    assert len(set(np.abs(v).argmax(axis=1).tolist())) >= 2  # the sphere spans two charts or more
+    pressure_profile = pressure_on_sphere(H, i, j, grid=grid)
+    vorticity_profile = vorticity_on_sphere(H, i, j, grid=grid)
+    for profile, rows in (
+        (pressure_profile, row_pressure(H, i, j, grid)),
+        (vorticity_profile, row_vorticity(vorticity_profile)),
+    ):
+        assert profile.thetas[0] == 0.0 and profile.thetas[-1] == np.pi
+        path = tmp_path / "profile.csv"
+        write_profile_csv(path, profile)
+        assert path.read_bytes() == row_csv(rows).encode()
+    peak = 2.0 * abs(vorticity_profile.omega)
+    assert vorticity_profile.max_rel_err == vorticity_profile.max_abs_err / peak
 
 
 # ---------------------------------------------------------------------------
@@ -404,7 +458,7 @@ def loop_scalar_vorticities(H, frames, h=FD_STEP):
     for k in sorted({chart.chart_index for chart, _, _ in frames}):
         rows = [n for n, (chart, _, _) in enumerate(frames) if chart.chart_index == k]
         manifold = chart_manifold(H.dim, k)
-        X = fundamental_field(H, H.dim, k)
+        X = fundamental_field(H, k)
         x = np.array([frames[n][0].coords for n in rows])
         w = exterior_derivative_oneform(manifold, flat_form(manifold, X), x, h)
         u1 = np.array([frames[n][1] for n in rows])
@@ -428,7 +482,7 @@ def loop_gradient_routes(H, state, h=FD_STEP):
     p = pressure_scalar_field(H, chart.chart_index)
     dp = differential(manifold, p, chart.coords, h, order=4)
     grad = np.linalg.solve(manifold.metric_at(chart.coords), dp)
-    X = fundamental_field(H, H.dim, chart.chart_index)
+    X = fundamental_field(H, chart.chart_index)
     advection = covariant_derivative(manifold, X, X, chart.coords, h)
     mismatch = grad + advection
     return chart, grad, float(np.sqrt(mismatch @ manifold.metric_at(chart.coords) @ mismatch))

@@ -185,7 +185,7 @@ def test_schrodinger_field_is_killing():
         for _ in range(8):
             chart = random_chart_point(rng, dim)
             M = chart_manifold(dim, chart.chart_index)
-            X = fundamental_field(H, dim, chart.chart_index)
+            X = fundamental_field(H, chart.chart_index)
             assert np.abs(lie_derivative_metric(M, X, chart.coords)).max() < 1e-5
 
 
@@ -195,7 +195,7 @@ def test_schrodinger_field_is_divergence_free():
     for _ in range(10):
         chart = random_chart_point(rng, 4)
         M = chart_manifold(4, chart.chart_index)
-        X = fundamental_field(H, 4, chart.chart_index)
+        X = fundamental_field(H, chart.chart_index)
         assert abs(divergence(M, X, chart.coords)) < 1e-6
 
 
@@ -247,7 +247,7 @@ def test_chart_flow_matches_projected_evolution():
     H = HermitianOperator.diagonal([0.3, 1.1, 2.4])
     v0 = StateVector(np.array([0.8, 0.5, 0.33166247903554]), normalize=True)
     chart = chart_of(v0)
-    X = fundamental_field(H, 3, chart.chart_index)
+    X = fundamental_field(H, chart.chart_index)
     curve = flow_integrate(X, chart.coords, 1.0, 1000)
     worst = 0.0
     for t, xy in zip(curve.times, curve.points):
@@ -343,7 +343,7 @@ def test_stack_evaluation_equals_row_by_row(dim):
     for k in range(dim):
         points = rng.uniform(-0.9, 0.9, size=(17, 2 * (dim - 1)))
         M = chart_manifold(dim, k)
-        X = fundamental_field(H, dim, k)
+        X = fundamental_field(H, k)
         p = pressure_scalar_field(H, k)
         metrics = fubini_study_metric(AffineChart(k, points))
         fields = X.stack(points)
@@ -364,7 +364,7 @@ def test_coord_bound_stencil_point_is_rejected(dim):
     from qhydro.riemann import ChartBoundaryError, christoffel
 
     M = chart_manifold(dim, 0, coord_bound=0.5)
-    X = fundamental_field(random_hermitian(np.random.default_rng(67), dim), dim, 0)
+    X = fundamental_field(random_hermitian(np.random.default_rng(67), dim), 0)
     x = np.full(2 * (dim - 1), 0.1)
     x[0] = 0.5 - 0.5e-4  # inside; its stencil point x + h e_0 is not
     bad = x.copy()

@@ -303,7 +303,7 @@ def test_vorticity_two_form_transported_by_schrodinger_flow():
     from qhydro.projective import chart_manifold, fundamental_field
 
     M = chart_manifold(2, 0)
-    X = fundamental_field(HermitianOperator.diagonal([0.0, 1.0]), 2, 0)
+    X = fundamental_field(HermitianOperator.diagonal([0.0, 1.0]), 0)
     w = TwoForm(lambda y: exterior_derivative_oneform(M, flat_form(M, X), y))
     rng = np.random.default_rng(27)
     for _ in range(5):
@@ -673,7 +673,7 @@ def test_operators_on_a_stack_of_base_points_equal_the_one_point_calls():
 
     rng = np.random.default_rng(50)
     H = random_hermitian(rng, 4)
-    M, X, p = chart_manifold(4, 1), fundamental_field(H, 4, 1), pressure_scalar_field(H, 1)
+    M, X, p = chart_manifold(4, 1), fundamental_field(H, 1), pressure_scalar_field(H, 1)
     surf = surface_of_revolution(lambda z: 2.0 + np.sin(z), np.cos)
     cases = [
         (M, X, p, rng.uniform(-0.9, 0.9, size=(5, 6))),
@@ -838,7 +838,7 @@ def test_geodesics_on_cpn_charts_equal_the_uncached_path_bit_for_bit():
         M = chart_manifold(dim, k)
         x0 = rng.uniform(-0.5, 0.5, size=2 * (dim - 1))
         u0 = rng.normal(size=2 * (dim - 1)) * 0.3
-        assert_geodesic_bits(M, M, fundamental_field(random_hermitian(rng, dim), dim, k), x0, u0, 1.0, 30)
+        assert_geodesic_bits(M, M, fundamental_field(random_hermitian(rng, dim), k), x0, u0, 1.0, 30)
 
 
 def test_geodesic_leaving_z_domain_stops_at_the_uncached_step():

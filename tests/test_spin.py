@@ -269,7 +269,7 @@ def test_circulation_invariant_under_rotations():
         center = complex(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5))
         radius = rng.uniform(0.5, 2.0)
         ring = CircleContour(center, radius)
-        if min(ring.distance_to(a) for a in locs) < 0.05:
+        if ring.distances_to(locs).min() < 0.05:
             continue
         g = SU2Element.random(rng)
         moved = su2_act(g, chi)
@@ -282,9 +282,7 @@ def test_circulation_invariant_under_rotations():
         nodes, _ = ring.quadrature()
         image = [pull.mobius(z) for z in nodes]
         transported = PolygonContour(tuple(image), nodes_per_edge=4)
-        if moved.roots().size and min(
-            transported.distance_to(a) for a in moved.roots()
-        ) < 0.05:
+        if moved.roots().size and transported.distances_to(moved.roots()).min() < 0.05:
             continue
         before = circulation(chi, ring)
         after = circulation(moved, transported)
@@ -386,7 +384,7 @@ def test_integrality_for_random_contours():
         ring = CircleContour(
             complex(rng.uniform(-2, 2), rng.uniform(-2, 2)), rng.uniform(0.2, 3.0)
         )
-        if min(ring.distance_to(a) for a in locs) > 0.2 * ring.radius:
+        if ring.distances_to(locs).min() > 0.2 * ring.radius:
             contours.append(ring)
     records = bohr_sommerfeld_check(chi, contours)
     assert all(isinstance(r, IntegralityRecord) for r in records)
@@ -676,7 +674,7 @@ def test_contour_too_close_reports_the_per_root_minimum(contour, roots):
         circulation(chi, contour)
     assert str(info.value) == message
     for a, _ in entries:
-        assert contour.distance_to(a) == _reference_distance(contour, a)
+        assert float(contour.distances_to(np.array([a]))[0]) == _reference_distance(contour, a)
 
 
 @pytest.mark.parametrize(
