@@ -53,6 +53,7 @@ from .projective import (
 )
 from .fluid import (
     CriticalPoint,
+    GradientCheckError,
     SphereProfile,
     TrajectoryReport,
     critical_points,

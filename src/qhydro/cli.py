@@ -2,9 +2,15 @@
 
 Commands ingest Hamiltonians / wave functions from JSON, run residual
 verification suites, and export landscape / profile grids as CSV plus JSON
-reports; every JSON report is built here and written by _emit. Exit codes:
-0 all checks passed, 1 a residual check failed or the arithmetic broke down
-on well-formed input, 2 malformed input or violated precondition.
+reports; every JSON report is built here and written by _emit.
+
+A command returns 0 (all checks passed) or 1 (a check failed), or raises;
+main alone turns that into the exit code and the stderr lines. Exit 1 also
+means a numerical breakdown on well-formed input (`error:`), an ambiguous
+root clustering (`divisor computation failed:`) or a failed pressure
+gradient (`critical-point gradient check failed:`); exit 2 means malformed
+input or a violated precondition (`error:`). Each warning comes first, as
+one `warning: <message>` line.
 """
 
 from __future__ import annotations
@@ -41,7 +47,10 @@ DEFAULT_TOLS = {
 
 def _emit(report: dict, path=None):
     """Write a report as deterministic JSON (sorted keys, fixed layout) to path, or to stdout."""
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    try:
+        text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError:  # a non-finite value from well-formed input: a breakdown, and nothing is written
+        raise ArithmeticError("the report holds a non-finite number, which JSON cannot carry") from None
     if path:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
@@ -116,12 +125,8 @@ def _pairs(args, H):
 
 
 def _critical_report(H):
-    """The critical set of a nondegenerate H as a report, or None (after one stderr line) if a point fails its check."""
-    try:
-        points = fluid.critical_points(H)
-    except ValueError as exc:
-        sys.stderr.write(f"critical-point gradient check failed: {exc}\n")
-        return None
+    """The critical set of a nondegenerate H as a report."""
+    points = fluid.critical_points(H)
     return {
         "dim": H.dim,
         "eigenvalues": [float(v) for v in H.eigenvalues],
@@ -154,10 +159,7 @@ def cmd_pressure(args: argparse.Namespace) -> int:
         fluid.write_profile_csv(path, profile)
         written.append(path)
         worst = max(worst, profile.max_abs_err)
-    report = _critical_report(H)
-    if report is None:
-        return EXIT_CHECK_FAILED
-    _emit(report, f"{base}_critical.json")
+    _emit(_critical_report(H), f"{base}_critical.json")
     grid_check = _check("pressure_grid_error", worst, args.tols["pressure_grid"], args.grid**2)
     summary = {
         "command": "pressure",
@@ -173,10 +175,7 @@ def cmd_pressure(args: argparse.Namespace) -> int:
 def cmd_critical_points(args: argparse.Namespace) -> int:
     H = hermitian_from_json(args.input)
     H.require_nondegenerate()
-    report = _critical_report(H)
-    if report is None:
-        return EXIT_CHECK_FAILED
-    _emit(report, args.output)
+    _emit(_critical_report(H), args.output)
     return EXIT_OK
 
 
@@ -273,22 +272,7 @@ def cmd_zeno(args: argparse.Namespace) -> int:
 def cmd_spin_circulation(args: argparse.Namespace) -> int:
     chi = spin.wavefunction_from_json(args.input)
     contour = spin.contour_from_json(args.contour) if args.contour else None
-    failure = None
-    # warnings go to stderr as fixed lines and into the report, never with a source location
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        try:
-            value = spin.total_spin_circulation(chi) if contour is None else spin.circulation(chi, contour)
-        except spin.ClusterAmbiguityError as exc:  # as spin-divisor reports it: a failed check, not bad input
-            failure = f"divisor computation failed: {exc}"
-        except spin.NumericalBreakdownError as exc:
-            failure = f"error: {exc}"
-    messages = [str(w.message) for w in caught]
-    for message in messages:
-        sys.stderr.write(f"warning: {message}\n")
-    if failure is not None:
-        sys.stderr.write(failure + "\n")
-        return EXIT_CHECK_FAILED
+    value = spin.total_spin_circulation(chi) if contour is None else spin.circulation(chi, contour)
     sys.stdout.write(f"{value:.9f}\n")
     nearest = int(np.rint(value))
     deviation = abs(value - nearest)
@@ -301,7 +285,7 @@ def cmd_spin_circulation(args: argparse.Namespace) -> int:
                 "nearest_integer": nearest,
                 "deviation": deviation,
                 "passed": ok,
-                "warnings": messages,
+                "warnings": [str(w.message) for w in args.warnings],
             },
             args.output,
         )
@@ -310,11 +294,7 @@ def cmd_spin_circulation(args: argparse.Namespace) -> int:
 
 def cmd_spin_divisor(args: argparse.Namespace) -> int:
     chi = spin.wavefunction_from_json(args.input)
-    try:
-        divisor = chi.divisor()
-    except spin.ClusterAmbiguityError as exc:
-        sys.stderr.write(f"divisor computation failed: {exc}\n")
-        return EXIT_CHECK_FAILED
+    divisor = chi.divisor()
     _emit(
         {
             "command": "spin-divisor",
@@ -359,44 +339,56 @@ def build_parser():
     return parser
 
 
-def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+def _thresholds(args):
+    """The check thresholds every command reads, once --grid, --t and the --tol-* overrides are valid."""
     if args.grid < 2:
-        sys.stderr.write("error: --grid must be >= 2\n")
-        return EXIT_INPUT_ERROR
+        raise ValueError("--grid must be >= 2")
     if not math.isfinite(args.t):
-        sys.stderr.write(f"error: --t must be finite, got {args.t!r}\n")
-        return EXIT_INPUT_ERROR
-    args.tols = dict(DEFAULT_TOLS)  # every command reads its thresholds here
+        raise ValueError(f"--t must be finite, got {args.t!r}")
+    tols = dict(DEFAULT_TOLS)
     for name in ("euler", "killing"):
         tol = getattr(args, f"tol_{name}")
         if tol is None:
             continue
         if not (math.isfinite(tol) and tol > 0.0):
-            sys.stderr.write(f"error: --tol-{name} must be finite and > 0, got {tol!r}\n")
-            return EXIT_INPUT_ERROR
-        args.tols[name] = tol
-    try:
-        # an overflow or invalid value raises where it happens, instead of a warning and a wrong number
-        with np.errstate(over="raise", invalid="raise"):
-            return COMMANDS[args.command](args)
-    except DegenerateSpectrumError as exc:
-        sys.stderr.write(
-            f"error: {exc} (critical-point enumeration assumes a nondegenerate spectrum)\n"
-        )
-        return EXIT_INPUT_ERROR
-    except FileNotFoundError as exc:
-        sys.stderr.write(f"error: input file not found: {exc.filename}\n")
-        return EXIT_INPUT_ERROR
-    except json.JSONDecodeError as exc:
-        sys.stderr.write(f"error: malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}\n")
-        return EXIT_INPUT_ERROR
-    except ValueError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_INPUT_ERROR
-    except ArithmeticError as exc:  # a numerical breakdown on well-formed input: a failed check, not bad input
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_CHECK_FAILED
+            raise ValueError(f"--tol-{name} must be finite and > 0, got {tol!r}")
+        tols[name] = tol
+    return tols
+
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
+    failure = None
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", UserWarning)
+        args.warnings = caught  # spin-circulation lists them in its report
+        try:
+            args.tols = _thresholds(args)
+            # an overflow or invalid value raises where it happens, instead of a warning and a wrong number
+            with np.errstate(over="raise", invalid="raise"):
+                code = COMMANDS[args.command](args)
+        except DegenerateSpectrumError as exc:
+            code = EXIT_INPUT_ERROR
+            failure = f"error: {exc} (critical-point enumeration assumes a nondegenerate spectrum)"
+        # two ValueErrors that mean a failed check, not bad input: caught before ValueError
+        except spin.ClusterAmbiguityError as exc:
+            code, failure = EXIT_CHECK_FAILED, f"divisor computation failed: {exc}"
+        except fluid.GradientCheckError as exc:
+            code, failure = EXIT_CHECK_FAILED, f"critical-point gradient check failed: {exc}"
+        except FileNotFoundError as exc:
+            code, failure = EXIT_INPUT_ERROR, f"error: input file not found: {exc.filename}"
+        except json.JSONDecodeError as exc:
+            code = EXIT_INPUT_ERROR
+            failure = f"error: malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
+        except ValueError as exc:
+            code, failure = EXIT_INPUT_ERROR, f"error: {exc}"
+        except ArithmeticError as exc:  # a numerical breakdown on well-formed input: a failed check, not bad input
+            code, failure = EXIT_CHECK_FAILED, f"error: {exc}"
+    for warning in caught:
+        sys.stderr.write(f"warning: {warning.message}\n")
+    if failure is not None:
+        sys.stderr.write(failure + "\n")
+    return code
 
 
 if __name__ == "__main__":

@@ -50,6 +50,7 @@ from .riemann import (
 
 __all__ = [
     "CriticalPoint",
+    "GradientCheckError",
     "SphereProfile",
     "TrajectoryReport",
     "pressure",
@@ -100,6 +101,10 @@ def pressure_scalar_field(H: HermitianOperator, chart_index) -> ScalarField:
     return ScalarField(StackFunction(value))
 
 
+class GradientCheckError(ValueError):
+    """A pressure gradient failed its check: two routes disagree, or an enumerated critical point is not critical."""
+
+
 def pressure_gradient(H: HermitianOperator, point, h=FD_STEP, cross_tol=1e-5) -> TangentAtPoint:
     """Riemannian pressure gradient (dp)^sharp at a state, as a horizontal tangent.
 
@@ -107,8 +112,8 @@ def pressure_gradient(H: HermitianOperator, point, h=FD_STEP, cross_tol=1e-5) ->
     pressure scalar (returned), and -nabla_X X through the chart Christoffel
     machinery. Disagreement beyond cross_tol means the metric normalization
     and the algebraic variance have fallen out of sync, which is a bug, so
-    it raises rather than returning either value. One state is the one-row
-    case of the stacked gradients of critical_points.
+    it raises GradientCheckError rather than returning either value. One
+    state is the one-row case of the stacked gradients of critical_points.
     """
     chart = chart_of(point)
     grads, mismatches = _pressure_gradients(H, [chart], h)
@@ -138,7 +143,7 @@ def _pressure_gradients(H, charts, h):
 def _gradient_tangent(chart, grad, mismatch, cross_tol):
     """The gradient at one chart point as a horizontal tangent, once its two routes agree to cross_tol."""
     if mismatch > cross_tol:
-        raise ValueError(
+        raise GradientCheckError(
             f"pressure gradient routes disagree by {float(mismatch)!r} (> {cross_tol}); "
             "metric normalization or field generator is inconsistent"
         )
@@ -190,7 +195,7 @@ def critical_points(H: HermitianOperator, grad_tol=1e-8, cross_tol=1e-5) -> list
     for (state, kind, indices, press, phase_orbit), chart, grad, mismatch in zip(candidates, charts, grads, mismatches):
         norm = _gradient_tangent(chart, grad, mismatch, cross_tol).norm
         if norm > grad_tol:
-            raise ValueError(
+            raise GradientCheckError(
                 f"enumerated {kind} {indices} fails the gradient check: |grad p| = {norm!r}"
             )
         out.append(CriticalPoint(kind, indices, state, press, phase_orbit, norm))

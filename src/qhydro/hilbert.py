@@ -143,13 +143,11 @@ class HermitianOperator:
     matrix : array_like
         (n+1) x (n+1) complex matrix; must satisfy max|M - M^dag| below
         HERMITICITY_RTOL * |M|.
-    require_nondegenerate : bool
-        When set, demand min eigenvalue gap > DEGENERACY_RTOL * spectral range.
     """
 
     __slots__ = ("matrix", "_eigenvalues", "_eigenvectors")
 
-    def __init__(self, matrix, require_nondegenerate=False):
+    def __init__(self, matrix):
         mat = np.asarray(matrix, dtype=complex).copy()
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] < 2:
             raise ValueError(f"operator must be square with dimension >= 2, got shape {mat.shape}")
@@ -164,8 +162,6 @@ class HermitianOperator:
         object.__setattr__(self, "matrix", mat)
         object.__setattr__(self, "_eigenvalues", None)
         object.__setattr__(self, "_eigenvectors", None)
-        if require_nondegenerate:
-            self.require_nondegenerate()
 
     def __setattr__(self, name, value):
         raise AttributeError("HermitianOperator is immutable")

@@ -42,6 +42,10 @@ __all__ = [
     "fubini_study_distance",
 ]
 
+# A sphere node with |sin theta| at or below this is a pole in
+# GeodesicSphere.oriented_frames: d/dphi degenerates there.
+POLE_TOL = 1e-8
+
 
 @lru_cache(maxsize=None)
 def _slots(dim, k):
@@ -352,7 +356,7 @@ class GeodesicSphere:
         """Coefficient of dtheta ^ dphi in the area form."""
         return 0.25 * np.sin(theta)
 
-    def oriented_frames(self, thetas, phis, pole_tol=1e-8):
+    def oriented_frames(self, thetas, phis):
         """Positively oriented orthonormal tangent frames in chart coordinates, one row per node.
 
         Returns (chart indices, coords, u1, u2) for the nodes (thetas[n],
@@ -368,7 +372,7 @@ class GeodesicSphere:
         v = self.representative(th, ph)
         d_th, d_ph = self.embedding_velocities(th, ph)
         # the second direction: d/dphi, or at a pole the meridian at phi + pi/2 in its own gauge
-        pole = np.abs(np.sin(th[:, 0])) <= pole_tol
+        pole = np.abs(np.sin(th[:, 0])) <= POLE_TOL
         v2, d2 = v.copy(), d_ph
         v2[pole] = self.representative(th[pole], ph[pole] + np.pi / 2.0)
         d2[pole] = self.embedding_velocities(th[pole], ph[pole] + np.pi / 2.0)[0]

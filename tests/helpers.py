@@ -10,7 +10,9 @@ def random_hermitian(rng, dim, spectral_range=1.0):
     raw = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     H = HermitianOperator((raw + raw.conj().T) / 2.0)
     scale = spectral_range / H.spectral_range
-    return HermitianOperator(H.matrix * scale, require_nondegenerate=True)
+    H = HermitianOperator(H.matrix * scale)
+    H.require_nondegenerate()
+    return H
 
 
 def random_state(rng, dim):

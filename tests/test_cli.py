@@ -1,11 +1,20 @@
 """CLI: exit codes, report schemas, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from qhydro import cli
 from qhydro.cli import EXIT_CHECK_FAILED, EXIT_INPUT_ERROR, EXIT_OK, main
+from qhydro.fluid import GradientCheckError
+from qhydro.hilbert import DegenerateSpectrumError
+from qhydro.spin import ClusterAmbiguityError
 
 H01_JSON = {"dim": 2, "re": [[0.0, 0.0], [0.0, 1.0]], "im": None}
 H123_JSON = {"dim": 3, "re": [[1.0, 0.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 3.0]]}
@@ -345,3 +354,60 @@ def test_non_finite_time_and_tolerances_exit_2_with_one_line(tmp_path, capsys, a
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {needle}\n"
+
+
+@pytest.mark.filterwarnings("error")
+def test_non_finite_report_value_exits_1_and_writes_no_report(tmp_path, capsys):
+    # t^2 = 1e308 is a double, (Delta H)^2 t^2 = 9e308 is not
+    h = write_json(tmp_path / "H.json", {"dim": 2, "re": [[0, 3], [3, 0]]})
+    out = tmp_path / "zeno.json"
+    assert main(["zeno", "--input", h, "--t", "1e154", "--output", str(out)]) == EXIT_CHECK_FAILED
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err == (
+        "warning: (Delta H)^2 t^2 = inf >= 0.1: outside the quadratic decay regime\n"
+        "error: the report holds a non-finite number, which JSON cannot carry\n"
+    )
+
+
+def test_fresh_process_writes_a_warning_as_one_fixed_line(tmp_path):
+    # a new interpreter runs under Python's default warning filters, not under the test runner's
+    h = write_json(tmp_path / "H.json", {"dim": 2, "re": [[0, 1], [1, 0]]})
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONWARNINGS"}
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join([src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run(
+        [sys.executable, "-m", "qhydro.cli", "zeno", "--input", h, "--t", "2.0"],
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120,
+    )
+    assert proc.returncode == EXIT_OK
+    assert json.loads(proc.stdout)["command"] == "zeno"
+    assert proc.stderr == "warning: (Delta H)^2 t^2 = 4 >= 0.1: outside the quadratic decay regime\n"
+
+
+@pytest.mark.parametrize(
+    "exc, code, line",
+    [
+        (DegenerateSpectrumError("gap 0"), EXIT_INPUT_ERROR,
+         "error: gap 0 (critical-point enumeration assumes a nondegenerate spectrum)"),
+        (ClusterAmbiguityError("clusters move"), EXIT_CHECK_FAILED, "divisor computation failed: clusters move"),
+        (GradientCheckError("|grad p| = 1"), EXIT_CHECK_FAILED, "critical-point gradient check failed: |grad p| = 1"),
+        (FileNotFoundError(2, "No such file", "H.json"), EXIT_INPUT_ERROR, "error: input file not found: H.json"),
+        (json.JSONDecodeError("Expecting value", "{\n x", 3), EXIT_INPUT_ERROR,
+         "error: malformed JSON at line 2, column 2: Expecting value"),
+        (ValueError("bad key"), EXIT_INPUT_ERROR, "error: bad key"),
+        (OverflowError("t^2 overflows"), EXIT_CHECK_FAILED, "error: t^2 overflows"),
+        (FloatingPointError("overflow encountered in multiply"), EXIT_CHECK_FAILED,
+         "error: overflow encountered in multiply"),
+    ],
+)
+def test_main_turns_each_outcome_into_its_exit_code_and_one_line(monkeypatch, capsys, exc, code, line):
+    def command(args):
+        warnings.warn("before the failure")
+        raise exc
+
+    monkeypatch.setitem(cli.COMMANDS, "verify", command)
+    assert main(["verify", "--input", "unused.json"]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"warning: before the failure\n{line}\n"
