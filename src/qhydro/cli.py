@@ -45,12 +45,30 @@ DEFAULT_TOLS = {
 }
 
 
+def _first_nonfinite(value, key=""):
+    """(key, value) of the first non-finite number in a report, keys in sorted order, or None."""
+    if isinstance(value, float):
+        return None if math.isfinite(value) else (key, value)
+    if isinstance(value, dict):
+        items = [(f"{key}.{k}" if key else k, v) for k, v in sorted(value.items())]
+    elif isinstance(value, list):
+        items = [(f"{key}[{i}]", v) for i, v in enumerate(value)]
+    else:
+        return None
+    for k, v in items:
+        found = _first_nonfinite(v, k)
+        if found is not None:
+            return found
+    return None
+
+
 def _emit(report: dict, path=None):
     """Write a report as deterministic JSON (sorted keys, fixed layout) to path, or to stdout."""
     try:
         text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
     except ValueError:  # a non-finite value from well-formed input: a breakdown, and nothing is written
-        raise ArithmeticError("the report holds a non-finite number, which JSON cannot carry") from None
+        key, value = _first_nonfinite(report)
+        raise ArithmeticError(f"the report value {key} is {value}, which JSON cannot carry") from None
     if path:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)

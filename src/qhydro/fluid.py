@@ -356,8 +356,13 @@ def schrodinger_trajectory(H: HermitianOperator, point, T=1.0, steps=1000) -> Tr
     k = chart.chart_index
     manifold = chart_manifold(H.dim, k)
     X = fundamental_field(H, k)
-    flow = flow_integrate(X, chart.coords, T, steps)
-    geo = geodesic_integrate(manifold, chart.coords, X(chart.coords), T, steps)
+    curve = f"the flow on chart {k}"
+    try:
+        flow = flow_integrate(X, chart.coords, T, steps)
+        curve = f"the geodesic on chart {k}"
+        geo = geodesic_integrate(manifold, chart.coords, X(chart.coords), T, steps)
+    except (FloatingPointError, OverflowError) as exc:  # the message names the step; add the curve
+        raise type(exc)(f"{curve} {exc}") from None
     m = min(len(flow), len(geo))
     devs = fubini_study_distance(
         normalized_rows(representative(AffineChart(k, flow.points[:m]))),

@@ -188,6 +188,12 @@ class ChartManifold:
                 first = int(inside.argmin())
         return None if first == len(points) else first
 
+    def _rows_outside(self, points):
+        """Indices of the rows of an (N, dim) stack of points not in the chart, each row tested as contains tests it."""
+        if self._first_outside(points) is None:
+            return []
+        return [r for r, y in enumerate(points) if self._first_outside(y[None]) is not None]
+
     def metric_at(self, x) -> np.ndarray:
         """Metric matrix at x (one per row of an (N, dim) stack), validated symmetric positive-definite."""
         return _like(x, self._metrics_at(_bases(x)))
@@ -280,8 +286,8 @@ _STENCILS = {
 
 @lru_cache(maxsize=32)
 def _stencil_offsets(dim, h, order):
-    """Offsets of a central stencil from its base point, (dim, shifts, dim): built once per (dim, h, order), read-only."""
-    steps = _STENCILS[order][0][None, :, None] * (h * np.eye(dim))[:, None, :]
+    """Offsets of a central stencil, one row per (coordinate, shift): built once per (dim, h, order), read-only."""
+    steps = (_STENCILS[order][0][None, :, None] * (h * np.eye(dim))[:, None, :]).reshape(-1, dim)
     steps.flags.writeable = False
     return steps
 
@@ -290,19 +296,28 @@ def _stencil_points(manifold, xs, h, order):
     """Central stencils of the base points xs: one row per (base point, coordinate, shift)."""
     if order not in _STENCILS:
         raise ValueError(f"unsupported stencil order {order}")
-    return (xs[:, None, None, :] + _stencil_offsets(manifold.dim, float(h), order)).reshape(-1, manifold.dim)
+    return (xs[:, None, :] + _stencil_offsets(manifold.dim, float(h), order)).reshape(-1, manifold.dim)
+
+
+def _with_stencils(xs, h):
+    """The base points xs, then the rows of their order-2 _stencil_points, filled into one stack."""
+    m, d = xs.shape
+    points = np.empty((m * (2 * d + 1), d))
+    points[:m] = xs
+    np.add(xs[:, None, :], _stencil_offsets(d, float(h), 2), out=points[m:].reshape(m, 2 * d, d))
+    return points
 
 
 def _combine(manifold, values, h, order):
     """[d_i fn(x)]_i per base point, shape (M, dim, ...), from fn's values on the rows of _stencil_points."""
     _, weights, denom = _STENCILS[order]
-    values = values.reshape(-1, manifold.dim, len(weights), *values.shape[1:])
     if order == 2:
         # rounds as the weighted sum below does, zeros included: that sum starts at int 0, and 0 + (-0.0) is +0.0
-        diff = values[:, :, 0] + 0.0
-        diff -= values[:, :, 1]
+        diff = values[0::2] + 0.0
+        diff -= values[1::2]
         diff /= denom * h
-        return diff
+        return diff.reshape(-1, manifold.dim, *values.shape[1:])
+    values = values.reshape(-1, manifold.dim, len(weights), *values.shape[1:])
     return sum(w * values[:, :, j] for j, w in enumerate(weights)) / (denom * h)
 
 
@@ -317,8 +332,9 @@ def _partials(manifold, fn, xs, h, order=2):
 
 def _metric_partials(manifold, xs, h):
     """(g, dg) per base point, dg[m, l] = d_l g(x_m), from one validated metric stack."""
-    g = manifold._metric_stack(np.concatenate([xs, _stencil_points(manifold, xs, h, 2)]), len(xs))
-    return g[: len(xs)], _combine(manifold, g[len(xs):], h, 2)
+    m = len(xs)
+    g = manifold._metric_stack(_with_stencils(xs, h), m)
+    return g[:m], _combine(manifold, g[m:], h, 2)
 
 
 def _lower(g, u):
@@ -331,6 +347,15 @@ def _squared_norms(g, u):
     return (u * _lower(g, u)).sum(axis=1)
 
 
+def _christoffels(manifold, xs, h):
+    """christoffel at every row of an (M, dim) stack of base points: Gamma, (M, dim, dim, dim)."""
+    g, dg = _metric_partials(manifold, xs, h)  # dg[m, l, i, j] = d_l g_ij
+    ginv = np.linalg.inv(g)
+    # brackets[m, i, j, l] = d_i g_jl + d_j g_il - d_l g_ij
+    brackets = dg + dg.transpose(0, 2, 1, 3) - dg.transpose(0, 2, 3, 1)
+    return 0.5 * np.einsum("mkl,mijl->mkij", ginv, brackets)
+
+
 def christoffel(manifold, x, h=FD_STEP):
     """Christoffel symbols Gamma[k, i, j] of the Levi-Civita connection at x.
 
@@ -338,11 +363,7 @@ def christoffel(manifold, x, h=FD_STEP):
     Gamma^k_ij = 1/2 g^kl (d_i g_jl + d_j g_il - d_l g_ij), with central
     differences of step h. Symmetric in (i, j).
     """
-    g, dg = _metric_partials(manifold, _bases(x), h)  # dg[m, l, i, j] = d_l g_ij
-    ginv = np.linalg.inv(g)
-    # brackets[m, i, j, l] = d_i g_jl + d_j g_il - d_l g_ij
-    brackets = dg + dg.transpose(0, 2, 1, 3) - dg.transpose(0, 2, 3, 1)
-    return _like(x, 0.5 * np.einsum("mkl,mijl->mkij", ginv, brackets))
+    return _like(x, _christoffels(manifold, _bases(x), h))
 
 
 def covariant_derivative(manifold, X, Y, x, h=FD_STEP):
@@ -406,7 +427,7 @@ def divergence(manifold, X, x, h=FD_STEP):
     """Riemannian divergence (1 / sqrt det g) d_i (sqrt(det g) X^i) at x."""
     xs = _bases(x)
     m = len(xs)
-    points = np.concatenate([xs, _stencil_points(manifold, xs, h, 2)])
+    points = _with_stencils(xs, h)
     density = np.sqrt(np.linalg.det(manifold._metric_stack(points, m)))
     ds = _combine(manifold, density[m:, None] * X.stack(points[m:]), h, 2)
     return _scalar_like(x, sum(ds[:, i, i] for i in range(manifold.dim)) / density[:m])
@@ -472,32 +493,66 @@ def vector_norm(manifold, u, x):
     return _scalar_like(x, np.sqrt(_bilinear_rows(u, manifold._metrics_at(xs), u)))
 
 
-def _rk4(rhs, y0, T, steps, domain):
-    """Classical fixed-step RK4 of y' = rhs(y) over [0, T]: (times, states, exited).
+def _rk4(rhs, y0, T, steps, rows_outside=None):
+    """Fixed-step RK4 of y' = rhs(y) over [0, T] from an (M, n) stack of starts: (times, states, exited) per row.
 
-    A stage raising ChartBoundaryError, or a new state failing `domain`, ends the run early; that step is not recorded.
+    A row ends early at the first step that raises ChartBoundaryError when the
+    row takes it alone, or whose new state `rows_outside` names; that step is
+    not recorded, the row stays frozen, and the step is redone for the rest.
+    A FloatingPointError or OverflowError is raised again with the step and its time.
     """
-    y, dt = y0, float(T) / int(steps)
+    steps = int(steps)
+    dt = float(T) / steps
     half, sixth = 0.5 * dt, dt / 6.0
-    states = [y]
-    for _ in range(int(steps)):
-        try:
-            k1 = rhs(y)
-            k2 = rhs(y + half * k1)
-            k3 = rhs(y + half * k2)
-            k4 = rhs(y + dt * k3)
-        except ChartBoundaryError:
-            break
+
+    def increment(y):
+        k1 = rhs(y)
+        k2 = rhs(y + half * k1)
+        k3 = rhs(y + half * k2)
+        k4 = rhs(y + dt * k3)
         # k1 + 2 k2 + 2 k3 + k4, summed in that order, in one buffer
         incr = k1 + 2 * k2
         incr += 2 * k3
         incr += k4
         incr *= sixth
-        y = y + incr
-        if domain is not None and not domain(y):
-            break
-        states.append(y)
-    return np.arange(len(states)) * dt, np.array(states), len(states) <= int(steps)
+        return incr
+
+    def alone(row):
+        try:
+            return increment(row)
+        except ChartBoundaryError:
+            return None
+
+    def leave(y, live, left, n):
+        """y and live without the rows `left` (indices into y), which end at step n."""
+        ends[live[left]] = n
+        return np.delete(y, left, axis=0), np.delete(live, left)
+
+    states = np.empty((steps + 1, *y0.shape))
+    states[0] = y = y0
+    live = np.arange(len(y0))  # the rows of states that y continues
+    ends = np.full(len(y0), steps + 1)
+    for n in range(1, steps + 1):
+        try:
+            try:
+                incr = increment(y)
+            except ChartBoundaryError:
+                rows = [alone(y[r : r + 1]) for r in range(len(y))]
+                y, live = leave(y, live, [r for r, row in enumerate(rows) if row is None], n)
+                if not len(live):
+                    break
+                incr = np.concatenate([row for row in rows if row is not None])
+            y = y + incr
+        except (FloatingPointError, OverflowError) as exc:
+            where = f"in step {n} of {steps}, from t = {(n - 1) * dt:.6g}"
+            raise type(exc)(f"broke down {where}: {exc}") from None
+        left = [] if rows_outside is None else rows_outside(y)
+        if left:
+            y, live = leave(y, live, left, n)
+            if not len(live):
+                break
+        states[n, live] = y
+    return [(np.arange(end) * dt, states[:end, r], end <= steps) for r, end in enumerate(ends)]
 
 
 def geodesic_integrate(manifold, x0, u0, T, steps, fd_step=GEODESIC_FD_STEP):
@@ -506,34 +561,40 @@ def geodesic_integrate(manifold, x0, u0, T, steps, fd_step=GEODESIC_FD_STEP):
     Classical fixed-step fourth-order Runge-Kutta on the first-order system
     (x, u)' = (u, -Gamma(x)(u, u)). The metric speed <u, u> is conserved by
     the exact flow; its drift in the output measures integration error.
+    x0 and u0 are one start of shape (dim,) or an (M, dim) stack of starts,
+    integrated as one stack; each row gives the curve of its one-start call.
 
     Returns
     -------
-    DiscreteCurve
+    DiscreteCurve, or a list of M of them for a stack of starts
         steps+1 samples, or a shorter curve with exited=True if a stage
         point (or its Christoffel stencil) left the chart domain.
     """
     d = manifold.dim
 
     def rhs(y):
-        u = y[d:]
-        acc = np.einsum("kij,i,j->k", christoffel(manifold, y[:d], fd_step), u, u)
-        return np.concatenate([u, np.negative(acc, out=acc)])
+        u = y[:, d:]
+        acc = np.einsum("mkij,mi,mj->mk", _christoffels(manifold, y[:, :d], fd_step), u, u)
+        return np.concatenate([u, np.negative(acc, out=acc)], axis=1)
 
-    y0 = np.concatenate([np.asarray(x0, dtype=float), np.asarray(u0, dtype=float)])
-    times, states, exited = _rk4(rhs, y0, T, steps, lambda y: manifold.contains(y[:d]))
-    return DiscreteCurve(times, states[:, :d], states[:, d:], exited)
+    y0 = np.concatenate([_bases(x0), _bases(u0)], axis=1)
+    runs = _rk4(rhs, y0, T, steps, lambda y: manifold._rows_outside(y[:, :d]))
+    return _like(x0, [DiscreteCurve(times, s[:, :d], s[:, d:], exited) for times, s, exited in runs])
 
 
-def flow_integrate(X, x0, T, steps, domain=None):
+def flow_integrate(X, x0, T, steps):
     """Integrate the autonomous flow x' = X(x) of a VectorField by fixed-step RK4.
 
-    Records X(x_t) as the velocity samples, one stack over the curve; stops
-    early (exited=True) if the optional domain predicate fails or a stage
-    leaves the chart.
+    x0 is one start of shape (dim,) or an (M, dim) stack of starts, integrated
+    as one stack. Records X(x_t) as the velocity samples, one stack over each
+    curve; a curve stops early (exited=True) if a stage leaves the chart.
+
+    Returns
+    -------
+    DiscreteCurve, or a list of M of them for a stack of starts
     """
-    times, points, exited = _rk4(X, np.asarray(x0, dtype=float), T, steps, domain)
-    return DiscreteCurve(times, points, X.stack(points), exited)
+    runs = _rk4(X.stack, _bases(x0), T, steps)
+    return _like(x0, [DiscreteCurve(times, points, X.stack(points), exited) for times, points, exited in runs])
 
 
 def clairaut_check(manifold, curve, X):
@@ -563,7 +624,8 @@ def surface_of_revolution(rho, drho, z_domain=None):
     The chart is (z, phi) with metric diag(1 + rho'(z)^2, rho(z)^2). The
     rotation field d/dphi is Killing, with pressure 1/2 rho^2; its critical
     parallels sit at rho' = 0. The metric and the domain are evaluated on
-    stacks of points, calling rho and drho once per point.
+    stacks of points, calling rho and drho once per point, with z as a
+    Python float.
 
     Parameters
     ----------
@@ -575,16 +637,17 @@ def surface_of_revolution(rho, drho, z_domain=None):
 
     def metric(points):
         entries = []
-        for z in points[:, 0]:
+        for z in points[:, 0].tolist():
             r = float(rho(z))
             if r <= 0.0:
                 raise ValueError(f"profile radius must be positive, got rho({z}) = {r}")
             rp = float(drho(z))
-            entries.append((1.0 + rp * rp, 0.0, 0.0, r * r))
+            entries += (1.0 + rp * rp, 0.0, 0.0, r * r)
         return np.array(entries).reshape(len(points), 2, 2)
 
     def domain(points):
-        return [(z_domain is None or z_domain[0] < z < z_domain[1]) and float(rho(z)) > 0.0 for z in points[:, 0]]
+        zs = points[:, 0].tolist()
+        return [(z_domain is None or z_domain[0] < z < z_domain[1]) and float(rho(z)) > 0.0 for z in zs]
 
     manifold = ChartManifold(2, StackFunction(metric), StackFunction(domain), name="surface_of_revolution")
     killing = VectorField(lambda x: np.array([0.0, 1.0]))

@@ -36,3 +36,12 @@ def euclidean_plane():
     from qhydro.riemann import ChartManifold
 
     return ChartManifold(2, lambda x: np.eye(2), name="plane")
+
+
+def assert_same_curve(curve, reference):
+    """Two DiscreteCurves equal bit for bit: times, points, velocities and their sign bits, length and exit."""
+    assert len(curve) == len(reference) and curve.exited == reference.exited
+    for name in ("times", "points", "velocities"):
+        a, b = getattr(curve, name), getattr(reference, name)
+        # array_equal takes -0.0 == 0.0: the sign bits are compared too
+        assert np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))

@@ -366,7 +366,28 @@ def test_non_finite_report_value_exits_1_and_writes_no_report(tmp_path, capsys):
     assert captured.out == "" and not out.exists()
     assert captured.err == (
         "warning: (Delta H)^2 t^2 = inf >= 0.1: outside the quadratic decay regime\n"
-        "error: the report holds a non-finite number, which JSON cannot carry\n"
+        "error: the report value quadratic_prediction is inf, which JSON cannot carry\n"
+    )
+
+
+def test_emit_names_the_first_non_finite_key_and_writes_nothing(tmp_path, capsys):
+    report = {"passed": True, "checks": [{"max_residual": 1.0}, {"max_residual": float("nan")}], "z": float("inf")}
+    out = tmp_path / "report.json"
+    with pytest.raises(ArithmeticError, match=r"^the report value checks\[1\]\.max_residual is nan, "):
+        cli._emit(report, str(out))
+    assert not out.exists() and capsys.readouterr().out == ""
+
+
+@pytest.mark.filterwarnings("error")
+def test_trajectory_breakdown_names_the_curve_the_step_and_the_chart(tmp_path, capsys):
+    # sigma_x carries e_0 to the point at infinity of chart 0 at t = pi/2; the flow overflows first
+    h = write_json(tmp_path / "S.json", {"hamiltonian": {"dim": 2, "re": [[0, 1], [1, 0]]}, "state": {"re": [1, 0]}})
+    out = tmp_path / "trajectory.json"
+    assert main(["trajectory", "--input", h, "--t", "2.0", "--grid", "400", "--output", str(out)]) == EXIT_CHECK_FAILED
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err == (
+        "error: the flow on chart 0 broke down in step 317 of 400, from t = 1.58: overflow encountered in multiply\n"
     )
 
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from helpers import random_hermitian, random_state
+from helpers import assert_same_curve, random_hermitian, random_state
 from qhydro.hilbert import HermitianOperator, StateVector, dispersion_squared, evolve
 from qhydro.projective import (
     AffineChart,
@@ -399,3 +399,32 @@ def test_distance_resolves_nearby_rays():
             distance = fubini_study_distance(StateVector(u), StateVector(v, normalize=True))
             assert distance == pytest.approx(d, rel=1e-3)
         assert fubini_study_distance(StateVector(u), StateVector(w)) == pytest.approx(np.pi / 2, abs=1e-14)
+
+
+# ---------------------------------------------------------------------------
+# Stacks of starts on CP^2..CP^4 charts: each row the curve of its one-start call
+
+
+@pytest.mark.parametrize("dim", [3, 4, 5])
+def test_stacked_geodesics_and_flows_on_cpn_charts_equal_their_one_start_calls(dim):
+    rng = np.random.default_rng(70 + dim)
+    H = random_hermitian(rng, dim)
+    for k in range(dim):
+        M, X = chart_manifold(dim, k), fundamental_field(H, k)
+        x0 = rng.uniform(-0.8, 0.8, size=(3, 2 * (dim - 1)))
+        u0 = rng.normal(size=x0.shape) * 0.3
+        for curve, x, u in zip(geodesic_integrate(M, x0, u0, 1.0, 30), x0, u0):
+            assert_same_curve(curve, geodesic_integrate(M, x, u, 1.0, 30))
+        for curve, x in zip(flow_integrate(X, x0, 1.0, 30), x0):
+            assert_same_curve(curve, flow_integrate(X, x, 1.0, 30))
+
+
+def test_stacked_geodesics_on_a_bounded_cpn_chart_freeze_the_row_that_leaves():
+    # coord_bound 1 cuts the chart of CP^2; the fast row crosses |zeta|_inf = 1 mid-run
+    M = chart_manifold(3, 0, coord_bound=1.0)
+    x0 = np.array([[0.1, 0.0, 0.0, 0.2], [0.5, 0.1, -0.2, 0.0], [-0.3, 0.3, 0.0, -0.1]])
+    u0 = np.array([[0.1, 0.0, 0.05, 0.0], [1.5, 0.0, 0.0, 0.0], [0.0, -0.1, 0.1, 0.0]])
+    curves = geodesic_integrate(M, x0, u0, 1.0, 40)
+    assert [c.exited for c in curves] == [False, True, False] and 1 < len(curves[1]) < 41
+    for curve, x, u in zip(curves, x0, u0):
+        assert_same_curve(curve, geodesic_integrate(M, x, u, 1.0, 40))

@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from helpers import euclidean_plane, round_sphere
+from helpers import assert_same_curve, euclidean_plane, round_sphere
 from qhydro.riemann import (
     ChartBoundaryError,
     ChartManifold,
@@ -389,11 +389,12 @@ def test_geodesic_iff_critical_parallel():
 def test_clairaut_on_surface_of_revolution():
     surf = surface_of_revolution(lambda z: 2.0 + np.sin(z), np.cos)
     rng = np.random.default_rng(26)
-    for _ in range(5):
-        x0 = np.array([rng.uniform(-1.0, 1.0), rng.uniform(0.0, 2 * np.pi)])
-        u0 = rng.normal(size=2)
-        u0 /= vector_norm(surf.manifold, u0, x0)
-        curve = geodesic_integrate(surf.manifold, x0, u0, 1.0, 1000)
+    x0, u0 = np.empty((5, 2)), np.empty((5, 2))
+    for m in range(5):
+        x0[m] = rng.uniform(-1.0, 1.0), rng.uniform(0.0, 2 * np.pi)
+        u0[m] = rng.normal(size=2)
+        u0[m] /= vector_norm(surf.manifold, u0[m], x0[m])
+    for curve in geodesic_integrate(surf.manifold, x0, u0, 1.0, 1000):
         assert clairaut_check(surf.manifold, curve, surf.killing_field) < 1e-8
 
 
@@ -856,3 +857,75 @@ def test_surface_metric_refuses_nonpositive_radius_with_the_per_point_text():
     for metric in (surface_of_revolution(rho, drho).manifold.metric, per_point_surface(rho, drho).metric):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             metric(point)
+
+
+def test_surface_profile_gets_python_floats():
+    seen = []
+
+    def rho(z):
+        seen.append(type(z))
+        return 2.0 + z * z
+
+    surf = surface_of_revolution(rho, lambda z: 2.0 * z)
+    geodesic_integrate(surf.manifold, np.array([0.3, 0.0]), np.array([0.1, 0.2]), 0.1, 3)
+    assert seen and set(seen) == {float}
+    # Python-float arithmetic raises where an np.float64 would give inf or nan
+    with pytest.raises(ZeroDivisionError):
+        surface_of_revolution(lambda z: 1.0 / z, lambda z: 1.0).manifold.metric_at(np.array([0.0, 0.0]))
+    with pytest.raises(TypeError, match="complex"):
+        surface_of_revolution(lambda z: z**0.5, lambda z: 1.0).manifold.metric_at(np.array([-1.0, 0.0]))
+
+
+# ---------------------------------------------------------------------------
+# Stacks of starts: one RK4 over an (M, 2) stack, each row the curve of its
+# one-start call, bit for bit
+
+
+def test_stacked_geodesics_on_random_surfaces_equal_their_one_start_calls():
+    rng = np.random.default_rng(62)
+    for k in range(10):
+        a, b, c = rng.uniform(2.0, 3.0), rng.uniform(0.3, 1.0), rng.uniform(0.5, 1.5)
+        surf = surface_of_revolution(lambda z: a + b * np.sin(c * z), lambda z: b * c * np.cos(c * z))
+        x0 = np.column_stack([rng.uniform(-1.5, 1.5, size=4), rng.uniform(0.0, 2.0 * np.pi, size=4)])
+        u0 = rng.normal(size=(4, 2)) * 0.5
+        h = 1e-4 if k % 5 == 0 else 1e-5
+        curves = geodesic_integrate(surf.manifold, x0, u0, 1.0, 60, fd_step=h)
+        assert len(curves) == 4
+        for curve, x, u in zip(curves, x0, u0):
+            assert_same_curve(curve, geodesic_integrate(surf.manifold, x, u, 1.0, 60, fd_step=h))
+
+
+def test_stacked_geodesics_freeze_the_rows_that_leave_z_domain():
+    # row 1 leaves when a stage stencil crosses the boundary first, row 2 when its new
+    # sample does while its stages stayed inside; rows 0 and 3 run to the end
+    surf = surface_of_revolution(lambda z: 2.0 + np.sin(z), np.cos, z_domain=(-0.5, 0.5))
+    x0 = np.array([[0.0, 0.0], [0.3, 0.0], [0.25, 0.0], [-0.1, 1.0]])
+    u0 = np.array([[0.05, 0.3], [0.4, 0.2], [-1.1, -1.8], [-0.02, -0.4]])
+    curves = geodesic_integrate(surf.manifold, x0, u0, 1.0, 10)
+    assert [len(c) for c in curves] == [11, 5, 7, 11]
+    assert [c.exited for c in curves] == [False, True, True, False]
+    for curve, x, u in zip(curves, x0, u0):
+        assert_same_curve(curve, geodesic_integrate(surf.manifold, x, u, 1.0, 10))
+
+
+def test_one_row_stack_of_starts_is_the_one_start_call():
+    surf = surface_of_revolution(lambda z: 2.0 + np.sin(z), np.cos)
+    x0, u0 = np.array([0.3, -0.0]), np.array([0.4, 0.5])
+    (curve,) = geodesic_integrate(surf.manifold, x0[None], u0[None], 1.0, 80)
+    assert_same_curve(curve, geodesic_integrate(surf.manifold, x0, u0, 1.0, 80))
+    (flow,) = flow_integrate(ROTATION, x0[None], 1.0, 80)
+    assert_same_curve(flow, flow_integrate(ROTATION, x0, 1.0, 80))
+
+
+def test_integration_breakdown_names_the_step_and_its_time():
+    blowup = VectorField(lambda x: x * x)  # x' = x^2 from x = 1 reaches infinity at t = 1
+    message = "broke down in step 53 of 100, from t = 1.04: overflow encountered in multiply"
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError, match=f"^{re.escape(message)}$"):
+        flow_integrate(blowup, np.array([1.0, 0.5]), 2.0, 100)
+
+
+def test_integration_breakdown_names_the_step_of_a_python_float_overflow():
+    blowup = VectorField(lambda x: np.array([float(x[0]) ** 2, 0.0]))  # float ** raises OverflowError
+    message = "broke down in step 53 of 100, from t = 1.04: (34, 'Numerical result out of range')"
+    with pytest.raises(OverflowError, match=f"^{re.escape(message)}$"):
+        flow_integrate(blowup, np.array([1.0, 0.5]), 2.0, 100)
