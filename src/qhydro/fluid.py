@@ -17,6 +17,7 @@ as the one-point calls.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -323,6 +324,8 @@ def zeno_decay(H: HermitianOperator, v: StateVector, t: float, N: int) -> float:
     except OverflowError:
         raise OverflowError(f"t^2 overflows a double at t = {t!r}") from None
     regime = dispersion_squared(H, v) * t_squared
+    if not math.isfinite(regime):
+        raise OverflowError(f"(Delta H)^2 t^2 overflows a double at t = {t!r}")
     if regime >= 0.1:
         warnings.warn(
             f"(Delta H)^2 t^2 = {regime:.3g} >= 0.1: outside the quadratic decay regime",
@@ -384,13 +387,13 @@ def pressure_on_sphere(H: HermitianOperator, i, j, grid=(64, 64)) -> SphereProfi
 
 
 def write_profile_csv(path, profile: SphereProfile):
-    """Write one (theta, phi, numeric, analytic, abs_err) row per grid node, theta-major, under a fixed header."""
-    n_theta, n_phi = profile.numeric.shape
-    columns = [
-        np.repeat(profile.thetas, n_phi).tolist(),
-        np.tile(profile.phis, n_theta).tolist(),
-        *(a.ravel().tolist() for a in (profile.numeric, profile.analytic, profile.abs_err)),
-    ]
+    """Write one (theta, phi, numeric, analytic, abs_err) row per grid node, theta-major, under a fixed header.
+
+    Every value is written as its repr; each theta and phi node is formatted once.
+    """
+    phis = list(map(repr, profile.phis.tolist()))
+    nodes = [f"{theta},{phi}," for theta in map(repr, profile.thetas.tolist()) for phi in phis]
+    values = [a.ravel().tolist() for a in (profile.numeric, profile.analytic, profile.abs_err)]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("theta,phi,numeric,analytic,abs_err\n")
-        fh.writelines(f"{a!r},{b!r},{c!r},{d!r},{e!r}\n" for a, b, c, d, e in zip(*columns))
+        fh.write("".join(map("{}{!r},{!r},{!r}\n".format, nodes, *values)))

@@ -74,6 +74,20 @@ def _complexify(xy):
     return xy[..., 0::2] + 1j * xy[..., 1::2]
 
 
+def _checked_coords(coords):
+    """coords as a float array of chart coordinates: a flat (2n,) point or an (N, 2n) stack."""
+    coords = np.asarray(coords, dtype=float)
+    if coords.ndim not in (1, 2) or coords.shape[-1] % 2 != 0 or coords.shape[-1] == 0:
+        raise ValueError(f"chart coords must be a flat (2n,) array or an (N, 2n) stack, got shape {coords.shape}")
+    return coords
+
+
+def _require_chart(dim, chart_index):
+    """Refuse a chart index outside [0, dim) of C^dim."""
+    if dim < 2 or not 0 <= chart_index < dim:
+        raise ValueError(f"invalid chart: dim={dim}, index={chart_index}")
+
+
 def _rows(chart):
     """A chart's coordinates as an (N, 2n) stack; one point is the one-row stack."""
     return chart.coords.reshape(-1, chart.coords.shape[-1])
@@ -97,10 +111,7 @@ class AffineChart:
     coords: np.ndarray
 
     def __post_init__(self):
-        coords = np.asarray(self.coords, dtype=float)
-        if coords.ndim not in (1, 2) or coords.shape[-1] % 2 != 0 or coords.shape[-1] == 0:
-            raise ValueError(f"chart coords must be a flat (2n,) array or an (N, 2n) stack, got shape {coords.shape}")
-        object.__setattr__(self, "coords", coords)
+        object.__setattr__(self, "coords", _checked_coords(self.coords))
 
     @property
     def ambient_dim(self):
@@ -112,10 +123,15 @@ class AffineChart:
 
 def representative(chart: AffineChart) -> np.ndarray:
     """Homogeneous representative with 1 at the pivot slot (one row per point of a stack)."""
-    dim = chart.ambient_dim
-    z = np.zeros(chart.coords.shape[:-1] + (dim,), dtype=complex)
-    z[..., chart.chart_index] = 1.0
-    z[..., _slots(dim, chart.chart_index)] = _complexify(chart.coords)
+    return _representatives(chart.chart_index, _complexify(chart.coords))
+
+
+def _representatives(k, zeta):
+    """Homogeneous representatives of the complex chart-k coordinates zeta: 1 at slot k, zeta at the others."""
+    dim = zeta.shape[-1] + 1
+    z = np.zeros(zeta.shape[:-1] + (dim,), dtype=complex)
+    z[..., k] = 1.0
+    z[..., _slots(dim, k)] = zeta
     return z
 
 
@@ -170,13 +186,18 @@ def fubini_study_metric(chart: AffineChart) -> np.ndarray:
     For chart tangents u1, u2 with horizontal lifts w1, w2 at the unit
     representative, the matrix returns Re <w1|w2>; equivalently the squared
     length of the Schrodinger generator equals the Hamiltonian variance.
+    """
+    return _shaped(chart, _metric_rows(_rows(chart)))
+
+
+def _metric_rows(xy):
+    """fubini_study_metric at each row of an (N, 2n) coordinate stack.
 
     In closed form g = (I - r r^T - s s^T) / |z|^2, where r = x / |z| and s
     is r with each (Re, Im) pair turned to (Im, -Re). Each point is computed
     on its own, by elementwise products and row sums, so a point gives the
     same matrix alone and in a stack.
     """
-    xy = _rows(chart)
     nz2 = 1.0 + (xy * xy).sum(axis=1)
     r = xy / np.sqrt(nz2)[:, None]
     s = np.empty_like(r)
@@ -186,7 +207,7 @@ def fubini_study_metric(chart: AffineChart) -> np.ndarray:
     g += s[:, :, None] * s[:, None, :]
     np.subtract(_identity(xy.shape[1]), g, out=g)
     g /= nz2[:, None, None]
-    return _shaped(chart, g)
+    return g
 
 
 def chart_manifold(dim, chart_index, coord_bound=None) -> ChartManifold:
@@ -196,10 +217,8 @@ def chart_manifold(dim, chart_index, coord_bound=None) -> ChartManifold:
     coordinates. coord_bound optionally restricts |zeta|_inf to keep
     far-from-pivot points (badly conditioned) out of stencils.
     """
-    if dim < 2 or not 0 <= chart_index < dim:
-        raise ValueError(f"invalid chart: dim={dim}, index={chart_index}")
-
-    metric = StackFunction(lambda points: fubini_study_metric(AffineChart(chart_index, points)))
+    _require_chart(dim, chart_index)
+    metric = StackFunction(lambda points: _metric_rows(_checked_coords(points)))
     domain = None
     if coord_bound is not None:
         domain = StackFunction(lambda points: np.abs(points).max(axis=1) < coord_bound)
@@ -207,17 +226,25 @@ def chart_manifold(dim, chart_index, coord_bound=None) -> ChartManifold:
 
 
 def fundamental_field_at(A: HermitianOperator, chart: AffineChart) -> np.ndarray:
-    """Chart components of the flow generator of [v] -> [exp(-iAt) v] (one row per point of a stack).
+    """Chart components of the flow generator of [v] -> [exp(-iAt) v] (one row per point of a stack)."""
+    _require_ambient(A, chart.coords)
+    return _shaped(chart, _field_rows(A, chart.chart_index, _rows(chart)))
 
-    Each point is computed on its own, as fubini_study_metric computes it.
+
+def _require_ambient(A, xy):
+    """Refuse chart coordinates xy of another CP^n than the operator A acts on."""
+    if A.dim != xy.shape[-1] // 2 + 1:
+        raise ValueError(f"dimension mismatch: operator {A.dim}, chart ambient {xy.shape[-1] // 2 + 1}")
+
+
+def _field_rows(A, k, xy):
+    """fundamental_field_at at each row of an (N, 2n) stack of chart-k coordinates of CP^(A.dim - 1).
+
+    Each point is computed on its own, as _metric_rows computes it.
     """
-    if A.dim != chart.ambient_dim:
-        raise ValueError(f"dimension mismatch: operator {A.dim}, chart ambient {chart.ambient_dim}")
-    k = chart.chart_index
-    z = representative(chart).reshape(-1, A.dim)
-    Az = A.apply_stack(z)
-    slots = _slots(A.dim, k)
-    return _shaped(chart, _interleave(-1j * (Az[:, slots] - z[:, slots] * Az[:, k, None])))
+    zeta = _complexify(xy)
+    Az = A.apply_stack(_representatives(k, zeta))
+    return _interleave(-1j * (Az[:, _slots(A.dim, k)] - zeta * Az[:, k, None]))
 
 
 def fundamental_field(A: HermitianOperator, chart_index) -> VectorField:
@@ -227,7 +254,14 @@ def fundamental_field(A: HermitianOperator, chart_index) -> VectorField:
     generator -iA of the unitary flow; the horizontal lift of the returned
     field at a unit v is -i (A - <A>) v.
     """
-    return VectorField(StackFunction(lambda points: fundamental_field_at(A, AffineChart(chart_index, points))))
+    _require_chart(A.dim, chart_index)
+
+    def stack(points):
+        xy = _checked_coords(points)
+        _require_ambient(A, xy)
+        return _field_rows(A, chart_index, xy)
+
+    return VectorField(StackFunction(stack))
 
 
 def horizontal_lift(chart: AffineChart, u) -> tuple[np.ndarray, np.ndarray]:

@@ -196,7 +196,8 @@ class ChartManifold:
 
     def metric_at(self, x) -> np.ndarray:
         """Metric matrix at x (one per row of an (N, dim) stack), validated symmetric positive-definite."""
-        return _like(x, self._metrics_at(_bases(x)))
+        # a copy: _metric_stack may hand back the metric function's own array
+        return _like(x, self._metrics_at(_bases(x)).copy())
 
     def _metrics_at(self, points) -> np.ndarray:
         """metric_at at every row of an (N, dim) stack, checked as one batch."""
@@ -217,7 +218,7 @@ class ChartManifold:
         checked = points if outside is None else points[:bases]
         rows = self._metric_rows(checked)
         try:
-            g = np.asarray(rows, dtype=float)
+            g = np.ascontiguousarray(rows, dtype=float)
             shaped = g.shape == (len(checked), self.dim, self.dim)
         except ValueError:  # rows of different shapes
             shaped = False
@@ -225,11 +226,12 @@ class ChartManifold:
             shape = next((np.shape(r) for r in rows if np.shape(r) != (self.dim, self.dim)), np.shape(rows))
             raise ValueError(f"metric returned shape {shape}, expected {(self.dim, self.dim)}")
         gt = g.transpose(0, 2, 1)
-        if not _all(g == gt):  # an exactly symmetric stack passes the tolerance test
+        # a stack symmetric bit for bit (signed zeros included) is its own (g + g^T) / 2
+        if g.tobytes() != gt.tobytes():
             asym = np.abs(g - gt).max(axis=(1, 2)) > 1e-9 * np.maximum(np.abs(g).max(axis=(1, 2)), 1e-300)
             if asym.any():
                 raise ValueError(f"metric not symmetric at {checked[asym.argmax()]}")
-        g = (g + gt) / 2.0
+            g = (g + gt) / 2.0
         try:
             np.linalg.cholesky(g)
         except np.linalg.LinAlgError:
@@ -352,8 +354,11 @@ def _christoffels(manifold, xs, h):
     g, dg = _metric_partials(manifold, xs, h)  # dg[m, l, i, j] = d_l g_ij
     ginv = np.linalg.inv(g)
     # brackets[m, i, j, l] = d_i g_jl + d_j g_il - d_l g_ij
-    brackets = dg + dg.transpose(0, 2, 1, 3) - dg.transpose(0, 2, 3, 1)
-    return 0.5 * np.einsum("mkl,mijl->mkij", ginv, brackets)
+    brackets = dg + dg.transpose(0, 2, 1, 3)
+    brackets -= dg.transpose(0, 2, 3, 1)
+    gamma = np.einsum("mkl,mijl->mkij", ginv, brackets)
+    gamma *= 0.5
+    return gamma
 
 
 def christoffel(manifold, x, h=FD_STEP):
@@ -624,21 +629,30 @@ def surface_of_revolution(rho, drho, z_domain=None):
     The chart is (z, phi) with metric diag(1 + rho'(z)^2, rho(z)^2). The
     rotation field d/dphi is Killing, with pressure 1/2 rho^2; its critical
     parallels sit at rho' = 0. The metric and the domain are evaluated on
-    stacks of points, calling rho and drho once per point, with z as a
-    Python float.
+    stacks of points, with z as a Python float: rho once per point of a
+    stack (the metric reuses the radii the domain computed for the same
+    stack) and drho once per point.
 
     Parameters
     ----------
     rho, drho : callable
         Profile radius and its derivative as functions of z.
     z_domain : (float, float), optional
-        Open z-interval of the chart; default unrestricted.
+        Open z-interval of the chart; default unrestricted. rho is called
+        only inside it.
     """
+    # (bytes of the z column, rho of each z) of the stack the domain last saw whole:
+    # one tuple, replaced at once, so a concurrent call sees a matching pair or none
+    radii = (None, None)
 
     def metric(points):
+        key, rs = radii
+        zs = points[:, 0].tolist()
+        if key != points[:, 0].tobytes():
+            rs = map(rho, zs)  # lazily, so each rho(z) comes before its drho(z), as without the shared radii
         entries = []
-        for z in points[:, 0].tolist():
-            r = float(rho(z))
+        for z, r in zip(zs, rs):
+            r = float(r)
             if r <= 0.0:
                 raise ValueError(f"profile radius must be positive, got rho({z}) = {r}")
             rp = float(drho(z))
@@ -646,8 +660,13 @@ def surface_of_revolution(rho, drho, z_domain=None):
         return np.array(entries).reshape(len(points), 2, 2)
 
     def domain(points):
+        nonlocal radii
         zs = points[:, 0].tolist()
-        return [(z_domain is None or z_domain[0] < z < z_domain[1]) and float(rho(z)) > 0.0 for z in zs]
+        if z_domain is not None and not all(z_domain[0] < z < z_domain[1] for z in zs):
+            return [z_domain[0] < z < z_domain[1] and float(rho(z)) > 0.0 for z in zs]
+        rs = [float(rho(z)) for z in zs]
+        radii = (points[:, 0].tobytes(), rs)
+        return [r > 0.0 for r in rs]
 
     manifold = ChartManifold(2, StackFunction(metric), StackFunction(domain), name="surface_of_revolution")
     killing = VectorField(lambda x: np.array([0.0, 1.0]))

@@ -357,17 +357,14 @@ def test_non_finite_time_and_tolerances_exit_2_with_one_line(tmp_path, capsys, a
 
 
 @pytest.mark.filterwarnings("error")
-def test_non_finite_report_value_exits_1_and_writes_no_report(tmp_path, capsys):
+def test_zeno_regime_overflow_exits_1_with_one_line_and_writes_no_report(tmp_path, capsys):
     # t^2 = 1e308 is a double, (Delta H)^2 t^2 = 9e308 is not
     h = write_json(tmp_path / "H.json", {"dim": 2, "re": [[0, 3], [3, 0]]})
     out = tmp_path / "zeno.json"
     assert main(["zeno", "--input", h, "--t", "1e154", "--output", str(out)]) == EXIT_CHECK_FAILED
     captured = capsys.readouterr()
     assert captured.out == "" and not out.exists()
-    assert captured.err == (
-        "warning: (Delta H)^2 t^2 = inf >= 0.1: outside the quadratic decay regime\n"
-        "error: the report value quadratic_prediction is inf, which JSON cannot carry\n"
-    )
+    assert captured.err == "error: (Delta H)^2 t^2 overflows a double at t = 1e+154\n"
 
 
 def test_emit_names_the_first_non_finite_key_and_writes_nothing(tmp_path, capsys):

@@ -228,6 +228,14 @@ def test_zeno_input_validation():
         zeno_decay(H01, EQUAL, 2.0, 1)
 
 
+@pytest.mark.filterwarnings("error")
+def test_zeno_refuses_a_regime_product_that_overflows():
+    H = hermitian_from_json({"dim": 2, "re": [[0, 3], [3, 0]]})
+    e0 = StateVector(np.array([1.0, 0.0]))
+    with pytest.raises(OverflowError, match=r"^\(Delta H\)\^2 t\^2 overflows a double at t = 1e\+154$"):
+        zeno_decay(H, e0, 1e154, 10)
+
+
 # ---------------------------------------------------------------------------
 # Trajectories
 
@@ -367,6 +375,32 @@ def test_profile_csv_equals_per_row_writer_byte_for_byte(tmp_path, grid):
         assert path.read_bytes() == row_csv(rows).encode()
     peak = 2.0 * abs(vorticity_profile.omega)
     assert vorticity_profile.max_rel_err == vorticity_profile.max_abs_err / peak
+
+
+def column_csv(path, profile):
+    """The column writer that write_profile_csv replaced: one repr per value, theta and phi included."""
+    n_theta, n_phi = profile.numeric.shape
+    columns = [
+        np.repeat(profile.thetas, n_phi).tolist(),
+        np.tile(profile.phis, n_theta).tolist(),
+        *(a.ravel().tolist() for a in (profile.numeric, profile.analytic, profile.abs_err)),
+    ]
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("theta,phi,numeric,analytic,abs_err\n")
+        fh.writelines(f"{a!r},{b!r},{c!r},{d!r},{e!r}\n" for a, b, c, d, e in zip(*columns))
+
+
+def test_profile_csv_equals_the_column_writer_byte_for_byte(tmp_path):
+    H = random_hermitian(np.random.default_rng(71), 4)
+    for profile in (
+        pressure_on_sphere(H, 3, 1, grid=(16, 16)),
+        pressure_on_sphere(H, 2, 0, grid=(64, 64)),
+        vorticity_on_sphere(H, 1, 0, grid=(12, 12)),
+    ):
+        assert profile.thetas[0] == 0.0 and profile.thetas[-1] == np.pi
+        write_profile_csv(tmp_path / "new.csv", profile)
+        column_csv(tmp_path / "old.csv", profile)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 
 # ---------------------------------------------------------------------------

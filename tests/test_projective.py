@@ -428,3 +428,55 @@ def test_stacked_geodesics_on_a_bounded_cpn_chart_freeze_the_row_that_leaves():
     assert [c.exited for c in curves] == [False, True, False] and 1 < len(curves[1]) < 41
     for curve, x, u in zip(curves, x0, u0):
         assert_same_curve(curve, geodesic_integrate(M, x, u, 1.0, 40))
+
+
+# ---------------------------------------------------------------------------
+# The metric and field stacks of a chart: the checks at their boundary, and
+# the same bits as the chart-level functions
+
+
+@pytest.mark.parametrize("width", [3, 5, 0])
+def test_chart_stacks_refuse_odd_or_empty_coordinate_widths(width):
+    import re
+
+    H = random_hermitian(np.random.default_rng(80), 3)
+    points = np.zeros((4, width))
+    message = f"chart coords must be a flat (2n,) array or an (N, 2n) stack, got shape {points.shape}"
+    for call in (
+        lambda: chart_manifold(3, 0).metric.stack(points),
+        lambda: fundamental_field(H, 1).stack(points),
+    ):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call()
+
+
+def test_field_stack_refuses_coordinates_of_another_dimension():
+    X = fundamental_field(random_hermitian(np.random.default_rng(81), 3), 0)
+    with pytest.raises(ValueError, match=r"^dimension mismatch: operator 3, chart ambient 4$"):
+        X.stack(np.zeros((2, 6)))
+    with pytest.raises(ValueError, match=r"^dimension mismatch: operator 3, chart ambient 2$"):
+        X(np.zeros(2))
+
+
+@pytest.mark.parametrize("k", [3, -1, 7])
+def test_field_on_a_chart_that_does_not_exist_is_refused_when_built(k):
+    with pytest.raises(ValueError, match=f"^invalid chart: dim=3, index={k}$"):
+        fundamental_field(random_hermitian(np.random.default_rng(82), 3), k)
+
+
+@pytest.mark.parametrize("dim", [3, 4, 5])
+def test_chart_stacks_equal_the_chart_functions_bit_for_bit(dim):
+    rng = np.random.default_rng(83 + dim)
+    H = random_hermitian(rng, dim)
+    for k in range(dim):
+        points = rng.uniform(-1.5, 1.5, size=(9, 2 * (dim - 1)))
+        points[0] = 0.0
+        points[1] = -0.0
+        points[2, ::2] = -0.0
+        chart = AffineChart(k, points)
+        for stacked, reference in (
+            (chart_manifold(dim, k).metric.stack(points), fubini_study_metric(chart)),
+            (fundamental_field(H, k).stack(points), fundamental_field_at(H, chart)),
+        ):
+            assert stacked.shape == reference.shape
+            assert np.array_equal(stacked, reference) and np.array_equal(np.signbit(stacked), np.signbit(reference))

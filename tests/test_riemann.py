@@ -12,6 +12,7 @@ from qhydro.riemann import (
     DiscreteCurve,
     OneForm,
     ScalarField,
+    StackFunction,
     TwoForm,
     VectorField,
     christoffel,
@@ -874,6 +875,67 @@ def test_surface_profile_gets_python_floats():
         surface_of_revolution(lambda z: 1.0 / z, lambda z: 1.0).manifold.metric_at(np.array([0.0, 0.0]))
     with pytest.raises(TypeError, match="complex"):
         surface_of_revolution(lambda z: z**0.5, lambda z: 1.0).manifold.metric_at(np.array([-1.0, 0.0]))
+
+
+def counted_profile(a=2.0, b=0.5, c=1.0):
+    """rho = a + b sin(c z) and its drho, each recording the z of every call."""
+    calls = {"rho": [], "drho": []}
+
+    def rho(z):
+        calls["rho"].append(z)
+        return a + b * np.sin(c * z)
+
+    def drho(z):
+        calls["drho"].append(z)
+        return b * c * np.cos(c * z)
+
+    return rho, drho, calls
+
+
+def test_surface_christoffel_calls_rho_and_drho_once_per_stencil_point():
+    rho, drho, calls = counted_profile()
+    christoffel(surface_of_revolution(rho, drho).manifold, np.array([0.3, 0.1]))
+    assert len(calls["rho"]) == 5 and len(calls["drho"]) == 5
+    assert calls["rho"] == calls["drho"]
+
+
+def test_surface_calls_rho_only_inside_z_domain():
+    rho, drho, calls = counted_profile()
+    surf = surface_of_revolution(rho, drho, z_domain=(-0.5, 0.5))
+    with pytest.raises(ChartBoundaryError, match="^stencil point"):
+        christoffel(surf.manifold, np.array([0.5 - 0.5e-4, 0.0]))
+    curve = geodesic_integrate(surf.manifold, np.array([0.3, 0.0]), np.array([1.0, 0.2]), 1.0, 50)
+    assert curve.exited
+    assert calls["rho"] and all(-0.5 < z < 0.5 for z in calls["rho"] + calls["drho"])
+
+
+def test_surface_metric_reuses_only_the_radii_of_its_own_stack():
+    # a concurrent caller can evaluate the domain of another stack between one stack's domain and metric;
+    # these two stacks differ only in the sign of a zero z
+    rho, drho, calls = counted_profile()
+    M = surface_of_revolution(rho, drho).manifold
+    reference = per_point_surface(rho, drho)
+    first, second = np.array([[0.1, 0.0], [0.0, 2.0]]), np.array([[0.1, 0.0], [-0.0, 2.0]])
+    for domain_of, metric_of, new_rho_calls in ((first, second, 2), (second, second, 0), (second, first, 2)):
+        M.chart_domain.stack(domain_of)
+        del calls["rho"][:]
+        assert np.array_equal(M.metric.stack(metric_of), [reference.metric(y) for y in metric_of])
+        assert len(calls["rho"]) == new_rho_calls + 2  # and the reference's own two
+
+
+def test_metric_at_returns_an_array_the_caller_owns():
+    stored = np.array([[[2.0, 0.5], [0.5, 3.0]]])
+    M = ChartManifold(2, StackFunction(lambda points: stored))
+    g = M.metric_at(np.zeros(2))
+    g[0, 0] = -1.0
+    assert stored[0, 0, 0] == 2.0 and M.metric_at(np.zeros(2))[0, 0] == 2.0
+
+
+def test_metric_symmetric_up_to_the_sign_of_zero_is_symmetrized():
+    # -0.0 == 0.0, yet (g + g^T) / 2 turns the pair into +0.0, +0.0
+    M = ChartManifold(2, StackFunction(lambda points: np.array([[[1.0, -0.0], [0.0, 2.0]]] * len(points))))
+    g = M.metric_at(np.zeros(2))
+    assert np.array_equal(g, np.diag([1.0, 2.0])) and not np.signbit(g).any()
 
 
 # ---------------------------------------------------------------------------
