@@ -41,7 +41,6 @@ from .riemann import (
     surface_of_revolution,
 )
 from .projective import (
-    AffineChart,
     GeodesicSphere,
     TangentAtPoint,
     chart_manifold,

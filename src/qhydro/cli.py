@@ -106,7 +106,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     killing = euler = ortho = diver = transport = 0.0
     # the states of one chart go through each operator as one stack of base points
     for k, rows in projective.chart_rows(np.abs(states).argmax(axis=1)):
-        x = projective.chart_of(states[rows], k).coords
+        _, x = projective.chart_of(states[rows], k)
         manifold = projective.chart_manifold(H.dim, k)
         X = projective.fundamental_field(H, k)
         p = fluid.pressure_scalar_field(H, k)
@@ -247,15 +247,14 @@ def _hamiltonian_and_state(args):
 
 def cmd_trajectory(args: argparse.Namespace) -> int:
     H, state = _hamiltonian_and_state(args)
-    steps = max(args.grid, 2)
-    _require_affordable_grid(args, steps)
-    report = fluid.schrodinger_trajectory(H, state, T=args.t, steps=steps)
+    _require_affordable_grid(args, args.grid)
+    report = fluid.schrodinger_trajectory(H, state, T=args.t, steps=args.grid)
     grad_norm = fluid.pressure_gradient(H, state).norm
     _emit(
         {
             "command": "trajectory",
             "t": args.t,
-            "steps": steps,
+            "steps": args.grid,
             "chart_index": report.chart_index,
             "flow_exited": bool(report.flow.exited),
             "geodesic_exited": bool(report.geodesic.exited),

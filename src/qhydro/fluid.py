@@ -25,7 +25,6 @@ import numpy as np
 
 from .hilbert import HermitianOperator, StateVector, dispersion_squared, normalized_rows, survival_probability
 from .projective import (
-    AffineChart,
     GeodesicSphere,
     TangentAtPoint,
     chart_manifold,
@@ -97,7 +96,7 @@ def pressure_scalar_field(H: HermitianOperator, chart_index) -> ScalarField:
     """The pressure as a scalar field on one affine chart, evaluated on whole stacks of chart points."""
 
     def value(points):
-        return 0.5 * dispersion_squared(H, _unit_rows(representative(AffineChart(chart_index, points))))
+        return 0.5 * dispersion_squared(H, _unit_rows(representative(chart_index, points)))
 
     return ScalarField(StackFunction(value))
 
@@ -116,20 +115,19 @@ def pressure_gradient(H: HermitianOperator, point, h=FD_STEP, cross_tol=1e-5) ->
     it raises GradientCheckError rather than returning either value. One
     state is the one-row case of the stacked gradients of critical_points.
     """
-    chart = chart_of(point)
-    grads, mismatches = _pressure_gradients(H, [chart], h)
-    return _gradient_tangent(chart, grads[0], mismatches[0], cross_tol)
+    k, x = chart_of(point)
+    grads, mismatches = _pressure_gradients(H, [k], x[None], h)
+    return _gradient_tangent(k, x, grads[0], mismatches[0], cross_tol)
 
 
-def _pressure_gradients(H, charts, h):
-    """(dp)^sharp at each chart point, and the norm of its mismatch with -nabla_X X.
+def _pressure_gradients(H, ks, xs, h):
+    """(dp)^sharp at each chart point (ks[n], xs[n]), and the norm of its mismatch with -nabla_X X.
 
     The points of one chart form one stack.
     """
-    dim = 2 * (H.dim - 1)
-    grads, mismatches = np.empty((len(charts), dim)), np.empty(len(charts))
-    for k, rows in chart_rows([chart.chart_index for chart in charts]):
-        x = np.array([charts[n].coords for n in rows])
+    grads, mismatches = np.empty(xs.shape), np.empty(len(xs))
+    for k, rows in chart_rows(ks):
+        x = xs[rows]
         manifold = chart_manifold(H.dim, k)
         dp = differential(manifold, pressure_scalar_field(H, k), x, h, order=4)
         g = manifold.metric_at(x)
@@ -141,14 +139,14 @@ def _pressure_gradients(H, charts, h):
     return grads, mismatches
 
 
-def _gradient_tangent(chart, grad, mismatch, cross_tol):
-    """The gradient at one chart point as a horizontal tangent, once its two routes agree to cross_tol."""
+def _gradient_tangent(k, x, grad, mismatch, cross_tol):
+    """The gradient at the chart-k point x as a horizontal tangent, once its two routes agree to cross_tol."""
     if mismatch > cross_tol:
         raise GradientCheckError(
             f"pressure gradient routes disagree by {float(mismatch)!r} (> {cross_tol}); "
             "metric normalization or field generator is inconsistent"
         )
-    base_v, w = horizontal_lift(chart, grad)
+    base_v, w = horizontal_lift(k, x, grad)
     return TangentAtPoint(StateVector(base_v), w)
 
 
@@ -190,11 +188,12 @@ def critical_points(H: HermitianOperator, grad_tol=1e-8, cross_tol=1e-5) -> list
         for i in range(H.dim)
         for j in range(i)
     ]
-    charts = [chart_of(state) for state, *_ in candidates]
-    grads, mismatches = _pressure_gradients(H, charts, FD_STEP)
+    ks, xs = zip(*(chart_of(state) for state, *_ in candidates))
+    xs = np.array(xs)
+    grads, mismatches = _pressure_gradients(H, ks, xs, FD_STEP)
     out = []
-    for (state, kind, indices, press, phase_orbit), chart, grad, mismatch in zip(candidates, charts, grads, mismatches):
-        norm = _gradient_tangent(chart, grad, mismatch, cross_tol).norm
+    for (state, kind, indices, press, phase_orbit), k, x, grad, mismatch in zip(candidates, ks, xs, grads, mismatches):
+        norm = _gradient_tangent(k, x, grad, mismatch, cross_tol).norm
         if norm > grad_tol:
             raise GradientCheckError(
                 f"enumerated {kind} {indices} fails the gradient check: |grad p| = {norm!r}"
@@ -355,21 +354,20 @@ def schrodinger_trajectory(H: HermitianOperator, point, T=1.0, steps=1000) -> Tr
     point and grows at generic starts, where the flow follows a non-geodesic
     latitude circle.
     """
-    chart = chart_of(point)
-    k = chart.chart_index
+    k, x = chart_of(point)
     manifold = chart_manifold(H.dim, k)
     X = fundamental_field(H, k)
     curve = f"the flow on chart {k}"
     try:
-        flow = flow_integrate(X, chart.coords, T, steps)
+        flow = flow_integrate(X, x, T, steps)
         curve = f"the geodesic on chart {k}"
-        geo = geodesic_integrate(manifold, chart.coords, X(chart.coords), T, steps)
+        geo = geodesic_integrate(manifold, x, X(x), T, steps)
     except (FloatingPointError, OverflowError) as exc:  # the message names the step; add the curve
         raise type(exc)(f"{curve} {exc}") from None
     m = min(len(flow), len(geo))
     devs = fubini_study_distance(
-        normalized_rows(representative(AffineChart(k, flow.points[:m]))),
-        normalized_rows(representative(AffineChart(k, geo.points[:m]))),
+        normalized_rows(representative(k, flow.points[:m])),
+        normalized_rows(representative(k, geo.points[:m])),
     )
     return TrajectoryReport(k, flow, geo, devs, float(devs.max()))
 

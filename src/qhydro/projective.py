@@ -10,9 +10,11 @@ A point of CP^n is passed as a StateVector, any unit representative of its
 ray (StateVector.phase_equal compares rays). Many points are an (N, dim)
 stack of unit rows: the functions of states follow riemann's point-or-stack
 convention, a float for a StateVector and one value per row for a stack.
-Chart coordinates, of one point or of a stack in one chart, are an
-AffineChart; chart_rows groups the rows of a stack by chart index, so that
-the rows of one chart go through each operator as one stack.
+A point of chart k is that index and a plain coordinate array, as riemann
+takes it: (2n,) for one point, (N, 2n) for a stack in one chart. chart_of
+gives the pair; chart_rows groups the rows of a stack by chart index, so
+that the rows of one chart go through each operator as one stack. Every
+function of coordinates refuses an array of another shape.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from .hilbert import HermitianOperator, StateVector, _per_state, normalized_rows
 from .riemann import ChartManifold, StackFunction, VectorField, _bilinear_rows
 
 __all__ = [
-    "AffineChart",
     "TangentAtPoint",
     "GeodesicSphere",
     "representative",
@@ -35,7 +36,6 @@ __all__ = [
     "fubini_study_metric",
     "chart_manifold",
     "fundamental_field",
-    "fundamental_field_at",
     "horizontal_lift",
     "project_tangent",
     "dispersion_via_metric",
@@ -88,46 +88,9 @@ def _require_chart(dim, chart_index):
         raise ValueError(f"invalid chart: dim={dim}, index={chart_index}")
 
 
-def _rows(chart):
-    """A chart's coordinates as an (N, 2n) stack; one point is the one-row stack."""
-    return chart.coords.reshape(-1, chart.coords.shape[-1])
-
-
-def _shaped(chart, rows):
-    """Per-point results of _rows(chart), shaped back like the chart (one point: no leading axis)."""
-    return rows.reshape(chart.coords.shape[:-1] + rows.shape[1:])
-
-
-@dataclass(frozen=True)
-class AffineChart:
-    """A point of projective space in affine chart coordinates, or a stack of points of one chart.
-
-    coords holds the realified inhomogeneous coordinates, interleaved as
-    (Re zeta_1, Im zeta_1, ...) over the non-pivot ambient slots in
-    ascending order: a flat (2n,) array for one point, (N, 2n) for N points.
-    """
-
-    chart_index: int
-    coords: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "coords", _checked_coords(self.coords))
-
-    @property
-    def ambient_dim(self):
-        return self.coords.shape[-1] // 2 + 1
-
-    def to_state(self) -> StateVector:
-        return StateVector(representative(self), normalize=True)
-
-
-def representative(chart: AffineChart) -> np.ndarray:
-    """Homogeneous representative with 1 at the pivot slot (one row per point of a stack)."""
-    return _representatives(chart.chart_index, _complexify(chart.coords))
-
-
-def _representatives(k, zeta):
-    """Homogeneous representatives of the complex chart-k coordinates zeta: 1 at slot k, zeta at the others."""
+def representative(k, coords) -> np.ndarray:
+    """Homogeneous representative of chart-k coordinates: 1 at slot k, zeta at the others (one row per stack row)."""
+    zeta = _complexify(_checked_coords(coords))
     dim = zeta.shape[-1] + 1
     z = np.zeros(zeta.shape[:-1] + (dim,), dtype=complex)
     z[..., k] = 1.0
@@ -142,8 +105,8 @@ def chart_rows(ks):
         yield k, np.flatnonzero(ks == k)
 
 
-def chart_of(state, chart_index=None) -> AffineChart:
-    """Chart coordinates v_a / v_k of a StateVector, or of each row of an (N, dim) stack of vectors.
+def chart_of(state, chart_index=None) -> tuple[int, np.ndarray]:
+    """(k, coords): the chart index and coordinates v_a / v_k of a StateVector, or of each row of an (N, dim) stack.
 
     A state defaults to its preferred chart k, the index of its largest-modulus
     amplitude, which keeps its coordinates in the unit polydisc; a stack
@@ -157,7 +120,7 @@ def chart_of(state, chart_index=None) -> AffineChart:
     if not vectors[:, k].all():
         raise ValueError(f"state has zero amplitude at chart index {k}")
     coords = _interleave(vectors[:, _slots(vectors.shape[1], k)] / vectors[:, k, None])
-    return AffineChart(k, coords[0] if one else coords)
+    return k, coords[0] if one else coords
 
 
 @dataclass(frozen=True)
@@ -180,33 +143,27 @@ class TangentAtPoint:
         return float(np.linalg.norm(self.horizontal))
 
 
-def fubini_study_metric(chart: AffineChart) -> np.ndarray:
-    """Metric matrix in realified chart coordinates (one matrix per point of a stack).
+def fubini_study_metric(coords) -> np.ndarray:
+    """Metric matrix at chart coordinates: a flat (2n,) point, or an (N, 2n) stack with one matrix per row.
 
     For chart tangents u1, u2 with horizontal lifts w1, w2 at the unit
     representative, the matrix returns Re <w1|w2>; equivalently the squared
-    length of the Schrodinger generator equals the Hamiltonian variance.
+    length of the Schrodinger generator equals the Hamiltonian variance. The
+    formula is the same in every chart: g = (I - r r^T - s s^T) / |z|^2,
+    where r = x / |z| and s is r with each (Re, Im) pair turned to (Im, -Re).
+    Each point is computed on its own, by elementwise products and row sums,
+    so a point gives the same matrix alone and in a stack.
     """
-    return _shaped(chart, _metric_rows(_rows(chart)))
-
-
-def _metric_rows(xy):
-    """fubini_study_metric at each row of an (N, 2n) coordinate stack.
-
-    In closed form g = (I - r r^T - s s^T) / |z|^2, where r = x / |z| and s
-    is r with each (Re, Im) pair turned to (Im, -Re). Each point is computed
-    on its own, by elementwise products and row sums, so a point gives the
-    same matrix alone and in a stack.
-    """
-    nz2 = 1.0 + (xy * xy).sum(axis=1)
-    r = xy / np.sqrt(nz2)[:, None]
+    xy = _checked_coords(coords)
+    nz2 = 1.0 + (xy * xy).sum(axis=-1)
+    r = xy / np.sqrt(nz2)[..., None]
     s = np.empty_like(r)
-    s[:, 0::2] = r[:, 1::2]
-    s[:, 1::2] = -r[:, 0::2]
-    g = r[:, :, None] * r[:, None, :]
-    g += s[:, :, None] * s[:, None, :]
-    np.subtract(_identity(xy.shape[1]), g, out=g)
-    g /= nz2[:, None, None]
+    s[..., 0::2] = r[..., 1::2]
+    s[..., 1::2] = -r[..., 0::2]
+    g = r[..., :, None] * r[..., None, :]
+    g += s[..., :, None] * s[..., None, :]
+    np.subtract(_identity(xy.shape[-1]), g, out=g)
+    g /= nz2[..., None, None]
     return g
 
 
@@ -218,33 +175,11 @@ def chart_manifold(dim, chart_index, coord_bound=None) -> ChartManifold:
     far-from-pivot points (badly conditioned) out of stencils.
     """
     _require_chart(dim, chart_index)
-    metric = StackFunction(lambda points: _metric_rows(_checked_coords(points)))
+    metric = StackFunction(fubini_study_metric)
     domain = None
     if coord_bound is not None:
         domain = StackFunction(lambda points: np.abs(points).max(axis=1) < coord_bound)
     return ChartManifold(2 * (dim - 1), metric, domain, name=f"CP^{dim - 1} chart {chart_index}")
-
-
-def fundamental_field_at(A: HermitianOperator, chart: AffineChart) -> np.ndarray:
-    """Chart components of the flow generator of [v] -> [exp(-iAt) v] (one row per point of a stack)."""
-    _require_ambient(A, chart.coords)
-    return _shaped(chart, _field_rows(A, chart.chart_index, _rows(chart)))
-
-
-def _require_ambient(A, xy):
-    """Refuse chart coordinates xy of another CP^n than the operator A acts on."""
-    if A.dim != xy.shape[-1] // 2 + 1:
-        raise ValueError(f"dimension mismatch: operator {A.dim}, chart ambient {xy.shape[-1] // 2 + 1}")
-
-
-def _field_rows(A, k, xy):
-    """fundamental_field_at at each row of an (N, 2n) stack of chart-k coordinates of CP^(A.dim - 1).
-
-    Each point is computed on its own, as _metric_rows computes it.
-    """
-    zeta = _complexify(xy)
-    Az = A.apply_stack(_representatives(k, zeta))
-    return _interleave(-1j * (Az[:, _slots(A.dim, k)] - zeta * Az[:, k, None]))
 
 
 def fundamental_field(A: HermitianOperator, chart_index) -> VectorField:
@@ -252,25 +187,32 @@ def fundamental_field(A: HermitianOperator, chart_index) -> VectorField:
 
     The Hermitian input is converted internally to the skew-Hermitian
     generator -iA of the unitary flow; the horizontal lift of the returned
-    field at a unit v is -i (A - <A>) v.
+    field at a unit v is -i (A - <A>) v. Each point of a stack is computed
+    on its own, so a point gives the same components alone and in a stack.
     """
     _require_chart(A.dim, chart_index)
+    slots = _slots(A.dim, chart_index)
 
     def stack(points):
         xy = _checked_coords(points)
-        _require_ambient(A, xy)
-        return _field_rows(A, chart_index, xy)
+        if A.dim != xy.shape[-1] // 2 + 1:
+            raise ValueError(f"dimension mismatch: operator {A.dim}, chart ambient {xy.shape[-1] // 2 + 1}")
+        z = representative(chart_index, xy)
+        Az = A.apply_stack(z)
+        return _interleave(-1j * (Az[:, slots] - z[:, slots] * Az[:, chart_index, None]))
 
     return VectorField(StackFunction(stack))
 
 
-def horizontal_lift(chart: AffineChart, u) -> tuple[np.ndarray, np.ndarray]:
-    """Lift a realified chart tangent u to (v, w): unit base and horizontal vector."""
-    z = representative(chart)
+def horizontal_lift(k, coords, u) -> tuple[np.ndarray, np.ndarray]:
+    """Lift a realified tangent u at one point of chart k to (v, w): unit base and horizontal vector."""
+    z = representative(k, coords)
+    if z.ndim != 1:
+        raise ValueError(f"horizontal_lift takes one chart point, a flat (2n,) array; got shape {np.shape(coords)}")
     nz = float(np.linalg.norm(z))
     v = z / nz
-    U = np.zeros(chart.ambient_dim, dtype=complex)
-    U[_slots(chart.ambient_dim, chart.chart_index)] = _complexify(np.asarray(u, dtype=float))
+    U = np.zeros(z.size, dtype=complex)
+    U[_slots(z.size, k)] = _complexify(np.asarray(u, dtype=float))
     w = (U - v * np.vdot(v, U)) / nz
     return v, w
 
@@ -307,9 +249,9 @@ def dispersion_via_metric(H: HermitianOperator, v):
     def values(vectors):
         out = np.empty(len(vectors))
         for k, rows in chart_rows(np.abs(vectors).argmax(axis=1)):
-            chart = chart_of(vectors[rows], k)
-            X = fundamental_field_at(H, chart)
-            out[rows] = _bilinear_rows(X, fubini_study_metric(chart), X)
+            _, xy = chart_of(vectors[rows], k)
+            X = fundamental_field(H, k).stack(xy)
+            out[rows] = _bilinear_rows(X, fubini_study_metric(xy), X)
         return out
 
     return _per_state(values, v)
@@ -416,12 +358,12 @@ class GeodesicSphere:
         u1, u2 = np.empty_like(coords), np.empty_like(coords)
         unit = normalized_rows(v)
         for k, rows in chart_rows(ks):
-            chart = chart_of(unit[rows], k)
+            _, xy = chart_of(unit[rows], k)
             t1 = project_tangent(v[rows], d_th[rows], k)
             t2 = project_tangent(v2[rows], d2[rows], k)
             t2[flip[rows]] *= -1.0
-            g = fubini_study_metric(chart)
-            coords[rows] = chart.coords
+            g = fubini_study_metric(xy)
+            coords[rows] = xy
             u1[rows] = t1 / np.sqrt(_bilinear_rows(t1, g, t1))[:, None]
             u2[rows] = t2 / np.sqrt(_bilinear_rows(t2, g, t2))[:, None]
         return ks, coords, u1, u2

@@ -168,8 +168,8 @@ class ChartManifold:
     name: str = ""
 
     def __post_init__(self):
-        object.__setattr__(self, "_metric_rows", _lift(self.metric))
-        object.__setattr__(self, "_domain_rows", None if self.chart_domain is None else _lift(self.chart_domain))
+        object.__setattr__(self, "_stack_metric", _lift(self.metric))
+        object.__setattr__(self, "_stack_domain", None if self.chart_domain is None else _lift(self.chart_domain))
 
     def contains(self, x) -> bool:
         return self._first_outside(np.asarray(x, dtype=float)[None]) is None
@@ -182,8 +182,8 @@ class ChartManifold:
         if points.ndim != 2 or points.shape[1] != self.dim:
             return 0
         first = len(points) if _all(np.isfinite(points)) else int(np.isfinite(points).all(axis=1).argmin())
-        if self._domain_rows is not None and first:
-            inside = np.asarray(self._domain_rows(points[:first]), dtype=bool)
+        if self._stack_domain is not None and first:
+            inside = np.asarray(self._stack_domain(points[:first]), dtype=bool)
             if not _all(inside):
                 first = int(inside.argmin())
         return None if first == len(points) else first
@@ -216,7 +216,7 @@ class ChartManifold:
         if outside is not None and outside < bases:
             raise ChartBoundaryError(f"point {points[outside]} outside chart domain of {self.name or 'manifold'}")
         checked = points if outside is None else points[:bases]
-        rows = self._metric_rows(checked)
+        rows = self._stack_metric(checked)
         try:
             g = np.ascontiguousarray(rows, dtype=float)
             shaped = g.shape == (len(checked), self.dim, self.dim)
@@ -294,24 +294,20 @@ def _stencil_offsets(dim, h, order):
     return steps
 
 
-def _stencil_points(manifold, xs, h, order):
-    """Central stencils of the base points xs: one row per (base point, coordinate, shift)."""
+def _with_stencils(xs, h, order):
+    """The base points xs, then their central stencils, one row per (base point, coordinate, shift), in one stack."""
     if order not in _STENCILS:
         raise ValueError(f"unsupported stencil order {order}")
-    return (xs[:, None, :] + _stencil_offsets(manifold.dim, float(h), order)).reshape(-1, manifold.dim)
-
-
-def _with_stencils(xs, h):
-    """The base points xs, then the rows of their order-2 _stencil_points, filled into one stack."""
     m, d = xs.shape
-    points = np.empty((m * (2 * d + 1), d))
+    offsets = _stencil_offsets(d, float(h), order)
+    points = np.empty((m * (len(offsets) + 1), d))
     points[:m] = xs
-    np.add(xs[:, None, :], _stencil_offsets(d, float(h), 2), out=points[m:].reshape(m, 2 * d, d))
+    np.add(xs[:, None, :], offsets, out=points[m:].reshape(m, len(offsets), d))
     return points
 
 
 def _combine(manifold, values, h, order):
-    """[d_i fn(x)]_i per base point, shape (M, dim, ...), from fn's values on the rows of _stencil_points."""
+    """[d_i fn(x)]_i per base point, shape (M, dim, ...), from fn's values on the stencil rows of _with_stencils."""
     _, weights, denom = _STENCILS[order]
     if order == 2:
         # rounds as the weighted sum below does, zeros included: that sum starts at int 0, and 0 + (-0.0) is +0.0
@@ -325,7 +321,7 @@ def _combine(manifold, values, h, order):
 
 def _partials(manifold, fn, xs, h, order=2):
     """[d_i fn(x)]_i per base point by central differences; every stencil point must be in-chart."""
-    points = _stencil_points(manifold, xs, h, order)
+    points = _with_stencils(xs, h, order)[len(xs) :]
     outside = manifold._first_outside(points)
     if outside is not None:
         raise ChartBoundaryError(f"stencil point {points[outside]} outside chart domain")
@@ -335,7 +331,7 @@ def _partials(manifold, fn, xs, h, order=2):
 def _metric_partials(manifold, xs, h):
     """(g, dg) per base point, dg[m, l] = d_l g(x_m), from one validated metric stack."""
     m = len(xs)
-    g = manifold._metric_stack(_with_stencils(xs, h), m)
+    g = manifold._metric_stack(_with_stencils(xs, h, 2), m)
     return g[:m], _combine(manifold, g[m:], h, 2)
 
 
@@ -432,7 +428,7 @@ def divergence(manifold, X, x, h=FD_STEP):
     """Riemannian divergence (1 / sqrt det g) d_i (sqrt(det g) X^i) at x."""
     xs = _bases(x)
     m = len(xs)
-    points = _with_stencils(xs, h)
+    points = _with_stencils(xs, h, 2)
     density = np.sqrt(np.linalg.det(manifold._metric_stack(points, m)))
     ds = _combine(manifold, density[m:, None] * X.stack(points[m:]), h, 2)
     return _scalar_like(x, sum(ds[:, i, i] for i in range(manifold.dim)) / density[:m])
@@ -463,8 +459,7 @@ def self_advection_identity_residual(manifold, Y, x, h=FD_STEP):
     xs = _bases(x)
     lhs = lie_derivative_oneform(manifold, Y, flat_form(manifold, Y), xs, h)
     rhs = _lower(manifold._metrics_at(xs), covariant_derivative(manifold, Y, Y, xs, h))
-    kinetic = ScalarField(StackFunction(lambda points: _squared_norms(manifold._metrics_at(points), Y.stack(points))))
-    rhs = rhs + 0.5 * differential(manifold, kinetic, xs, h)
+    rhs = rhs + differential(manifold, kinetic_energy_field(manifold, Y), xs, h)
     return _like(x, lhs - rhs)
 
 

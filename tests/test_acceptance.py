@@ -83,10 +83,10 @@ def test_criterion_02_partial_circulation():
 
 def _state_sweep(H, rng, count=100):
     for _ in range(count):
-        chart = chart_of(random_state(rng, H.dim))
-        manifold = projective.chart_manifold(H.dim, chart.chart_index)
-        X = projective.fundamental_field(H, chart.chart_index)
-        yield chart, manifold, X
+        k, xy = chart_of(random_state(rng, H.dim))
+        manifold = projective.chart_manifold(H.dim, k)
+        X = projective.fundamental_field(H, k)
+        yield k, xy, manifold, X
 
 
 def test_criterion_03_killing_residual():
@@ -94,8 +94,8 @@ def test_criterion_03_killing_residual():
     start = time.perf_counter()
     worst = 0.0
     for H, rng in hams:
-        for chart, manifold, X in _state_sweep(H, rng):
-            residual = riemann.lie_derivative_metric(manifold, X, chart.coords, h=1e-4)
+        for _, xy, manifold, X in _state_sweep(H, rng):
+            residual = riemann.lie_derivative_metric(manifold, X, xy, h=1e-4)
             worst = max(worst, float(np.abs(residual).max()))
     elapsed = time.perf_counter() - start
     report(
@@ -112,13 +112,13 @@ def test_criterion_04_stationary_euler_with_control():
     control_hits = 0
     total = 0
     for H, rng in hams:
-        for chart, manifold, X in _state_sweep(H, rng):
-            p = fluid.pressure_scalar_field(H, chart.chart_index)
-            res = riemann.euler_residual(manifold, X, p, chart.coords)
-            worst = max(worst, riemann.covector_norm(manifold, res, chart.coords))
+        for k, xy, manifold, X in _state_sweep(H, rng):
+            p = fluid.pressure_scalar_field(H, k)
+            res = riemann.euler_residual(manifold, X, p, xy)
+            worst = max(worst, riemann.covector_norm(manifold, res, xy))
             doubled = ScalarField(lambda y, p=p: 2.0 * p(y))
-            wrong = riemann.euler_residual(manifold, X, doubled, chart.coords)
-            if riemann.covector_norm(manifold, wrong, chart.coords) > 1e-3:
+            wrong = riemann.euler_residual(manifold, X, doubled, xy)
+            if riemann.covector_norm(manifold, wrong, xy) > 1e-3:
                 control_hits += 1
             total += 1
     fraction = control_hits / total
@@ -166,11 +166,11 @@ def test_criterion_06_critical_set():
             r1, r2 = i * step, j * step
             r0 = max(1.0 - r1 - r2, 0.0)
             state = StateVector(np.sqrt([r0, r1, r2]), normalize=True)
-            chart = chart_of(state)
-            manifold = projective.chart_manifold(3, chart.chart_index)
-            p = fluid.pressure_scalar_field(H123, chart.chart_index)
-            dp = riemann.differential(manifold, p, chart.coords)
-            norm = riemann.covector_norm(manifold, dp, chart.coords)
+            k, xy = chart_of(state)
+            manifold = projective.chart_manifold(3, k)
+            p = fluid.pressure_scalar_field(H123, k)
+            dp = riemann.differential(manifold, p, xy)
+            norm = riemann.covector_norm(manifold, dp, xy)
             near = any(
                 max(abs(r0 - c0), abs(r1 - c1), abs(r2 - c2)) <= 0.02
                 for c0, c1, c2 in targets
@@ -267,14 +267,14 @@ def test_criterion_10_velocity_form_identities():
     plane = riemann.ChartManifold(2, lambda x: np.eye(2), name="plane")
     rotation = VectorField(lambda x: np.array([-x[1], x[0]]))
     surf = riemann.surface_of_revolution(lambda z: 2.0 + np.sin(z), np.cos)
-    chart = chart_of(StateVector(np.array([1.0, 1.0j]) / np.sqrt(2.0)))
-    cp1 = projective.chart_manifold(2, chart.chart_index)
-    schro = projective.fundamental_field(H01, chart.chart_index)
+    k, xy = chart_of(StateVector(np.array([1.0, 1.0j]) / np.sqrt(2.0)))
+    cp1 = projective.chart_manifold(2, k)
+    schro = projective.fundamental_field(H01, k)
     killing_worst = 0.0
     for manifold, X, x in [
         (plane, rotation, np.array([0.7, -0.2])),
         (surf.manifold, surf.killing_field, np.array([0.4, 1.1])),
-        (cp1, schro, chart.coords),
+        (cp1, schro, xy),
     ]:
         res = riemann.lie_derivative_oneform(manifold, X, riemann.flat_form(manifold, X), x)
         killing_worst = max(killing_worst, riemann.covector_norm(manifold, res, x))

@@ -30,7 +30,6 @@ from qhydro.hilbert import (
     hermitian_from_json,
 )
 from qhydro.projective import (
-    AffineChart,
     GeodesicSphere,
     TangentAtPoint,
     chart_manifold,
@@ -39,7 +38,6 @@ from qhydro.projective import (
     fubini_study_distance,
     fubini_study_metric,
     fundamental_field,
-    fundamental_field_at,
     horizontal_lift,
     project_tangent,
     representative,
@@ -89,8 +87,8 @@ def test_gradient_nonzero_and_orthogonal_to_flow():
     v = StateVector([np.sqrt(0.3), np.sqrt(0.7)])
     grad = pressure_gradient(H01, v)
     assert grad.norm > 1e-3
-    chart = chart_of(v)
-    _, x_lift = horizontal_lift(chart, fundamental_field_at(H01, chart))
+    k, xy = chart_of(v)
+    _, x_lift = horizontal_lift(k, xy, fundamental_field(H01, k)(xy))
     overlap = np.vdot(grad.horizontal, x_lift).real
     assert abs(overlap) < 1e-6
 
@@ -293,12 +291,12 @@ def test_euler_residual_with_half_variance_pressure():
     rng = np.random.default_rng(55)
     H = random_hermitian(rng, 3)
     for _ in range(10):
-        chart = chart_of(random_state(rng, 3))
-        M = projective.chart_manifold(3, chart.chart_index)
-        X = projective.fundamental_field(H, chart.chart_index)
-        p = fluid.pressure_scalar_field(H, chart.chart_index)
-        res = riemann.euler_residual(M, X, p, chart.coords)
-        assert riemann.covector_norm(M, res, chart.coords) < 1e-5
+        k, xy = chart_of(random_state(rng, 3))
+        M = projective.chart_manifold(3, k)
+        X = projective.fundamental_field(H, k)
+        p = fluid.pressure_scalar_field(H, k)
+        res = riemann.euler_residual(M, X, p, xy)
+        assert riemann.covector_norm(M, res, xy) < 1e-5
 
 
 # ---------------------------------------------------------------------------
@@ -433,7 +431,7 @@ def loop_interleave(zeta):
 
 def loop_chart(state, k):
     amp = state.amplitudes
-    return AffineChart(k, loop_interleave(amp[loop_slots(amp.size, k)] / amp[k]))
+    return k, loop_interleave(amp[loop_slots(amp.size, k)] / amp[k])
 
 
 def loop_representative(k, xy):
@@ -471,7 +469,7 @@ def loop_oriented_frame(sphere, theta, phi, pole_tol=1e-8):
     v = sphere.representative(theta, phi)
     k = int(np.argmax(np.abs(v)))
     chart = loop_chart(StateVector(v, normalize=True), k)
-    g = loop_metric(chart.coords)
+    g = loop_metric(chart[1])
     if abs(np.sin(theta)) > pole_tol:
         d_th, d_ph = sphere.embedding_velocities(theta, phi)
         t1 = loop_project_tangent(v, d_th, k)
@@ -489,11 +487,11 @@ def loop_oriented_frame(sphere, theta, phi, pole_tol=1e-8):
 
 def loop_scalar_vorticities(H, frames, h=FD_STEP):
     out = np.empty(len(frames))
-    for k in sorted({chart.chart_index for chart, _, _ in frames}):
-        rows = [n for n, (chart, _, _) in enumerate(frames) if chart.chart_index == k]
+    for k in sorted({chart[0] for chart, _, _ in frames}):
+        rows = [n for n, (chart, _, _) in enumerate(frames) if chart[0] == k]
         manifold = chart_manifold(H.dim, k)
         X = fundamental_field(H, k)
-        x = np.array([frames[n][0].coords for n in rows])
+        x = np.array([frames[n][0][1] for n in rows])
         w = exterior_derivative_oneform(manifold, flat_form(manifold, X), x, h)
         u1 = np.array([frames[n][1] for n in rows])
         u2 = np.array([frames[n][2] for n in rows])
@@ -511,15 +509,15 @@ def loop_vorticity_grid(H, sphere, thetas, phis):
 
 
 def loop_gradient_routes(H, state, h=FD_STEP):
-    chart = loop_chart(state, int(np.argmax(np.abs(state.amplitudes))))
-    manifold = chart_manifold(H.dim, chart.chart_index)
-    p = pressure_scalar_field(H, chart.chart_index)
-    dp = differential(manifold, p, chart.coords, h, order=4)
-    grad = np.linalg.solve(manifold.metric_at(chart.coords), dp)
-    X = fundamental_field(H, chart.chart_index)
-    advection = covariant_derivative(manifold, X, X, chart.coords, h)
+    k, xy = loop_chart(state, int(np.argmax(np.abs(state.amplitudes))))
+    manifold = chart_manifold(H.dim, k)
+    p = pressure_scalar_field(H, k)
+    dp = differential(manifold, p, xy, h, order=4)
+    grad = np.linalg.solve(manifold.metric_at(xy), dp)
+    X = fundamental_field(H, k)
+    advection = covariant_derivative(manifold, X, X, xy, h)
     mismatch = grad + advection
-    return chart, grad, float(np.sqrt(mismatch @ manifold.metric_at(chart.coords) @ mismatch))
+    return (k, xy), grad, float(np.sqrt(mismatch @ manifold.metric_at(xy) @ mismatch))
 
 
 def loop_pressure_gradient(H, state, cross_tol=1e-5):
@@ -529,7 +527,7 @@ def loop_pressure_gradient(H, state, cross_tol=1e-5):
             f"pressure gradient routes disagree by {mismatch_norm!r} (> {cross_tol}); "
             "metric normalization or field generator is inconsistent"
         )
-    base_v, w = horizontal_lift(chart, grad)
+    base_v, w = horizontal_lift(*chart, grad)
     return TangentAtPoint(StateVector(base_v), w)
 
 
@@ -554,9 +552,9 @@ def loop_critical_points(H, grad_tol=1e-8, cross_tol=1e-5):
 
 
 def loop_dispersion_via_metric(H, state):
-    chart = loop_chart(state, int(np.argmax(np.abs(state.amplitudes))))
-    X = loop_field(H, chart.chart_index, chart.coords)
-    return float(X @ loop_metric(chart.coords) @ X)
+    k, xy = loop_chart(state, int(np.argmax(np.abs(state.amplitudes))))
+    X = loop_field(H, k, xy)
+    return float(X @ loop_metric(xy) @ X)
 
 
 def loop_fubini_study_distance(u, v):
@@ -572,16 +570,15 @@ def test_chart_metric_representative_and_field_equal_loop_copies_bit_for_bit():
         H = random_hermitian(rng, dim)
         for k in range(dim):
             xy = rng.normal(scale=rng.choice([0.3, 1.0, 3.0]), size=(7, 2 * (dim - 1)))
-            chart = AffineChart(k, xy)
-            assert same_bits(fubini_study_metric(chart), [loop_metric(x) for x in xy])
-            assert same_bits(representative(chart), [loop_representative(k, x) for x in xy])
-            assert same_bits(fundamental_field_at(H, chart), [loop_field(H, k, x) for x in xy])
+            X = fundamental_field(H, k)
+            assert same_bits(fubini_study_metric(xy), [loop_metric(x) for x in xy])
+            assert same_bits(representative(k, xy), [loop_representative(k, x) for x in xy])
+            assert same_bits(X.stack(xy), [loop_field(H, k, x) for x in xy])
             for x in xy:
-                one = AffineChart(k, x)
-                assert same_bits(fubini_study_metric(one), loop_metric(x))
-                assert same_bits(fundamental_field_at(H, one), loop_field(H, k, x))
+                assert same_bits(fubini_study_metric(x), loop_metric(x))
+                assert same_bits(X(x), loop_field(H, k, x))
             state = random_state(rng, dim)
-            assert same_bits(chart_of(state, k).coords, loop_chart(state, k).coords)
+            assert same_bits(chart_of(state, k)[1], loop_chart(state, k)[1])
             v, w = rng.normal(size=(2, dim)) + 1j * rng.normal(size=(2, dim))
             assert same_bits(project_tangent(v, w, k), loop_project_tangent(v, w, k))
 
@@ -599,13 +596,13 @@ def test_vorticity_grid_equals_per_node_loop_bit_for_bit(dim):
         ks, coords, u1, u2 = sphere.oriented_frames(np.repeat(thetas, grid[1]), np.tile(phis, grid[0]))
         frames = [loop_oriented_frame(sphere, th, ph) for th in thetas for ph in phis]
         assert len(set(ks.tolist())) >= 2  # the grid spans two charts or more
-        assert ks.tolist() == [chart.chart_index for chart, _, _ in frames]
-        assert same_bits(coords, [chart.coords for chart, _, _ in frames])
+        assert ks.tolist() == [chart[0] for chart, _, _ in frames]
+        assert same_bits(coords, [chart[1] for chart, _, _ in frames])
         assert same_bits(u1, [f[1] for f in frames]) and same_bits(u2, [f[2] for f in frames])
         for n in (0, len(frames) - 1, len(frames) // 2):  # both poles and a node between them
             node = np.repeat(thetas, grid[1])[n], np.tile(phis, grid[0])[n]
             k, x, e1, e2 = sphere.oriented_frames([node[0]], [node[1]])
-            assert k[0] == frames[n][0].chart_index and same_bits(x[0], frames[n][0].coords)
+            assert k[0] == frames[n][0][0] and same_bits(x[0], frames[n][0][1])
             assert same_bits(e1[0], frames[n][1]) and same_bits(e2[0], frames[n][2])
         profile = vorticity_on_sphere(H, i, j, grid=grid)
         assert same_bits(profile.numeric, loop_vorticity_grid(H, sphere, thetas, phis))
@@ -689,7 +686,8 @@ def test_trajectory_deviations_equal_per_sample_loop_bit_for_bit(dim):
     k, m = report.chart_index, min(len(report.flow), len(report.geodesic))
     expect = [
         loop_fubini_study_distance(
-            AffineChart(k, report.flow.points[s]).to_state(), AffineChart(k, report.geodesic.points[s]).to_state()
+            StateVector(representative(k, report.flow.points[s]), normalize=True),
+            StateVector(representative(k, report.geodesic.points[s]), normalize=True),
         )
         for s in range(m)
     ]

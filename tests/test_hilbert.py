@@ -61,9 +61,9 @@ def test_normalize_keeps_extreme_but_finite_amplitudes(scale):
 @pytest.mark.filterwarnings("error")
 def test_normalize_extremes_through_charts_and_stacks():
     from qhydro.hilbert import normalized_rows
-    from qhydro.projective import AffineChart
+    from qhydro.projective import representative
 
-    v = AffineChart(0, [1e308, 1e308]).to_state()
+    v = StateVector(representative(0, [1e308, 1e308]), normalize=True)
     assert float(np.linalg.norm(v.amplitudes)) == pytest.approx(1.0, abs=1e-15)
     assert abs(v.amplitudes[1]) == pytest.approx(1.0, abs=1e-15)
     # an ordinary row keeps the bits of the plain BLAS-norm division next to an extreme one

@@ -6,7 +6,6 @@ import pytest
 from helpers import assert_same_curve, random_hermitian, random_state
 from qhydro.hilbert import HermitianOperator, StateVector, dispersion_squared, evolve
 from qhydro.projective import (
-    AffineChart,
     GeodesicSphere,
     TangentAtPoint,
     chart_manifold,
@@ -15,9 +14,9 @@ from qhydro.projective import (
     fubini_study_distance,
     fubini_study_metric,
     fundamental_field,
-    fundamental_field_at,
     horizontal_lift,
     project_tangent,
+    representative,
 )
 from qhydro.riemann import (
     divergence,
@@ -43,12 +42,12 @@ def test_chart_round_trip():
     for dim in (2, 3, 5):
         for _ in range(20):
             state = random_state(rng, dim)
-            chart = chart_of(state)
-            assert np.abs(chart.coords).max() <= 1.0 + 1e-12
-            back = chart.to_state()
+            k, xy = chart_of(state)
+            assert np.abs(xy).max() <= 1.0 + 1e-12
+            back = StateVector(representative(k, xy), normalize=True)
             assert state.phase_equal(back, tol=1e-12)
-            again = chart_of(back, chart.chart_index)
-            assert np.abs(again.coords - chart.coords).max() < 1e-12
+            _, again = chart_of(back, k)
+            assert np.abs(again - xy).max() < 1e-12
 
 
 def test_chart_of_a_stack_and_chart_rows_group_states_by_chart():
@@ -57,11 +56,11 @@ def test_chart_of_a_stack_and_chart_rows_group_states_by_chart():
     rng = np.random.default_rng(32)
     states = [random_state(rng, 4) for _ in range(12)]
     amps = np.array([state.amplitudes for state in states])
-    groups = list(chart_rows([chart_of(state).chart_index for state in states]))
-    assert [k for k, _ in groups] == sorted({chart_of(state).chart_index for state in states})
+    groups = list(chart_rows([chart_of(state)[0] for state in states]))
+    assert [k for k, _ in groups] == sorted({chart_of(state)[0] for state in states})
     assert sorted(np.concatenate([rows for _, rows in groups]).tolist()) == list(range(12))
     for k, rows in groups:
-        assert np.array_equal(chart_of(amps[rows], k).coords, [chart_of(states[n]).coords for n in rows])
+        assert np.array_equal(chart_of(amps[rows], k)[1], [chart_of(states[n])[1] for n in rows])
     with pytest.raises(ValueError, match="explicit chart index"):
         chart_of(amps)
     with pytest.raises(ValueError, match="stacks of unit vectors"):
@@ -78,7 +77,7 @@ def test_chart_requires_nonzero_pivot():
 
 
 def test_metric_is_identity_at_chart_origin():
-    g = fubini_study_metric(AffineChart(0, np.zeros(2)))
+    g = fubini_study_metric(np.zeros(2))
     assert np.abs(g - np.eye(2)).max() < 1e-14
 
 
@@ -89,7 +88,7 @@ def test_projective_line_circumference_is_pi():
     for a, b in zip(taus[:-1], taus[1:]):
         mid = (a + b) / 2.0
         xy = np.array([np.tan(mid), 0.0])
-        g = fubini_study_metric(AffineChart(0, xy))
+        g = fubini_study_metric(xy)
         speed = np.sqrt(g[0, 0]) / np.cos(mid) ** 2  # |d zeta / d tau| = sec^2
         length += speed * (b - a)
     assert length == pytest.approx(np.pi, abs=1e-3)
@@ -106,7 +105,7 @@ def test_geodesic_distance_matches_arc_length():
     M = chart_manifold(2, 0)
     u0 = np.array([1.0, 0.0])  # unit g-speed at the origin
     curve = geodesic_integrate(M, np.zeros(2), u0, np.pi / 4, 400)
-    end = AffineChart(0, curve.points[-1]).to_state()
+    end = StateVector(representative(0, curve.points[-1]), normalize=True)
     start = StateVector.basis(2, 0)
     assert fubini_study_distance(start, end) == pytest.approx(np.pi / 4, abs=1e-7)
     # after pi/4 the geodesic sits on the equator |zeta| = 1
@@ -117,8 +116,8 @@ def test_metric_positive_definite_at_random_points():
     rng = np.random.default_rng(32)
     for _ in range(100):
         dim = int(rng.integers(2, 6))
-        chart = random_chart_point(rng, dim)
-        g = fubini_study_metric(chart)
+        _, xy = random_chart_point(rng, dim)
+        g = fubini_study_metric(xy)
         assert np.linalg.eigvalsh(g).min() > 0.0
 
 
@@ -130,30 +129,30 @@ def test_identity_operator_generates_no_motion():
     rng = np.random.default_rng(33)
     eye = HermitianOperator(np.eye(3))
     for _ in range(10):
-        chart = random_chart_point(rng, 3)
-        assert np.abs(fundamental_field_at(eye, chart)).max() < 1e-14
+        k, xy = random_chart_point(rng, 3)
+        assert np.abs(fundamental_field(eye, k)(xy)).max() < 1e-14
 
 
 def test_field_at_equator_is_tangent_with_half_speed():
-    chart = chart_of(StateVector(np.array([1.0, 1.0]) / np.sqrt(2.0)))
-    X = fundamental_field_at(H01, chart)
+    k, xy = chart_of(StateVector(np.array([1.0, 1.0]) / np.sqrt(2.0)))
+    X = fundamental_field(H01, k)(xy)
     # zeta = 1: the flow moves along the unit circle, g-speed sqrt(1/4)
-    assert X @ chart.coords == pytest.approx(0.0, abs=1e-14)  # tangent to |zeta| = 1
-    g = fubini_study_metric(chart)
+    assert X @ xy == pytest.approx(0.0, abs=1e-14)  # tangent to |zeta| = 1
+    g = fubini_study_metric(xy)
     assert np.sqrt(X @ g @ X) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_field_vanishes_at_eigenstates():
-    assert np.abs(fundamental_field_at(H01, AffineChart(0, np.zeros(2)))).max() < 1e-14
-    assert np.abs(fundamental_field_at(H01, AffineChart(1, np.zeros(2)))).max() < 1e-14
+    assert np.abs(fundamental_field(H01, 0)(np.zeros(2))).max() < 1e-14
+    assert np.abs(fundamental_field(H01, 1)(np.zeros(2))).max() < 1e-14
 
 
 def test_field_horizontal_lift_formula():
     rng = np.random.default_rng(34)
     H = random_hermitian(rng, 4)
     state = random_state(rng, 4)
-    chart = chart_of(state)
-    v, w = horizontal_lift(chart, fundamental_field_at(H, chart))
+    k, xy = chart_of(state)
+    v, w = horizontal_lift(k, xy, fundamental_field(H, k)(xy))
     mean = np.vdot(v, H.matrix @ v).real
     expected = -1j * (H.matrix @ v - mean * v)
     assert np.abs(w - expected).max() < 1e-12
@@ -183,20 +182,20 @@ def test_schrodinger_field_is_killing():
     for dim in (2, 3, 4, 5):
         H = random_hermitian(rng, dim)
         for _ in range(8):
-            chart = random_chart_point(rng, dim)
-            M = chart_manifold(dim, chart.chart_index)
-            X = fundamental_field(H, chart.chart_index)
-            assert np.abs(lie_derivative_metric(M, X, chart.coords)).max() < 1e-5
+            k, xy = random_chart_point(rng, dim)
+            M = chart_manifold(dim, k)
+            X = fundamental_field(H, k)
+            assert np.abs(lie_derivative_metric(M, X, xy)).max() < 1e-5
 
 
 def test_schrodinger_field_is_divergence_free():
     rng = np.random.default_rng(37)
     H = random_hermitian(rng, 4)
     for _ in range(10):
-        chart = random_chart_point(rng, 4)
-        M = chart_manifold(4, chart.chart_index)
-        X = fundamental_field(H, chart.chart_index)
-        assert abs(divergence(M, X, chart.coords)) < 1e-6
+        k, xy = random_chart_point(rng, 4)
+        M = chart_manifold(4, k)
+        X = fundamental_field(H, k)
+        assert abs(divergence(M, X, xy)) < 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -212,12 +211,12 @@ def test_tangent_lengths_agree_across_charts():
         amps[1] = 1.0 + 0.2 * rng.normal()
         state = StateVector(amps, normalize=True)
         u = rng.normal(size=4)
-        chart_a = chart_of(state, 0)
-        v, w = horizontal_lift(chart_a, u)
-        len_a = float(u @ fubini_study_metric(chart_a) @ u)
+        _, xy_a = chart_of(state, 0)
+        v, w = horizontal_lift(0, xy_a, u)
+        len_a = float(u @ fubini_study_metric(xy_a) @ u)
         u_b = project_tangent(v, w, 1)
-        chart_b = chart_of(state, 1)
-        len_b = float(u_b @ fubini_study_metric(chart_b) @ u_b)
+        _, xy_b = chart_of(state, 1)
+        len_b = float(u_b @ fubini_study_metric(xy_b) @ u_b)
         assert abs(len_a - len_b) < 1e-8 * max(1.0, len_a)
 
 
@@ -228,17 +227,17 @@ def test_unitary_homogeneity_preserves_inner_products():
         raw = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
         U, _ = np.linalg.qr(raw)
         state = random_state(rng, dim)
-        chart = chart_of(state)
+        k0, xy = chart_of(state)
         u1, u2 = rng.normal(size=2 * (dim - 1)), rng.normal(size=2 * (dim - 1))
-        g = fubini_study_metric(chart)
+        g = fubini_study_metric(xy)
         before = float(u1 @ g @ u2)
-        v, w1 = horizontal_lift(chart, u1)
-        _, w2 = horizontal_lift(chart, u2)
+        v, w1 = horizontal_lift(k0, xy, u1)
+        _, w2 = horizontal_lift(k0, xy, u2)
         moved = StateVector(U @ v, normalize=True)
         k = int(np.argmax(np.abs(moved.amplitudes)))
         t1 = project_tangent(U @ v, U @ w1, k)
         t2 = project_tangent(U @ v, U @ w2, k)
-        g2 = fubini_study_metric(chart_of(moved, k))
+        g2 = fubini_study_metric(chart_of(moved, k)[1])
         after = float(t1 @ g2 @ t2)
         assert abs(before - after) < 1e-8 * max(1.0, abs(before))
 
@@ -246,13 +245,13 @@ def test_unitary_homogeneity_preserves_inner_products():
 def test_chart_flow_matches_projected_evolution():
     H = HermitianOperator.diagonal([0.3, 1.1, 2.4])
     v0 = StateVector(np.array([0.8, 0.5, 0.33166247903554]), normalize=True)
-    chart = chart_of(v0)
-    X = fundamental_field(H, chart.chart_index)
-    curve = flow_integrate(X, chart.coords, 1.0, 1000)
+    k, x0 = chart_of(v0)
+    X = fundamental_field(H, k)
+    curve = flow_integrate(X, x0, 1.0, 1000)
     worst = 0.0
     for t, xy in zip(curve.times, curve.points):
         exact = evolve(H, v0, float(t))
-        flowed = AffineChart(chart.chart_index, xy).to_state()
+        flowed = StateVector(representative(k, xy), normalize=True)
         worst = max(worst, fubini_study_distance(exact, flowed))
     assert worst < 1e-6
 
@@ -304,7 +303,7 @@ def test_sphere_induced_metric_matches_pullback():
         d_th, d_ph = sph.embedding_velocities(theta, phi)
         t1 = project_tangent(v, d_th, k)
         t2 = project_tangent(v, d_ph, k)
-        g = fubini_study_metric(chart_of(StateVector(v, normalize=True), k))
+        g = fubini_study_metric(chart_of(StateVector(v, normalize=True), k)[1])
         pulled = np.array([[t1 @ g @ t1, t1 @ g @ t2], [t2 @ g @ t1, t2 @ g @ t2]])
         assert np.abs(pulled - sph.induced_metric(theta)).max() < 1e-8
 
@@ -322,7 +321,7 @@ def test_sphere_frame_is_orthonormal_and_smooth_at_poles():
     sph = GeodesicSphere(H01, 1, 0)
     for theta in (0.0, 0.7, np.pi / 2, 2.5, np.pi):
         ks, coords, u1, u2 = sph.oriented_frames([theta], [0.9])
-        g = fubini_study_metric(AffineChart(int(ks[0]), coords[0]))
+        g = fubini_study_metric(coords[0])
         u1, u2 = u1[0], u2[0]
         assert u1 @ g @ u1 == pytest.approx(1.0, abs=1e-12)
         assert u2 @ g @ u2 == pytest.approx(1.0, abs=1e-12)
@@ -345,15 +344,14 @@ def test_stack_evaluation_equals_row_by_row(dim):
         M = chart_manifold(dim, k)
         X = fundamental_field(H, k)
         p = pressure_scalar_field(H, k)
-        metrics = fubini_study_metric(AffineChart(k, points))
+        metrics = fubini_study_metric(points)
         fields = X.stack(points)
         pressures = p.stack(points)
         assert metrics.shape == (17, 2 * (dim - 1), 2 * (dim - 1)) and fields.shape == points.shape
         for n, y in enumerate(points):
-            assert np.array_equal(metrics[n], fubini_study_metric(AffineChart(k, y)))
+            assert np.array_equal(metrics[n], fubini_study_metric(y))
             assert np.array_equal(metrics[n], M.metric(y))
             assert np.array_equal(fields[n], X(y))
-            assert np.array_equal(fields[n], fundamental_field_at(H, AffineChart(k, y)))
             assert pressures[n] == p(y)
 
 
@@ -464,8 +462,34 @@ def test_field_on_a_chart_that_does_not_exist_is_refused_when_built(k):
         fundamental_field(random_hermitian(np.random.default_rng(82), 3), k)
 
 
+@pytest.mark.parametrize("shape", [(3,), (4, 5), (0,), (4, 0), (2, 3, 4)])
+def test_functions_of_chart_coordinates_refuse_odd_empty_or_3d_arrays(shape):
+    import re
+
+    H = random_hermitian(np.random.default_rng(84), 3)
+    coords = np.zeros(shape)
+    message = f"chart coords must be a flat (2n,) array or an (N, 2n) stack, got shape {shape}"
+    for call in (
+        lambda: representative(0, coords),
+        lambda: fubini_study_metric(coords),
+        lambda: fundamental_field(H, 0).stack(coords),
+        lambda: horizontal_lift(0, coords, np.zeros(4)),
+    ):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call()
+
+
+def test_horizontal_lift_refuses_a_stack_of_points():
+    import re
+
+    message = "horizontal_lift takes one chart point, a flat (2n,) array; got shape (5, 4)"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        horizontal_lift(0, np.zeros((5, 4)), np.zeros(4))
+
+
 @pytest.mark.parametrize("dim", [3, 4, 5])
 def test_chart_stacks_equal_the_chart_functions_bit_for_bit(dim):
+    # each stack equals its one-point calls, signs of zero included
     rng = np.random.default_rng(83 + dim)
     H = random_hermitian(rng, dim)
     for k in range(dim):
@@ -473,10 +497,15 @@ def test_chart_stacks_equal_the_chart_functions_bit_for_bit(dim):
         points[0] = 0.0
         points[1] = -0.0
         points[2, ::2] = -0.0
-        chart = AffineChart(k, points)
-        for stacked, reference in (
-            (chart_manifold(dim, k).metric.stack(points), fubini_study_metric(chart)),
-            (fundamental_field(H, k).stack(points), fundamental_field_at(H, chart)),
+        M = chart_manifold(dim, k)
+        X = fundamental_field(H, k)
+        for stacked, one_point in (
+            (M.metric.stack(points), M.metric),
+            (fubini_study_metric(points), fubini_study_metric),
+            (X.stack(points), X),
+            (representative(k, points), lambda y: representative(k, y)),
         ):
-            assert stacked.shape == reference.shape
-            assert np.array_equal(stacked, reference) and np.array_equal(np.signbit(stacked), np.signbit(reference))
+            for row, y in zip(stacked, points):
+                reference = one_point(y)
+                assert row.shape == reference.shape and row.dtype == reference.dtype
+                assert row.tobytes() == reference.tobytes()

@@ -638,7 +638,7 @@ def test_metric_at_checks_shape():
 @pytest.mark.parametrize("dim", [3, 4, 5])
 def test_geodesic_follows_great_circle(dim):
     from qhydro.hilbert import StateVector
-    from qhydro.projective import AffineChart, chart_manifold, chart_of, fubini_study_distance, project_tangent
+    from qhydro.projective import chart_manifold, chart_of, fubini_study_distance, project_tangent, representative
 
     rng = np.random.default_rng(40 + dim)
     v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
@@ -648,13 +648,13 @@ def test_geodesic_follows_great_circle(dim):
     w *= 0.6 / np.linalg.norm(w)
     k = int(np.argmax(np.abs(v)))
     curve = geodesic_integrate(
-        chart_manifold(dim, k), chart_of(StateVector(v), k).coords, project_tangent(v, w, k), 1.0, 200
+        chart_manifold(dim, k), chart_of(StateVector(v), k)[1], project_tangent(v, w, k), 1.0, 200
     )
     assert not curve.exited and len(curve) == 201
     speed = np.linalg.norm(w)
     worst = max(
         fubini_study_distance(
-            AffineChart(k, x).to_state(),
+            StateVector(representative(k, x), normalize=True),
             StateVector(np.cos(speed * s) * v + np.sin(speed * s) * w / speed, normalize=True),
         )
         for s, x in zip(curve.times, curve.points)
@@ -734,7 +734,7 @@ def test_stack_function_is_the_one_row_case_of_its_stack():
 # and must give the same floating-point numbers, bit for bit.
 
 
-def uncached_stencil_points(dim, xs, h):
+def uncached_stencils(dim, xs, h):
     steps = np.array([1, -1])[None, :, None] * (float(h) * np.eye(dim))[:, None, :]
     return (xs[:, None, None, :] + steps).reshape(-1, dim)
 
@@ -749,14 +749,14 @@ def test_order_2_difference_rounds_like_the_weighted_sum_down_to_the_sign_of_zer
     f = ScalarField(lambda x: -0.0 if x[0] > 0.1 else 0.0)
     x = np.array([0.1, 0.2])
     out = differential(PLANE, f, x)
-    ref = weighted_sum_combine(2, f.stack(uncached_stencil_points(2, x[None], 1e-4)), 1e-4)[0]
+    ref = weighted_sum_combine(2, f.stack(uncached_stencils(2, x[None], 1e-4)), 1e-4)[0]
     assert np.array_equal(out, ref) and np.array_equal(np.signbit(out), np.signbit(ref))
     assert not np.signbit(out).any()
 
 
 def uncached_christoffel(manifold, x, h):
     xs = x[None]
-    g = manifold._metric_stack(np.concatenate([xs, uncached_stencil_points(manifold.dim, xs, h)]), 1)
+    g = manifold._metric_stack(np.concatenate([xs, uncached_stencils(manifold.dim, xs, h)]), 1)
     dg = weighted_sum_combine(manifold.dim, g[1:], h)
     brackets = dg + dg.transpose(0, 2, 1, 3) - dg.transpose(0, 2, 3, 1)
     return 0.5 * np.einsum("mkl,mijl->mkij", np.linalg.inv(g[:1]), brackets)[0]
