@@ -92,6 +92,7 @@ def representative(k, coords) -> np.ndarray:
     """Homogeneous representative of chart-k coordinates: 1 at slot k, zeta at the others (one row per stack row)."""
     zeta = _complexify(_checked_coords(coords))
     dim = zeta.shape[-1] + 1
+    _require_chart(dim, k)
     z = np.zeros(zeta.shape[:-1] + (dim,), dtype=complex)
     z[..., k] = 1.0
     z[..., _slots(dim, k)] = zeta
@@ -117,6 +118,7 @@ def chart_of(state, chart_index=None) -> tuple[int, np.ndarray]:
     if chart_index is None and not one:
         raise ValueError("a stack of states needs an explicit chart index")
     k = int(np.argmax(np.abs(vectors[0]))) if chart_index is None else chart_index
+    _require_chart(vectors.shape[1], k)
     if not vectors[:, k].all():
         raise ValueError(f"state has zero amplitude at chart index {k}")
     coords = _interleave(vectors[:, _slots(vectors.shape[1], k)] / vectors[:, k, None])

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import polynomial as P
+from numpy.polynomial.polyutils import trimseq
 
 from . import jsonio
 
@@ -146,8 +147,23 @@ class SpinWaveFunction:
         return P.polyval(zeta, self._dcoeffs)
 
     def log_derivative(self, zeta):
-        """chi'(zeta) / chi(zeta); poles at the roots."""
-        return self.derivative_values(zeta) / self(zeta)
+        """chi'(zeta) / chi(zeta); poles at the roots.
+
+        chi and chi' come from one Horner loop over both coefficient arrays,
+        each value with P.polyval's operations in P.polyval's order, so the
+        bits are those of derivative_values(zeta) / self(zeta).
+        """
+        if isinstance(zeta, (tuple, list)):
+            zeta = np.asarray(zeta)
+        c, dc = self.coeffs, self._dcoeffs
+        zero = zeta * 0
+        value, deriv = c[-1] + zero, dc[-1] + zero
+        for ck, dk in zip(c[-2::-1], dc[-2::-1]):
+            value = ck + value * zeta
+            deriv = dk + deriv * zeta
+        if c.size > 1:
+            value = c[0] + value * zeta
+        return deriv / value
 
     def weighted_norm(self):
         weights = np.array([1.0 / math.comb(self.two_s, k) for k in range(self.two_s + 1)])
@@ -285,17 +301,23 @@ def su2_matrix(g: SU2Element, two_s) -> np.ndarray:
     left, right = _powers([np.conj(a), -b], two_s), _powers([np.conj(b), a], two_s)
     out = np.zeros((two_s + 1, two_s + 1), dtype=complex)
     for k in range(two_s + 1):
-        col = P.polymul(left[two_s - k], right[k])
+        # P.polymul's product: np.convolve of the trimmed factors, trimmed
+        col = trimseq(np.convolve(left[two_s - k], right[k]))
         out[: col.size, k] = col
     return out
 
 
 def _powers(c, top):
-    """[c^0, c^1, ..., c^top], each as P.polypow(c, j) builds it (np.convolve with c, j - 1 times)."""
-    powers = [P.polypow(c, 0), P.polypow(c, 1)]
+    """[c^0, c^1, ..., c^top], each as P.polypow(c, j) builds it: np.convolve with the trimmed c, j - 1 times.
+
+    Each power is then trimmed of trailing zeros (an underflowed top
+    coefficient), as P.polymul trims its factors.
+    """
+    base = trimseq(np.array(c, dtype=complex))
+    powers = [np.ones(1, dtype=complex), base]
     while len(powers) <= top:
-        powers.append(np.convolve(powers[-1], powers[1]))
-    return powers[: top + 1]
+        powers.append(np.convolve(powers[-1], base))
+    return [trimseq(p) for p in powers[: top + 1]]
 
 
 def su2_act(g: SU2Element, chi: SpinWaveFunction) -> SpinWaveFunction:
@@ -335,8 +357,7 @@ class CircleContour:
     def quadrature(self):
         """(points, weighted tangents): integral of f dz ~ sum f(points) * tangents."""
         sign = 1.0 if self.ccw else -1.0
-        tau = np.arange(self.nodes) / self.nodes
-        ring = np.exp(sign * 2j * np.pi * tau)
+        ring = _unit_ring(self.nodes, self.ccw)
         points = self.center + self.radius * ring
         tangents = sign * 2j * np.pi * self.radius * ring / self.nodes
         return points, tangents
@@ -366,34 +387,37 @@ class PolygonContour:
 
     def quadrature(self):
         t, w = _gauss_legendre(self.nodes_per_edge)
-        points = []
-        tangents = []
         verts = self.vertices
-        for idx in range(len(verts)):
-            a, b = verts[idx], verts[(idx + 1) % len(verts)]
-            mid, half = (a + b) / 2.0, (b - a) / 2.0
-            points.append(mid + t * half)
-            tangents.append(w * half)
-        return np.concatenate(points), np.concatenate(tangents)
+        # each edge's midpoint and half-vector in Python's complex arithmetic, then all edges at once
+        mids, halves = np.array([((a + b) / 2.0, (b - a) / 2.0) for a, b in zip(verts, verts[1:] + verts[:1])]).T
+        return (mids[:, None] + t * halves[:, None]).ravel(), (w * halves[:, None]).ravel()
 
     def distances_to(self, points) -> np.ndarray:
-        """Distance from each point of a 1-d complex array to the polygon."""
+        """Distance from each point of a complex array to the polygon."""
         z = np.asarray(points, dtype=complex)
-        best = np.full(z.shape, np.inf)
         verts = self.vertices
-        for idx in range(len(verts)):
-            a, b = verts[idx], verts[(idx + 1) % len(verts)]
-            edge = b - a
-            length2 = abs(edge) ** 2
-            frac = 0.0
-            if length2 != 0:
-                along = (z.real - a.real) * edge.real + (z.imag - a.imag) * edge.imag
-                frac = np.clip(along / length2, 0.0, 1.0)
-            # z - (a + frac * edge) in the scalar formula's order; fmin skips
-            # a NaN distance as the scalar min over edges did
-            foot_re, foot_im = a.real + frac * edge.real, a.imag + frac * edge.imag
-            best = np.fmin(best, np.hypot(z.real - foot_re, z.imag - foot_im))
-        return best
+        # per edge: start a, edge vector, and |edge|^2 as the scalar formula rounds it; one row per edge
+        a, edge, length2 = (
+            np.array(column).reshape((-1,) + (1,) * z.ndim)
+            for column in zip(*[(a, b - a, abs(b - a) ** 2) for a, b in zip(verts, verts[1:] + verts[:1])])
+        )
+        along = (z.real - a.real) * edge.real + (z.imag - a.imag) * edge.imag
+        # a zero-length edge keeps frac = 0, the foot at its vertex
+        moving = length2 != 0
+        frac = np.where(moving, np.clip(along / np.where(moving, length2, 1.0), 0.0, 1.0), 0.0)
+        # z - (a + frac * edge) in the scalar formula's order; fmin skips a
+        # NaN distance as the scalar min over edges did
+        foot_re, foot_im = a.real + frac * edge.real, a.imag + frac * edge.imag
+        return np.fmin.reduce(np.hypot(z.real - foot_re, z.imag - foot_im), axis=0, initial=np.inf)
+
+
+@functools.lru_cache(maxsize=8)
+def _unit_ring(nodes, ccw):
+    """exp(+-2 pi i k / nodes) for k = 0 .. nodes - 1, read-only, computed once per (nodes, ccw)."""
+    sign = 1.0 if ccw else -1.0
+    ring = np.exp(sign * 2j * np.pi * (np.arange(nodes) / nodes))
+    ring.setflags(write=False)
+    return ring
 
 
 @functools.lru_cache(maxsize=8)
@@ -449,36 +473,6 @@ def total_spin_circulation(chi: SpinWaveFunction, nodes=256) -> float:
     return circulation(chi, ring)
 
 
-def _cluster(dist, radius):
-    """Single-linkage clusters at the given radius, from a pairwise-distance matrix.
-
-    Returns each point's cluster label, the first index in its cluster, so
-    the points with label[i] == i start the clusters in index order.
-    """
-    n = len(dist)
-    near = dist <= radius
-    label = np.arange(n)
-    while True:
-        # each point takes the lowest label among itself and its neighbours
-        lowest = np.minimum(label, np.where(near, label, n).min(axis=1))
-        if np.array_equal(lowest, label):
-            return label
-        label = lowest
-
-
-def _horner(coeffs, z):
-    """P.polyval(z, coeffs) for a list of Python complex coefficients and a scalar z.
-
-    Python's complex product and sum round like numpy's scalar arithmetic,
-    so the value is the same to the last bit; numpy's array product (fused
-    multiply-add) is not.
-    """
-    value = coeffs[-1] + z * 0
-    for c in coeffs[-2::-1]:
-        value = c + value * z
-    return value
-
-
 def vorticity_divisor(chi: SpinWaveFunction) -> VorticityDivisor:
     """Roots with multiplicities via companion-matrix eigenvalues.
 
@@ -495,16 +489,29 @@ def vorticity_divisor(chi: SpinWaveFunction) -> VorticityDivisor:
     cs, dcs = c.tolist(), chi._dcoeffs[:deg].tolist()
     if not all(map(cmath.isfinite, dcs)):
         raise NumericalBreakdownError("derivative coefficients overflow double precision")
+    # chi and chi' by one Horner loop over Python complex coefficients, each
+    # in P.polyval's order: Python's complex product and sum round like
+    # numpy's scalar arithmetic (numpy's array product, a fused multiply-add,
+    # and Python's complex division do not)
+    top, dtop, pairs = cs[-1], dcs[-1], list(zip(cs[-2:0:-1], dcs[-2::-1]))
+    # numpy's complex division, which rounds unlike Python's: adding -0 (an
+    # exact identity) makes a numpy scalar of the numerator, and complex.__pos__
+    # takes the quotient back as a Python complex; both bit for bit, and
+    # cheaper than the np.complex128() and complex() constructors
+    neg_zero, as_python = np.complex128(complex(-0.0, -0.0)), complex.__pos__
 
     def polish(z):
         # Newton converges quadratically on simple roots and pulls the
         # eigenvalue cloud of a multiple root well inside the cluster radius
         for _ in range(20):
-            deriv = _horner(dcs, z)
+            zero = z * 0
+            value, deriv = top + zero, dtop + zero
+            for ck, dk in pairs:
+                value = ck + value * z
+                deriv = dk + deriv * z
             if deriv == 0:
                 return z
-            # numpy's complex division, which rounds unlike Python's
-            step = complex(np.complex128(_horner(cs, z)) / deriv)
+            step = as_python((neg_zero + (cs[0] + value * z)) / deriv)
             if abs(step) > 0.1 * (1.0 + abs(z)):
                 return z  # left the local basin; keep the eigenvalue estimate
             z -= step
@@ -525,17 +532,28 @@ def vorticity_divisor(chi: SpinWaveFunction) -> VorticityDivisor:
     # np.hypot on the parts, not np.abs, rounds like the scalar abs
     diff = refined[:, None] - refined[None, :]
     dist = np.hypot(diff.real, diff.imag)
-    index = np.arange(refined.size)
-    label = _cluster(dist, radius)
-    firsts = np.flatnonzero(label == index)
-    for factor in (0.25, 4.0):
-        if np.count_nonzero(_cluster(dist, radius * factor) == index) != firsts.size:
-            raise ClusterAmbiguityError(
-                f"root clusters unstable near radius {radius!r}; "
-                "multiplicities cannot be assigned reliably"
-            )
-    groups = [refined[label == first] for first in firsts]
-    entries = [(complex(np.mean(group)), group.size) for group in groups]
+    # single-linkage clusters at the radius and a factor 4 either way, in one
+    # pass: each point takes the lowest label among itself and its neighbours
+    # until no label moves; label[i] == i starts a cluster, in index order
+    near = dist <= np.array([radius, radius * 0.25, radius * 4.0])[:, None, None]
+    n = refined.size
+    index = np.arange(n)
+    labels = np.tile(index, (3, 1))
+    while True:
+        lowest = np.minimum(labels, np.where(near, labels[:, None, :], n).min(axis=2))
+        if np.array_equal(lowest, labels):
+            break
+        labels = lowest
+    starts = np.count_nonzero(labels == index, axis=1)
+    if not (starts == starts[0]).all():
+        raise ClusterAmbiguityError(
+            f"root clusters unstable near radius {radius!r}; "
+            "multiplicities cannot be assigned reliably"
+        )
+    label = labels[0]
+    groups = [refined[label == first] for first in np.flatnonzero(label == index)]
+    # group.sum() / group.size is what np.mean computes for a complex group
+    entries = [(complex(group.sum() / group.size), group.size) for group in groups]
     entries.sort(key=lambda e: (e[0].real, e[0].imag))
     return VorticityDivisor(tuple(entries))
 

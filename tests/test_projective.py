@@ -462,6 +462,19 @@ def test_field_on_a_chart_that_does_not_exist_is_refused_when_built(k):
         fundamental_field(random_hermitian(np.random.default_rng(82), 3), k)
 
 
+@pytest.mark.parametrize("k", [-1, 3, 5])
+def test_chart_of_representative_and_horizontal_lift_refuse_a_chart_that_does_not_exist(k):
+    # CP^2: a state has 3 amplitudes, a chart point 4 coordinates
+    for call in (
+        lambda: chart_of(np.ones((2, 3)) / np.sqrt(3), k),
+        lambda: representative(k, np.zeros(4)),
+        lambda: representative(k, np.zeros((2, 4))),
+        lambda: horizontal_lift(k, np.zeros(4), np.ones(4)),
+    ):
+        with pytest.raises(ValueError, match=f"^invalid chart: dim=3, index={k}$"):
+            call()
+
+
 @pytest.mark.parametrize("shape", [(3,), (4, 5), (0,), (4, 0), (2, 3, 4)])
 def test_functions_of_chart_coordinates_refuse_odd_empty_or_3d_arrays(shape):
     import re

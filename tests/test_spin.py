@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.polynomial import polynomial as P
 
 from qhydro import spin
@@ -675,6 +677,124 @@ def test_contour_too_close_reports_the_per_root_minimum(contour, roots):
     assert str(info.value) == message
     for a, _ in entries:
         assert float(contour.distances_to(np.array([a]))[0]) == _reference_distance(contour, a)
+
+
+def _reference_log_derivative(chi, zeta):
+    return P.polyval(zeta, P.polyder(chi.coeffs)) / P.polyval(zeta, chi.coeffs)
+
+
+def _same_bits(x, y):
+    return type(x) is type(y) and np.asarray(x).tobytes() == np.asarray(y).tobytes()
+
+
+@pytest.mark.parametrize("nodes", [4, 7, 64, 256])
+@pytest.mark.parametrize("ccw", [True, False])
+def test_circle_quadrature_equals_the_ring_formula_and_shares_a_read_only_ring(nodes, ccw):
+    contour = CircleContour(0.3 - 0.2j, 1.7, nodes=nodes, ccw=ccw)
+    sign = 1.0 if ccw else -1.0
+    ring = np.exp(sign * 2j * np.pi * (np.arange(nodes) / nodes))
+    points, tangents = contour.quadrature()
+    assert points.tobytes() == (contour.center + contour.radius * ring).tobytes()
+    assert tangents.tobytes() == (sign * 2j * np.pi * contour.radius * ring / nodes).tobytes()
+    cached = spin._unit_ring(nodes, ccw)
+    assert cached is spin._unit_ring(nodes, ccw) and cached.tobytes() == ring.tobytes()
+    assert not cached.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        cached[0] = 0.0
+
+
+def test_rarely_reached_inputs_equal_reference_bit_for_bit():
+    # branches the seeded corpus never reaches: clockwise circles, a repeated
+    # polygon vertex (a zero-length edge), NaN probes, scalar evaluation
+    # points and the constant wave function of spin 0
+    square = (1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j)
+    contours = [
+        CircleContour(0.1 + 0.2j, 1.3, ccw=False),
+        CircleContour(-0.4j, 0.9, nodes=37, ccw=False),
+        PolygonContour(square[:2] + square[1:]),
+        PolygonContour(square + (square[0],), nodes_per_edge=5),
+    ]
+    waves = [
+        SpinWaveFunction(0, [2.0 - 1.0j]),
+        SpinWaveFunction.from_roots([(0.2 + 0.1j, 2), (-0.7j, 1), (1.4, 1)]),
+        SpinWaveFunction.from_roots([(-0.0, 1), (0.5 - 0.0j, 1)], two_s=3),
+    ]
+    probes = np.array([complex(np.nan, 0.0), complex(0.3, np.nan), -1.0 + 0.25j, 0j, complex(-0.0, -0.0)])
+    points = np.array([0.37 - 0.91j, -1.2 + 0.4j, complex(0.0, -0.3), complex(-0.0, 0.5), 2.5])
+    for chi in waves:
+        entries = _reference_divisor(chi)
+        assert chi.divisor().entries == entries
+        for contour in contours:
+            assert _outcome(lambda: circulation(chi, contour)) == _reference_circulation(chi, entries, contour)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the last wave function has degree 2 < 2s = 3
+            assert _outcome(lambda: total_spin_circulation(chi)) == _reference_total(chi, entries)
+        assert _same_bits(chi.log_derivative(points), _reference_log_derivative(chi, points))
+        assert _same_bits(chi.log_derivative(points.tolist()), _reference_log_derivative(chi, points.tolist()))
+        for zeta in points.tolist():
+            q = _reference_log_derivative(chi, zeta)
+            assert _same_bits(chi.log_derivative(zeta), q)
+            assert _same_bits(madelung_velocity(chi, zeta), np.array([q.imag, q.real]))
+    for contour in contours[2:]:
+        # the per-edge loop: a NaN distance never wins the minimum
+        expected = [_reference_distance(contour, z) for z in probes]
+        assert contour.distances_to(probes).tolist() == expected
+        assert expected[0] == expected[1] == np.inf
+        assert contour.distances_to(probes[2]).tolist() == expected[2]
+        assert contour.distances_to(probes.reshape(5, 1)).tolist() == [[d] for d in expected]
+    assert contours[3].distances_to(np.array([], dtype=complex)).shape == (0,)
+    assert math.isnan(contours[0].distances_to(probes)[0])
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [(1e-30, 1.0), (1e-30j, -1.0j), (1.0, 1e-30), (-1.0, complex(-1e-30, 1e-31)), (0.0, 1j), (np.exp(0.35j), 0.0)],
+)
+def test_su2_matrix_equals_polymul_columns_when_powers_underflow(a, b):
+    # a^k or b^k underflows to zero for large k, and P.polymul trims such a factor
+    g = SU2Element.from_params(a, b)
+    for two_s in (0, 1, 2, 7, 16):
+        assert su2_matrix(g, two_s).tobytes() == _reference_su2_matrix(g, two_s).tobytes()
+
+
+@st.composite
+def _spin_cases(draw):
+    """Roots of total multiplicity <= 16 (each <= 3), a unit phase, an SU(2) element and contours."""
+    # coordinates on a 1e-3 grid: exact repeats happen, and no value is so
+    # small that a power of it leaves double precision
+    coord = st.integers(-1500, 1500).map(lambda k: k / 1000.0)
+    point = st.builds(complex, coord, coord)
+    roots, total = [], 0
+    for a, mu in draw(st.lists(st.tuples(point, st.integers(1, 3)), min_size=1, max_size=16)):
+        mu = min(mu, 16 - total)
+        if mu:
+            roots.append((a, mu))
+            total += mu
+    phase = draw(st.floats(0.0, 1.0))
+    raw = draw(st.tuples(*[st.integers(-1000, 1000).map(lambda k: k / 1000.0)] * 4).filter(lambda r: math.hypot(*r) > 0.1))
+    circles = st.builds(CircleContour, point, st.floats(0.3, 2.5), st.sampled_from([16, 64, 256]), st.booleans())
+    polygons = st.builds(PolygonContour, st.lists(point, min_size=3, max_size=6).map(tuple), st.integers(2, 32))
+    contours = draw(st.lists(st.one_of(circles, polygons), min_size=1, max_size=4))
+    return roots, phase, raw, contours
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_spin_cases())
+def test_divisor_circulation_and_total_equal_reference_on_random_inputs(case):
+    roots, phase, raw, contours = case
+    chi = SpinWaveFunction.from_roots(roots)
+    chi = SpinWaveFunction(chi.two_s, chi.coeffs * np.exp(2j * np.pi * phase) / np.linalg.norm(chi.coeffs))
+    norm = math.hypot(*raw)
+    g = SU2Element.from_params(complex(raw[0], raw[1]) / norm, complex(raw[2], raw[3]) / norm)
+    for psi in (chi, su2_act(g, chi)):
+        expected = _reference_divisor(psi)
+        found = _outcome(lambda: psi.divisor().entries)
+        assert found == ((ClusterAmbiguityError, expected) if isinstance(expected, str) else expected)
+        for contour in contours:
+            assert _outcome(lambda: circulation(psi, contour)) == _reference_circulation(psi, expected, contour)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # deficient degree after rounding
+            assert _outcome(lambda: total_spin_circulation(psi)) == _reference_total(psi, expected)
 
 
 @pytest.mark.parametrize(
