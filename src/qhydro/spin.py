@@ -83,7 +83,7 @@ class SpinWaveFunction:
     unitary for it.
     """
 
-    __slots__ = ("two_s", "coeffs", "_dcoeffs", "_divisor")
+    __slots__ = ("two_s", "coeffs", "_dcoeffs", "_degree", "_divisor", "_roots")
 
     def __init__(self, two_s, coeffs, allow_zero=False):
         if not isinstance(two_s, (int, np.integer)) or isinstance(two_s, bool) or two_s < 0:
@@ -97,13 +97,19 @@ class SpinWaveFunction:
             raise ValueError("wave function must not be identically zero")
         c.setflags(write=False)
         with np.errstate(over="ignore", invalid="ignore"):  # overflow is refused by vorticity_divisor
-            dc = P.polyder(c)
+            # P.polyder's bits: it scales by 1 first (which moves the signs of
+            # zero parts), then multiplies coefficient k by k
+            dc = (c * 1)[1:] * np.arange(1.0, c.size) if c.size > 1 else c[:1] * 0
         dc.setflags(write=False)
         object.__setattr__(self, "two_s", int(two_s))
         object.__setattr__(self, "coeffs", c)
         object.__setattr__(self, "_dcoeffs", dc)
-        # the VorticityDivisor, or the message of its ClusterAmbiguityError
+        # effective_degree, computed on first use
+        object.__setattr__(self, "_degree", None)
+        # the VorticityDivisor, or the message of its ClusterAmbiguityError,
+        # and the read-only array of its roots repeated by multiplicity
         object.__setattr__(self, "_divisor", None)
+        object.__setattr__(self, "_roots", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("SpinWaveFunction is immutable")
@@ -114,13 +120,12 @@ class SpinWaveFunction:
 
     @property
     def effective_degree(self):
-        """Degree after stripping trailing coefficients below round-off scale."""
-        mags = np.abs(self.coeffs)
-        peak = mags.max()
-        if peak == 0.0:
-            return 0
-        live = np.nonzero(mags > 1e-12 * peak)[0]
-        return int(live[-1]) if live.size else 0
+        """Degree after stripping trailing coefficients below round-off scale, computed once."""
+        if self._degree is None:
+            mags = np.abs(self.coeffs)
+            live = np.flatnonzero(mags > 1e-12 * mags.max())  # empty for the zero polynomial
+            object.__setattr__(self, "_degree", int(live[-1]) if live.size else 0)
+        return self._degree
 
     @classmethod
     def from_roots(cls, roots_with_mult, two_s=None):
@@ -177,9 +182,9 @@ class SpinWaveFunction:
         return abs(self.weighted_norm() - 1.0) < 1e-10
 
     def roots(self):
-        """Root locations repeated by multiplicity (from the cached divisor)."""
-        div = self.divisor()
-        return np.array([a for a, mu in div.entries for _ in range(mu)]) if div.entries else np.array([])
+        """Root locations repeated by multiplicity, read-only (built once with the cached divisor)."""
+        self.divisor()
+        return self._roots
 
     def divisor(self):
         """The vorticity divisor, computed once; an ambiguous clustering raises on every call."""
@@ -188,6 +193,10 @@ class SpinWaveFunction:
                 found = vorticity_divisor(self)
             except ClusterAmbiguityError as exc:
                 found = str(exc)
+            else:
+                locs = np.array([a for a, mu in found.entries for _ in range(mu)]) if found.entries else np.array([])
+                locs.setflags(write=False)
+                object.__setattr__(self, "_roots", locs)
             object.__setattr__(self, "_divisor", found)
         if isinstance(self._divisor, str):
             raise ClusterAmbiguityError(self._divisor)
@@ -476,10 +485,14 @@ def total_spin_circulation(chi: SpinWaveFunction, nodes=256) -> float:
 def vorticity_divisor(chi: SpinWaveFunction) -> VorticityDivisor:
     """Roots with multiplicities via companion-matrix eigenvalues.
 
-    Raw roots are clustered within 1e-6 (1 + max modulus); simple roots are
-    Newton-polished, multiple roots take the cluster mean. Clustering that
-    changes when the radius moves a factor 4 either way raises
-    ClusterAmbiguityError instead of guessing.
+    Each eigenvalue is Newton-polished for at most 20 steps. The polish stops
+    early at a relative step below 1e-15, and without taking it at the first
+    step no smaller than the step before: from there on round-off, not the
+    root, sets the correction (on a multiple root, after a few steps).
+    Polished roots are clustered within 1e-6 (1 + max modulus); a cluster
+    of m points is an m-fold root at their mean. Clustering that changes
+    when the radius moves a factor 4 either way raises ClusterAmbiguityError
+    instead of guessing.
     """
     deg = chi.effective_degree
     if deg == 0:
@@ -502,7 +515,9 @@ def vorticity_divisor(chi: SpinWaveFunction) -> VorticityDivisor:
 
     def polish(z):
         # Newton converges quadratically on simple roots and pulls the
-        # eigenvalue cloud of a multiple root well inside the cluster radius
+        # eigenvalue cloud of a multiple root well inside the cluster radius,
+        # until a step fails to shrink
+        last = math.inf
         for _ in range(20):
             zero = z * 0
             value, deriv = top + zero, dtop + zero
@@ -512,11 +527,13 @@ def vorticity_divisor(chi: SpinWaveFunction) -> VorticityDivisor:
             if deriv == 0:
                 return z
             step = as_python((neg_zero + (cs[0] + value * z)) / deriv)
-            if abs(step) > 0.1 * (1.0 + abs(z)):
-                return z  # left the local basin; keep the eigenvalue estimate
+            size = abs(step)
+            if size > 0.1 * (1.0 + abs(z)) or size >= last:
+                return z  # left the local basin, or round-off sets the step: keep z
             z -= step
-            if abs(step) < 1e-15 * (1.0 + abs(z)):
+            if size < 1e-15 * (1.0 + abs(z)):
                 break
+            last = size
         return z
 
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite value is refused below

@@ -495,6 +495,7 @@ def _reference_divisor(chi):
     dchi = P.polyder(c)
 
     def polish(z):
+        last = np.inf
         for _ in range(20):
             deriv = P.polyval(z, dchi)
             if deriv == 0:
@@ -502,9 +503,12 @@ def _reference_divisor(chi):
             step = P.polyval(z, c) / deriv
             if abs(step) > 0.1 * (1.0 + abs(z)):
                 return z
+            if abs(step) >= last:
+                return z
             z -= step
             if abs(step) < 1e-15 * (1.0 + abs(z)):
                 break
+            last = abs(step)
         return z
 
     refined = np.array([polish(z) for z in np.roots(c[::-1])])
@@ -795,6 +799,61 @@ def test_divisor_circulation_and_total_equal_reference_on_random_inputs(case):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # deficient degree after rounding
             assert _outcome(lambda: total_spin_circulation(psi)) == _reference_total(psi, expected)
+
+
+def _capped_polish(z, c, dchi):
+    """Newton's polish that runs to its 20-step cap, with no stop at round-off."""
+    for _ in range(20):
+        deriv = P.polyval(z, dchi)
+        if deriv == 0:
+            return z
+        step = P.polyval(z, c) / deriv
+        if abs(step) > 0.1 * (1.0 + abs(z)):
+            return z
+        z -= step
+        if abs(step) < 1e-15 * (1.0 + abs(z)):
+            break
+    return z
+
+
+@pytest.mark.parametrize("d", [1e-2, 1e-3, 1e-5])
+def test_polish_that_stops_at_round_off_lands_a_double_root_closer(d):
+    # a simple root at 1 + d and a double root at 0.2: past the step where round-off
+    # sets Newton's correction, further steps walk the double root's points off 0.2
+    chi = SpinWaveFunction.from_roots([(1.0 + d, 1), (0.2, 2)])
+    entries = chi.divisor().entries
+    assert [mu for _, mu in entries] == [2, 1]
+    c = chi.coeffs
+    capped = np.array([_capped_polish(z, c, P.polyder(c)) for z in np.roots(c[::-1])])
+    double = capped[np.argsort(np.abs(capped - 0.2))[:2]]
+    assert abs(entries[0][0] - 0.2) < abs(np.mean(double) - 0.2)
+    assert abs(entries[0][0] - 0.2) < 5e-10
+
+
+def test_derivative_coefficients_equal_polyder_bit_for_bit():
+    rng = np.random.default_rng(72)
+    signed = [0.0, -0.0, 1.5, -2.5]
+    cases = [rng.normal(size=n) + 1j * rng.normal(size=n) for n in range(1, 18) for _ in range(5)]
+    # every sign pattern of +-0 and nonzero real and imaginary parts, two and three coefficients long
+    parts = [complex(re, im) for re in signed for im in signed]
+    cases += [np.array([a, b]) for a in parts for b in parts]
+    cases += [np.array([a, b, e]) for a in parts[::3] for b in parts for e in parts[::5]]
+    # coefficients whose derivative overflows
+    cases += [np.array([1.0, 1e308, -1e308 + 1e308j, complex(-0.0, 1e308)]), np.full(17, complex(1e307, -1e307))]
+    for coeffs in cases:
+        chi = SpinWaveFunction(coeffs.size - 1, coeffs, allow_zero=True)
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected = P.polyder(chi.coeffs)
+        assert chi._dcoeffs.tobytes() == expected.tobytes() and chi._dcoeffs.shape == expected.shape
+
+
+def test_roots_are_one_read_only_array_per_wave_function():
+    chi = SpinWaveFunction.from_roots([(0.3 + 0.2j, 1), (-0.8, 2)])
+    locs = chi.roots()
+    assert locs is chi.roots() and not locs.flags.writeable
+    assert locs.tolist() == [a for a, mu in chi.divisor().entries for _ in range(mu)]
+    constant = SpinWaveFunction(2, [1.0, 0.0, 0.0])
+    assert constant.effective_degree == 0 and constant.roots().shape == (0,) and constant.roots().dtype == float
 
 
 @pytest.mark.parametrize(
