@@ -169,19 +169,37 @@ def fubini_study_metric(coords) -> np.ndarray:
     return g
 
 
+def _geodesic_accelerations(x, u):
+    """Fubini-Study geodesic accelerations at an (N, 2n) stack of chart points x with chart velocities u.
+
+    The metric is Kahler with potential log(1 + |zeta|^2), and its connection
+    Gamma^k_ij = -(delta^k_i conj(zeta_j) + delta^k_j conj(zeta_i)) / (1 + |zeta|^2)
+    gives zeta'' = 2 <zeta, zeta'> zeta' / (1 + |zeta|^2), the same formula in
+    every chart (Bengtsson and Zyczkowski, Geometry of Quantum States, ch. 4).
+    Returned interleaved as x; each row is computed on its own.
+    """
+    x, u = np.ascontiguousarray(x, dtype=float), np.ascontiguousarray(u, dtype=float)
+    zeta, dzeta = x.view(complex), u.view(complex)  # each (Re, Im) pair read as one complex number
+    scale = (zeta.conj() * dzeta).sum(axis=1)
+    scale *= 2.0 / (1.0 + (x * x).sum(axis=1))
+    return (dzeta * scale[:, None]).view(float)
+
+
 def chart_manifold(dim, chart_index, coord_bound=None) -> ChartManifold:
     """The Fubini-Study geometry of chart `chart_index` as a ChartManifold.
 
     dim is the ambient Hilbert dimension n+1; the chart has 2n real
     coordinates. coord_bound optionally restricts |zeta|_inf to keep
-    far-from-pivot points (badly conditioned) out of stencils.
+    far-from-pivot points (badly conditioned) out of stencils. Geodesics
+    take the closed-form connection of _geodesic_accelerations.
     """
     _require_chart(dim, chart_index)
     metric = StackFunction(fubini_study_metric)
     domain = None
     if coord_bound is not None:
         domain = StackFunction(lambda points: np.abs(points).max(axis=1) < coord_bound)
-    return ChartManifold(2 * (dim - 1), metric, domain, name=f"CP^{dim - 1} chart {chart_index}")
+    name = f"CP^{dim - 1} chart {chart_index}"
+    return ChartManifold(2 * (dim - 1), metric, domain, name=name, geodesic_acceleration=_geodesic_accelerations)
 
 
 def fundamental_field(A: HermitianOperator, chart_index) -> VectorField:

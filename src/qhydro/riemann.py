@@ -4,7 +4,9 @@ A manifold is a metric-matrix function on a chart plus a domain predicate.
 Derivatives are central finite differences (second order, default step
 1e-4); every verifier returns a residual, never a boolean - thresholds are
 test policy, not library semantics. Stencil points must lie inside the
-chart domain; there is no extrapolation.
+chart domain; there is no extrapolation. A manifold whose connection has a
+closed form may carry its geodesic acceleration, which geodesics then use
+in place of a stencil.
 
 Metrics, domains and fields are evaluated on whole (N, dim) stacks of
 points: a stencil, a curve. A callable given per point is lifted to stacks
@@ -160,12 +162,17 @@ class ChartManifold:
         defaults to the whole chart.
     name : str
         Label used in error messages.
+    geodesic_acceleration : callable, optional
+        (x, u) -> -Gamma(x)(u, u) on (M, dim) stacks of points and
+        velocities, in closed form. geodesic_integrate uses it in place of
+        Christoffel symbols from metric differences; defaults to those.
     """
 
     dim: int
     metric: Callable
     chart_domain: Callable = None
     name: str = ""
+    geodesic_acceleration: Callable = None
 
     def __post_init__(self):
         object.__setattr__(self, "_stack_metric", _lift(self.metric))
@@ -564,6 +571,11 @@ def geodesic_integrate(manifold, x0, u0, T, steps, fd_step=GEODESIC_FD_STEP):
     x0 and u0 are one start of shape (dim,) or an (M, dim) stack of starts,
     integrated as one stack; each row gives the curve of its one-start call.
 
+    The acceleration is the manifold's closed-form geodesic_acceleration
+    if it has one, with every stage point checked as metric_at checks a
+    point; otherwise it comes from Christoffel symbols by central
+    differences of step fd_step.
+
     Returns
     -------
     DiscreteCurve, or a list of M of them for a stack of starts
@@ -571,11 +583,17 @@ def geodesic_integrate(manifold, x0, u0, T, steps, fd_step=GEODESIC_FD_STEP):
         point (or its Christoffel stencil) left the chart domain.
     """
     d = manifold.dim
+    closed_form = manifold.geodesic_acceleration
 
     def rhs(y):
-        u = y[:, d:]
-        acc = np.einsum("mkij,mi,mj->mk", _christoffels(manifold, y[:, :d], fd_step), u, u)
-        return np.concatenate([u, np.negative(acc, out=acc)], axis=1)
+        x, u = y[:, :d], y[:, d:]
+        if closed_form is None:
+            acc = np.einsum("mkij,mi,mj->mk", _christoffels(manifold, x, fd_step), u, u)
+            np.negative(acc, out=acc)
+        else:
+            manifold._metrics_at(x)  # the checks of metric_at at every stage point; the metrics are not needed
+            acc = closed_form(x, u)
+        return np.concatenate([u, acc], axis=1)
 
     y0 = np.concatenate([_bases(x0), _bases(u0)], axis=1)
     runs = _rk4(rhs, y0, T, steps, lambda y: manifold._rows_outside(y[:, :d]))

@@ -429,3 +429,56 @@ def test_main_turns_each_outcome_into_its_exit_code_and_one_line(monkeypatch, ca
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"warning: before the failure\n{line}\n"
+
+
+# ---------------------------------------------------------------------------
+# Mutations of the fluid that verify must catch: each check can fail
+
+
+def verify_mutant(tmp_path, capsys):
+    """Run verify on one dim-4 Hamiltonian; (exit code, names of the failed checks)."""
+    from helpers import random_hermitian
+
+    H = random_hermitian(np.random.default_rng(0), 4)
+    h = write_json(tmp_path / "H4.json", {"dim": 4, "re": H.matrix.real.tolist(), "im": H.matrix.imag.tolist()})
+    code = main(["verify", "--input", h])
+    report = json.loads(capsys.readouterr().out)
+    return code, {c["check"] for c in report["checks"] if not c["passed"]}
+
+
+def test_verify_fails_euler_on_a_rescaled_pressure(tmp_path, capsys, monkeypatch):
+    from qhydro import fluid
+    from qhydro.riemann import ScalarField, StackFunction
+
+    pressure = fluid.pressure_scalar_field
+
+    def rescaled(H, k):
+        p = pressure(H, k)
+        return ScalarField(StackFunction(lambda points: 1.01 * p.stack(points)))
+
+    monkeypatch.setattr(fluid, "pressure_scalar_field", rescaled)
+    assert verify_mutant(tmp_path, capsys) == (EXIT_CHECK_FAILED, {"euler_residual"})
+
+
+def test_verify_fails_every_check_on_a_field_tilted_along_the_pressure_gradient(tmp_path, capsys, monkeypatch):
+    from qhydro import fluid, projective, riemann
+    from qhydro.riemann import OneForm, StackFunction, VectorField
+
+    field = projective.fundamental_field
+
+    def tilted(H, k):
+        M, X, p = projective.chart_manifold(H.dim, k), field(H, k), fluid.pressure_scalar_field(H, k)
+        dp = OneForm(StackFunction(lambda points: riemann.differential(M, p, points)))
+        return VectorField(StackFunction(lambda points: X.stack(points) + 1e-3 * riemann.sharp(M, dp, points)))
+
+    monkeypatch.setattr(projective, "fundamental_field", tilted)
+    code, failed = verify_mutant(tmp_path, capsys)
+    assert code == EXIT_CHECK_FAILED
+    assert failed == {
+        "killing_residual",
+        "euler_residual",
+        "pressure_gradient_orthogonality",
+        "divergence",
+        "velocity_form_transport",
+        "dispersion_identity",
+    }

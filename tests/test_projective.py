@@ -400,6 +400,31 @@ def test_distance_resolves_nearby_rays():
 
 
 # ---------------------------------------------------------------------------
+# The closed-form geodesic acceleration of a chart
+
+
+@pytest.mark.parametrize("dim", [3, 4, 5])
+def test_closed_form_acceleration_equals_the_christoffel_stencil_on_every_chart(dim):
+    from qhydro.riemann import christoffel
+
+    rng = np.random.default_rng(90 + dim)
+    for k in range(dim):
+        M = chart_manifold(dim, k)
+        for _ in range(10):
+            x = rng.uniform(-0.9, 0.9, size=2 * (dim - 1))
+            u = rng.normal(size=x.shape)
+            stencil = -np.einsum("kij,i,j->k", christoffel(M, x, 1e-5), u, u)
+            closed = M.geodesic_acceleration(x[None], u[None])[0]
+            assert np.linalg.norm(closed - stencil) <= 1e-8 * np.linalg.norm(stencil)
+
+
+def test_closed_form_geodesic_through_the_point_at_infinity_is_refused():
+    # unit speed from zeta = 0 reaches the chart's point at infinity at t = pi/2; each stage point's metric is checked
+    with pytest.raises(ValueError, match="metric not positive-definite"):
+        geodesic_integrate(chart_manifold(2, 0), np.zeros(2), np.array([1.0, 0.0]), 1.6, 400)
+
+
+# ---------------------------------------------------------------------------
 # Stacks of starts on CP^2..CP^4 charts: each row the curve of its one-start call
 
 

@@ -659,7 +659,7 @@ def test_geodesic_follows_great_circle(dim):
         )
         for s, x in zip(curve.times, curve.points)
     )
-    assert worst < 1e-9
+    assert worst < 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -830,14 +830,15 @@ def test_geodesics_on_random_surfaces_equal_the_uncached_path_bit_for_bit():
 
 
 def test_geodesics_on_cpn_charts_equal_the_uncached_path_bit_for_bit():
-    from qhydro.projective import chart_manifold, fundamental_field
+    from qhydro.projective import fubini_study_metric, fundamental_field
 
     from helpers import random_hermitian
 
     rng = np.random.default_rng(61)
     for dim in (3, 4, 5):
         k = int(rng.integers(dim))
-        M = chart_manifold(dim, k)
+        # the Fubini-Study metric without chart_manifold's closed-form acceleration: the stencil route
+        M = ChartManifold(2 * (dim - 1), StackFunction(fubini_study_metric), name=f"CP^{dim - 1} chart {k}")
         x0 = rng.uniform(-0.5, 0.5, size=2 * (dim - 1))
         u0 = rng.normal(size=2 * (dim - 1)) * 0.3
         assert_geodesic_bits(M, M, fundamental_field(random_hermitian(rng, dim), k), x0, u0, 1.0, 30)
