@@ -39,7 +39,7 @@ from .riemann import (
     FD_STEP,
     ScalarField,
     StackFunction,
-    _bilinear_rows,
+    _bilinear,
     covariant_derivative,
     differential,
     exterior_derivative_oneform,
@@ -80,23 +80,11 @@ def pressure(H: HermitianOperator, point):
     return 0.5 * dispersion_squared(H, point)
 
 
-def _unit_rows(z):
-    """Each row of a complex (N, dim) stack scaled to unit norm, on its own.
-
-    By a row sum of squares, not hilbert.normalized_rows: the pressure field
-    and the pressure CSV grids are computed with it, and the BLAS norm would
-    round their last bits differently.
-    """
-    if not np.isfinite(z.view(float)).all():
-        raise ValueError("state vector has non-finite amplitudes")
-    return z / np.sqrt((z.real * z.real + z.imag * z.imag).sum(axis=1))[:, None]
-
-
 def pressure_scalar_field(H: HermitianOperator, chart_index) -> ScalarField:
     """The pressure as a scalar field on one affine chart, evaluated on whole stacks of chart points."""
 
     def value(points):
-        return 0.5 * dispersion_squared(H, _unit_rows(representative(chart_index, points)))
+        return 0.5 * dispersion_squared(H, normalized_rows(representative(chart_index, points)))
 
     return ScalarField(StackFunction(value))
 
@@ -135,7 +123,7 @@ def _pressure_gradients(H, ks, xs, h):
         X = fundamental_field(H, k)
         mismatch = grad + covariant_derivative(manifold, X, X, x, h)  # (dp)^sharp should equal -nabla_X X
         grads[rows] = grad
-        mismatches[rows] = np.sqrt(_bilinear_rows(mismatch, g, mismatch))
+        mismatches[rows] = np.sqrt(_bilinear(mismatch, g, mismatch))
     return grads, mismatches
 
 
@@ -379,7 +367,7 @@ def pressure_on_sphere(H: HermitianOperator, i, j, grid=(64, 64)) -> SphereProfi
     """
     thetas, phis, th, ph = _sphere_grid(grid)
     sphere = GeodesicSphere(H, i, j)
-    states = _unit_rows(sphere.representative(th.reshape(-1, 1), ph.reshape(-1, 1)))
+    states = normalized_rows(sphere.representative(th.reshape(-1, 1), ph.reshape(-1, 1)))
     numeric = 0.5 * dispersion_squared(H, states).reshape(th.shape)
     return SphereProfile(int(i), int(j), sphere.omega, thetas, phis, numeric, sphere.omega**2 * np.sin(th) ** 2 / 8.0)
 

@@ -96,25 +96,23 @@ class StateVector:
 
 
 def _row_norms(z):
-    """The 1-d np.linalg.norm (BLAS) of each row of a stack, as a list; inf where the sum of squares overflows."""
+    """The norm of each row of a complex (N, dim) stack, each summed on its own; inf where its sum of squares overflows."""
     if not np.isfinite(z.view(float)).all():
         raise ValueError("state vector has non-finite amplitudes")
     with np.errstate(over="ignore"):
-        return [np.linalg.norm(row) for row in z]
+        return np.sqrt((z.real * z.real + z.imag * z.imag).sum(axis=1))
 
 
 def normalized_rows(z):
     """Each row of a complex (N, dim) stack divided by its norm: the normalizer of StateVector.
 
-    The norm of a row is its 1-d np.linalg.norm (BLAS), row by row: a row
-    sum of squares rounds differently. Where that norm overflows, or its sum
-    of squares underflows, the row is first divided by its largest real or
-    imaginary part; ordinary rows never take that branch. An all-zero row
-    raises.
+    Where a row's norm overflows, or its sum of squares underflows, the row
+    is first divided by its largest real or imaginary part; ordinary rows
+    never take that branch. An all-zero row raises.
     """
-    norms = np.array(_row_norms(z))
-    if not all(_MIN_NORM <= norm < np.inf for norm in norms.tolist()):
-        extreme = (norms < _MIN_NORM) | (norms == np.inf)
+    norms = _row_norms(z)
+    extreme = (norms < _MIN_NORM) | (norms == np.inf)
+    if extreme.any():
         parts = z[extreme].view(float)
         scale = np.abs(parts).max(axis=1)
         if not scale.all():

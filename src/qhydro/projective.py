@@ -24,8 +24,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .hilbert import HermitianOperator, StateVector, _per_state, normalized_rows
-from .riemann import ChartManifold, StackFunction, VectorField, _bilinear_rows
+from .hilbert import HermitianOperator, StateVector, _per_state, _row_norms, normalized_rows
+from .riemann import ChartManifold, StackFunction, VectorField, _bilinear
 
 __all__ = [
     "TangentAtPoint",
@@ -64,14 +64,13 @@ def _identity(n):
 
 
 def _interleave(zeta):
-    out = np.empty(zeta.shape[:-1] + (2 * zeta.shape[-1],))
-    out[..., 0::2] = zeta.real
-    out[..., 1::2] = zeta.imag
-    return out
+    """Complex coordinates as real ones: each complex number read as its (Re, Im) pair."""
+    return np.ascontiguousarray(zeta, dtype=complex).view(float)
 
 
 def _complexify(xy):
-    return xy[..., 0::2] + 1j * xy[..., 1::2]
+    """Real coordinates as complex ones: each (Re, Im) pair read as one complex number."""
+    return np.ascontiguousarray(xy, dtype=float).view(complex)
 
 
 def _checked_coords(coords):
@@ -178,11 +177,10 @@ def _geodesic_accelerations(x, u):
     every chart (Bengtsson and Zyczkowski, Geometry of Quantum States, ch. 4).
     Returned interleaved as x; each row is computed on its own.
     """
-    x, u = np.ascontiguousarray(x, dtype=float), np.ascontiguousarray(u, dtype=float)
-    zeta, dzeta = x.view(complex), u.view(complex)  # each (Re, Im) pair read as one complex number
+    zeta, dzeta = _complexify(x), _complexify(u)
     scale = (zeta.conj() * dzeta).sum(axis=1)
     scale *= 2.0 / (1.0 + (x * x).sum(axis=1))
-    return (dzeta * scale[:, None]).view(float)
+    return _interleave(dzeta * scale[:, None])
 
 
 def chart_manifold(dim, chart_index, coord_bound=None) -> ChartManifold:
@@ -232,7 +230,7 @@ def horizontal_lift(k, coords, u) -> tuple[np.ndarray, np.ndarray]:
     nz = float(np.linalg.norm(z))
     v = z / nz
     U = np.zeros(z.size, dtype=complex)
-    U[_slots(z.size, k)] = _complexify(np.asarray(u, dtype=float))
+    U[_slots(z.size, k)] = _complexify(u)
     w = (U - v * np.vdot(v, U)) / nz
     return v, w
 
@@ -251,8 +249,7 @@ def project_tangent(v, w, chart_index) -> np.ndarray:
     if not pivot.all():
         raise ValueError(f"curve leaves chart {chart_index}: zero pivot amplitude")
     slots = _slots(v.shape[-1], chart_index)
-    # np.power rounds as a complex scalar's ** 2 does; np.square and pivot * pivot do not
-    zeta_dot = (w[..., slots] * pivot - v[..., slots] * w[..., chart_index, None]) / np.power(pivot, 2)
+    zeta_dot = (w[..., slots] * pivot - v[..., slots] * w[..., chart_index, None]) / (pivot * pivot)
     return _interleave(zeta_dot)
 
 
@@ -271,7 +268,7 @@ def dispersion_via_metric(H: HermitianOperator, v):
         for k, rows in chart_rows(np.abs(vectors).argmax(axis=1)):
             _, xy = chart_of(vectors[rows], k)
             X = fundamental_field(H, k).stack(xy)
-            out[rows] = _bilinear_rows(X, fubini_study_metric(xy), X)
+            out[rows] = _bilinear(X, fubini_study_metric(xy), X)
         return out
 
     return _per_state(values, v)
@@ -288,14 +285,10 @@ def fubini_study_distance(u, v):
     """
 
     def values(us, vs):
-        # the phase and the chord norm are taken row by row, as Python complex and 1-d BLAS
-        # arithmetic: their array forms round differently
-        phases = np.empty(len(us), dtype=complex)
-        for n, (a, b) in enumerate(zip(us, vs)):
-            overlap = complex(np.vdot(a, b))
-            phases[n] = overlap / abs(overlap) if overlap != 0 else 1.0
-        chords = vs - phases[:, None] * us
-        half = np.array([np.linalg.norm(chord) for chord in chords]) / 2.0
+        overlaps = (us.conj() * vs).sum(axis=1)
+        sizes = np.abs(overlaps)
+        phases = np.divide(overlaps, sizes, out=np.ones_like(overlaps), where=sizes > 0)
+        half = _row_norms(vs - phases[:, None] * us) / 2.0
         return 2.0 * np.arcsin(np.minimum(half, 1.0))
 
     return _per_state(values, u, v)
@@ -384,7 +377,7 @@ class GeodesicSphere:
             t2[flip[rows]] *= -1.0
             g = fubini_study_metric(xy)
             coords[rows] = xy
-            u1[rows] = t1 / np.sqrt(_bilinear_rows(t1, g, t1))[:, None]
-            u2[rows] = t2 / np.sqrt(_bilinear_rows(t2, g, t2))[:, None]
+            u1[rows] = t1 / np.sqrt(_bilinear(t1, g, t1))[:, None]
+            u2[rows] = t2 / np.sqrt(_bilinear(t2, g, t2))[:, None]
         return ks, coords, u1, u2
 

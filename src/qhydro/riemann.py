@@ -317,9 +317,7 @@ def _combine(manifold, values, h, order):
     """[d_i fn(x)]_i per base point, shape (M, dim, ...), from fn's values on the stencil rows of _with_stencils."""
     _, weights, denom = _STENCILS[order]
     if order == 2:
-        # rounds as the weighted sum below does, zeros included: that sum starts at int 0, and 0 + (-0.0) is +0.0
-        diff = values[0::2] + 0.0
-        diff -= values[1::2]
+        diff = values[0::2] - values[1::2]
         diff /= denom * h
         return diff.reshape(-1, manifold.dim, *values.shape[1:])
     values = values.reshape(-1, manifold.dim, len(weights), *values.shape[1:])
@@ -347,9 +345,9 @@ def _lower(g, u):
     return (g * u[:, None, :]).sum(axis=2)
 
 
-def _squared_norms(g, u):
-    """Rows u_m g_m u_m of a metric stack and a vector stack."""
-    return (u * _lower(g, u)).sum(axis=1)
+def _bilinear(a, g, b):
+    """Rows a_m g_m b_m of two vector stacks and a metric stack, each summed on its own."""
+    return (a * _lower(g, b)).sum(axis=1)
 
 
 def _christoffels(manifold, xs, h):
@@ -472,7 +470,12 @@ def self_advection_identity_residual(manifold, Y, x, h=FD_STEP):
 
 def kinetic_energy_field(manifold, X):
     """The pressure candidate p = 1/2 <X, X> of a Killing field."""
-    return ScalarField(StackFunction(lambda points: 0.5 * _squared_norms(manifold._metrics_at(points), X.stack(points))))
+
+    def value(points):
+        u = X.stack(points)
+        return 0.5 * _bilinear(u, manifold._metrics_at(points), u)
+
+    return ScalarField(StackFunction(value))
 
 
 def covector_norm(manifold, alpha_value, x):
@@ -483,21 +486,11 @@ def covector_norm(manifold, alpha_value, x):
     return _scalar_like(x, np.sqrt((a * raised).sum(axis=1)))
 
 
-def _bilinear_rows(a, g, b):
-    """a[n] @ g[n] @ b[n] for each row n of the stacks a, g and b.
-
-    Row by row, as 1-d products: the stacked product (matmul or einsum over
-    the stack) rounds differently, and reported residuals and exported
-    grids are pinned to these bits.
-    """
-    return np.array([an @ gn @ bn for an, gn, bn in zip(a, g, b)])
-
-
 def vector_norm(manifold, u, x):
     """Intrinsic norm sqrt(u g u) of vector components at x."""
     xs = _bases(x)
     u = np.asarray(u, dtype=float).reshape(xs.shape)
-    return _scalar_like(x, np.sqrt(_bilinear_rows(u, manifold._metrics_at(xs), u)))
+    return _scalar_like(x, np.sqrt(_bilinear(u, manifold._metrics_at(xs), u)))
 
 
 def _rk4(rhs, y0, T, steps, rows_outside=None):
@@ -623,7 +616,7 @@ def clairaut_check(manifold, curve, X):
     max_t |<u_t, X(x_t)> - <u_0, X(x_0)>|. The metric at all samples is one
     validated stack.
     """
-    vals = _bilinear_rows(curve.velocities, manifold._metrics_at(curve.points), X.stack(curve.points))
+    vals = _bilinear(curve.velocities, manifold._metrics_at(curve.points), X.stack(curve.points))
     return float(np.abs(vals - vals[0]).max())
 
 

@@ -432,7 +432,7 @@ def test_main_turns_each_outcome_into_its_exit_code_and_one_line(monkeypatch, ca
 
 
 # ---------------------------------------------------------------------------
-# Mutations of the fluid that verify must catch: each check can fail
+# Mutations of the fluid that the CLI checks must catch: each check can fail
 
 
 def verify_mutant(tmp_path, capsys):
@@ -482,3 +482,36 @@ def test_verify_fails_every_check_on_a_field_tilted_along_the_pressure_gradient(
         "velocity_form_transport",
         "dispersion_identity",
     }
+
+
+def failed_checks(capsys):
+    """Names of the failed checks in the summary a command printed."""
+    return {c["check"] for c in json.loads(capsys.readouterr().out)["checks"] if not c["passed"]}
+
+
+def test_pressure_fails_its_grid_check_on_a_scaled_profile(tmp_path, capsys, monkeypatch):
+    import dataclasses
+
+    from qhydro import fluid
+
+    on_sphere = fluid.pressure_on_sphere
+
+    def scaled(*args):
+        profile = on_sphere(*args)
+        return dataclasses.replace(profile, numeric=1.001 * profile.numeric)
+
+    monkeypatch.setattr(fluid, "pressure_on_sphere", scaled)
+    h = write_json(tmp_path / "H3.json", H123_JSON)
+    assert main(["pressure", "--input", h, "--grid", "8", "--output", str(tmp_path / "p")]) == EXIT_CHECK_FAILED
+    assert failed_checks(capsys) == {"pressure_grid_error"}
+
+
+def test_vorticity_fails_its_profile_check_on_scaled_vorticities(tmp_path, capsys, monkeypatch):
+    from qhydro import fluid
+
+    vorticities = fluid._scalar_vorticities
+    monkeypatch.setattr(fluid, "_scalar_vorticities", lambda *args: 1.01 * vorticities(*args))
+    h = write_json(tmp_path / "H3.json", H123_JSON)
+    argv = ["vorticity", "--input", h, "--grid", "9", "--pair", "2", "0", "--output", str(tmp_path / "w.csv")]
+    assert main(argv) == EXIT_CHECK_FAILED
+    assert failed_checks(capsys) == {"vorticity_profile_rel_error"}

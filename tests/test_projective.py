@@ -399,6 +399,42 @@ def test_distance_resolves_nearby_rays():
         assert fubini_study_distance(StateVector(u), StateVector(w)) == pytest.approx(np.pi / 2, abs=1e-14)
 
 
+def test_distance_resolves_a_known_small_angle_and_matches_arccos_elsewhere():
+    # the rays of e_0 and cos(eps) e_0 + sin(eps) e_1 are eps apart; these phases and amplitudes are exact
+    eps = 1e-10
+    for dim in (2, 3, 5):
+        u = np.zeros(dim, dtype=complex)
+        u[0] = 1.0
+        for phase in (1.0, -1.0, 1j, -1j):
+            v = u.copy()
+            v[1] = np.sin(eps)
+            v = phase * v
+            assert fubini_study_distance(StateVector(u), StateVector(v, normalize=True)) == pytest.approx(eps, rel=1e-12)
+    rng = np.random.default_rng(69)
+    us, vs = (np.array([random_state(rng, 4).amplitudes for _ in range(50)]) for _ in range(2))
+    overlaps = np.abs((us.conj() * vs).sum(axis=1))
+    assert overlaps.max() < 0.99  # away from 1, where arccos is accurate
+    distances = fubini_study_distance(us, vs)
+    assert np.abs(distances - np.arccos(overlaps)).max() < 1e-13
+    assert [fubini_study_distance(StateVector(a), StateVector(b)) for a, b in zip(us[:5], vs[:5])] == distances[:5].tolist()
+
+
+def test_project_tangent_is_the_chart_velocity_of_the_curve():
+    # the chart coordinates of v + t w move at project_tangent(v, w) at t = 0, whatever the vertical part of w
+    rng = np.random.default_rng(70)
+    for dim in (2, 3, 5):
+        v, w = rng.normal(size=(2, 4, dim)) + 1j * rng.normal(size=(2, 4, dim))
+        for k in range(dim):
+            velocity = project_tangent(v, w, k)
+            h = 1e-6
+            moved = (chart_of(v + h * w, k)[1] - chart_of(v - h * w, k)[1]) / (2.0 * h)
+            assert np.abs(velocity - moved).max() < 1e-6 * max(1.0, np.abs(velocity).max())
+            vertical = project_tangent(v, w + (0.3 - 1.1j) * v, k)
+            assert np.abs(vertical - velocity).max() < 1e-12 * max(1.0, np.abs(velocity).max())
+            for row, (a, b) in zip(velocity, zip(v, w)):
+                assert row.tobytes() == project_tangent(a, b, k).tobytes()  # the stack equals its one-row calls
+
+
 # ---------------------------------------------------------------------------
 # The closed-form geodesic acceleration of a chart
 
