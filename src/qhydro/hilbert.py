@@ -30,7 +30,7 @@ NORM_TOL = 1e-10
 PHASE_TOL = 1e-10
 # Below this norm a row's sum of squares is subnormal or zero, and inexact.
 _MIN_NORM = float(np.sqrt(np.finfo(float).tiny))
-# Rows per block of HermitianOperator.apply_stack.
+# Rows per block of the row products of HermitianOperator.apply_stack and the chart fields.
 STACK_BLOCK = 4096
 
 
@@ -124,6 +124,20 @@ def normalized_rows(z):
     return z / norms[:, None]
 
 
+def _row_products(vectors, matrix):
+    """matrix @ v for each row v of an (N, m) stack, as an (N, len(matrix)) stack.
+
+    Each row is summed on its own (elementwise products, a row sum), so a
+    row's result does not depend on the other rows, as a BLAS product's may.
+    A stack longer than STACK_BLOCK goes in blocks of that many rows, to keep
+    the (rows, len(matrix), m) temporary small.
+    """
+    if len(vectors) <= STACK_BLOCK:
+        return (vectors[:, None, :] * matrix).sum(axis=2)
+    blocks = range(0, len(vectors), STACK_BLOCK)
+    return np.concatenate([_row_products(vectors[start : start + STACK_BLOCK], matrix) for start in blocks])
+
+
 def _per_state(rows_fn, *states):
     """rows_fn, a function of (N, dim) stacks of unit vectors, on StateVectors (a float) or on stacks (N values)."""
     if isinstance(states[0], StateVector):
@@ -214,20 +228,10 @@ class HermitianOperator:
         return self.matrix @ v.amplitudes
 
     def apply_stack(self, vectors) -> np.ndarray:
-        """The operator applied to each row of an (N, dim) stack of vectors.
-
-        Each row is summed on its own (elementwise products, a row sum), so a
-        row's result does not depend on the other rows, as a BLAS product's
-        may. Rows go in blocks of STACK_BLOCK to keep the (rows, dim, dim)
-        temporary small.
-        """
+        """The operator applied to each row of an (N, dim) stack of vectors, each row on its own (_row_products)."""
         if vectors.shape[-1] != self.dim:
             raise ValueError(f"dimension mismatch: operator {self.dim}, state {vectors.shape[-1]}")
-        out = np.empty(vectors.shape, dtype=complex)
-        for start in range(0, len(vectors), STACK_BLOCK):
-            block = vectors[start : start + STACK_BLOCK]
-            out[start : start + STACK_BLOCK] = (block[:, None, :] * self.matrix).sum(axis=2)
-        return out
+        return _row_products(vectors, self.matrix)
 
     def __repr__(self):
         return f"HermitianOperator(dim={self.dim})"

@@ -24,7 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .hilbert import HermitianOperator, StateVector, _per_state, _row_norms, normalized_rows
+from .hilbert import HermitianOperator, StateVector, _per_state, _row_norms, _row_products, normalized_rows
 from .riemann import ChartManifold, StackFunction, VectorField, _bilinear
 
 __all__ = [
@@ -204,20 +204,28 @@ def fundamental_field(A: HermitianOperator, chart_index) -> VectorField:
     """The Schrodinger velocity field of a Hermitian generator on one chart of CP^(A.dim - 1).
 
     The Hermitian input is converted internally to the skew-Hermitian
-    generator -iA of the unitary flow; the horizontal lift of the returned
-    field at a unit v is -i (A - <A>) v. Each point of a stack is computed
-    on its own, so a point gives the same components alone and in a stack.
+    generator G = -iA of the unitary flow; the horizontal lift of the returned
+    field at a unit v is -i (A - <A>) v. On chart k (s: the other slots) the
+    field is G_sk + G_ss zeta - zeta (G_kk + G_ks zeta), computed from the
+    complex coordinates zeta with the pieces of G cut once, here. Each point
+    of a stack is computed on its own (row products, row sums), so a point
+    gives the same components alone and in a stack.
     """
     _require_chart(A.dim, chart_index)
-    slots = _slots(A.dim, chart_index)
+    k, slots = chart_index, _slots(A.dim, chart_index)
+    G = -1j * A.matrix
+    rows = G[np.append(slots, k)][:, slots]  # G_ss above G_ks: one row product gives both
+    g_sk, g_kk = G[slots, k], G[k, k]
 
     def stack(points):
         xy = _checked_coords(points)
         if A.dim != xy.shape[-1] // 2 + 1:
             raise ValueError(f"dimension mismatch: operator {A.dim}, chart ambient {xy.shape[-1] // 2 + 1}")
-        z = representative(chart_index, xy)
-        Az = A.apply_stack(z)
-        return _interleave(-1j * (Az[:, slots] - z[:, slots] * Az[:, chart_index, None]))
+        zeta = _complexify(xy)
+        products = _row_products(zeta, rows)
+        x = products[:, :-1] + g_sk
+        x -= zeta * (products[:, -1:] + g_kk)
+        return _interleave(x)
 
     return VectorField(StackFunction(stack))
 

@@ -165,7 +165,9 @@ class ChartManifold:
     geodesic_acceleration : callable, optional
         (x, u) -> -Gamma(x)(u, u) on (M, dim) stacks of points and
         velocities, in closed form. geodesic_integrate uses it in place of
-        Christoffel symbols from metric differences; defaults to those.
+        Christoffel symbols from metric differences; defaults to those. It
+        is called at the four stage points of an RK4 step before they are
+        checked, as one metric stack.
     """
 
     dim: int
@@ -493,23 +495,34 @@ def vector_norm(manifold, u, x):
     return _scalar_like(x, np.sqrt(_bilinear(u, manifold._metrics_at(xs), u)))
 
 
-def _rk4(rhs, y0, T, steps, rows_outside=None):
+def _rk4(rhs, y0, T, steps, rows_outside=None, check_stages=None):
     """Fixed-step RK4 of y' = rhs(y) over [0, T] from an (M, n) stack of starts: (times, states, exited) per row.
 
     A row ends early at the first step that raises ChartBoundaryError when the
     row takes it alone, or whose new state `rows_outside` names; that step is
     not recorded, the row stays frozen, and the step is redone for the rest.
+    `check_stages`, if given, gets each step's four stage points as one
+    (4M, n) stack, stage by stage: y, y + dt/2 k1, y + dt/2 k2, y + dt k3.
     A FloatingPointError or OverflowError is raised again with the step and its time.
     """
+    if int(steps) < 1:
+        raise ValueError(f"steps must be >= 1, got {steps}")
+    if not np.isfinite(T):
+        raise ValueError(f"T must be finite, got {T}")
     steps = int(steps)
     dt = float(T) / steps
     half, sixth = 0.5 * dt, dt / 6.0
 
     def increment(y):
         k1 = rhs(y)
-        k2 = rhs(y + half * k1)
-        k3 = rhs(y + half * k2)
-        k4 = rhs(y + dt * k3)
+        y2 = y + half * k1
+        k2 = rhs(y2)
+        y3 = y + half * k2
+        k3 = rhs(y3)
+        y4 = y + dt * k3
+        k4 = rhs(y4)
+        if check_stages is not None:
+            check_stages(np.concatenate([y, y2, y3, y4]))
         # k1 + 2 k2 + 2 k3 + k4, summed in that order, in one buffer
         incr = k1 + 2 * k2
         incr += 2 * k3
@@ -565,9 +578,12 @@ def geodesic_integrate(manifold, x0, u0, T, steps, fd_step=GEODESIC_FD_STEP):
     integrated as one stack; each row gives the curve of its one-start call.
 
     The acceleration is the manifold's closed-form geodesic_acceleration
-    if it has one, with every stage point checked as metric_at checks a
-    point; otherwise it comes from Christoffel symbols by central
-    differences of step fd_step.
+    if it has one; otherwise it comes from Christoffel symbols by central
+    differences of step fd_step. On the closed-form route the four stage
+    points of a step are checked as one metric stack, each as metric_at
+    checks a point; the first offending point in stage order is named, and
+    a domain error at any stage comes before a matrix error at any stage.
+    steps must be at least 1 and T finite.
 
     Returns
     -------
@@ -584,12 +600,13 @@ def geodesic_integrate(manifold, x0, u0, T, steps, fd_step=GEODESIC_FD_STEP):
             acc = np.einsum("mkij,mi,mj->mk", _christoffels(manifold, x, fd_step), u, u)
             np.negative(acc, out=acc)
         else:
-            manifold._metrics_at(x)  # the checks of metric_at at every stage point; the metrics are not needed
             acc = closed_form(x, u)
         return np.concatenate([u, acc], axis=1)
 
+    # the closed-form route: the checks of metric_at at every stage point; the metrics are not needed
+    check_stages = None if closed_form is None else lambda stages: manifold._metrics_at(stages[:, :d])
     y0 = np.concatenate([_bases(x0), _bases(u0)], axis=1)
-    runs = _rk4(rhs, y0, T, steps, lambda y: manifold._rows_outside(y[:, :d]))
+    runs = _rk4(rhs, y0, T, steps, lambda y: manifold._rows_outside(y[:, :d]), check_stages)
     return _like(x0, [DiscreteCurve(times, s[:, :d], s[:, d:], exited) for times, s, exited in runs])
 
 
@@ -599,6 +616,7 @@ def flow_integrate(X, x0, T, steps):
     x0 is one start of shape (dim,) or an (M, dim) stack of starts, integrated
     as one stack. Records X(x_t) as the velocity samples, one stack over each
     curve; a curve stops early (exited=True) if a stage leaves the chart.
+    steps must be at least 1 and T finite.
 
     Returns
     -------

@@ -20,6 +20,8 @@ from qhydro.projective import (
 )
 from qhydro.riemann import (
     divergence,
+    exterior_derivative_oneform,
+    flat_form,
     flow_integrate,
     geodesic_integrate,
     lie_derivative_metric,
@@ -196,6 +198,23 @@ def test_schrodinger_field_is_divergence_free():
         M = chart_manifold(4, k)
         X = fundamental_field(H, k)
         assert abs(divergence(M, X, xy)) < 1e-6
+
+
+def test_vorticity_two_form_equals_its_closed_form_on_charts_0_and_1():
+    # d(X^flat)_ab = -2 Im <w_a|(H - <H>)|w_b>, w_a the horizontal lift of the chart basis vector e_a
+    rng = np.random.default_rng(38)
+    for dim in (3, 4):
+        H = random_hermitian(rng, dim)
+        for k in (0, 1):
+            M, X = chart_manifold(dim, k), fundamental_field(H, k)
+            points = rng.uniform(-0.8, 0.8, size=(5, 2 * (dim - 1)))
+            stencil = exterior_derivative_oneform(M, flat_form(M, X), points)
+            for x, d_flat in zip(points, stencil):
+                lifts = [horizontal_lift(k, x, e) for e in np.eye(len(x))]
+                v, w = lifts[0][0], np.array([lift[1] for lift in lifts])
+                centered = H.matrix - np.vdot(v, H.matrix @ v).real * np.eye(dim)
+                closed = -2.0 * (w.conj() @ centered @ w.T).imag
+                assert np.abs(d_flat - closed).max() <= 1e-6 * np.abs(closed).max()
 
 
 # ---------------------------------------------------------------------------
@@ -583,3 +602,21 @@ def test_chart_stacks_equal_the_chart_functions_bit_for_bit(dim):
                 reference = one_point(y)
                 assert row.shape == reference.shape and row.dtype == reference.dtype
                 assert row.tobytes() == reference.tobytes()
+
+
+def test_field_stack_longer_than_one_block_equals_its_one_row_calls(monkeypatch):
+    from qhydro import hilbert
+
+    monkeypatch.setattr(hilbert, "STACK_BLOCK", 3)
+    rng = np.random.default_rng(87)
+    for dim in (2, 4):
+        H = random_hermitian(rng, dim)
+        points = rng.uniform(-1.5, 1.5, size=(10, 2 * (dim - 1)))
+        points[4] = -0.0
+        for k in range(dim):
+            X = fundamental_field(H, k)
+            for row, y in zip(X.stack(points), points):
+                assert row.tobytes() == X(y).tobytes()
+        vectors = representative(0, points)
+        for row, vector in zip(H.apply_stack(vectors), vectors):
+            assert row.tobytes() == H.apply_stack(vector[None])[0].tobytes()

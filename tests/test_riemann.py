@@ -970,6 +970,56 @@ def test_one_row_stack_of_starts_is_the_one_start_call():
     assert_same_curve(flow, flow_integrate(ROTATION, x0, 1.0, 80))
 
 
+@pytest.mark.parametrize(
+    "steps, T, message",
+    [
+        (0, 1.0, "steps must be >= 1, got 0"),
+        (-3, 1.0, "steps must be >= 1, got -3"),
+        (10, np.nan, "T must be finite, got nan"),
+        (10, -np.inf, "T must be finite, got -inf"),
+    ],
+)
+def test_integrators_refuse_fewer_than_one_step_and_a_nonfinite_horizon(steps, T, message):
+    x0, u0 = np.array([0.3, 0.1]), np.array([0.4, 0.5])
+    for call in (lambda: geodesic_integrate(PLANE, x0, u0, T, steps), lambda: flow_integrate(ROTATION, x0, T, steps)):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call()
+
+
+# ---------------------------------------------------------------------------
+# The closed-form route checks a step's four stage points as one stack; a
+# flat plane with zero acceleration puts stages 2 and 3 of each step at
+# its midpoint x + dt/2 u, which neither sample of the step touches
+
+
+def flat_with_zero_acceleration(domain=None, metric=lambda x: np.eye(2)):
+    return ChartManifold(2, metric, domain, name="flat", geodesic_acceleration=lambda x, u: np.zeros_like(u))
+
+
+def test_closed_form_geodesic_stops_at_a_step_whose_midpoint_alone_leaves_the_chart():
+    # steps of 0.1 along x from 0: step 4 has its midpoint in the band |x - 0.35| < 1e-3 while its
+    # samples 0.3 and 0.4 stay outside; the second row runs along y at x = 0.5 and never meets the band
+    band = lambda x: abs(x[0] - 0.35) >= 1e-3
+    x0, u0 = np.array([[0.0, 0.0], [0.5, 0.0]]), np.array([[1.0, 0.0], [0.0, 1.0]])
+    for M in (flat_with_zero_acceleration(band), ChartManifold(2, lambda x: np.eye(2), band)):  # closed form, stencil
+        curves = geodesic_integrate(M, x0, u0, 1.0, 10)
+        assert [len(c) for c in curves] == [4, 11] and [c.exited for c in curves] == [True, False]
+        assert curves[0].points[-1, 0] == pytest.approx(0.3)
+
+
+def test_closed_form_geodesic_names_the_first_offending_stage_point():
+    # right of x = 0.345 the metric is indefinite: step 4 meets it first at its midpoint, then at x = 0.4
+    indefinite = lambda x: np.diag([1.0, -1.0]) if x[0] > 0.345 else np.eye(2)
+    midpoint = geodesic_integrate(PLANE, np.zeros(2), np.array([1.0, 0.0]), 1.0, 10).points[3] + [0.05, 0.0]
+    with pytest.raises(ValueError, match=re.escape(f"metric not positive-definite at {midpoint}")):
+        geodesic_integrate(flat_with_zero_acceleration(metric=indefinite), np.zeros(2), np.array([1.0, 0.0]), 1.0, 10)
+    # a domain error at any stage of a step comes before a matrix error at any stage: the curve stops there
+    curve = geodesic_integrate(
+        flat_with_zero_acceleration(lambda x: x[0] < 0.38, indefinite), np.zeros(2), np.array([1.0, 0.0]), 1.0, 10
+    )
+    assert curve.exited and len(curve) == 4
+
+
 def test_integration_breakdown_names_the_step_and_its_time():
     blowup = VectorField(lambda x: x * x)  # x' = x^2 from x = 1 reaches infinity at t = 1
     message = "broke down in step 53 of 100, from t = 1.04: overflow encountered in multiply"
