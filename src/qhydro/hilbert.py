@@ -229,6 +229,8 @@ class HermitianOperator:
 
     def apply_stack(self, vectors) -> np.ndarray:
         """The operator applied to each row of an (N, dim) stack of vectors, each row on its own (_row_products)."""
+        if vectors.ndim != 2:
+            raise ValueError(f"expected an (N, {self.dim}) stack of vectors, got shape {vectors.shape}")
         if vectors.shape[-1] != self.dim:
             raise ValueError(f"dimension mismatch: operator {self.dim}, state {vectors.shape[-1]}")
         return _row_products(vectors, self.matrix)

@@ -219,6 +219,8 @@ def fundamental_field(A: HermitianOperator, chart_index) -> VectorField:
 
     def stack(points):
         xy = _checked_coords(points)
+        if xy.ndim != 2:
+            raise ValueError(f"expected an (N, {2 * (A.dim - 1)}) stack of chart points, got shape {xy.shape}")
         if A.dim != xy.shape[-1] // 2 + 1:
             raise ValueError(f"dimension mismatch: operator {A.dim}, chart ambient {xy.shape[-1] // 2 + 1}")
         zeta = _complexify(xy)

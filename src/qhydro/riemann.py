@@ -16,6 +16,7 @@ used as it is.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field, fields
 from functools import lru_cache
 from typing import Callable
@@ -504,12 +505,16 @@ def _rk4(rhs, y0, T, steps, rows_outside=None, check_stages=None):
     `check_stages`, if given, gets each step's four stage points as one
     (4M, n) stack, stage by stage: y, y + dt/2 k1, y + dt/2 k2, y + dt k3.
     A FloatingPointError or OverflowError is raised again with the step and its time.
+    steps must be an integer (a numpy integer too) of at least 1, and T finite.
     """
-    if int(steps) < 1:
+    try:
+        steps = operator.index(steps)  # an int or a numpy integer, never truncated
+    except TypeError:
+        raise ValueError(f"steps must be an integer, got {steps!r}") from None
+    if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
     if not np.isfinite(T):
         raise ValueError(f"T must be finite, got {T}")
-    steps = int(steps)
     dt = float(T) / steps
     half, sixth = 0.5 * dt, dt / 6.0
 
@@ -583,7 +588,8 @@ def geodesic_integrate(manifold, x0, u0, T, steps, fd_step=GEODESIC_FD_STEP):
     points of a step are checked as one metric stack, each as metric_at
     checks a point; the first offending point in stage order is named, and
     a domain error at any stage comes before a matrix error at any stage.
-    steps must be at least 1 and T finite.
+    fd_step applies to the stencil route only. steps must be an integer of
+    at least 1, and T finite.
 
     Returns
     -------
@@ -616,7 +622,7 @@ def flow_integrate(X, x0, T, steps):
     x0 is one start of shape (dim,) or an (M, dim) stack of starts, integrated
     as one stack. Records X(x_t) as the velocity samples, one stack over each
     curve; a curve stops early (exited=True) if a stage leaves the chart.
-    steps must be at least 1 and T finite.
+    steps must be an integer of at least 1, and T finite.
 
     Returns
     -------
@@ -657,6 +663,16 @@ def surface_of_revolution(rho, drho, z_domain=None):
     stack (the metric reuses the radii the domain computed for the same
     stack) and drho once per point.
 
+    Geodesics take the closed-form connection of diag(E, rho^2), E = 1 +
+    rho'^2: Gamma^z_zz = rho' rho''/E, Gamma^z_phiphi = -rho rho'/E and
+    Gamma^phi_zphi = rho'/rho, so z'' = -(rho' rho'' z'^2 - rho rho' phi'^2)/E
+    and phi'' = -2 (rho'/rho) z' phi'. rho'' is the one difference: drho at
+    z +- GEODESIC_FD_STEP, centred. A point whose z +- GEODESIC_FD_STEP
+    leaves z_domain, or where rho(z) is not positive, raises
+    ChartBoundaryError before drho is called there, so a geodesic exits
+    where the Christoffel stencil would. christoffel and the other
+    operators keep the stencil route.
+
     Parameters
     ----------
     rho, drho : callable
@@ -692,7 +708,26 @@ def surface_of_revolution(rho, drho, z_domain=None):
         radii = (points[:, 0].tobytes(), rs)
         return [r > 0.0 for r in rs]
 
-    manifold = ChartManifold(2, StackFunction(metric), StackFunction(domain), name="surface_of_revolution")
+    low, high = z_domain if z_domain is not None else (-np.inf, np.inf)
+    h = GEODESIC_FD_STEP
+
+    def geodesic_acceleration(x, u):
+        entries = []
+        for z, (vz, vphi) in zip(x[:, 0].tolist(), u.tolist()):
+            # z +- h inside the open z_domain puts z there too; a non-finite z fails both tests
+            if not (low < z - h and z + h < high):
+                raise ChartBoundaryError(f"rho'' difference at z = {z} +- {h} leaves the chart domain")
+            r = float(rho(z))
+            if not r > 0.0:
+                raise ChartBoundaryError(f"point with rho({z}) = {r} outside chart domain of surface_of_revolution")
+            rp = float(drho(z))
+            rpp = (float(drho(z + h)) - float(drho(z - h))) / (2.0 * h)
+            entries += (-(rp * rpp * vz * vz - r * rp * vphi * vphi) / (1.0 + rp * rp), -2.0 * (rp / r) * vz * vphi)
+        return np.array(entries).reshape(len(x), 2)
+
+    manifold = ChartManifold(
+        2, StackFunction(metric), StackFunction(domain), "surface_of_revolution", geodesic_acceleration
+    )
     killing = VectorField(lambda x: np.array([0.0, 1.0]))
     pressure = ScalarField(lambda x: 0.5 * float(rho(x[0])) ** 2)
     return SurfaceOfRevolution(manifold, killing, pressure)

@@ -536,6 +536,16 @@ def test_field_stack_refuses_coordinates_of_another_dimension():
         X(np.zeros(2))
 
 
+def test_field_stack_and_apply_stack_refuse_a_flat_vector_with_the_expected_shape():
+    import re
+
+    H = random_hermitian(np.random.default_rng(82), 3)
+    with pytest.raises(ValueError, match=re.escape("expected an (N, 4) stack of chart points, got shape (4,)")):
+        fundamental_field(H, 0).stack(np.zeros(4))
+    with pytest.raises(ValueError, match=re.escape("expected an (N, 3) stack of vectors, got shape (3,)")):
+        H.apply_stack(np.zeros(3, dtype=complex))
+
+
 @pytest.mark.parametrize("k", [3, -1, 7])
 def test_field_on_a_chart_that_does_not_exist_is_refused_when_built(k):
     with pytest.raises(ValueError, match=f"^invalid chart: dim=3, index={k}$"):

@@ -7,6 +7,7 @@ import pytest
 
 from helpers import assert_same_curve, euclidean_plane, round_sphere
 from qhydro.riemann import (
+    GEODESIC_FD_STEP,
     ChartBoundaryError,
     ChartManifold,
     DiscreteCurve,
@@ -731,7 +732,9 @@ def test_stack_function_is_the_one_row_case_of_its_stack():
 # revolution one point at a time; it integrates with the plain RK4 step.
 # The library caches the offsets, differences order 2 directly, fills the
 # surface metric and domain as stacks and sums RK4 stages in one buffer,
-# and must give the same floating-point numbers, bit for bit.
+# and must give the same floating-point numbers, bit for bit. Surfaces and
+# Fubini-Study metrics are built here without their closed-form geodesic
+# acceleration, so what is held is the stencil route.
 
 
 def uncached_stencils(dim, xs, h):
@@ -793,6 +796,11 @@ def per_point_surface(rho, drho, z_domain=None):
     return ChartManifold(2, metric, domain, name="surface_of_revolution")
 
 
+def stencil_route(surf):
+    """The surface's metric and domain without its closed-form geodesic acceleration: the stencil route."""
+    return ChartManifold(2, surf.manifold.metric, surf.manifold.chart_domain, name="surface_of_revolution")
+
+
 def assert_geodesic_bits(manifold, reference, field, x0, u0, T, steps, h=1e-5):
     curve = geodesic_integrate(manifold, x0, u0, T, steps, fd_step=h)
     points, velocities, exited = uncached_geodesic(reference, x0, u0, T, steps, h)
@@ -815,7 +823,8 @@ def test_geodesics_on_random_surfaces_equal_the_uncached_path_bit_for_bit():
         x0 = np.array([rng.uniform(-1.5, 1.5), rng.uniform(0.0, 2.0 * np.pi)])
         u0 = rng.normal(size=2) * 0.5
         h = 1e-4 if k % 5 == 0 else 1e-5
-        curve = assert_geodesic_bits(surf.manifold, per_point_surface(rho, drho), surf.killing_field, x0, u0, 1.0, 60, h)
+        M = stencil_route(surf)
+        curve = assert_geodesic_bits(M, per_point_surface(rho, drho), surf.killing_field, x0, u0, 1.0, 60, h)
         assert not curve.exited
 
 
@@ -838,7 +847,9 @@ def test_geodesic_leaving_z_domain_stops_at_the_uncached_step():
     rho, drho = (lambda z: 2.0 + np.sin(z)), np.cos
     surf = surface_of_revolution(rho, drho, z_domain=(-0.5, 0.5))
     reference = per_point_surface(rho, drho, z_domain=(-0.5, 0.5))
-    curve = assert_geodesic_bits(surf.manifold, reference, surf.killing_field, np.array([0.3, 0.0]), np.array([1.0, 0.2]), 1.0, 50)
+    curve = assert_geodesic_bits(
+        stencil_route(surf), reference, surf.killing_field, np.array([0.3, 0.0]), np.array([1.0, 0.2]), 1.0, 50
+    )
     assert curve.exited and 1 < len(curve) < 51
 
 
@@ -961,6 +972,73 @@ def test_stacked_geodesics_freeze_the_rows_that_leave_z_domain():
         assert_same_curve(curve, geodesic_integrate(surf.manifold, x, u, 1.0, 10))
 
 
+# ---------------------------------------------------------------------------
+# Surfaces of revolution take their closed-form connection; the stencil route
+# and the sphere's great circles are its oracles
+
+
+def test_surface_closed_form_acceleration_equals_the_stencil_route():
+    # rho, rho' and rho'' are O(1) on these profiles, so the error is taken relative to |u|^2
+    rng = np.random.default_rng(63)
+    for _ in range(50):
+        a, b, c = rng.uniform(2.0, 3.0), rng.uniform(0.3, 1.0), rng.uniform(0.5, 1.5)
+        M = surface_of_revolution(lambda z: a + b * np.sin(c * z), lambda z: b * c * np.cos(c * z)).manifold
+        x = np.column_stack([rng.uniform(-1.5, 1.5, size=4), rng.uniform(0.0, 2.0 * np.pi, size=4)])
+        u = rng.normal(size=(4, 2))
+        stencil = -np.einsum("mkij,mi,mj->mk", christoffel(M, x, GEODESIC_FD_STEP), u, u)
+        error = np.linalg.norm(M.geodesic_acceleration(x, u) - stencil, axis=1) / (u * u).sum(axis=1)
+        assert error.max() < 1e-8
+
+
+def test_geodesic_on_the_unit_sphere_follows_the_great_circle():
+    # rho = sqrt(1 - z^2): from (0, phi0) on the equator with chart velocity (w, v), the great circle is
+    # cos(s t) p + sin(s t) V / s in R^3, with p = (cos phi0, sin phi0, 0), V = (-v sin phi0, v cos phi0, w)
+    surf = surface_of_revolution(lambda z: np.sqrt(1.0 - z * z), lambda z: -z / np.sqrt(1.0 - z * z), (-0.95, 0.95))
+    phi0, (w, v) = 0.4, (0.6, 0.8)
+    for M in (surf.manifold, stencil_route(surf)):
+        curve = geodesic_integrate(M, np.array([0.0, phi0]), np.array([w, v]), 1.0, 200)
+        assert not curve.exited and len(curve) == 201
+        z, phi = curve.points.T
+        embedded = np.column_stack([np.sqrt(1.0 - z * z) * np.cos(phi), np.sqrt(1.0 - z * z) * np.sin(phi), z])
+        s, t = np.hypot(w, v), curve.times[:, None]
+        p, V = np.array([np.cos(phi0), np.sin(phi0), 0.0]), np.array([-v * np.sin(phi0), v * np.cos(phi0), w])
+        exact = np.cos(s * t) * p + np.sin(s * t) * V / s
+        assert np.abs(embedded - exact).max() < 1e-10
+
+
+def test_surface_closed_form_refuses_points_whose_rho_difference_leaves_the_chart():
+    rho, drho, calls = counted_profile()
+    accelerate = surface_of_revolution(rho, drho, z_domain=(-0.5, 0.5)).manifold.geodesic_acceleration
+    u = np.array([[1.0, 0.2]])
+    # z - h or z + h outside z_domain (z itself inside for the first two), or z not finite: refused before
+    # rho or drho is called
+    for z in (0.5 - 0.5e-5, -0.5 + 0.5e-5, 0.7, np.nan):
+        with pytest.raises(ChartBoundaryError):
+            accelerate(np.array([[z, 0.0]]), u)
+    assert calls == {"rho": [], "drho": []}
+    accelerate(np.array([[0.5 - 2e-5, 0.0]]), u)
+    assert len(calls["rho"]) == 1 and len(calls["drho"]) == 3
+    # rho(z) <= 0 is outside the chart too, and drho is not called there
+    rho, drho, calls = counted_profile(a=0.0, b=1.0)
+    for z in (-0.5, 0.0):
+        with pytest.raises(ChartBoundaryError):
+            surface_of_revolution(rho, drho).manifold.geodesic_acceleration(np.array([[z, 0.0]]), u)
+    assert calls == {"rho": [-0.5, 0.0], "drho": []}
+
+
+def test_surface_geodesics_leave_z_domain_at_the_step_of_the_stencil_route():
+    surf = surface_of_revolution(lambda z: 2.0 + np.sin(z), np.cos, z_domain=(-0.5, 0.5))
+    routes = (surf.manifold, stencil_route(surf))
+    one = [geodesic_integrate(M, np.array([0.3, 0.0]), np.array([1.0, 0.2]), 1.0, 50) for M in routes]
+    x0 = np.array([[0.0, 0.0], [0.3, 0.0], [0.25, 0.0], [-0.1, 1.0]])
+    u0 = np.array([[0.05, 0.3], [0.4, 0.2], [-1.1, -1.8], [-0.02, -0.4]])
+    stacked = [geodesic_integrate(M, x0, u0, 1.0, 50) for M in routes]
+    for closed, stencil in [one, *zip(*stacked)]:
+        assert len(closed) == len(stencil) and closed.exited == stencil.exited
+        assert np.abs(closed.points - stencil.points).max() < 1e-9
+    assert one[0].exited and [c.exited for c in stacked[0]] == [False, True, True, False]
+
+
 def test_one_row_stack_of_starts_is_the_one_start_call():
     surf = surface_of_revolution(lambda z: 2.0 + np.sin(z), np.cos)
     x0, u0 = np.array([0.3, -0.0]), np.array([0.4, 0.5])
@@ -984,6 +1062,22 @@ def test_integrators_refuse_fewer_than_one_step_and_a_nonfinite_horizon(steps, T
     for call in (lambda: geodesic_integrate(PLANE, x0, u0, T, steps), lambda: flow_integrate(ROTATION, x0, T, steps)):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             call()
+
+
+def test_integrators_refuse_a_non_integer_step_count_and_take_numpy_integers():
+    x0, u0 = np.array([0.3, 0.1]), np.array([0.4, 0.5])
+    for steps in (2.5, 3.0, np.float64(3.0)):
+        message = f"steps must be an integer, got {steps!r}"
+        for call in (
+            lambda: geodesic_integrate(PLANE, x0, u0, 1.0, steps),
+            lambda: flow_integrate(ROTATION, x0, 1.0, steps),
+        ):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                call()
+    with pytest.raises(ValueError, match=r"^steps must be an integer, got 2\.5$"):
+        flow_integrate(VectorField(lambda x: -x), [1, 0], 1.0, 2.5)
+    assert_same_curve(geodesic_integrate(PLANE, x0, u0, 1.0, np.int64(3)), geodesic_integrate(PLANE, x0, u0, 1.0, 3))
+    assert_same_curve(flow_integrate(ROTATION, x0, 1.0, np.int32(3)), flow_integrate(ROTATION, x0, 1.0, 3))
 
 
 # ---------------------------------------------------------------------------
