@@ -16,6 +16,7 @@ one `warning: <message>` line.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -337,7 +338,9 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process (parse_args leaves it as it is); choices are the COMMANDS names."""
     parser = argparse.ArgumentParser(
         prog="qhydro",
         description="Verification suites and exports for quantum state-space hydrodynamics.",

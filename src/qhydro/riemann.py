@@ -167,8 +167,10 @@ class ChartManifold:
         (x, u) -> -Gamma(x)(u, u) on (M, dim) stacks of points and
         velocities, in closed form. geodesic_integrate uses it in place of
         Christoffel symbols from metric differences; defaults to those. It
-        is called at the four stage points of an RK4 step before they are
-        checked, as one metric stack.
+        is called at the stage points of up to a chunk of RK4 steps before
+        they are checked, as one metric stack, so also at points past the
+        step where a curve leaves the chart; a chunk that fails its check
+        is replayed step by step, and it is called there again.
     """
 
     dim: int
@@ -496,15 +498,35 @@ def vector_norm(manifold, u, x):
     return _scalar_like(x, np.sqrt(_bilinear(u, manifold._metrics_at(xs), u)))
 
 
+# new states per chunk of RK4 steps, which are checked together: 32 steps of one start, fewer of a
+# stack, whose rows already share numpy's fixed cost per call and whose chunks would outgrow the caches
+_CHUNK = 32
+
+
 def _rk4(rhs, y0, T, steps, rows_outside=None, check_stages=None):
     """Fixed-step RK4 of y' = rhs(y) over [0, T] from an (M, n) stack of starts: (times, states, exited) per row.
 
-    A row ends early at the first step that raises ChartBoundaryError when the
-    row takes it alone, or whose new state `rows_outside` names; that step is
-    not recorded, the row stays frozen, and the step is redone for the rest.
-    `check_stages`, if given, gets each step's four stage points as one
-    (4M, n) stack, stage by stage: y, y + dt/2 k1, y + dt/2 k2, y + dt k3.
-    A FloatingPointError or OverflowError is raised again with the step and its time.
+    Taken one step at a time, a row ends early at the first step that raises
+    ChartBoundaryError when the row takes it alone, or whose new state
+    `rows_outside` names; that step is not recorded, the row stays frozen,
+    and the step is redone for the rest. `check_stages`, if given, gets the
+    step's four stage points as one (4M, n) stack, stage by stage: y,
+    y + dt/2 k1, y + dt/2 k2, y + dt k3. A FloatingPointError or
+    OverflowError is raised again with the step and its time.
+
+    The steps are taken in chunks instead, of _CHUNK // M steps (at least
+    one) while M rows run, unchecked, under np.errstate(all="raise"); then
+    `check_stages` gets the stage points of the whole chunk as one stack,
+    step by step, and `rows_outside` its new states as one stack. A chunk
+    in which anything raises, or whose new states are not all inside, is
+    replayed from its start one step at a time, under the caller's
+    errstate, and that replay alone decides the exits and the errors; a
+    chunk of one step is that path. So rhs may be called past the step
+    where a row ends, and again on a replayed chunk, yet the states, exits
+    and errors are those of steps taken one at a time, bit for bit.
+    Warnings that rhs gives through the warnings module, not numpy's
+    errstate, are not held back.
+
     steps must be an integer (a numpy integer too) of at least 1, and T finite.
     """
     try:
@@ -518,7 +540,8 @@ def _rk4(rhs, y0, T, steps, rows_outside=None, check_stages=None):
     dt = float(T) / steps
     half, sixth = 0.5 * dt, dt / 6.0
 
-    def increment(y):
+    def increment(y, stash=None):
+        """The RK4 increment at y; its stage points are checked now, or added to `stash` to be checked later."""
         k1 = rhs(y)
         y2 = y + half * k1
         k2 = rhs(y2)
@@ -526,7 +549,9 @@ def _rk4(rhs, y0, T, steps, rows_outside=None, check_stages=None):
         k3 = rhs(y3)
         y4 = y + dt * k3
         k4 = rhs(y4)
-        if check_stages is not None:
+        if stash is not None:
+            stash += (y, y2, y3, y4)
+        elif check_stages is not None:
             check_stages(np.concatenate([y, y2, y3, y4]))
         # k1 + 2 k2 + 2 k3 + k4, summed in that order, in one buffer
         incr = k1 + 2 * k2
@@ -534,6 +559,19 @@ def _rk4(rhs, y0, T, steps, rows_outside=None, check_stages=None):
         incr += k4
         incr *= sixth
         return incr
+
+    def chunk(y, n, stop):
+        """Steps n to stop - 1 from y, checked together: the last state, or None if a new state is outside."""
+        stash, block = [], np.empty((stop - n, *y.shape))
+        with np.errstate(all="raise"):
+            for new in block:
+                y = np.add(y, increment(y, stash), out=new)
+            if check_stages is not None:
+                check_stages(np.concatenate(stash))
+            if rows_outside is not None and len(rows_outside(block.reshape(-1, y.shape[1]))):
+                return None
+        states[n:stop, live] = block
+        return y
 
     def alone(row):
         try:
@@ -550,26 +588,39 @@ def _rk4(rhs, y0, T, steps, rows_outside=None, check_stages=None):
     states[0] = y = y0
     live = np.arange(len(y0))  # the rows of states that y continues
     ends = np.full(len(y0), steps + 1)
-    for n in range(1, steps + 1):
-        try:
+    n = 1
+    while n <= steps and len(live):
+        stop = min(n + max(1, _CHUNK // len(live)), steps + 1)
+        if stop - n > 1:
             try:
-                incr = increment(y)
-            except ChartBoundaryError:
-                rows = [alone(y[r : r + 1]) for r in range(len(y))]
-                y, live = leave(y, live, [r for r, row in enumerate(rows) if row is None], n)
+                last = chunk(y, n, stop)
+            except Exception:  # raised again by the replay, or work past an exit that the replay skips
+                last = None
+            if last is not None:
+                y, n = last, stop
+                continue
+        # a chunk of one step, or the replay of a chunk that failed its check
+        for n in range(n, stop):
+            try:
+                try:
+                    incr = increment(y)
+                except ChartBoundaryError:
+                    rows = [alone(y[r : r + 1]) for r in range(len(y))]
+                    y, live = leave(y, live, [r for r, row in enumerate(rows) if row is None], n)
+                    if not len(live):
+                        break
+                    incr = np.concatenate([row for row in rows if row is not None])
+                y = y + incr
+            except (FloatingPointError, OverflowError) as exc:
+                where = f"in step {n} of {steps}, from t = {(n - 1) * dt:.6g}"
+                raise type(exc)(f"broke down {where}: {exc}") from None
+            left = [] if rows_outside is None else rows_outside(y)
+            if left:
+                y, live = leave(y, live, left, n)
                 if not len(live):
                     break
-                incr = np.concatenate([row for row in rows if row is not None])
-            y = y + incr
-        except (FloatingPointError, OverflowError) as exc:
-            where = f"in step {n} of {steps}, from t = {(n - 1) * dt:.6g}"
-            raise type(exc)(f"broke down {where}: {exc}") from None
-        left = [] if rows_outside is None else rows_outside(y)
-        if left:
-            y, live = leave(y, live, left, n)
-            if not len(live):
-                break
-        states[n, live] = y
+            states[n, live] = y
+        n = stop
     return [(np.arange(end) * dt, states[:end, r], end <= steps) for r, end in enumerate(ends)]
 
 
@@ -584,10 +635,13 @@ def geodesic_integrate(manifold, x0, u0, T, steps, fd_step=GEODESIC_FD_STEP):
 
     The acceleration is the manifold's closed-form geodesic_acceleration
     if it has one; otherwise it comes from Christoffel symbols by central
-    differences of step fd_step. On the closed-form route the four stage
-    points of a step are checked as one metric stack, each as metric_at
-    checks a point; the first offending point in stage order is named, and
-    a domain error at any stage comes before a matrix error at any stage.
+    differences of step fd_step. On the closed-form route every stage
+    point is checked as metric_at checks a point, those of a chunk of
+    steps as one metric stack; the new samples of the chunk get one domain
+    test. A chunk that fails is replayed one step at a time, and there the
+    first offending point in stage order is named, and a domain error at
+    any stage of a step comes before a matrix error at any stage. Curves,
+    exits and errors are those of steps taken one at a time (see _rk4).
     fd_step applies to the stencil route only. steps must be an integer of
     at least 1, and T finite.
 
@@ -622,7 +676,10 @@ def flow_integrate(X, x0, T, steps):
     x0 is one start of shape (dim,) or an (M, dim) stack of starts, integrated
     as one stack. Records X(x_t) as the velocity samples, one stack over each
     curve; a curve stops early (exited=True) if a stage leaves the chart.
-    steps must be an integer of at least 1, and T finite.
+    X may be evaluated past that step, up to the end of its chunk of steps,
+    and again when the chunk is replayed (see _rk4); the curves are those
+    of steps taken one at a time. steps must be an integer of at least 1,
+    and T finite.
 
     Returns
     -------

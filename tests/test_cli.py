@@ -431,6 +431,14 @@ def test_main_turns_each_outcome_into_its_exit_code_and_one_line(monkeypatch, ca
     assert captured.err == f"warning: before the failure\n{line}\n"
 
 
+def test_main_builds_its_parser_once_and_dispatches_through_commands_at_each_call(monkeypatch, capsys):
+    assert cli.build_parser() is cli.build_parser()
+    for code in (EXIT_OK, EXIT_CHECK_FAILED):
+        monkeypatch.setitem(cli.COMMANDS, "verify", lambda args, code=code: code)
+        assert main(["verify", "--input", "unused.json"]) == code
+    assert capsys.readouterr().err == ""
+
+
 # ---------------------------------------------------------------------------
 # Mutations of the fluid that the CLI checks must catch: each check can fail
 

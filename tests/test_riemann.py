@@ -1,11 +1,13 @@
 """Chart geometry operators against closed-form and hand-computed oracles."""
 
 import re
+import warnings
 
 import numpy as np
 import pytest
 
 from helpers import assert_same_curve, euclidean_plane, round_sphere
+from qhydro import riemann
 from qhydro.riemann import (
     GEODESIC_FD_STEP,
     ChartBoundaryError,
@@ -1126,3 +1128,225 @@ def test_integration_breakdown_names_the_step_of_a_python_float_overflow():
     message = "broke down in step 53 of 100, from t = 1.04: (34, 'Numerical result out of range')"
     with pytest.raises(OverflowError, match=f"^{re.escape(message)}$"):
         flow_integrate(blowup, np.array([1.0, 0.5]), 2.0, 100)
+
+
+# ---------------------------------------------------------------------------
+# RK4 steps are taken in chunks of riemann._CHUNK new states (_CHUNK steps of
+# one start) and checked together; a chunk that fails its check is replayed
+# one step at a time. A chunk of one step is that per-step path, so every
+# curve, exit and error is held to the same call with _CHUNK set to 1 (a test
+# seam, not an option).
+
+K = riemann._CHUNK
+STEPS = 3 * K + 5
+DT = 1.0 / STEPS
+EXIT_STEPS = (1, K - 1, K, K + 1, 2 * K, STEPS)
+
+
+def outcome(call):
+    """What call() returned, or the type and message of what it raised."""
+    try:
+        return call()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def assert_chunks_are_the_per_step_path(monkeypatch, call):
+    """call() gives the same curves (bytes of points and velocities, exits) or the same error with chunks of one step."""
+    chunked = outcome(call)
+    with monkeypatch.context() as m:
+        m.setattr(riemann, "_CHUNK", 1)
+        per_step = outcome(call)
+    if isinstance(per_step, tuple):
+        assert chunked == per_step
+        return chunked
+    assert not isinstance(chunked, tuple), chunked
+    curves, reference = (c if isinstance(c, list) else [c] for c in (chunked, per_step))
+    assert len(curves) == len(reference)
+    for curve, ref in zip(curves, reference):
+        assert len(curve) == len(ref) and curve.exited == ref.exited
+        for name in ("times", "points", "velocities"):
+            assert getattr(curve, name).tobytes() == getattr(ref, name).tobytes()
+    return chunked
+
+
+def east(n):
+    """A unit-speed start along x whose step n is the first to reach x = 1 (its midpoint stays short of it)."""
+    return np.array([1.0 - (n - 0.25) * DT, 0.0]), np.array([1.0, 0.0])
+
+
+def north(n):
+    """A unit-speed start along y, at x = -5, whose step n is the first to reach y = 1."""
+    return np.array([-5.0, 1.0 - (n - 0.25) * DT]), np.array([0.0, 1.0])
+
+
+def stack(*starts):
+    """(x0, u0) stacks of (x, u) starts."""
+    return tuple(np.array(rows) for rows in zip(*starts))
+
+
+# flat plane: the chart ends at x = 1, and the metric is indefinite past y = 1
+EDGE_DOMAIN = lambda x: x[0] < 1.0
+EDGE_METRIC = lambda x: np.diag([1.0, -1.0]) if x[1] > 1.0 else np.eye(2)
+
+
+def edge_field(x):
+    """East, or north left of x = -1: the flow's counterpart, refusing x >= 1 and raising a ValueError past y = 1."""
+    if x[0] >= 1.0:
+        raise ChartBoundaryError(f"no chart at {x}")
+    if x[1] > 1.0:
+        raise ValueError(f"no field at {x}")
+    return np.array([1.0, 0.0]) if x[0] > -1.0 else np.array([0.0, 1.0])
+
+
+def integrate(route, x0, u0):
+    """STEPS steps of dt = 1/STEPS on the flat plane with edges, by the closed-form route, the stencil route or the flow."""
+    if route == "flow":
+        return flow_integrate(VectorField(edge_field), x0, 1.0, STEPS)
+    if route == "closed form":
+        M = flat_with_zero_acceleration(EDGE_DOMAIN, EDGE_METRIC)
+    else:
+        M = ChartManifold(2, EDGE_METRIC, EDGE_DOMAIN, name="flat")
+    return geodesic_integrate(M, x0, u0, 1.0, STEPS)
+
+
+ROUTES = ("closed form", "stencil", "flow")
+
+
+@pytest.mark.parametrize("route", ROUTES)
+@pytest.mark.parametrize("n", EXIT_STEPS)
+def test_chunked_steps_exit_and_raise_at_the_step_of_the_per_step_path(monkeypatch, route, n):
+    curve = assert_chunks_are_the_per_step_path(monkeypatch, lambda: integrate(route, *east(n)))
+    assert len(curve) == n and curve.exited
+    error, message = assert_chunks_are_the_per_step_path(monkeypatch, lambda: integrate(route, *north(n)))
+    assert error is ValueError
+    # the point named is the one of step n: y = 1 + dt/4, or that point's stencil
+    assert re.search(r"at \[-5\.\s+1\.00", message)
+
+
+@pytest.mark.parametrize("route", ROUTES)
+def test_chunked_steps_of_a_stack_whose_rows_exit_in_different_chunks(monkeypatch, route):
+    ends = (1, K + 1, 2 * K, STEPS)
+    curves = assert_chunks_are_the_per_step_path(monkeypatch, lambda: integrate(route, *stack(*map(east, ends))))
+    assert [len(c) for c in curves] == list(ends) and all(c.exited for c in curves)
+    # rows exit at steps K - 1, K and K + 1; the fourth then raises at step 2K
+    starts = stack(east(K - 1), east(K), east(K + 1), north(2 * K))
+    error, _ = assert_chunks_are_the_per_step_path(monkeypatch, lambda: integrate(route, *starts))
+    assert error is ValueError
+
+
+KICK = 10.0
+
+
+def kicked_plane(domain=None):
+    """A flat plane whose closed-form acceleration kicks y by KICK at x on the sample grid of DT, and not between it.
+
+    From x = 0 at unit speed along x, the stages of a step meet the kick at the step's first stage only, so
+    each new sample lands DT^2 KICK / 6 beyond the step's fourth stage point in y.
+    """
+
+    def acceleration(x, u):
+        on_grid = np.abs(x[:, 0] / DT - np.round(x[:, 0] / DT)) < 0.25
+        return np.column_stack([np.zeros(len(x)), np.where(on_grid, KICK, 0.0)])
+
+    return ChartManifold(2, lambda x: np.eye(2), domain, name="kicked", geodesic_acceleration=acceleration)
+
+
+def rising(n):
+    """A start on the kicked plane whose new sample of step n is the first point to reach y = 1; its stages stay below."""
+    free = geodesic_integrate(kicked_plane(), np.zeros(2), np.array([1.0, 1.0]), 1.0, STEPS)
+    return np.array([0.0, 1.0 - free.points[n, 1] + DT**2 * KICK / 12.0]), np.array([1.0, 1.0])
+
+
+@pytest.mark.parametrize("n", EXIT_STEPS)
+def test_chunked_steps_whose_new_sample_alone_leaves_the_chart_exit_at_its_step(monkeypatch, n):
+    M = kicked_plane(lambda x: x[1] < 1.0)
+    curve = assert_chunks_are_the_per_step_path(monkeypatch, lambda: geodesic_integrate(M, *rising(n), 1.0, STEPS))
+    assert len(curve) == n and curve.exited
+    # stacked with rows leaving in other chunks, and one that never leaves
+    others = [rising(m) for m in (1, 2 * K, STEPS) if m != n]
+    starts = stack(rising(n), *others, (np.array([0.0, -50.0]), np.array([1.0, 1.0])))
+    curves = assert_chunks_are_the_per_step_path(monkeypatch, lambda: geodesic_integrate(M, *starts, 1.0, STEPS))
+    assert [len(c) for c in curves][0] == n and len(curves[-1]) == STEPS + 1
+
+
+def test_chunked_surface_geodesics_leave_z_domain_at_the_steps_of_the_per_step_path(monkeypatch):
+    # rows 1 and 2 leave more than a chunk apart, and the chunks of the rows left grow as they leave
+    surf = surface_of_revolution(lambda z: 2.0 + np.sin(z), np.cos, z_domain=(-0.5, 0.5))
+    x0 = np.array([[0.0, 0.0], [0.3, 0.0], [0.25, 0.0], [-0.1, 1.0]])
+    u0 = np.array([[0.05, 0.3], [0.4, 0.2], [-1.1, -1.8], [-0.02, -0.4]]) / 20.0
+    for M in (surf.manifold, stencil_route(surf)):
+        curves = assert_chunks_are_the_per_step_path(monkeypatch, lambda: geodesic_integrate(M, x0, u0, 20.0, 200))
+        assert [c.exited for c in curves] == [False, True, True, False]
+        assert len(curves[2]) - len(curves[1]) > K
+
+
+@pytest.mark.parametrize("rows", [1, 3, K, 40])
+def test_a_chunk_holds_at_most_chunk_new_states_of_a_stack(rows):
+    # the metric check of a chunk sees its stage points: 4 per new state, or one step's of a stack of K rows or more
+    seen = []
+
+    def metric(points):
+        seen.append(len(points))
+        return np.tile(np.eye(2), (len(points), 1, 1))
+
+    M = flat_with_zero_acceleration(metric=StackFunction(metric))
+    x0 = np.column_stack([np.linspace(0.0, 1.0, rows), np.zeros(rows)])
+    geodesic_integrate(M, x0, np.ones((rows, 2)), 1.0, 2 * K)
+    assert max(seen) == 4 * max(1, K // rows) * rows <= 4 * max(K, rows)
+
+
+# A user acceleration may be called past the step where the chart ends a curve,
+# up to the end of its chunk; what it does there must not show
+
+
+def zero_division(x, u):
+    raise ZeroDivisionError(f"float division by zero at {x.tolist()}")
+
+
+def overflow(x, u):
+    return np.exp(1e3 * x)  # overflows for x > 0.71
+
+
+def plane_blowing_up_past(limit, blowup, domain):
+    """A flat plane whose closed-form acceleration is zero up to x = limit and blowup(x, u) past it; calls past it are logged."""
+    past = []
+
+    def acceleration(x, u):
+        if (x[:, 0] > limit).any():
+            past.append(x)
+            return blowup(x, u)
+        return np.zeros_like(u)
+
+    return ChartManifold(2, lambda x: np.eye(2), domain, name="flat", geodesic_acceleration=acceleration), past
+
+
+@pytest.mark.parametrize("blowup", [zero_division, overflow])
+def test_an_acceleration_that_blows_up_past_the_exit_leaves_the_per_step_curve(monkeypatch, blowup):
+    # the chart ends the curve at x = 1 in step 5; its first chunk (of 32 steps alone, of 16 stacked with a
+    # row that runs to the end) goes on past x = 1.05. Warnings are recorded, not raised: raised, they
+    # would end the chunk as any exception does.
+    M, past = plane_blowing_up_past(1.05, blowup, EDGE_DOMAIN)
+    for starts, lengths in ((east(5), [5]), (stack(east(5), north(STEPS + 50)), [5, STEPS + 1])):
+        del past[:]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            call = lambda: geodesic_integrate(M, *starts, 1.0, STEPS)
+            curves = assert_chunks_are_the_per_step_path(monkeypatch, call)
+        assert caught == []
+        curves = curves if isinstance(curves, list) else [curves]
+        assert [len(c) for c in curves] == lengths and curves[0].exited
+        assert past  # the chunk did step past the exit, and nothing of it shows
+
+
+def test_an_acceleration_that_blows_up_inside_the_chart_raises_from_its_step(monkeypatch):
+    M, _ = plane_blowing_up_past(1.2, zero_division, lambda x: x[0] < 2.0)
+    error, message = assert_chunks_are_the_per_step_path(monkeypatch, lambda: geodesic_integrate(M, *east(5), 1.0, STEPS))
+    assert error is ZeroDivisionError and message.startswith("float division by zero at [[1.2")
+    M, _ = plane_blowing_up_past(1.2, overflow, lambda x: x[0] < 2.0)
+    with np.errstate(over="raise"):
+        error, message = assert_chunks_are_the_per_step_path(
+            monkeypatch, lambda: geodesic_integrate(M, *east(5), 1.0, STEPS)
+        )
+    assert error is FloatingPointError
+    assert re.fullmatch(rf"broke down in step 2\d of {STEPS}, from t = [0-9.]+: overflow encountered in exp", message)
