@@ -168,19 +168,21 @@ def fubini_study_metric(coords) -> np.ndarray:
     return g
 
 
-def _geodesic_accelerations(x, u):
-    """Fubini-Study geodesic accelerations at an (N, 2n) stack of chart points x with chart velocities u.
+def _geodesic_spray(y):
+    """The Fubini-Study geodesic spray: an (N, 4n) stack of rows (x, u) of chart points and velocities -> rows (u, x'').
 
     The metric is Kahler with potential log(1 + |zeta|^2), and its connection
     Gamma^k_ij = -(delta^k_i conj(zeta_j) + delta^k_j conj(zeta_i)) / (1 + |zeta|^2)
     gives zeta'' = 2 <zeta, zeta'> zeta' / (1 + |zeta|^2), the same formula in
     every chart (Bengtsson and Zyczkowski, Geometry of Quantum States, ch. 4).
-    Returned interleaved as x; each row is computed on its own.
+    x'' is returned interleaved as x; each row is computed on its own.
     """
+    n = y.shape[1] // 2
+    x, u = y[:, :n], y[:, n:]
     zeta, dzeta = _complexify(x), _complexify(u)
     scale = (zeta.conj() * dzeta).sum(axis=1)
     scale *= 2.0 / (1.0 + (x * x).sum(axis=1))
-    return _interleave(dzeta * scale[:, None])
+    return np.concatenate([u, _interleave(dzeta * scale[:, None])], axis=1)
 
 
 def chart_manifold(dim, chart_index, coord_bound=None) -> ChartManifold:
@@ -189,7 +191,7 @@ def chart_manifold(dim, chart_index, coord_bound=None) -> ChartManifold:
     dim is the ambient Hilbert dimension n+1; the chart has 2n real
     coordinates. coord_bound optionally restricts |zeta|_inf to keep
     far-from-pivot points (badly conditioned) out of stencils. Geodesics
-    take the closed-form connection of _geodesic_accelerations.
+    take the closed-form connection, through the spray _geodesic_spray.
     """
     _require_chart(dim, chart_index)
     metric = StackFunction(fubini_study_metric)
@@ -197,7 +199,7 @@ def chart_manifold(dim, chart_index, coord_bound=None) -> ChartManifold:
     if coord_bound is not None:
         domain = StackFunction(lambda points: np.abs(points).max(axis=1) < coord_bound)
     name = f"CP^{dim - 1} chart {chart_index}"
-    return ChartManifold(2 * (dim - 1), metric, domain, name=name, geodesic_acceleration=_geodesic_accelerations)
+    return ChartManifold(2 * (dim - 1), metric, domain, name=name, geodesic_spray=_geodesic_spray)
 
 
 def fundamental_field(A: HermitianOperator, chart_index) -> VectorField:

@@ -163,21 +163,23 @@ class ChartManifold:
         defaults to the whole chart.
     name : str
         Label used in error messages.
-    geodesic_acceleration : callable, optional
-        (x, u) -> -Gamma(x)(u, u) on (M, dim) stacks of points and
-        velocities, in closed form. geodesic_integrate uses it in place of
-        Christoffel symbols from metric differences; defaults to those. It
-        is called at the stage points of up to a chunk of RK4 steps before
-        they are checked, as one metric stack, so also at points past the
-        step where a curve leaves the chart; a chunk that fails its check
-        is replayed step by step, and it is called there again.
+    geodesic_spray : callable, optional
+        The geodesic spray in closed form: an (M, 2 dim) stack of rows
+        (x, u) -> the stack of rows (u, -Gamma(x)(u, u)), the derivative of
+        each packed state, of the same shape. geodesic_integrate takes it
+        as its RK4 right-hand side in place of Christoffel symbols from
+        metric differences; defaults to those. It is called at the stage
+        points of up to a chunk of RK4 steps before they are checked, as
+        one metric stack, so also at points past the step where a curve
+        leaves the chart; a chunk that fails its check is replayed step by
+        step, and it is called there again.
     """
 
     dim: int
     metric: Callable
     chart_domain: Callable = None
     name: str = ""
-    geodesic_acceleration: Callable = None
+    geodesic_spray: Callable = None
 
     def __post_init__(self):
         object.__setattr__(self, "_stack_metric", _lift(self.metric))
@@ -279,6 +281,18 @@ def _bases(x):
     """x as an (M, dim) stack of base points."""
     x = np.asarray(x, dtype=float)
     return x if x.ndim == 2 else x[None]
+
+
+def _starts(x, name, dim=None):
+    """x as an (M, dim) stack of finite starts; a wrong shape or a non-finite start raises ValueError, naming it."""
+    xs = _bases(x)
+    if xs.ndim != 2 or (dim is not None and xs.shape[1] != dim):
+        expected = "(dim,) or (M, dim)" if dim is None else f"({dim},) or (M, {dim})"
+        raise ValueError(f"{name} must have shape {expected}, got {np.shape(x)}")
+    finite = np.isfinite(xs).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"{name} must be finite, got {xs[finite.argmin()]}")
+    return xs
 
 
 def _like(x, out):
@@ -527,7 +541,10 @@ def _rk4(rhs, y0, T, steps, rows_outside=None, check_stages=None):
     Warnings that rhs gives through the warnings module, not numpy's
     errstate, are not held back.
 
-    steps must be an integer (a numpy integer too) of at least 1, and T finite.
+    rhs must return an array of the shape of the stack it is given; one of
+    another shape raises ValueError, from the step whose first stage gets
+    it. steps must be an integer (a numpy integer too) of at least 1, and
+    T finite.
     """
     try:
         steps = operator.index(steps)  # an int or a numpy integer, never truncated
@@ -543,6 +560,8 @@ def _rk4(rhs, y0, T, steps, rows_outside=None, check_stages=None):
     def increment(y, stash=None):
         """The RK4 increment at y; its stage points are checked now, or added to `stash` to be checked later."""
         k1 = rhs(y)
+        if k1.shape != y.shape:
+            raise ValueError(f"rhs returned shape {k1.shape} for states of shape {y.shape}")
         y2 = y + half * k1
         k2 = rhs(y2)
         y3 = y + half * k2
@@ -632,11 +651,14 @@ def geodesic_integrate(manifold, x0, u0, T, steps, fd_step=GEODESIC_FD_STEP):
     the exact flow; its drift in the output measures integration error.
     x0 and u0 are one start of shape (dim,) or an (M, dim) stack of starts,
     integrated as one stack; each row gives the curve of its one-start call.
+    A start of another shape, an x0 and a u0 of different row counts, or
+    a non-finite start raises ValueError; a finite x0 outside the chart
+    gives a 1-sample curve with exited=True.
 
-    The acceleration is the manifold's closed-form geodesic_acceleration
-    if it has one; otherwise it comes from Christoffel symbols by central
-    differences of step fd_step. On the closed-form route every stage
-    point is checked as metric_at checks a point, those of a chunk of
+    The right-hand side is the manifold's closed-form geodesic_spray if it
+    has one; otherwise the acceleration comes from Christoffel symbols by
+    central differences of step fd_step. On the closed-form route every
+    stage point is checked as metric_at checks a point, those of a chunk of
     steps as one metric stack; the new samples of the chunk get one domain
     test. A chunk that fails is replayed one step at a time, and there the
     first offending point in stage order is named, and a domain error at
@@ -652,20 +674,21 @@ def geodesic_integrate(manifold, x0, u0, T, steps, fd_step=GEODESIC_FD_STEP):
         point (or its Christoffel stencil) left the chart domain.
     """
     d = manifold.dim
-    closed_form = manifold.geodesic_acceleration
+    spray = manifold.geodesic_spray
+    xs, us = _starts(x0, "x0", d), _starts(u0, "u0", d)
+    if len(xs) != len(us):
+        raise ValueError(f"x0 and u0 must hold as many starts, got shapes {np.shape(x0)} and {np.shape(u0)}")
 
-    def rhs(y):
+    def stencil_spray(y):
         x, u = y[:, :d], y[:, d:]
-        if closed_form is None:
-            acc = np.einsum("mkij,mi,mj->mk", _christoffels(manifold, x, fd_step), u, u)
-            np.negative(acc, out=acc)
-        else:
-            acc = closed_form(x, u)
+        acc = np.einsum("mkij,mi,mj->mk", _christoffels(manifold, x, fd_step), u, u)
+        np.negative(acc, out=acc)
         return np.concatenate([u, acc], axis=1)
 
     # the closed-form route: the checks of metric_at at every stage point; the metrics are not needed
-    check_stages = None if closed_form is None else lambda stages: manifold._metrics_at(stages[:, :d])
-    y0 = np.concatenate([_bases(x0), _bases(u0)], axis=1)
+    check_stages = None if spray is None else lambda stages: manifold._metrics_at(stages[:, :d])
+    rhs = stencil_spray if spray is None else spray
+    y0 = np.concatenate([xs, us], axis=1)
     runs = _rk4(rhs, y0, T, steps, lambda y: manifold._rows_outside(y[:, :d]), check_stages)
     return _like(x0, [DiscreteCurve(times, s[:, :d], s[:, d:], exited) for times, s, exited in runs])
 
@@ -674,7 +697,9 @@ def flow_integrate(X, x0, T, steps):
     """Integrate the autonomous flow x' = X(x) of a VectorField by fixed-step RK4.
 
     x0 is one start of shape (dim,) or an (M, dim) stack of starts, integrated
-    as one stack. Records X(x_t) as the velocity samples, one stack over each
+    as one stack; a start of another shape or a non-finite one raises
+    ValueError, and so does an X whose components are not of the start's
+    shape. Records X(x_t) as the velocity samples, one stack over each
     curve; a curve stops early (exited=True) if a stage leaves the chart.
     X may be evaluated past that step, up to the end of its chunk of steps,
     and again when the chunk is replayed (see _rk4); the curves are those
@@ -685,7 +710,7 @@ def flow_integrate(X, x0, T, steps):
     -------
     DiscreteCurve, or a list of M of them for a stack of starts
     """
-    runs = _rk4(X.stack, _bases(x0), T, steps)
+    runs = _rk4(X.stack, _starts(x0, "x0"), T, steps)
     return _like(x0, [DiscreteCurve(times, points, X.stack(points), exited) for times, points, exited in runs])
 
 
@@ -723,12 +748,13 @@ def surface_of_revolution(rho, drho, z_domain=None):
     Geodesics take the closed-form connection of diag(E, rho^2), E = 1 +
     rho'^2: Gamma^z_zz = rho' rho''/E, Gamma^z_phiphi = -rho rho'/E and
     Gamma^phi_zphi = rho'/rho, so z'' = -(rho' rho'' z'^2 - rho rho' phi'^2)/E
-    and phi'' = -2 (rho'/rho) z' phi'. rho'' is the one difference: drho at
-    z +- GEODESIC_FD_STEP, centred. A point whose z +- GEODESIC_FD_STEP
-    leaves z_domain, or where rho(z) is not positive, raises
-    ChartBoundaryError before drho is called there, so a geodesic exits
-    where the Christoffel stencil would. christoffel and the other
-    operators keep the stencil route.
+    and phi'' = -2 (rho'/rho) z' phi'. The manifold's geodesic_spray maps
+    each row (z, phi, z', phi') to (z', phi', z'', phi''), on Python floats.
+    rho'' is the one difference: drho at z +- GEODESIC_FD_STEP, centred. A
+    row whose z +- GEODESIC_FD_STEP leaves z_domain, or where rho(z) is not
+    positive, raises ChartBoundaryError before drho is called there, so a
+    geodesic exits where the Christoffel stencil would. christoffel and the
+    other operators keep the stencil route.
 
     Parameters
     ----------
@@ -768,9 +794,9 @@ def surface_of_revolution(rho, drho, z_domain=None):
     low, high = z_domain if z_domain is not None else (-np.inf, np.inf)
     h = GEODESIC_FD_STEP
 
-    def geodesic_acceleration(x, u):
+    def geodesic_spray(y):
         entries = []
-        for z, (vz, vphi) in zip(x[:, 0].tolist(), u.tolist()):
+        for z, _, vz, vphi in y.tolist():
             # z +- h inside the open z_domain puts z there too; a non-finite z fails both tests
             if not (low < z - h and z + h < high):
                 raise ChartBoundaryError(f"rho'' difference at z = {z} +- {h} leaves the chart domain")
@@ -779,12 +805,11 @@ def surface_of_revolution(rho, drho, z_domain=None):
                 raise ChartBoundaryError(f"point with rho({z}) = {r} outside chart domain of surface_of_revolution")
             rp = float(drho(z))
             rpp = (float(drho(z + h)) - float(drho(z - h))) / (2.0 * h)
-            entries += (-(rp * rpp * vz * vz - r * rp * vphi * vphi) / (1.0 + rp * rp), -2.0 * (rp / r) * vz * vphi)
-        return np.array(entries).reshape(len(x), 2)
+            zpp = -(rp * rpp * vz * vz - r * rp * vphi * vphi) / (1.0 + rp * rp)
+            entries += (vz, vphi, zpp, -2.0 * (rp / r) * vz * vphi)
+        return np.array(entries).reshape(len(y), 4)
 
-    manifold = ChartManifold(
-        2, StackFunction(metric), StackFunction(domain), "surface_of_revolution", geodesic_acceleration
-    )
+    manifold = ChartManifold(2, StackFunction(metric), StackFunction(domain), "surface_of_revolution", geodesic_spray)
     killing = VectorField(lambda x: np.array([0.0, 1.0]))
     pressure = ScalarField(lambda x: 0.5 * float(rho(x[0])) ** 2)
     return SurfaceOfRevolution(manifold, killing, pressure)

@@ -469,8 +469,29 @@ def test_closed_form_acceleration_equals_the_christoffel_stencil_on_every_chart(
             x = rng.uniform(-0.9, 0.9, size=2 * (dim - 1))
             u = rng.normal(size=x.shape)
             stencil = -np.einsum("kij,i,j->k", christoffel(M, x, 1e-5), u, u)
-            closed = M.geodesic_acceleration(x[None], u[None])[0]
+            closed = M.geodesic_spray(np.concatenate([x, u])[None])[0, len(x) :]
             assert np.linalg.norm(closed - stencil) <= 1e-8 * np.linalg.norm(stencil)
+
+
+@pytest.mark.parametrize("dim", [3, 4, 5])
+def test_spray_passes_the_velocity_through_and_a_row_alone_is_its_row_of_a_stack(dim):
+    rng = np.random.default_rng(190 + dim)
+    n = 2 * (dim - 1)
+    for k in range(dim):
+        M = chart_manifold(dim, k)
+        y = np.hstack([rng.uniform(-0.9, 0.9, size=(6, n)), rng.normal(size=(6, n))])
+        spray = M.geodesic_spray(y)
+        assert spray.shape == y.shape and spray[:, :n].tobytes() == y[:, n:].tobytes()
+        for row, out in zip(y, spray):
+            assert M.geodesic_spray(row[None]).tobytes() == out.tobytes()
+
+
+def test_geodesics_refuse_starts_of_another_dimension_than_the_chart():
+    M = chart_manifold(3, 0)
+    with pytest.raises(ValueError, match=r"^x0 must have shape \(4,\) or \(M, 4\), got \(6,\)$"):
+        geodesic_integrate(M, np.zeros(6), np.zeros(6), 1.0, 4)
+    with pytest.raises(ValueError, match=r"^u0 must have shape \(4,\) or \(M, 4\), got \(2, 2\)$"):
+        geodesic_integrate(M, np.zeros((2, 4)), np.zeros((2, 2)), 1.0, 4)
 
 
 def test_closed_form_geodesic_through_the_point_at_infinity_is_refused():

@@ -988,8 +988,21 @@ def test_surface_closed_form_acceleration_equals_the_stencil_route():
         x = np.column_stack([rng.uniform(-1.5, 1.5, size=4), rng.uniform(0.0, 2.0 * np.pi, size=4)])
         u = rng.normal(size=(4, 2))
         stencil = -np.einsum("mkij,mi,mj->mk", christoffel(M, x, GEODESIC_FD_STEP), u, u)
-        error = np.linalg.norm(M.geodesic_acceleration(x, u) - stencil, axis=1) / (u * u).sum(axis=1)
+        error = np.linalg.norm(M.geodesic_spray(np.hstack([x, u]))[:, 2:] - stencil, axis=1) / (u * u).sum(axis=1)
         assert error.max() < 1e-8
+
+
+def test_surface_spray_passes_the_velocity_through_and_a_row_alone_is_its_row_of_a_stack():
+    rng = np.random.default_rng(64)
+    for _ in range(20):
+        a, b, c = rng.uniform(2.0, 3.0), rng.uniform(0.3, 1.0), rng.uniform(0.5, 1.5)
+        M = surface_of_revolution(lambda z: a + b * np.sin(c * z), lambda z: b * c * np.cos(c * z)).manifold
+        x = np.column_stack([rng.uniform(-1.5, 1.5, size=4), rng.uniform(0.0, 2.0 * np.pi, size=4)])
+        y = np.hstack([x, rng.normal(size=(4, 2))])
+        spray = M.geodesic_spray(y)
+        assert spray.shape == y.shape and spray[:, :2].tobytes() == y[:, 2:].tobytes()
+        for row, out in zip(y, spray):
+            assert M.geodesic_spray(row[None]).tobytes() == out.tobytes()
 
 
 def test_geodesic_on_the_unit_sphere_follows_the_great_circle():
@@ -1010,21 +1023,20 @@ def test_geodesic_on_the_unit_sphere_follows_the_great_circle():
 
 def test_surface_closed_form_refuses_points_whose_rho_difference_leaves_the_chart():
     rho, drho, calls = counted_profile()
-    accelerate = surface_of_revolution(rho, drho, z_domain=(-0.5, 0.5)).manifold.geodesic_acceleration
-    u = np.array([[1.0, 0.2]])
+    spray = surface_of_revolution(rho, drho, z_domain=(-0.5, 0.5)).manifold.geodesic_spray
     # z - h or z + h outside z_domain (z itself inside for the first two), or z not finite: refused before
     # rho or drho is called
     for z in (0.5 - 0.5e-5, -0.5 + 0.5e-5, 0.7, np.nan):
         with pytest.raises(ChartBoundaryError):
-            accelerate(np.array([[z, 0.0]]), u)
+            spray(np.array([[z, 0.0, 1.0, 0.2]]))
     assert calls == {"rho": [], "drho": []}
-    accelerate(np.array([[0.5 - 2e-5, 0.0]]), u)
+    spray(np.array([[0.5 - 2e-5, 0.0, 1.0, 0.2]]))
     assert len(calls["rho"]) == 1 and len(calls["drho"]) == 3
     # rho(z) <= 0 is outside the chart too, and drho is not called there
     rho, drho, calls = counted_profile(a=0.0, b=1.0)
     for z in (-0.5, 0.0):
         with pytest.raises(ChartBoundaryError):
-            surface_of_revolution(rho, drho).manifold.geodesic_acceleration(np.array([[z, 0.0]]), u)
+            surface_of_revolution(rho, drho).manifold.geodesic_spray(np.array([[z, 0.0, 1.0, 0.2]]))
     assert calls == {"rho": [-0.5, 0.0], "drho": []}
 
 
@@ -1082,14 +1094,45 @@ def test_integrators_refuse_a_non_integer_step_count_and_take_numpy_integers():
     assert_same_curve(flow_integrate(ROTATION, x0, 1.0, np.int32(3)), flow_integrate(ROTATION, x0, 1.0, 3))
 
 
+def test_integrators_refuse_starts_of_the_wrong_shape_or_not_finite():
+    surf = surface_of_revolution(lambda z: 2.0 + np.sin(z), np.cos, z_domain=(-0.5, 0.5))
+    x0, u0 = np.array([0.3, 0.1]), np.array([0.4, 0.5])
+    geodesic = lambda M, x, u: lambda: geodesic_integrate(M, x, u, 1.0, 4)
+    flow = lambda X, x: lambda: flow_integrate(X, x, 1.0, 4)
+    refused = [
+        (geodesic(surf.manifold, np.zeros(3), u0), "x0 must have shape (2,) or (M, 2), got (3,)"),
+        (geodesic(PLANE, x0, np.zeros((1, 3))), "u0 must have shape (2,) or (M, 2), got (1, 3)"),
+        (
+            geodesic(PLANE, np.zeros((2, 2)), np.zeros((3, 2))),
+            "x0 and u0 must hold as many starts, got shapes (2, 2) and (3, 2)",
+        ),
+        (geodesic(surf.manifold, [np.nan, 0.2], u0), "x0 must be finite, got [nan"),
+        (geodesic(PLANE, np.zeros((2, 2)), [[1.0, 0.0], [np.inf, 0.0]]), "u0 must be finite, got [inf"),
+        (flow(VectorField(lambda x: -x), [np.nan, 0.0]), "x0 must be finite, got [nan"),
+        (flow(ROTATION, np.zeros((1, 1, 2))), "x0 must have shape (dim,) or (M, dim), got (1, 1, 2)"),
+        (flow(ROTATION, 0.5), "x0 must have shape (dim,) or (M, dim), got ()"),
+    ]
+    for call, message in refused:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            call()
+    # a finite start outside the chart is not refused: its curve exits at once
+    curve = geodesic_integrate(surf.manifold, np.array([0.7, 0.0]), u0, 1.0, 4)
+    assert len(curve) == 1 and curve.exited
+
+
 # ---------------------------------------------------------------------------
 # The closed-form route checks a step's four stage points as one stack; a
 # flat plane with zero acceleration puts stages 2 and 3 of each step at
 # its midpoint x + dt/2 u, which neither sample of the step touches
 
 
+def spray_of(acceleration):
+    """The geodesic spray (x, u) -> (u, acceleration(x, u)) on (M, 4) stacks of a plane's packed states."""
+    return lambda y: np.concatenate([y[:, 2:], acceleration(y[:, :2], y[:, 2:])], axis=1)
+
+
 def flat_with_zero_acceleration(domain=None, metric=lambda x: np.eye(2)):
-    return ChartManifold(2, metric, domain, name="flat", geodesic_acceleration=lambda x, u: np.zeros_like(u))
+    return ChartManifold(2, metric, domain, name="flat", geodesic_spray=spray_of(lambda x, u: np.zeros_like(u)))
 
 
 def test_closed_form_geodesic_stops_at_a_step_whose_midpoint_alone_leaves_the_chart():
@@ -1249,7 +1292,7 @@ def kicked_plane(domain=None):
         on_grid = np.abs(x[:, 0] / DT - np.round(x[:, 0] / DT)) < 0.25
         return np.column_stack([np.zeros(len(x)), np.where(on_grid, KICK, 0.0)])
 
-    return ChartManifold(2, lambda x: np.eye(2), domain, name="kicked", geodesic_acceleration=acceleration)
+    return ChartManifold(2, lambda x: np.eye(2), domain, name="kicked", geodesic_spray=spray_of(acceleration))
 
 
 def rising(n):
@@ -1318,7 +1361,7 @@ def plane_blowing_up_past(limit, blowup, domain):
             return blowup(x, u)
         return np.zeros_like(u)
 
-    return ChartManifold(2, lambda x: np.eye(2), domain, name="flat", geodesic_acceleration=acceleration), past
+    return ChartManifold(2, lambda x: np.eye(2), domain, name="flat", geodesic_spray=spray_of(acceleration)), past
 
 
 @pytest.mark.parametrize("blowup", [zero_division, overflow])
@@ -1350,3 +1393,18 @@ def test_an_acceleration_that_blows_up_inside_the_chart_raises_from_its_step(mon
         )
     assert error is FloatingPointError
     assert re.fullmatch(rf"broke down in step 2\d of {STEPS}, from t = [0-9.]+: overflow encountered in exp", message)
+
+
+# The RK4 loop takes a right-hand side of its states' shape only
+
+
+def test_rk4_refuses_a_right_hand_side_of_another_shape_than_its_states(monkeypatch):
+    # one component for a 2-d start, once broadcast to both
+    call = lambda: flow_integrate(VectorField(lambda x: [1.0]), [0.0, 0.0], 1.0, 4)
+    expected = (ValueError, "rhs returned shape (1, 1) for states of shape (1, 2)")
+    assert assert_chunks_are_the_per_step_path(monkeypatch, call) == expected
+    # a spray that returns the acceleration only
+    M = ChartManifold(2, lambda x: np.eye(2), name="flat", geodesic_spray=lambda y: np.zeros((len(y), 2)))
+    call = lambda: geodesic_integrate(M, np.zeros((3, 2)), np.ones((3, 2)), 1.0, STEPS)
+    expected = (ValueError, "rhs returned shape (3, 2) for states of shape (3, 4)")
+    assert assert_chunks_are_the_per_step_path(monkeypatch, call) == expected
