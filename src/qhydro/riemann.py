@@ -4,9 +4,9 @@ A manifold is a metric-matrix function on a chart plus a domain predicate.
 Derivatives are central finite differences (second order, default step
 1e-4); every verifier returns a residual, never a boolean - thresholds are
 test policy, not library semantics. Stencil points must lie inside the
-chart domain; there is no extrapolation. A manifold whose connection has a
-closed form may carry its geodesic acceleration, which geodesics then use
-in place of a stencil.
+chart domain; there is no extrapolation. Geodesics integrate a manifold's
+geodesic spray: its closed form where the connection has one, else the
+Christoffel stencil's.
 
 Metrics, domains and fields are evaluated on whole (N, dim) stacks of
 points: a stencil, a curve. A callable given per point is lifted to stacks
@@ -165,14 +165,13 @@ class ChartManifold:
         Label used in error messages.
     geodesic_spray : callable, optional
         The geodesic spray in closed form: an (M, 2 dim) stack of rows
-        (x, u) -> the stack of rows (u, -Gamma(x)(u, u)), the derivative of
-        each packed state, of the same shape. geodesic_integrate takes it
-        as its RK4 right-hand side in place of Christoffel symbols from
-        metric differences; defaults to those. It is called at the stage
-        points of up to a chunk of RK4 steps before they are checked, as
-        one metric stack, so also at points past the step where a curve
-        leaves the chart; a chunk that fails its check is replayed step by
-        step, and it is called there again.
+        (x, u) -> the stack of rows (u, -Gamma(x)(u, u)), of the same shape,
+        geodesic_integrate's RK4 right-hand side. Defaults to the spray of
+        Christoffel symbols from metric differences of step
+        GEODESIC_FD_STEP, resolved by each manifold when it is built and
+        not stored here. It is called at the stage points of a chunk of RK4
+        steps before they are checked, so also past the step where a curve
+        leaves the chart, and again when the chunk is replayed (see _rk4).
     """
 
     dim: int
@@ -184,6 +183,14 @@ class ChartManifold:
     def __post_init__(self):
         object.__setattr__(self, "_stack_metric", _lift(self.metric))
         object.__setattr__(self, "_stack_domain", None if self.chart_domain is None else _lift(self.chart_domain))
+        object.__setattr__(self, "_spray", self._stencil_spray if self.geodesic_spray is None else self.geodesic_spray)
+
+    def _stencil_spray(self, y):
+        """The geodesic spray from Christoffel symbols by central differences of step GEODESIC_FD_STEP."""
+        x, u = y[:, : self.dim], y[:, self.dim :]
+        acc = np.einsum("mkij,mi,mj->mk", _christoffels(self, x, GEODESIC_FD_STEP), u, u)
+        np.negative(acc, out=acc)
+        return np.concatenate([u, acc], axis=1)
 
     def contains(self, x) -> bool:
         return self._first_outside(np.asarray(x, dtype=float)[None]) is None
@@ -643,53 +650,41 @@ def _rk4(rhs, y0, T, steps, rows_outside=None, check_stages=None):
     return [(np.arange(end) * dt, states[:end, r], end <= steps) for r, end in enumerate(ends)]
 
 
-def geodesic_integrate(manifold, x0, u0, T, steps, fd_step=GEODESIC_FD_STEP):
+def geodesic_integrate(manifold, x0, u0, T, steps):
     """Integrate the geodesic equation from (x0, u0) over [0, T].
 
     Classical fixed-step fourth-order Runge-Kutta on the first-order system
-    (x, u)' = (u, -Gamma(x)(u, u)). The metric speed <u, u> is conserved by
-    the exact flow; its drift in the output measures integration error.
-    x0 and u0 are one start of shape (dim,) or an (M, dim) stack of starts,
-    integrated as one stack; each row gives the curve of its one-start call.
-    A start of another shape, an x0 and a u0 of different row counts, or
-    a non-finite start raises ValueError; a finite x0 outside the chart
-    gives a 1-sample curve with exited=True.
+    (x, u)' = (u, -Gamma(x)(u, u)), whose right-hand side is the manifold's
+    geodesic spray (see ChartManifold). The metric speed <u, u> is
+    conserved by the exact flow; its drift in the output measures
+    integration error. x0 and u0 are one start of shape (dim,) or an
+    (M, dim) stack of starts, integrated as one stack; each row gives the
+    curve of its one-start call. A start of another shape, an x0 and a u0
+    of different row counts, or a non-finite start raises ValueError; a
+    finite x0 outside the chart gives a 1-sample curve with exited=True.
 
-    The right-hand side is the manifold's closed-form geodesic_spray if it
-    has one; otherwise the acceleration comes from Christoffel symbols by
-    central differences of step fd_step. On the closed-form route every
-    stage point is checked as metric_at checks a point, those of a chunk of
-    steps as one metric stack; the new samples of the chunk get one domain
-    test. A chunk that fails is replayed one step at a time, and there the
-    first offending point in stage order is named, and a domain error at
-    any stage of a step comes before a matrix error at any stage. Curves,
-    exits and errors are those of steps taken one at a time (see _rk4).
-    fd_step applies to the stencil route only. steps must be an integer of
-    at least 1, and T finite.
+    Every stage point is checked as metric_at checks a point, those of a
+    chunk of steps as one metric stack; the new samples of the chunk get
+    one domain test. A chunk that fails is replayed one step at a time, and
+    there the first offending point in stage order is named, and a domain
+    error at any stage of a step comes before a matrix error at any stage.
+    Curves, exits and errors are those of steps taken one at a time (see
+    _rk4). steps must be an integer of at least 1, and T finite.
 
     Returns
     -------
     DiscreteCurve, or a list of M of them for a stack of starts
         steps+1 samples, or a shorter curve with exited=True if a stage
-        point (or its Christoffel stencil) left the chart domain.
+        point (or a point the spray differences) left the chart domain.
     """
     d = manifold.dim
-    spray = manifold.geodesic_spray
     xs, us = _starts(x0, "x0", d), _starts(u0, "u0", d)
     if len(xs) != len(us):
         raise ValueError(f"x0 and u0 must hold as many starts, got shapes {np.shape(x0)} and {np.shape(u0)}")
-
-    def stencil_spray(y):
-        x, u = y[:, :d], y[:, d:]
-        acc = np.einsum("mkij,mi,mj->mk", _christoffels(manifold, x, fd_step), u, u)
-        np.negative(acc, out=acc)
-        return np.concatenate([u, acc], axis=1)
-
-    # the closed-form route: the checks of metric_at at every stage point; the metrics are not needed
-    check_stages = None if spray is None else lambda stages: manifold._metrics_at(stages[:, :d])
-    rhs = stencil_spray if spray is None else spray
+    # the checks of metric_at at every stage point; the metrics are not needed
+    check_stages = lambda stages: manifold._metrics_at(stages[:, :d])
     y0 = np.concatenate([xs, us], axis=1)
-    runs = _rk4(rhs, y0, T, steps, lambda y: manifold._rows_outside(y[:, :d]), check_stages)
+    runs = _rk4(manifold._spray, y0, T, steps, lambda y: manifold._rows_outside(y[:, :d]), check_stages)
     return _like(x0, [DiscreteCurve(times, s[:, :d], s[:, d:], exited) for times, s, exited in runs])
 
 
@@ -700,11 +695,12 @@ def flow_integrate(X, x0, T, steps):
     as one stack; a start of another shape or a non-finite one raises
     ValueError, and so does an X whose components are not of the start's
     shape. Records X(x_t) as the velocity samples, one stack over each
-    curve; a curve stops early (exited=True) if a stage leaves the chart.
-    X may be evaluated past that step, up to the end of its chunk of steps,
-    and again when the chunk is replayed (see _rk4); the curves are those
-    of steps taken one at a time. steps must be an integer of at least 1,
-    and T finite.
+    curve. A flow has no chart: a curve stops early (exited=True) only at
+    a step where X raises ChartBoundaryError at a stage point. X may be
+    evaluated past that step, up to the end of its chunk of steps, and
+    again when the chunk is replayed (see _rk4); the curves are those of
+    steps taken one at a time. steps must be an integer of at least 1, and
+    T finite.
 
     Returns
     -------
@@ -754,7 +750,7 @@ def surface_of_revolution(rho, drho, z_domain=None):
     row whose z +- GEODESIC_FD_STEP leaves z_domain, or where rho(z) is not
     positive, raises ChartBoundaryError before drho is called there, so a
     geodesic exits where the Christoffel stencil would. christoffel and the
-    other operators keep the stencil route.
+    other operators keep the stencil.
 
     Parameters
     ----------

@@ -1,5 +1,6 @@
 """Chart geometry operators against closed-form and hand-computed oracles."""
 
+import dataclasses
 import re
 import warnings
 
@@ -736,7 +737,8 @@ def test_stack_function_is_the_one_row_case_of_its_stack():
 # surface metric and domain as stacks and sums RK4 stages in one buffer,
 # and must give the same floating-point numbers, bit for bit. Surfaces and
 # Fubini-Study metrics are built here without their closed-form geodesic
-# acceleration, so what is held is the stencil route.
+# spray, so what is held is the default spray of every user metric: the
+# Christoffel stencil at GEODESIC_FD_STEP.
 
 
 def uncached_stencils(dim, xs, h):
@@ -799,13 +801,13 @@ def per_point_surface(rho, drho, z_domain=None):
 
 
 def stencil_route(surf):
-    """The surface's metric and domain without its closed-form geodesic acceleration: the stencil route."""
+    """The surface's metric and domain without its closed-form geodesic spray: the default, stencil spray."""
     return ChartManifold(2, surf.manifold.metric, surf.manifold.chart_domain, name="surface_of_revolution")
 
 
-def assert_geodesic_bits(manifold, reference, field, x0, u0, T, steps, h=1e-5):
-    curve = geodesic_integrate(manifold, x0, u0, T, steps, fd_step=h)
-    points, velocities, exited = uncached_geodesic(reference, x0, u0, T, steps, h)
+def assert_geodesic_bits(manifold, reference, field, x0, u0, T, steps):
+    curve = geodesic_integrate(manifold, x0, u0, T, steps)
+    points, velocities, exited = uncached_geodesic(reference, x0, u0, T, steps, GEODESIC_FD_STEP)
     assert curve.exited == exited
     assert np.array_equal(curve.points, points) and np.array_equal(curve.velocities, velocities)
     # the signs of zeros too: array_equal takes -0.0 == 0.0
@@ -818,15 +820,14 @@ def assert_geodesic_bits(manifold, reference, field, x0, u0, T, steps, h=1e-5):
 
 def test_geodesics_on_random_surfaces_equal_the_uncached_path_bit_for_bit():
     rng = np.random.default_rng(60)
-    for k in range(10):
+    for _ in range(10):
         a, b, c = rng.uniform(2.0, 3.0), rng.uniform(0.3, 1.0), rng.uniform(0.5, 1.5)
         rho, drho = (lambda z: a + b * np.sin(c * z)), (lambda z: b * c * np.cos(c * z))
         surf = surface_of_revolution(rho, drho)
         x0 = np.array([rng.uniform(-1.5, 1.5), rng.uniform(0.0, 2.0 * np.pi)])
         u0 = rng.normal(size=2) * 0.5
-        h = 1e-4 if k % 5 == 0 else 1e-5
         M = stencil_route(surf)
-        curve = assert_geodesic_bits(M, per_point_surface(rho, drho), surf.killing_field, x0, u0, 1.0, 60, h)
+        curve = assert_geodesic_bits(M, per_point_surface(rho, drho), surf.killing_field, x0, u0, 1.0, 60)
         assert not curve.exited
 
 
@@ -838,7 +839,7 @@ def test_geodesics_on_cpn_charts_equal_the_uncached_path_bit_for_bit():
     rng = np.random.default_rng(61)
     for dim in (3, 4, 5):
         k = int(rng.integers(dim))
-        # the Fubini-Study metric without chart_manifold's closed-form acceleration: the stencil route
+        # the Fubini-Study metric without chart_manifold's closed-form spray: the default, stencil spray
         M = ChartManifold(2 * (dim - 1), StackFunction(fubini_study_metric), name=f"CP^{dim - 1} chart {k}")
         x0 = rng.uniform(-0.5, 0.5, size=2 * (dim - 1))
         u0 = rng.normal(size=2 * (dim - 1)) * 0.3
@@ -853,6 +854,19 @@ def test_geodesic_leaving_z_domain_stops_at_the_uncached_step():
         stencil_route(surf), reference, surf.killing_field, np.array([0.3, 0.0]), np.array([1.0, 0.2]), 1.0, 50
     )
     assert curve.exited and 1 < len(curve) < 51
+
+
+def test_a_user_metric_replaced_with_dataclasses_replace_integrates_on_its_new_metric():
+    # the default spray is resolved by each manifold, not stored in its geodesic_spray field
+    old = per_point_surface(lambda z: 2.0 + np.sin(z), np.cos)
+    metric = per_point_surface(lambda z: 3.0 + z * z, lambda z: 2.0 * z).metric
+    replaced, direct = dataclasses.replace(old, metric=metric), ChartManifold(2, metric, old.chart_domain, old.name)
+    x0, u0 = np.array([0.3, 0.0]), np.array([1.0, 0.2])
+    curve = geodesic_integrate(replaced, x0, u0, 1.0, 40)
+    assert_same_curve(curve, geodesic_integrate(direct, x0, u0, 1.0, 40))
+    assert not np.array_equal(curve.points, geodesic_integrate(old, x0, u0, 1.0, 40).points)
+    # and manifolds built from the same arguments are equal
+    assert replaced == direct == ChartManifold(2, metric, old.chart_domain, old.name)
 
 
 def test_surface_metric_refuses_nonpositive_radius_with_the_per_point_text():
@@ -949,16 +963,15 @@ def test_metric_symmetric_up_to_the_sign_of_zero_is_symmetrized():
 
 def test_stacked_geodesics_on_random_surfaces_equal_their_one_start_calls():
     rng = np.random.default_rng(62)
-    for k in range(10):
+    for _ in range(10):
         a, b, c = rng.uniform(2.0, 3.0), rng.uniform(0.3, 1.0), rng.uniform(0.5, 1.5)
         surf = surface_of_revolution(lambda z: a + b * np.sin(c * z), lambda z: b * c * np.cos(c * z))
         x0 = np.column_stack([rng.uniform(-1.5, 1.5, size=4), rng.uniform(0.0, 2.0 * np.pi, size=4)])
         u0 = rng.normal(size=(4, 2)) * 0.5
-        h = 1e-4 if k % 5 == 0 else 1e-5
-        curves = geodesic_integrate(surf.manifold, x0, u0, 1.0, 60, fd_step=h)
+        curves = geodesic_integrate(surf.manifold, x0, u0, 1.0, 60)
         assert len(curves) == 4
         for curve, x, u in zip(curves, x0, u0):
-            assert_same_curve(curve, geodesic_integrate(surf.manifold, x, u, 1.0, 60, fd_step=h))
+            assert_same_curve(curve, geodesic_integrate(surf.manifold, x, u, 1.0, 60))
 
 
 def test_stacked_geodesics_freeze_the_rows_that_leave_z_domain():
@@ -975,8 +988,9 @@ def test_stacked_geodesics_freeze_the_rows_that_leave_z_domain():
 
 
 # ---------------------------------------------------------------------------
-# Surfaces of revolution take their closed-form connection; the stencil route
-# and the sphere's great circles are its oracles
+# Surfaces of revolution take their closed-form connection; the default,
+# stencil spray of the same metric and the sphere's great circles are its
+# oracles
 
 
 def test_surface_closed_form_acceleration_equals_the_stencil_route():
@@ -996,13 +1010,15 @@ def test_surface_spray_passes_the_velocity_through_and_a_row_alone_is_its_row_of
     rng = np.random.default_rng(64)
     for _ in range(20):
         a, b, c = rng.uniform(2.0, 3.0), rng.uniform(0.3, 1.0), rng.uniform(0.5, 1.5)
-        M = surface_of_revolution(lambda z: a + b * np.sin(c * z), lambda z: b * c * np.cos(c * z)).manifold
+        surf = surface_of_revolution(lambda z: a + b * np.sin(c * z), lambda z: b * c * np.cos(c * z))
         x = np.column_stack([rng.uniform(-1.5, 1.5, size=4), rng.uniform(0.0, 2.0 * np.pi, size=4)])
         y = np.hstack([x, rng.normal(size=(4, 2))])
-        spray = M.geodesic_spray(y)
-        assert spray.shape == y.shape and spray[:, :2].tobytes() == y[:, 2:].tobytes()
-        for row, out in zip(y, spray):
-            assert M.geodesic_spray(row[None]).tobytes() == out.tobytes()
+        # the closed form, and the default spray of the same metric
+        for spray in (surf.manifold.geodesic_spray, stencil_route(surf)._spray):
+            derivative = spray(y)
+            assert derivative.shape == y.shape and derivative[:, :2].tobytes() == y[:, 2:].tobytes()
+            for row, out in zip(y, derivative):
+                assert spray(row[None]).tobytes() == out.tobytes()
 
 
 def test_geodesic_on_the_unit_sphere_follows_the_great_circle():
@@ -1121,9 +1137,9 @@ def test_integrators_refuse_starts_of_the_wrong_shape_or_not_finite():
 
 
 # ---------------------------------------------------------------------------
-# The closed-form route checks a step's four stage points as one stack; a
-# flat plane with zero acceleration puts stages 2 and 3 of each step at
-# its midpoint x + dt/2 u, which neither sample of the step touches
+# Geodesics check a step's four stage points as one stack, whatever their
+# spray; a flat plane with zero acceleration puts stages 2 and 3 of each
+# step at its midpoint x + dt/2 u, which neither sample of the step touches
 
 
 def spray_of(acceleration):
@@ -1243,7 +1259,7 @@ def edge_field(x):
 
 
 def integrate(route, x0, u0):
-    """STEPS steps of dt = 1/STEPS on the flat plane with edges, by the closed-form route, the stencil route or the flow."""
+    """STEPS steps of dt = 1/STEPS on the flat plane with edges, by a closed-form spray, the default spray or the flow."""
     if route == "flow":
         return flow_integrate(VectorField(edge_field), x0, 1.0, STEPS)
     if route == "closed form":
