@@ -40,7 +40,7 @@ from .riemann import (
     ScalarField,
     StackFunction,
     _bilinear,
-    covariant_derivative,
+    _Stencil,
     differential,
     exterior_derivative_oneform,
     flat_form,
@@ -111,17 +111,18 @@ def pressure_gradient(H: HermitianOperator, point, h=FD_STEP, cross_tol=1e-5) ->
 def _pressure_gradients(H, ks, xs, h):
     """(dp)^sharp at each chart point (ks[n], xs[n]), and the norm of its mismatch with -nabla_X X.
 
-    The points of one chart form one stack.
+    The points of one chart form one stack; g and nabla_X X share one order-2 stencil stack.
     """
     grads, mismatches = np.empty(xs.shape), np.empty(len(xs))
     for k, rows in chart_rows(ks):
         x = xs[rows]
         manifold = chart_manifold(H.dim, k)
         dp = differential(manifold, pressure_scalar_field(H, k), x, h, order=4)
-        g = manifold.metric_at(x)
+        S = _Stencil(manifold, x, h, 2)
+        g = S.metric()[: len(x)]
         grad = np.linalg.solve(g, dp[:, :, None])[:, :, 0]
         X = fundamental_field(H, k)
-        mismatch = grad + covariant_derivative(manifold, X, X, x, h)  # (dp)^sharp should equal -nabla_X X
+        mismatch = grad + S.covariant_derivative(X, X)  # (dp)^sharp should equal -nabla_X X
         grads[rows] = grad
         mismatches[rows] = np.sqrt(_bilinear(mismatch, g, mismatch))
     return grads, mismatches

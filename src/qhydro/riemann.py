@@ -188,7 +188,7 @@ class ChartManifold:
     def _stencil_spray(self, y):
         """The geodesic spray from Christoffel symbols by central differences of step GEODESIC_FD_STEP."""
         x, u = y[:, : self.dim], y[:, self.dim :]
-        acc = np.einsum("mkij,mi,mj->mk", _christoffels(self, x, GEODESIC_FD_STEP), u, u)
+        acc = np.einsum("mkij,mi,mj->mk", _Stencil(self, x, GEODESIC_FD_STEP, 2).christoffel(), u, u)
         np.negative(acc, out=acc)
         return np.concatenate([u, acc], axis=1)
 
@@ -235,7 +235,7 @@ class ChartManifold:
         """
         outside = self._first_outside(points)
         if outside is not None and outside < bases:
-            raise ChartBoundaryError(f"point {points[outside]} outside chart domain of {self.name or 'manifold'}")
+            raise self._outside_error(points, outside, bases)
         checked = points if outside is None else points[:bases]
         rows = self._stack_metric(checked)
         try:
@@ -262,8 +262,14 @@ class ChartManifold:
                 except np.linalg.LinAlgError:
                     raise ValueError(f"metric not positive-definite at {y}") from None
         if outside is not None:
-            raise ChartBoundaryError(f"stencil point {points[outside]} outside chart domain")
+            raise self._outside_error(points, outside, bases)
         return g
+
+    def _outside_error(self, points, row, bases):
+        """The ChartBoundaryError for the row `row` of a stack whose first `bases` rows are base points."""
+        if row < bases:
+            return ChartBoundaryError(f"point {points[row]} outside chart domain of {self.name or 'manifold'}")
+        return ChartBoundaryError(f"stencil point {points[row]} outside chart domain")
 
 
 @dataclass(frozen=True)
@@ -282,6 +288,11 @@ class DiscreteCurve:
 # The operators below take one point x of shape (dim,) or a stack of base
 # points of shape (M, dim), and then return one result per base point along a
 # new leading axis. One point is the one-row stack: it runs the same code.
+# Each stencil operator computes from one _Stencil, which its public function
+# builds for the call: the base points and their stencil points in one stack,
+# base rows first. A caller that needs several operators at the same points
+# (qhydro verify, the pressure gradient's two routes) calls the _Stencil
+# methods of one, so the metric and each field are evaluated on it once.
 
 
 def _bases(x):
@@ -350,22 +361,6 @@ def _combine(manifold, values, h, order):
     return sum(w * values[:, :, j] for j, w in enumerate(weights)) / (denom * h)
 
 
-def _partials(manifold, fn, xs, h, order=2):
-    """[d_i fn(x)]_i per base point by central differences; every stencil point must be in-chart."""
-    points = _with_stencils(xs, h, order)[len(xs) :]
-    outside = manifold._first_outside(points)
-    if outside is not None:
-        raise ChartBoundaryError(f"stencil point {points[outside]} outside chart domain")
-    return _combine(manifold, fn.stack(points), h, order)
-
-
-def _metric_partials(manifold, xs, h):
-    """(g, dg) per base point, dg[m, l] = d_l g(x_m), from one validated metric stack."""
-    m = len(xs)
-    g = manifold._metric_stack(_with_stencils(xs, h, 2), m)
-    return g[:m], _combine(manifold, g[m:], h, 2)
-
-
 def _lower(g, u):
     """Rows g_m u_m of a metric stack and a vector stack, each summed on its own."""
     return (g * u[:, None, :]).sum(axis=2)
@@ -376,16 +371,95 @@ def _bilinear(a, g, b):
     return (a * _lower(g, b)).sum(axis=1)
 
 
-def _christoffels(manifold, xs, h):
-    """christoffel at every row of an (M, dim) stack of base points: Gamma, (M, dim, dim, dim)."""
-    g, dg = _metric_partials(manifold, xs, h)  # dg[m, l, i, j] = d_l g_ij
-    ginv = np.linalg.inv(g)
-    # brackets[m, i, j, l] = d_i g_jl + d_j g_il - d_l g_ij
-    brackets = dg + dg.transpose(0, 2, 1, 3)
-    brackets -= dg.transpose(0, 2, 3, 1)
-    gamma = np.einsum("mkl,mijl->mkij", ginv, brackets)
-    gamma *= 0.5
-    return gamma
+def _covector_norms(g, a):
+    """Rows sqrt(a_m g_m^{-1} a_m) of a metric stack and a covector stack."""
+    return np.sqrt((a * np.linalg.solve(g, a[:, :, None])[:, :, 0]).sum(axis=1))
+
+
+class _Stencil:
+    """One evaluation of the stack S = _with_stencils(xs, h, order): the base points xs, then their stencil points.
+
+    The metric is validated on S at most once, by _metric_stack(S, m), and a
+    field evaluated at most once: on S, whose first m rows are its values at the
+    base points (rows are independent), or on the stencil rows alone. The first
+    evaluation checks the domain of S, base rows first.
+    """
+
+    def __init__(self, manifold, x, h, order):
+        xs = _bases(x)
+        self.manifold, self.h, self.order, self.m = manifold, h, order, len(xs)
+        self.points = _with_stencils(xs, h, order)
+        self._g, self._values = None, {}
+
+    def metric(self):
+        """The validated metric at every row of S."""
+        if self._g is None:
+            self._g = self.manifold._metric_stack(self.points, self.m)
+        return self._g
+
+    def _check_domain(self):
+        """Raise for the first row of S outside the chart, unless the metric or a field was evaluated on S."""
+        outside = None if self._g is not None or self._values else self.manifold._first_outside(self.points)
+        if outside is not None:
+            raise self.manifold._outside_error(self.points, outside, self.m)
+
+    def values(self, F):
+        """The field F at every row of S."""
+        if F not in self._values:
+            self._check_domain()
+            self._values[F] = F.stack(self.points)
+        return self._values[F]
+
+    def stencil_partials(self, F):
+        """partials of F from F evaluated at the stencil rows alone, for an operator that needs no base values."""
+        self._check_domain()
+        return _combine(self.manifold, F.stack(self.points[self.m :]), self.h, self.order)
+
+    def partials(self, values):
+        """[d_i v]_i per base point, shape (M, dim, ...), from values v at every row of S."""
+        return _combine(self.manifold, values[self.m :], self.h, self.order)
+
+    def christoffel(self):
+        g = self.metric()
+        dg = self.partials(g)  # dg[m, l, i, j] = d_l g_ij
+        ginv = np.linalg.inv(g[: self.m])
+        # brackets[m, i, j, l] = d_i g_jl + d_j g_il - d_l g_ij
+        brackets = dg + dg.transpose(0, 2, 1, 3)
+        brackets -= dg.transpose(0, 2, 3, 1)
+        gamma = np.einsum("mkl,mijl->mkij", ginv, brackets)
+        gamma *= 0.5
+        return gamma
+
+    def covariant_derivative(self, X, Y):
+        gamma = self.christoffel()
+        Xx, Ys = self.values(X)[: self.m], self.values(Y)
+        dY = self.partials(Ys)  # dY[m, i, k] = d_i Y^k
+        return np.einsum("mi,mik->mk", Xx, dY) + np.einsum("mkij,mi,mj->mk", gamma, Xx, Ys[: self.m])
+
+    def lie_derivative_metric(self, X):
+        g = self.metric()
+        Xs = self.values(X)
+        dXg = self.partials(Xs) @ g[: self.m]  # d_i X^k g_kj
+        out = np.einsum("mk,mkij->mij", Xs[: self.m], self.partials(g)) + dXg + dXg.transpose(0, 2, 1)
+        return (out + out.transpose(0, 2, 1)) / 2.0
+
+    def lie_derivative_oneform(self, X, alphas):
+        """L_X alpha from alpha's values at every row of S."""
+        da = self.partials(alphas)  # da[m, j, i] = d_j alpha_i
+        Xs = self.values(X)
+        return np.einsum("mj,mji->mi", Xs[: self.m], da) + np.einsum("mij,mj->mi", self.partials(Xs), alphas[: self.m])
+
+    def flat(self, X):
+        """X^flat at every row of S, from the metric and X evaluated there."""
+        return _lower(self.metric(), self.values(X))
+
+    def divergence(self, X):
+        density = np.sqrt(np.linalg.det(self.metric()))
+        ds = self.partials(density[:, None] * self.values(X))
+        return sum(ds[:, i, i] for i in range(self.manifold.dim)) / density[: self.m]
+
+    def euler_residual(self, X, p):
+        return _lower(self.metric()[: self.m], self.covariant_derivative(X, X)) + self.partials(self.values(p))
 
 
 def christoffel(manifold, x, h=FD_STEP):
@@ -395,42 +469,31 @@ def christoffel(manifold, x, h=FD_STEP):
     Gamma^k_ij = 1/2 g^kl (d_i g_jl + d_j g_il - d_l g_ij), with central
     differences of step h. Symmetric in (i, j).
     """
-    return _like(x, _christoffels(manifold, _bases(x), h))
+    return _like(x, _Stencil(manifold, x, h, 2).christoffel())
 
 
 def covariant_derivative(manifold, X, Y, x, h=FD_STEP):
-    """(nabla_X Y)^k = X^i d_i Y^k + Gamma^k_ij X^i Y^j at x."""
-    xs = _bases(x)
-    Xx, Yx = X.stack(xs), Y.stack(xs)
-    dY = _partials(manifold, Y, xs, h)  # dY[m, i, k] = d_i Y^k
-    gamma = christoffel(manifold, xs, h)
-    return _like(x, np.einsum("mi,mik->mk", Xx, dY) + np.einsum("mkij,mi,mj->mk", gamma, Xx, Yx))
+    """(nabla_X Y)^k = X^i d_i Y^k + Gamma^k_ij X^i Y^j at x, from one stencil stack: the metric, X and Y once each."""
+    return _like(x, _Stencil(manifold, x, h, 2).covariant_derivative(X, Y))
 
 
 def lie_derivative_metric(manifold, X, x, h=FD_STEP):
-    """Killing residual matrix (L_X g)_ij; zero iff X generates an isometry near x."""
-    xs = _bases(x)
-    g, dg = _metric_partials(manifold, xs, h)
-    dXg = _partials(manifold, X, xs, h) @ g  # d_i X^k g_kj
-    out = np.einsum("mk,mkij->mij", X.stack(xs), dg) + dXg + dXg.transpose(0, 2, 1)
-    return _like(x, (out + out.transpose(0, 2, 1)) / 2.0)
+    """Killing residual matrix (L_X g)_ij at x, zero iff X generates an isometry near x; one stencil stack."""
+    return _like(x, _Stencil(manifold, x, h, 2).lie_derivative_metric(X))
 
 
 def lie_derivative_oneform(manifold, X, alpha, x, h=FD_STEP):
-    """(L_X alpha)_i = X^j d_j alpha_i + alpha_j d_i X^j at x."""
-    xs = _bases(x)
-    da = _partials(manifold, alpha, xs, h)  # da[m, j, i] = d_j alpha_i
-    dX = _partials(manifold, X, xs, h)
-    return _like(x, np.einsum("mj,mji->mi", X.stack(xs), da) + np.einsum("mij,mj->mi", dX, alpha.stack(xs)))
+    """(L_X alpha)_i = X^j d_j alpha_i + alpha_j d_i X^j at x, from one stencil stack: alpha and X once each."""
+    S = _Stencil(manifold, x, h, 2)
+    return _like(x, S.lie_derivative_oneform(X, S.values(alpha)))
 
 
 def lie_derivative_twoform(manifold, X, w, x, h=FD_STEP):
-    """(L_X w)_ij = X^k d_k w_ij + w_kj d_i X^k + w_ik d_j X^k at x."""
-    xs = _bases(x)
-    dw = _partials(manifold, w, xs, h)  # dw[m, k, i, j]
-    dX = _partials(manifold, X, xs, h)
-    wx = w.stack(xs)
-    return _like(x, np.einsum("mk,mkij->mij", X.stack(xs), dw) + dX @ wx + wx @ dX.transpose(0, 2, 1))
+    """(L_X w)_ij = X^k d_k w_ij + w_kj d_i X^k + w_ik d_j X^k at x, from one stencil stack: w and X once each."""
+    S = _Stencil(manifold, x, h, 2)
+    ws, Xs = S.values(w), S.values(X)
+    dX, wx = S.partials(Xs), ws[: S.m]
+    return _like(x, np.einsum("mk,mkij->mij", Xs[: S.m], S.partials(ws)) + dX @ wx + wx @ dX.transpose(0, 2, 1))
 
 
 def flat(manifold, X, x):
@@ -451,34 +514,27 @@ def flat_form(manifold, X):
 
 def exterior_derivative_oneform(manifold, alpha, x, h=FD_STEP):
     """(d alpha)_ij = d_i alpha_j - d_j alpha_i at x, as an antisymmetric matrix."""
-    da = _partials(manifold, alpha, _bases(x), h)  # da[m, i, j] = d_i alpha_j
+    da = _Stencil(manifold, x, h, 2).stencil_partials(alpha)  # da[m, i, j] = d_i alpha_j
     return _like(x, da - da.transpose(0, 2, 1))
 
 
 def divergence(manifold, X, x, h=FD_STEP):
-    """Riemannian divergence (1 / sqrt det g) d_i (sqrt(det g) X^i) at x."""
-    xs = _bases(x)
-    m = len(xs)
-    points = _with_stencils(xs, h, 2)
-    density = np.sqrt(np.linalg.det(manifold._metric_stack(points, m)))
-    ds = _combine(manifold, density[m:, None] * X.stack(points[m:]), h, 2)
-    return _scalar_like(x, sum(ds[:, i, i] for i in range(manifold.dim)) / density[:m])
+    """Riemannian divergence (1 / sqrt det g) d_i (sqrt(det g) X^i) at x, from one stencil stack: g and X once each."""
+    return _scalar_like(x, _Stencil(manifold, x, h, 2).divergence(X))
 
 
 def differential(manifold, f, x, h=FD_STEP, order=2):
-    """Components (df)_i of a scalar field at x.
+    """Components (df)_i of a scalar field at x, from f evaluated once on its stencil points.
 
     order 2 is the default central stencil; order 4 uses the five-point
     stencil when the caller needs gradient residuals well below h^2 scale.
     """
-    return _like(x, _partials(manifold, f, _bases(x), h, order))
+    return _like(x, _Stencil(manifold, x, h, order).stencil_partials(f))
 
 
 def euler_residual(manifold, X, p, x, h=FD_STEP):
-    """Stationary Euler residual (nabla_X X)^flat + dp at x (zero iff satisfied)."""
-    xs = _bases(x)
-    acc = _lower(manifold._metrics_at(xs), covariant_derivative(manifold, X, X, xs, h))
-    return _like(x, acc + differential(manifold, p, xs, h))
+    """Stationary Euler residual (nabla_X X)^flat + dp at x (zero iff satisfied), from one stencil stack."""
+    return _like(x, _Stencil(manifold, x, h, 2).euler_residual(X, p))
 
 
 def self_advection_identity_residual(manifold, Y, x, h=FD_STEP):
@@ -486,12 +542,10 @@ def self_advection_identity_residual(manifold, Y, x, h=FD_STEP):
 
     The identity holds for every smooth field; the residual measures only
     the finite-difference truncation and is a self-test of the operators.
+    Its right side is the Euler residual of Y with pressure 1/2 <Y, Y>.
     """
-    xs = _bases(x)
-    lhs = lie_derivative_oneform(manifold, Y, flat_form(manifold, Y), xs, h)
-    rhs = _lower(manifold._metrics_at(xs), covariant_derivative(manifold, Y, Y, xs, h))
-    rhs = rhs + differential(manifold, kinetic_energy_field(manifold, Y), xs, h)
-    return _like(x, lhs - rhs)
+    S = _Stencil(manifold, x, h, 2)
+    return _like(x, S.lie_derivative_oneform(Y, S.flat(Y)) - S.euler_residual(Y, kinetic_energy_field(manifold, Y)))
 
 
 def kinetic_energy_field(manifold, X):
@@ -508,8 +562,7 @@ def covector_norm(manifold, alpha_value, x):
     """Intrinsic norm sqrt(a g^{-1} a) of covector components at x."""
     xs = _bases(x)
     a = np.asarray(alpha_value, dtype=float).reshape(xs.shape)
-    raised = np.linalg.solve(manifold._metrics_at(xs), a[:, :, None])[:, :, 0]
-    return _scalar_like(x, np.sqrt((a * raised).sum(axis=1)))
+    return _scalar_like(x, _covector_norms(manifold._metrics_at(xs), a))
 
 
 def vector_norm(manifold, u, x):
@@ -806,6 +859,6 @@ def surface_of_revolution(rho, drho, z_domain=None):
         return np.array(entries).reshape(len(y), 4)
 
     manifold = ChartManifold(2, StackFunction(metric), StackFunction(domain), "surface_of_revolution", geodesic_spray)
-    killing = VectorField(lambda x: np.array([0.0, 1.0]))
-    pressure = ScalarField(lambda x: 0.5 * float(rho(x[0])) ** 2)
+    killing = VectorField(StackFunction(lambda points: np.tile([0.0, 1.0], (len(points), 1))))
+    pressure = ScalarField(StackFunction(lambda points: [0.5 * float(rho(z)) ** 2 for z in points[:, 0].tolist()]))
     return SurfaceOfRevolution(manifold, killing, pressure)

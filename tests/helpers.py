@@ -45,3 +45,30 @@ def assert_same_curve(curve, reference):
         a, b = getattr(curve, name), getattr(reference, name)
         # array_equal takes -0.0 == 0.0: the sign bits are compared too
         assert np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def same_bits(a, b):
+    """Two arrays equal bit for bit: dtype, shape and bytes."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def count_metric_stacks(monkeypatch, calls):
+    """Append ("metric", rows) to calls at every Fubini-Study metric evaluation of a chart manifold built from now on."""
+    from qhydro import projective
+
+    metric = projective.fubini_study_metric
+    monkeypatch.setattr(projective, "fubini_study_metric", lambda xy: (calls.append(("metric", len(xy))), metric(xy))[1])
+
+
+def count_field_stacks(monkeypatch, calls, owner, factory, kind):
+    """Patch owner.factory so that each field it makes appends (kind, rows) to calls at every stack evaluation."""
+    from qhydro.riemann import StackFunction
+
+    make = getattr(owner, factory)
+
+    def counted(H, k):
+        F = make(H, k)
+        return type(F)(StackFunction(lambda points: (calls.append((kind, len(points))), F.stack(points))[1]))
+
+    monkeypatch.setattr(owner, factory, counted)

@@ -492,6 +492,71 @@ def test_verify_fails_every_check_on_a_field_tilted_along_the_pressure_gradient(
     }
 
 
+# ---------------------------------------------------------------------------
+# verify's residuals come from one stencil stack per chart: each equals its
+# public operator bit for bit, and the metric and the fields are evaluated
+# once per chart
+
+
+@pytest.mark.parametrize("dim", [3, 4, 5])
+def test_verify_residuals_from_one_stencil_stack_equal_the_public_operators(dim):
+    from helpers import random_hermitian, same_bits
+    from qhydro import fluid, projective, riemann
+
+    rng = np.random.default_rng(90 + dim)
+    H = random_hermitian(rng, dim)
+    for k in range(dim):
+        x = rng.uniform(-1.0, 1.0, size=(20, 2 * (dim - 1)))
+        M, X, p = projective.chart_manifold(dim, k), projective.fundamental_field(H, k), fluid.pressure_scalar_field(H, k)
+        alpha = riemann.flat_form(M, X)
+        # one stack for all operators, in the order verify takes them
+        S = riemann._Stencil(M, x, riemann.FD_STEP, 2)
+        assert same_bits(S.metric()[:20], M.metric_at(x))
+        assert same_bits(S.lie_derivative_metric(X), riemann.lie_derivative_metric(M, X, x))
+        assert same_bits(S.euler_residual(X, p), riemann.euler_residual(M, X, p, x))
+        assert same_bits(S.partials(S.values(p)), riemann.differential(M, p, x))
+        assert same_bits(S.values(X)[:20], X.stack(x))
+        assert same_bits(S.divergence(X), riemann.divergence(M, X, x))
+        assert same_bits(S.lie_derivative_oneform(X, S.flat(X)), riemann.lie_derivative_oneform(M, X, alpha, x))
+        # and the residuals verify reports
+        euler, lemma = riemann.euler_residual(M, X, p, x), riemann.lie_derivative_oneform(M, X, alpha, x)
+        public = (
+            np.abs(riemann.lie_derivative_metric(M, X, x)).max(axis=(1, 2)),
+            riemann.covector_norm(M, euler, x),
+            np.abs((riemann.differential(M, p, x) * X.stack(x)).sum(axis=1)),
+            np.abs(riemann.divergence(M, X, x)),
+            riemann.covector_norm(M, lemma, x),
+        )
+        shared = cli._verify_residuals(H, k, x)
+        assert len(shared) == 5 and all(same_bits(a, b) for a, b in zip(shared, public))
+
+
+@pytest.mark.parametrize("dim", [3, 4])
+def test_verify_evaluates_the_metric_and_each_field_once_per_chart_in_its_residual_loop(tmp_path, monkeypatch, dim):
+    from collections import Counter
+
+    from helpers import count_field_stacks, count_metric_stacks, random_hermitian
+    from qhydro import fluid, projective
+
+    calls = []
+    dispersion = projective.dispersion_via_metric
+    count_metric_stacks(monkeypatch, calls)
+    count_field_stacks(monkeypatch, calls, projective, "fundamental_field", "X")
+    count_field_stacks(monkeypatch, calls, fluid, "pressure_scalar_field", "p")
+    # the residual loop ends where the dispersion identity, which evaluates both again, begins
+    monkeypatch.setattr(projective, "dispersion_via_metric", lambda *args: (calls.append(("end", 0)), dispersion(*args))[1])
+    H = random_hermitian(np.random.default_rng(dim), dim)
+    h = write_json(tmp_path / "H.json", {"dim": dim, "re": H.matrix.real.tolist(), "im": H.matrix.imag.tolist()})
+    assert main(["verify", "--input", h, "--seed", "5", "--output", str(tmp_path / "r.json")]) == EXIT_OK
+    loop = calls[: calls.index(("end", 0))]
+    charts = len(set(np.abs(cli._random_states(dim, 100, 5)).argmax(axis=1).tolist()))
+    assert charts >= 2
+    assert Counter(kind for kind, _ in loop) == {"metric": charts, "X": charts, "p": charts}
+    # each is one stack of the 100 states and their 2 (2 dim - 2) stencil points
+    for kind in ("metric", "X", "p"):
+        assert sum(rows for name, rows in loop if name == kind) == 100 * (1 + 4 * (dim - 1))
+
+
 def failed_checks(capsys):
     """Names of the failed checks in the summary a command printed."""
     return {c["check"] for c in json.loads(capsys.readouterr().out)["checks"] if not c["passed"]}

@@ -384,6 +384,48 @@ def test_critical_points_raise_for_the_first_candidate_above_a_threshold(dim):
         assert str(failed.value).startswith(expected)
 
 
+# The pressure gradient's two routes: the metric and nabla_X X share one
+# order-2 stencil stack per chart, and equal the public operators bit for bit.
+
+
+@pytest.mark.parametrize("dim", [3, 4, 5])
+def test_pressure_gradient_routes_from_one_stencil_stack_equal_the_public_operators(dim):
+    from helpers import same_bits
+    from qhydro import fluid
+    from qhydro.projective import chart_manifold
+    from qhydro.riemann import FD_STEP, _bilinear, covariant_derivative, differential
+
+    rng = np.random.default_rng(70 + dim)
+    H = random_hermitian(rng, dim)
+    ks = np.repeat(np.arange(dim), 20)
+    xs = rng.uniform(-1.0, 1.0, size=(len(ks), 2 * (dim - 1)))
+    grads, mismatches = fluid._pressure_gradients(H, ks, xs, FD_STEP)
+    for k in range(dim):
+        x, M, X = xs[ks == k], chart_manifold(dim, k), fundamental_field(H, k)
+        g = M.metric_at(x)
+        grad = np.linalg.solve(g, differential(M, fluid.pressure_scalar_field(H, k), x, order=4)[:, :, None])[:, :, 0]
+        mismatch = grad + covariant_derivative(M, X, X, x)
+        assert same_bits(grads[ks == k], grad)
+        assert same_bits(mismatches[ks == k], np.sqrt(_bilinear(mismatch, g, mismatch)))
+
+
+@pytest.mark.parametrize("dim", [3, 4, 5])
+def test_critical_points_evaluate_one_metric_stack_and_one_order_2_field_stack_per_chart(monkeypatch, dim):
+    from helpers import count_field_stacks, count_metric_stacks
+    from qhydro import fluid
+
+    calls = []
+    count_metric_stacks(monkeypatch, calls)
+    count_field_stacks(monkeypatch, calls, fluid, "fundamental_field", "X")
+    H = random_hermitian(np.random.default_rng(75 + dim), dim)
+    cps = critical_points(H)
+    per_chart = np.bincount([chart_of(cp.state)[0] for cp in cps], minlength=dim)
+    stacks = sorted(n * (1 + 4 * (dim - 1)) for n in per_chart if n)  # the candidates of a chart and their stencils
+    assert len(stacks) >= 2
+    assert sorted(rows for kind, rows in calls if kind == "metric") == stacks
+    assert sorted(rows for kind, rows in calls if kind == "X") == stacks
+
+
 @pytest.mark.parametrize("dim", [3, 4, 5])
 def test_sphere_profiles_match_their_closed_forms_across_charts(dim):
     rng = np.random.default_rng(62 + dim)

@@ -831,6 +831,24 @@ def test_geodesics_on_random_surfaces_equal_the_uncached_path_bit_for_bit():
         assert not curve.exited
 
 
+def test_surface_killing_field_and_pressure_are_stack_functions_with_their_per_point_values():
+    rng = np.random.default_rng(61)
+    killing = VectorField(lambda x: np.array([0.0, 1.0]))
+    for _ in range(20):
+        a, b, c = rng.uniform(2.0, 3.0), rng.uniform(0.3, 1.0), rng.uniform(0.5, 1.5)
+        rho, drho = (lambda z: a + b * np.sin(c * z)), (lambda z: b * c * np.cos(c * z))
+        surf = surface_of_revolution(rho, drho)
+        assert isinstance(surf.killing_field.components, StackFunction) and isinstance(surf.pressure.value, StackFunction)
+        pressure = ScalarField(lambda x: 0.5 * float(rho(x[0])) ** 2)
+        points = np.column_stack([rng.uniform(-2.0, 2.0, 7), rng.uniform(0.0, 2.0 * np.pi, 7)])
+        for stacked, per_point in ((surf.killing_field, killing), (surf.pressure, pressure)):
+            values = stacked.stack(points)
+            assert values.shape == per_point.stack(points).shape and values.tobytes() == per_point.stack(points).tobytes()
+            assert all(np.array_equal(stacked(y), per_point(y)) for y in points)
+        curve = geodesic_integrate(surf.manifold, points[0], rng.normal(size=2) * 0.5, 1.0, 40)
+        assert clairaut_check(surf.manifold, curve, surf.killing_field) == clairaut_check(surf.manifold, curve, killing)
+
+
 def test_geodesics_on_cpn_charts_equal_the_uncached_path_bit_for_bit():
     from qhydro.projective import fubini_study_metric, fundamental_field
 
@@ -925,6 +943,50 @@ def test_surface_calls_rho_only_inside_z_domain():
     curve = geodesic_integrate(surf.manifold, np.array([0.3, 0.0]), np.array([1.0, 0.2]), 1.0, 50)
     assert curve.exited
     assert calls["rho"] and all(-0.5 < z < 0.5 for z in calls["rho"] + calls["drho"])
+
+
+def surface_stencil_operators(surf):
+    """Every public stencil operator on a surface, as a function of one base point."""
+    M, K, P = surf.manifold, surf.killing_field, surf.pressure
+    alpha, w = flat_form(M, K), TwoForm(lambda x: np.array([[0.0, x[0]], [-x[0], 0.0]]))
+    return {
+        "christoffel": lambda x: christoffel(M, x),
+        "covariant_derivative": lambda x: covariant_derivative(M, K, K, x),
+        "lie_derivative_metric": lambda x: lie_derivative_metric(M, K, x),
+        "lie_derivative_oneform": lambda x: lie_derivative_oneform(M, K, alpha, x),
+        "lie_derivative_twoform": lambda x: lie_derivative_twoform(M, K, w, x),
+        "exterior_derivative_oneform": lambda x: exterior_derivative_oneform(M, alpha, x),
+        "divergence": lambda x: divergence(M, K, x),
+        "differential": lambda x: differential(M, P, x),
+        "differential order 4": lambda x: differential(M, P, x, order=4),
+        "euler_residual": lambda x: euler_residual(M, K, P, x),
+        "self_advection_identity_residual": lambda x: self_advection_identity_residual(M, K, x),
+    }
+
+
+@pytest.mark.parametrize("edge", [0.5, -0.5])
+def test_every_stencil_operator_names_the_first_stencil_point_that_leaves_z_domain(edge):
+    rho, drho, calls = counted_profile()
+    surf = surface_of_revolution(rho, drho, z_domain=(-0.5, 0.5))
+    x = np.array([edge - np.sign(edge) * 0.5e-4, 0.3])  # inside; its stencil point one step outwards is not
+    for name, op in surface_stencil_operators(surf).items():
+        # the stencil rows run (+h, -h) per coordinate, and (+2h, +h, -h, -2h) at order 4
+        step = 2e-4 if name == "differential order 4" and edge > 0 else 1e-4
+        bad = x + [np.sign(edge) * step, 0.0]
+        with pytest.raises(ChartBoundaryError) as failed:
+            op(x)
+        assert type(failed.value) is ChartBoundaryError, name
+        assert str(failed.value) == f"stencil point {bad} outside chart domain", name
+    assert all(-0.5 < z < 0.5 for z in calls["rho"] + calls["drho"])
+
+
+def test_every_stencil_operator_names_a_base_point_outside_the_chart_before_its_stencil_points():
+    surf = surface_of_revolution(lambda z: 2.0 + np.sin(z), np.cos, z_domain=(-0.5, 0.5))
+    for x in (np.array([0.6, 0.3]), np.array([np.nan, 0.3])):
+        for name, op in surface_stencil_operators(surf).items():
+            with pytest.raises(ChartBoundaryError) as failed:
+                op(x)
+            assert str(failed.value) == f"point {x} outside chart domain of surface_of_revolution", name
 
 
 def test_surface_metric_reuses_only_the_radii_of_its_own_stack():
