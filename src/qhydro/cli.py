@@ -42,7 +42,7 @@ DEFAULT_TOLS = {
     "vorticity": 1e-4,
     "transport": 1e-8,
     "pressure_grid": 1e-10,
-    "integrality": 1e-8,
+    "integrality": spin.INTEGRALITY_TOL,
 }
 
 
@@ -298,22 +298,20 @@ def cmd_spin_circulation(args: argparse.Namespace) -> int:
     contour = spin.contour_from_json(args.contour) if args.contour else None
     value = spin.total_spin_circulation(chi) if contour is None else spin.circulation(chi, contour)
     sys.stdout.write(f"{value:.9f}\n")
-    nearest = int(np.rint(value))
-    deviation = abs(value - nearest)
-    ok = deviation <= args.tols["integrality"]
+    record = spin.IntegralityRecord.of(value)
     if args.output:
         _emit(
             {
                 "command": "spin-circulation",
-                "circulation": value,
-                "nearest_integer": nearest,
-                "deviation": deviation,
-                "passed": ok,
+                "circulation": record.value,
+                "nearest_integer": record.nearest,
+                "deviation": record.deviation,
+                "passed": record.ok,
                 "warnings": [str(w.message) for w in args.warnings],
             },
             args.output,
         )
-    return EXIT_OK if ok else EXIT_CHECK_FAILED
+    return EXIT_OK if record.ok else EXIT_CHECK_FAILED
 
 
 def cmd_spin_divisor(args: argparse.Namespace) -> int:

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hilbert import HermitianOperator, StateVector, dispersion_squared, normalized_rows, survival_probability
+from .jsonio import count
 from .projective import (
     GeodesicSphere,
     TangentAtPoint,
@@ -41,7 +42,6 @@ from .riemann import (
     StackFunction,
     _bilinear,
     _Stencil,
-    differential,
     exterior_derivative_oneform,
     flat_form,
     flow_integrate,
@@ -71,6 +71,12 @@ __all__ = [
 # 2 * (2n) rows per node on CP^n.
 NODE_BLOCK = 32
 
+# The pressure-gradient checks, read when a gradient is checked: the norm of
+# an enumerated critical point's gradient, and the largest disagreement of the
+# gradient's two routes.
+GRAD_TOL = 1e-8
+CROSS_TOL = 1e-5
+
 
 def pressure(H: HermitianOperator, point):
     """Fluid pressure at a state: half the variance of H (zero exactly at eigenstates).
@@ -93,22 +99,22 @@ class GradientCheckError(ValueError):
     """A pressure gradient failed its check: two routes disagree, or an enumerated critical point is not critical."""
 
 
-def pressure_gradient(H: HermitianOperator, point, h=FD_STEP, cross_tol=1e-5) -> TangentAtPoint:
+def pressure_gradient(H: HermitianOperator, point) -> TangentAtPoint:
     """Riemannian pressure gradient (dp)^sharp at a state, as a horizontal tangent.
 
-    Computed two independent ways: a five-point finite difference of the
-    pressure scalar (returned), and -nabla_X X through the chart Christoffel
-    machinery. Disagreement beyond cross_tol means the metric normalization
-    and the algebraic variance have fallen out of sync, which is a bug, so
-    it raises GradientCheckError rather than returning either value. One
-    state is the one-row case of the stacked gradients of critical_points.
+    Computed two independent ways, both of step FD_STEP: a five-point finite
+    difference of the pressure scalar (returned), and -nabla_X X through the
+    chart Christoffel machinery. Disagreement beyond CROSS_TOL means the
+    metric normalization and the algebraic variance have fallen out of sync,
+    a bug, so it raises GradientCheckError rather than returning either
+    value. One state is the one-row case of critical_points' stacked gradients.
     """
     k, x = chart_of(point)
-    grads, mismatches = _pressure_gradients(H, [k], x[None], h)
-    return _gradient_tangent(k, x, grads[0], mismatches[0], cross_tol)
+    grads, mismatches = _pressure_gradients(H, [k], x[None])
+    return _gradient_tangent(k, x, grads[0], mismatches[0])
 
 
-def _pressure_gradients(H, ks, xs, h):
+def _pressure_gradients(H, ks, xs):
     """(dp)^sharp at each chart point (ks[n], xs[n]), and the norm of its mismatch with -nabla_X X.
 
     The points of one chart form one stack; g and nabla_X X share one order-2 stencil stack.
@@ -117,8 +123,8 @@ def _pressure_gradients(H, ks, xs, h):
     for k, rows in chart_rows(ks):
         x = xs[rows]
         manifold = chart_manifold(H.dim, k)
-        dp = differential(manifold, pressure_scalar_field(H, k), x, h, order=4)
-        S = _Stencil(manifold, x, h, 2)
+        dp = _Stencil(manifold, x, FD_STEP, 4).stencil_partials(pressure_scalar_field(H, k))
+        S = _Stencil(manifold, x, FD_STEP, 2)
         g = S.metric()[: len(x)]
         grad = np.linalg.solve(g, dp[:, :, None])[:, :, 0]
         X = fundamental_field(H, k)
@@ -128,11 +134,11 @@ def _pressure_gradients(H, ks, xs, h):
     return grads, mismatches
 
 
-def _gradient_tangent(k, x, grad, mismatch, cross_tol):
-    """The gradient at the chart-k point x as a horizontal tangent, once its two routes agree to cross_tol."""
-    if mismatch > cross_tol:
+def _gradient_tangent(k, x, grad, mismatch):
+    """The gradient at the chart-k point x as a horizontal tangent, once its two routes agree to CROSS_TOL."""
+    if mismatch > CROSS_TOL:
         raise GradientCheckError(
-            f"pressure gradient routes disagree by {float(mismatch)!r} (> {cross_tol}); "
+            f"pressure gradient routes disagree by {float(mismatch)!r} (> {CROSS_TOL}); "
             "metric normalization or field generator is inconsistent"
         )
     base_v, w = horizontal_lift(k, x, grad)
@@ -151,7 +157,7 @@ class CriticalPoint:
     gradient_norm: float
 
 
-def critical_points(H: HermitianOperator, grad_tol=1e-8, cross_tol=1e-5) -> list:
+def critical_points(H: HermitianOperator) -> list:
     """Enumerate all critical points of the pressure for a nondegenerate H.
 
     Returns the n+1 eigenstates (pressure zero, minima) followed by the
@@ -159,8 +165,8 @@ def critical_points(H: HermitianOperator, grad_tol=1e-8, cross_tol=1e-5) -> list
     i > j, each with pressure (lambda_i - lambda_j)^2 / 8. Pair entries are
     phase-orbit representatives (azimuth alpha = 0): the full critical set
     is their U(1) circle. Each returned point is certified by a pressure
-    gradient below grad_tol; the gradients of all candidates are one stack
-    per chart, and the first candidate in this order that fails raises.
+    gradient below GRAD_TOL (routes within CROSS_TOL); the gradients of all
+    candidates are one stack per chart, and the first to fail raises.
     """
     H.require_nondegenerate()
     vals, vecs = H.eigenvalues, H.eigenvectors
@@ -179,11 +185,11 @@ def critical_points(H: HermitianOperator, grad_tol=1e-8, cross_tol=1e-5) -> list
     ]
     ks, xs = zip(*(chart_of(state) for state, *_ in candidates))
     xs = np.array(xs)
-    grads, mismatches = _pressure_gradients(H, ks, xs, FD_STEP)
+    grads, mismatches = _pressure_gradients(H, ks, xs)
     out = []
     for (state, kind, indices, press, phase_orbit), k, x, grad, mismatch in zip(candidates, ks, xs, grads, mismatches):
-        norm = _gradient_tangent(k, x, grad, mismatch, cross_tol).norm
-        if norm > grad_tol:
+        norm = _gradient_tangent(k, x, grad, mismatch).norm
+        if norm > GRAD_TOL:
             raise GradientCheckError(
                 f"enumerated {kind} {indices} fails the gradient check: |grad p| = {norm!r}"
             )
@@ -191,7 +197,7 @@ def critical_points(H: HermitianOperator, grad_tol=1e-8, cross_tol=1e-5) -> list
     return out
 
 
-def scalar_vorticity(H: HermitianOperator, i, j, theta, phi, h=FD_STEP) -> float:
+def scalar_vorticity(H: HermitianOperator, i, j, theta, phi) -> float:
     """Signed vorticity per unit area of the flow on the pair sphere S_ij.
 
     Evaluates the exterior derivative of the lowered velocity field on a
@@ -200,10 +206,10 @@ def scalar_vorticity(H: HermitianOperator, i, j, theta, phi, h=FD_STEP) -> float
     poles included.
     """
     ks, coords, u1, u2 = GeodesicSphere(H, i, j).oriented_frames([theta], [phi])
-    return float(_scalar_vorticities(H, ks, coords, u1, u2, h)[0])
+    return float(_scalar_vorticities(H, ks, coords, u1, u2)[0])
 
 
-def _scalar_vorticities(H, ks, coords, u1, u2, h):
+def _scalar_vorticities(H, ks, coords, u1, u2):
     """Vorticity u1 . d(X^flat) . u2 at each frame (ks[n], coords[n], u1[n], u2[n]).
 
     The frames of one chart form stacks of at most NODE_BLOCK nodes.
@@ -214,7 +220,7 @@ def _scalar_vorticities(H, ks, coords, u1, u2, h):
         alpha = flat_form(manifold, fundamental_field(H, k))
         for start in range(0, len(in_chart), NODE_BLOCK):
             rows = in_chart[start : start + NODE_BLOCK]
-            w = exterior_derivative_oneform(manifold, alpha, coords[rows], h)
+            w = exterior_derivative_oneform(manifold, alpha, coords[rows])
             out[rows] = (u1[rows] * (w * u2[rows][:, None, :]).sum(axis=2)).sum(axis=1)
     return out
 
@@ -259,7 +265,7 @@ def _sphere_grid(grid):
     return (thetas, phis, *np.meshgrid(thetas, phis, indexing="ij"))
 
 
-def vorticity_on_sphere(H: HermitianOperator, i, j, grid=(64, 64), h=FD_STEP) -> SphereProfile:
+def vorticity_on_sphere(H: HermitianOperator, i, j, grid=(64, 64)) -> SphereProfile:
     """Sample the sphere vorticity on a (theta, phi) grid against 2 omega cos(theta).
 
     The theta grid includes both poles, so max_rel_err is relative to the
@@ -267,7 +273,7 @@ def vorticity_on_sphere(H: HermitianOperator, i, j, grid=(64, 64), h=FD_STEP) ->
     """
     thetas, phis, th, ph = _sphere_grid(grid)
     sphere = GeodesicSphere(H, i, j)
-    numeric = _scalar_vorticities(H, *sphere.oriented_frames(th.ravel(), ph.ravel()), h).reshape(th.shape)
+    numeric = _scalar_vorticities(H, *sphere.oriented_frames(th.ravel(), ph.ravel())).reshape(th.shape)
     return SphereProfile(int(i), int(j), sphere.omega, thetas, phis, numeric, 2.0 * sphere.omega * np.cos(th))
 
 
@@ -303,10 +309,9 @@ def zeno_decay(H: HermitianOperator, v: StateVector, t: float, N: int) -> float:
     Evolves for t/N, projects back onto the initial state, repeats N times:
     the result is |<v| exp(-iHt/N) v>|^(2N). For small t the single-shot
     deficit is (Delta H)^2 t^2 and splitting into N measurements divides it
-    by N, freezing the motion as N grows.
+    by N, freezing the motion as N grows. N is an integer of at least 1.
     """
-    if int(N) < 1:
-        raise ValueError(f"measurement count must be >= 1, got {N}")
+    N = count("measurement count", N, 1)
     try:
         t_squared = float(t) ** 2
     except OverflowError:
@@ -319,8 +324,8 @@ def zeno_decay(H: HermitianOperator, v: StateVector, t: float, N: int) -> float:
             f"(Delta H)^2 t^2 = {regime:.3g} >= 0.1: outside the quadratic decay regime",
             stacklevel=2,
         )
-    step = survival_probability(H, v, float(t) / int(N))
-    return float(step ** int(N))
+    step = survival_probability(H, v, float(t) / N)
+    return float(step**N)
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,8 @@
-"""The JSON input layer: one loader, one number validator, one integer validator.
+"""The input layer: one loader, one number validator, one integer validator, one count validator.
 
 Every qhydro input (Hamiltonian, run, wave function, contour) enters through
 these functions. Each failure is a ValueError that names the offending key,
-which the CLI reports with exit code 2.
+which the CLI reports with exit code 2; `count` checks the library's counts.
 """
 
 from __future__ import annotations
@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import operator
 import os
 
 import numpy as np
@@ -71,3 +72,14 @@ def integer(name, value, minimum, maximum):
     if whole and not isinstance(value, bool) and minimum <= value <= maximum:
         return int(value)
     raise ValueError(f"'{name}' must be an integer in [{minimum}, {maximum}], got {value!r}")
+
+
+def count(name, value, least):
+    """`value` as an int of at least `least`: an int or a numpy integer, never truncated; else ValueError naming it."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+    return value

@@ -185,21 +185,18 @@ def _geodesic_spray(y):
     return np.concatenate([u, _interleave(dzeta * scale[:, None])], axis=1)
 
 
-def chart_manifold(dim, chart_index, coord_bound=None) -> ChartManifold:
+def chart_manifold(dim, chart_index) -> ChartManifold:
     """The Fubini-Study geometry of chart `chart_index` as a ChartManifold.
 
     dim is the ambient Hilbert dimension n+1; the chart has 2n real
-    coordinates. coord_bound optionally restricts |zeta|_inf to keep
-    far-from-pivot points (badly conditioned) out of stencils. Geodesics
-    take the closed-form connection, through the spray _geodesic_spray.
+    coordinates and is the whole of C^n, so it has no domain predicate. A
+    bounded chart is dataclasses.replace(chart_manifold(dim, k),
+    chart_domain=StackFunction(...)). Geodesics take the closed-form
+    connection, through the spray _geodesic_spray.
     """
     _require_chart(dim, chart_index)
-    metric = StackFunction(fubini_study_metric)
-    domain = None
-    if coord_bound is not None:
-        domain = StackFunction(lambda points: np.abs(points).max(axis=1) < coord_bound)
     name = f"CP^{dim - 1} chart {chart_index}"
-    return ChartManifold(2 * (dim - 1), metric, domain, name=name, geodesic_spray=_geodesic_spray)
+    return ChartManifold(2 * (dim - 1), StackFunction(fubini_study_metric), name=name, geodesic_spray=_geodesic_spray)
 
 
 def fundamental_field(A: HermitianOperator, chart_index) -> VectorField:

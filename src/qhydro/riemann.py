@@ -1,9 +1,10 @@
 """Numerical Riemannian geometry on coordinate charts.
 
 A manifold is a metric-matrix function on a chart plus a domain predicate.
-Derivatives are central finite differences (second order, default step
-1e-4); every verifier returns a residual, never a boolean - thresholds are
-test policy, not library semantics. Stencil points must lie inside the
+Derivatives are second-order central finite differences of step FD_STEP
+(the default geodesic spray: GEODESIC_FD_STEP), module constants read at
+each call; every verifier returns a residual, never a boolean - thresholds
+are test policy, not library semantics. Stencil points must lie inside the
 chart domain; there is no extrapolation. Geodesics integrate a manifold's
 geodesic spray: its closed form where the connection has one, else the
 Christoffel stencil's.
@@ -16,12 +17,13 @@ used as it is.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field, fields
 from functools import lru_cache
 from typing import Callable
 
 import numpy as np
+
+from .jsonio import count
 
 __all__ = [
     "FD_STEP",
@@ -56,6 +58,7 @@ __all__ = [
     "surface_of_revolution",
 ]
 
+# The step of every public stencil operator, read when the operator is called.
 FD_STEP = 1e-4
 # The geodesic integrator differentiates the metric at a finer step: the
 # Christoffel truncation error, not the RK4 error, dominates conserved
@@ -340,8 +343,6 @@ def _stencil_offsets(dim, h, order):
 
 def _with_stencils(xs, h, order):
     """The base points xs, then their central stencils, one row per (base point, coordinate, shift), in one stack."""
-    if order not in _STENCILS:
-        raise ValueError(f"unsupported stencil order {order}")
     m, d = xs.shape
     offsets = _stencil_offsets(d, float(h), order)
     points = np.empty((m * (len(offsets) + 1), d))
@@ -462,35 +463,35 @@ class _Stencil:
         return _lower(self.metric()[: self.m], self.covariant_derivative(X, X)) + self.partials(self.values(p))
 
 
-def christoffel(manifold, x, h=FD_STEP):
+def christoffel(manifold, x):
     """Christoffel symbols Gamma[k, i, j] of the Levi-Civita connection at x.
 
     Uses the coordinate formula from metric derivatives,
     Gamma^k_ij = 1/2 g^kl (d_i g_jl + d_j g_il - d_l g_ij), with central
-    differences of step h. Symmetric in (i, j).
+    differences of step FD_STEP. Symmetric in (i, j).
     """
-    return _like(x, _Stencil(manifold, x, h, 2).christoffel())
+    return _like(x, _Stencil(manifold, x, FD_STEP, 2).christoffel())
 
 
-def covariant_derivative(manifold, X, Y, x, h=FD_STEP):
+def covariant_derivative(manifold, X, Y, x):
     """(nabla_X Y)^k = X^i d_i Y^k + Gamma^k_ij X^i Y^j at x, from one stencil stack: the metric, X and Y once each."""
-    return _like(x, _Stencil(manifold, x, h, 2).covariant_derivative(X, Y))
+    return _like(x, _Stencil(manifold, x, FD_STEP, 2).covariant_derivative(X, Y))
 
 
-def lie_derivative_metric(manifold, X, x, h=FD_STEP):
+def lie_derivative_metric(manifold, X, x):
     """Killing residual matrix (L_X g)_ij at x, zero iff X generates an isometry near x; one stencil stack."""
-    return _like(x, _Stencil(manifold, x, h, 2).lie_derivative_metric(X))
+    return _like(x, _Stencil(manifold, x, FD_STEP, 2).lie_derivative_metric(X))
 
 
-def lie_derivative_oneform(manifold, X, alpha, x, h=FD_STEP):
+def lie_derivative_oneform(manifold, X, alpha, x):
     """(L_X alpha)_i = X^j d_j alpha_i + alpha_j d_i X^j at x, from one stencil stack: alpha and X once each."""
-    S = _Stencil(manifold, x, h, 2)
+    S = _Stencil(manifold, x, FD_STEP, 2)
     return _like(x, S.lie_derivative_oneform(X, S.values(alpha)))
 
 
-def lie_derivative_twoform(manifold, X, w, x, h=FD_STEP):
+def lie_derivative_twoform(manifold, X, w, x):
     """(L_X w)_ij = X^k d_k w_ij + w_kj d_i X^k + w_ik d_j X^k at x, from one stencil stack: w and X once each."""
-    S = _Stencil(manifold, x, h, 2)
+    S = _Stencil(manifold, x, FD_STEP, 2)
     ws, Xs = S.values(w), S.values(X)
     dX, wx = S.partials(Xs), ws[: S.m]
     return _like(x, np.einsum("mk,mkij->mij", Xs[: S.m], S.partials(ws)) + dX @ wx + wx @ dX.transpose(0, 2, 1))
@@ -512,39 +513,38 @@ def flat_form(manifold, X):
     return OneForm(StackFunction(lambda points: _lower(manifold._metrics_at(points), X.stack(points))))
 
 
-def exterior_derivative_oneform(manifold, alpha, x, h=FD_STEP):
+def exterior_derivative_oneform(manifold, alpha, x):
     """(d alpha)_ij = d_i alpha_j - d_j alpha_i at x, as an antisymmetric matrix."""
-    da = _Stencil(manifold, x, h, 2).stencil_partials(alpha)  # da[m, i, j] = d_i alpha_j
+    da = _Stencil(manifold, x, FD_STEP, 2).stencil_partials(alpha)  # da[m, i, j] = d_i alpha_j
     return _like(x, da - da.transpose(0, 2, 1))
 
 
-def divergence(manifold, X, x, h=FD_STEP):
+def divergence(manifold, X, x):
     """Riemannian divergence (1 / sqrt det g) d_i (sqrt(det g) X^i) at x, from one stencil stack: g and X once each."""
-    return _scalar_like(x, _Stencil(manifold, x, h, 2).divergence(X))
+    return _scalar_like(x, _Stencil(manifold, x, FD_STEP, 2).divergence(X))
 
 
-def differential(manifold, f, x, h=FD_STEP, order=2):
-    """Components (df)_i of a scalar field at x, from f evaluated once on its stencil points.
+def differential(manifold, f, x):
+    """Components (df)_i of a scalar field at x by central differences of step FD_STEP, f evaluated once.
 
-    order 2 is the default central stencil; order 4 uses the five-point
-    stencil when the caller needs gradient residuals well below h^2 scale.
+    The five-point gradient is _Stencil(manifold, x, FD_STEP, 4).stencil_partials(f).
     """
-    return _like(x, _Stencil(manifold, x, h, order).stencil_partials(f))
+    return _like(x, _Stencil(manifold, x, FD_STEP, 2).stencil_partials(f))
 
 
-def euler_residual(manifold, X, p, x, h=FD_STEP):
+def euler_residual(manifold, X, p, x):
     """Stationary Euler residual (nabla_X X)^flat + dp at x (zero iff satisfied), from one stencil stack."""
-    return _like(x, _Stencil(manifold, x, h, 2).euler_residual(X, p))
+    return _like(x, _Stencil(manifold, x, FD_STEP, 2).euler_residual(X, p))
 
 
-def self_advection_identity_residual(manifold, Y, x, h=FD_STEP):
+def self_advection_identity_residual(manifold, Y, x):
     """Residual of L_Y Y^flat = (nabla_Y Y)^flat + 1/2 d<Y,Y>.
 
     The identity holds for every smooth field; the residual measures only
     the finite-difference truncation and is a self-test of the operators.
     Its right side is the Euler residual of Y with pressure 1/2 <Y, Y>.
     """
-    S = _Stencil(manifold, x, h, 2)
+    S = _Stencil(manifold, x, FD_STEP, 2)
     return _like(x, S.lie_derivative_oneform(Y, S.flat(Y)) - S.euler_residual(Y, kinetic_energy_field(manifold, Y)))
 
 
@@ -606,12 +606,7 @@ def _rk4(rhs, y0, T, steps, rows_outside=None, check_stages=None):
     it. steps must be an integer (a numpy integer too) of at least 1, and
     T finite.
     """
-    try:
-        steps = operator.index(steps)  # an int or a numpy integer, never truncated
-    except TypeError:
-        raise ValueError(f"steps must be an integer, got {steps!r}") from None
-    if steps < 1:
-        raise ValueError(f"steps must be >= 1, got {steps}")
+    steps = count("steps", steps, 1)
     if not np.isfinite(T):
         raise ValueError(f"T must be finite, got {T}")
     dt = float(T) / steps

@@ -24,6 +24,7 @@ from . import jsonio
 
 __all__ = [
     "EXCLUSION_TOL",
+    "INTEGRALITY_TOL",
     "SZ_ACTION_SIGN",
     "SpinWaveFunction",
     "VorticityDivisor",
@@ -49,6 +50,10 @@ __all__ = [
 # Quadrature near a root of the wave function is ill-conditioned: the
 # integrand has a pole there. Evaluation closer than this is refused.
 EXCLUSION_TOL = 1e-6
+
+# A circulation passes the integrality check within this distance of the
+# nearest integer; read when a record is built.
+INTEGRALITY_TOL = 1e-8
 
 # The one-parameter diagonal subgroup diag(e^{-i a/2}, e^{+i a/2}) acts on the
 # monomial zeta^k by the phase e^{-i(k-s)a}; differentiating at the identity
@@ -148,15 +153,12 @@ class SpinWaveFunction:
     def __call__(self, zeta):
         return P.polyval(zeta, self.coeffs)
 
-    def derivative_values(self, zeta):
-        return P.polyval(zeta, self._dcoeffs)
-
     def log_derivative(self, zeta):
         """chi'(zeta) / chi(zeta); poles at the roots.
 
         chi and chi' come from one Horner loop over both coefficient arrays,
         each value with P.polyval's operations in P.polyval's order, so the
-        bits are those of derivative_values(zeta) / self(zeta).
+        bits are those of P.polyval(zeta, dc) / P.polyval(zeta, c).
         """
         if isinstance(zeta, (tuple, list)):
             zeta = np.asarray(zeta)
@@ -360,8 +362,7 @@ class CircleContour:
     def __post_init__(self):
         if self.radius <= 0:
             raise ValueError(f"radius must be positive, got {self.radius}")
-        if self.nodes < 4:
-            raise ValueError(f"need at least 4 quadrature nodes, got {self.nodes}")
+        object.__setattr__(self, "nodes", jsonio.count("nodes", self.nodes, 4))
 
     def quadrature(self):
         """(points, weighted tangents): integral of f dz ~ sum f(points) * tangents."""
@@ -393,6 +394,7 @@ class PolygonContour:
         if len(verts) < 3:
             raise ValueError(f"polygon needs at least 3 vertices, got {len(verts)}")
         object.__setattr__(self, "vertices", verts)
+        object.__setattr__(self, "nodes_per_edge", jsonio.count("nodes_per_edge", self.nodes_per_edge, 2))
 
     def quadrature(self):
         t, w = _gauss_legendre(self.nodes_per_edge)
@@ -464,9 +466,10 @@ def circulation(chi: SpinWaveFunction, contour) -> float:
     return value
 
 
-def total_spin_circulation(chi: SpinWaveFunction, nodes=256) -> float:
+def total_spin_circulation(chi: SpinWaveFunction) -> float:
     """Circulation around all finite roots: the effective degree of chi.
 
+    The contour is |zeta| = 2 max|root| + 1 with CircleContour's 256 nodes.
     Equals 2s for a full-degree wave function. When the degree is deficient
     the missing vorticity sits at infinity and a warning is emitted.
     """
@@ -478,7 +481,7 @@ def total_spin_circulation(chi: SpinWaveFunction, nodes=256) -> float:
         )
     locs = chi.roots()
     maxmod = float(np.abs(locs).max()) if locs.size else 0.0
-    ring = CircleContour(0.0, 2.0 * maxmod + 1.0, nodes=nodes)
+    ring = CircleContour(0.0, 2.0 * maxmod + 1.0)
     return circulation(chi, ring)
 
 
@@ -584,21 +587,22 @@ class IntegralityRecord:
     deviation: float
     ok: bool
 
+    @classmethod
+    def of(cls, value):
+        """The record of a circulation: ok when it lies within INTEGRALITY_TOL of its nearest integer."""
+        nearest = int(np.rint(value))
+        deviation = abs(value - nearest)
+        return cls(value, nearest, deviation, deviation <= INTEGRALITY_TOL)
 
-def bohr_sommerfeld_check(chi: SpinWaveFunction, contours, tol=1e-8) -> list:
+
+def bohr_sommerfeld_check(chi: SpinWaveFunction, contours) -> list:
     """Quantization check: each contour circulation must be an integer.
 
     Integer circulation is single-valuedness of the wave function's phase
     (trivial holonomy of the velocity viewed as a flat connection); records
-    with deviation beyond tol come back flagged ok=False.
+    with deviation beyond INTEGRALITY_TOL come back flagged ok=False.
     """
-    out = []
-    for contour in contours:
-        value = circulation(chi, contour)
-        nearest = int(np.rint(value))
-        deviation = abs(value - nearest)
-        out.append(IntegralityRecord(value, nearest, deviation, deviation <= tol))
-    return out
+    return [IntegralityRecord.of(circulation(chi, contour)) for contour in contours]
 
 
 def wavefunction_from_json(source) -> SpinWaveFunction:

@@ -1,5 +1,7 @@
 """Shared generators for the test suite (seeded, deterministic)."""
 
+import math
+
 import numpy as np
 
 from qhydro.hilbert import HermitianOperator, StateVector
@@ -18,6 +20,19 @@ def random_hermitian(rng, dim, spectral_range=1.0):
 def random_state(rng, dim):
     raw = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     return StateVector(raw, normalize=True)
+
+
+def spin_amplitudes(chi):
+    """The unit state of a spin polynomial: amplitudes a_k = c_k / sqrt(binom(2s, k)), whose norm is weighted_norm."""
+    weights = np.sqrt([math.comb(chi.two_s, k) for k in range(chi.two_s + 1)])
+    return StateVector(chi.coeffs / weights, normalize=True)
+
+
+def spin_matrices(two_s):
+    """(J_x, J_y, J_z) of spin s = two_s / 2 in the monomial index order k: J_z = diag(k - s), J_+ raises k."""
+    m = np.arange(two_s + 1) - two_s / 2.0
+    plus = np.diag(np.sqrt((two_s / 2.0 - m[:-1]) * (two_s / 2.0 + m[:-1] + 1.0)), k=-1).astype(complex)
+    return (plus + plus.T) / 2.0, (plus - plus.T) / 2j, np.diag(m).astype(complex)
 
 
 def round_sphere(radius=1.0, margin=0.05):
@@ -45,6 +60,13 @@ def assert_same_curve(curve, reference):
         a, b = getattr(curve, name), getattr(reference, name)
         # array_equal takes -0.0 == 0.0: the sign bits are compared too
         assert np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def five_point_differential(manifold, f, x):
+    """df at x (one point or a stack) by the engine's five-point stencil of step FD_STEP, as the pressure gradient."""
+    from qhydro import riemann
+
+    return riemann._like(x, riemann._Stencil(manifold, x, riemann.FD_STEP, 4).stencil_partials(f))
 
 
 def same_bits(a, b):

@@ -152,6 +152,27 @@ def test_spin_circulation_default_ring(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "2.000000000"
 
 
+def test_spin_circulation_and_bohr_sommerfeld_check_share_one_integrality_rule(tmp_path, capsys, monkeypatch):
+    from qhydro import spin
+
+    # 32 nodes leave a quadrature error between 1e-12 and 1e-4 around the root at 0.6
+    chi_data, circle = {"roots": [[0.6, 0.0, 1], [0.0, 0.5, 2]]}, {"circle": {"radius": 1.0, "nodes": 32}}
+    chi, ring = write_json(tmp_path / "chi.json", chi_data), write_json(tmp_path / "c.json", circle)
+    out = tmp_path / "o.json"
+    wave, contour = spin.wavefunction_from_json(chi_data), spin.contour_from_json(circle)
+    (record,) = spin.bohr_sommerfeld_check(wave, [contour])
+    assert 1e-12 < record.deviation < 1e-4 and record.nearest == 3
+    for tol in (record.deviation / 2.0, record.deviation * 2.0):
+        monkeypatch.setattr(spin, "INTEGRALITY_TOL", tol)
+        ok = tol > record.deviation
+        code = main(["spin-circulation", "--input", chi, "--contour", ring, "--output", str(out)])
+        report = json.loads(out.read_text())
+        assert spin.bohr_sommerfeld_check(wave, [contour]) == [spin.IntegralityRecord(record.value, 3, record.deviation, ok)]
+        assert [report[k] for k in ("circulation", "nearest_integer", "deviation")] == [record.value, 3, record.deviation]
+        assert report["passed"] is ok and code == (EXIT_OK if ok else EXIT_CHECK_FAILED)
+        assert capsys.readouterr().out == f"{record.value:.9f}\n"
+
+
 def test_spin_divisor_report(tmp_path):
     chi = write_json(tmp_path / "chi.json", {"roots": [[1.0, 0.0, 2], [-1.0, 0.0, 1]]})
     out = tmp_path / "div.json"

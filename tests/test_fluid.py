@@ -221,6 +221,14 @@ def test_zeno_input_validation():
         zeno_decay(H01, EQUAL, 2.0, 1)
 
 
+def test_zeno_measurement_count_must_be_an_integer():
+    # truncated, 2.5 would run the two measurements of N = 2 with no error
+    for n in (2.5, 2.0, "2"):
+        with pytest.raises(ValueError, match=f"^measurement count must be an integer, got {re.escape(repr(n))}$"):
+            zeno_decay(H01, EQUAL, 0.1, n)
+    assert zeno_decay(H01, EQUAL, 0.1, np.int64(3)) == zeno_decay(H01, EQUAL, 0.1, 3)  # numpy integers count
+
+
 @pytest.mark.filterwarnings("error")
 def test_zeno_refuses_a_regime_product_that_overflows():
     H = hermitian_from_json({"dim": 2, "re": [[0, 3], [3, 0]]})
@@ -359,7 +367,9 @@ def test_pressure_gradient_lifts_to_the_variance_formula(dim):
 
 
 @pytest.mark.parametrize("dim", [3, 4, 5])
-def test_critical_points_raise_for_the_first_candidate_above_a_threshold(dim):
+def test_critical_points_raise_for_the_first_candidate_above_a_threshold(monkeypatch, dim):
+    from qhydro import fluid
+
     rng = np.random.default_rng(68 + dim)
     H = random_hermitian(rng, dim)
     cps = critical_points(H)
@@ -367,19 +377,22 @@ def test_critical_points_raise_for_the_first_candidate_above_a_threshold(dim):
     norms = [cp.gradient_norm for cp in cps]
     assert norms == [pressure_gradient(H, cp.state).norm for cp in cps]  # the stack equals its one-row calls
     mismatches = []
-    for cp in cps:
-        with pytest.raises(GradientCheckError) as failed:
-            pressure_gradient(H, cp.state, cross_tol=0.0)
-        mismatches.append(float(re.search(r"disagree by (\S+) \(", str(failed.value)).group(1)))
+    with monkeypatch.context() as patch:
+        patch.setattr(fluid, "CROSS_TOL", 0.0)
+        for cp in cps:
+            with pytest.raises(GradientCheckError) as failed:
+                pressure_gradient(H, cp.state)
+            mismatches.append(float(re.search(r"disagree by (\S+) \(", str(failed.value)).group(1)))
     # a threshold between the candidates' own values: the first candidate above it, in enumeration order, raises
     for values, tol, message in (
-        (mismatches, "cross_tol", "pressure gradient routes disagree by {value!r} "),
-        (norms, "grad_tol", "enumerated {kind} {indices} fails the gradient check: |grad p| = {value!r}"),
+        (mismatches, "CROSS_TOL", "pressure gradient routes disagree by {value!r} "),
+        (norms, "GRAD_TOL", "enumerated {kind} {indices} fails the gradient check: |grad p| = {value!r}"),
     ):
         threshold = float(np.median(values))
         first = next(n for n, value in enumerate(values) if value > threshold)
-        with pytest.raises(GradientCheckError) as failed:
-            critical_points(H, **{tol: threshold})
+        with monkeypatch.context() as patch, pytest.raises(GradientCheckError) as failed:
+            patch.setattr(fluid, tol, threshold)
+            critical_points(H)
         expected = message.format(value=values[first], kind=cps[first].kind, indices=cps[first].indices)
         assert str(failed.value).startswith(expected)
 
@@ -390,20 +403,20 @@ def test_critical_points_raise_for_the_first_candidate_above_a_threshold(dim):
 
 @pytest.mark.parametrize("dim", [3, 4, 5])
 def test_pressure_gradient_routes_from_one_stencil_stack_equal_the_public_operators(dim):
-    from helpers import same_bits
+    from helpers import five_point_differential, same_bits
     from qhydro import fluid
     from qhydro.projective import chart_manifold
-    from qhydro.riemann import FD_STEP, _bilinear, covariant_derivative, differential
+    from qhydro.riemann import _bilinear, covariant_derivative
 
     rng = np.random.default_rng(70 + dim)
     H = random_hermitian(rng, dim)
     ks = np.repeat(np.arange(dim), 20)
     xs = rng.uniform(-1.0, 1.0, size=(len(ks), 2 * (dim - 1)))
-    grads, mismatches = fluid._pressure_gradients(H, ks, xs, FD_STEP)
+    grads, mismatches = fluid._pressure_gradients(H, ks, xs)
     for k in range(dim):
         x, M, X = xs[ks == k], chart_manifold(dim, k), fundamental_field(H, k)
         g = M.metric_at(x)
-        grad = np.linalg.solve(g, differential(M, fluid.pressure_scalar_field(H, k), x, order=4)[:, :, None])[:, :, 0]
+        grad = np.linalg.solve(g, five_point_differential(M, fluid.pressure_scalar_field(H, k), x)[:, :, None])[:, :, 0]
         mismatch = grad + covariant_derivative(M, X, X, x)
         assert same_bits(grads[ks == k], grad)
         assert same_bits(mismatches[ks == k], np.sqrt(_bilinear(mismatch, g, mismatch)))

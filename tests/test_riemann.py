@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from helpers import assert_same_curve, euclidean_plane, round_sphere
+from helpers import assert_same_curve, euclidean_plane, five_point_differential, round_sphere
 from qhydro import riemann
 from qhydro.riemann import (
     GEODESIC_FD_STEP,
@@ -455,19 +455,25 @@ def test_pressure_extremal_at_critical_parallel():
 # Finite-difference order of accuracy
 
 
-def test_halving_step_contracts_residuals():
+def at_step(monkeypatch, h, operator):
+    """operator() with riemann.FD_STEP set to h, the step every public stencil operator reads when called."""
+    monkeypatch.setattr(riemann, "FD_STEP", h)
+    return operator()
+
+
+def test_halving_step_contracts_residuals(monkeypatch):
     sphere = round_sphere(1.0)
     Y = VectorField(lambda x: np.array([np.sin(x[1]) + 0.3, np.cos(x[0])]))
     x = np.array([1.1, 0.7])
-    coarse = np.abs(self_advection_identity_residual(sphere, Y, x, h=2e-3)).max()
-    fine = np.abs(self_advection_identity_residual(sphere, Y, x, h=1e-3)).max()
+    residual = lambda: np.abs(self_advection_identity_residual(sphere, Y, x)).max()
+    coarse, fine = at_step(monkeypatch, 2e-3, residual), at_step(monkeypatch, 1e-3, residual)
     assert coarse / fine >= 3.0
 
     # rotation about the x-axis: Killing on the round sphere with
     # coordinate-dependent components, so the residual is pure truncation
     J = VectorField(lambda x: np.array([np.sin(x[1]), np.cos(x[1]) / np.tan(x[0])]))
-    coarse = np.abs(lie_derivative_metric(sphere, J, x, h=2e-3)).max()
-    fine = np.abs(lie_derivative_metric(sphere, J, x, h=1e-3)).max()
+    residual = lambda: np.abs(lie_derivative_metric(sphere, J, x)).max()
+    coarse, fine = at_step(monkeypatch, 2e-3, residual), at_step(monkeypatch, 1e-3, residual)
     assert coarse / fine >= 3.0
 
 
@@ -514,7 +520,7 @@ def reference_differential(manifold, f, x, h, order):
     return out
 
 
-def test_christoffel_matches_per_point_reference_on_cp3():
+def test_christoffel_matches_per_point_reference_on_cp3(monkeypatch):
     from qhydro.projective import chart_manifold
 
     rng = np.random.default_rng(31)
@@ -522,21 +528,22 @@ def test_christoffel_matches_per_point_reference_on_cp3():
         M = chart_manifold(4, k)
         for h in (1e-4, 1e-5):
             x = rng.uniform(-0.9, 0.9, size=6)
-            assert np.array_equal(christoffel(M, x, h), reference_christoffel(M, x, h))
+            assert np.array_equal(at_step(monkeypatch, h, lambda: christoffel(M, x)), reference_christoffel(M, x, h))
 
 
-def test_christoffel_matches_per_point_reference_on_surface():
+def test_christoffel_matches_per_point_reference_on_surface(monkeypatch):
     rng = np.random.default_rng(32)
     for _ in range(5):
         a, b, c = rng.uniform(2.0, 3.0), rng.uniform(0.3, 1.0), rng.uniform(0.5, 1.5)
-        surf = surface_of_revolution(lambda z: a + b * np.sin(c * z), lambda z: b * c * np.cos(c * z))
+        M = surface_of_revolution(lambda z: a + b * np.sin(c * z), lambda z: b * c * np.cos(c * z)).manifold
         for h in (1e-4, 1e-5):
             x = rng.uniform(-2.0, 2.0, size=2)
-            assert np.array_equal(christoffel(surf.manifold, x, h), reference_christoffel(surf.manifold, x, h))
+            assert np.array_equal(at_step(monkeypatch, h, lambda: christoffel(M, x)), reference_christoffel(M, x, h))
 
 
 @pytest.mark.parametrize("order", [2, 4])
 def test_differential_matches_per_point_reference(order):
+    # order 2 is the public differential, order 4 the engine's five-point stencil
     from qhydro.fluid import pressure_scalar_field
     from qhydro.projective import chart_manifold
 
@@ -549,12 +556,8 @@ def test_differential_matches_per_point_reference(order):
     for M, f, dim in cases:
         for _ in range(5):
             x = rng.uniform(-0.9, 0.9, size=dim)
-            assert np.array_equal(differential(M, f, x, order=order), reference_differential(M, f, x, 1e-4, order))
-
-
-def test_differential_rejects_unsupported_order():
-    with pytest.raises(ValueError, match="unsupported stencil order 3"):
-        differential(PLANE, ScalarField(lambda x: x[0]), np.array([0.1, 0.2]), order=3)
+            df = differential(M, f, x) if order == 2 else five_point_differential(M, f, x)
+            assert np.array_equal(df, reference_differential(M, f, x, 1e-4, order))
 
 
 # Every stencil point gets every check of metric_at, with its exception
@@ -569,12 +572,12 @@ def bad_right_of_base(bad_matrix):
     return ChartManifold(2, lambda x: bad_matrix if x[0] > 0.50005 else np.eye(2), name="test")
 
 
-def test_nonfinite_stencil_point_is_rejected():
+def test_nonfinite_stencil_point_is_rejected(monkeypatch):
     x = np.array([1e308, 0.0])
     message = f"stencil point {np.array([np.inf, 0.0])} outside chart domain"
-    for call in (lambda: christoffel(PLANE, x, h=1e308), lambda: differential(PLANE, ScalarField(sum), x, h=1e308)):
+    for call in (lambda: christoffel(PLANE, x), lambda: differential(PLANE, ScalarField(sum), x)):
         with np.errstate(over="ignore"), pytest.raises(ChartBoundaryError, match=re.escape(message)):
-            call()
+            at_step(monkeypatch, 1e308, call)
 
 
 def test_out_of_domain_stencil_point_is_rejected():
@@ -591,7 +594,7 @@ def test_out_of_domain_stencil_point_is_rejected():
             call()
     # the five-point stencil meets x + 2h first
     with pytest.raises(ChartBoundaryError, match=re.escape(f"stencil point {STENCIL_X + [2e-4, 0.0]} outside")):
-        differential(strip, ScalarField(sum), STENCIL_X, order=4)
+        five_point_differential(strip, ScalarField(sum), STENCIL_X)
 
 
 def test_asymmetric_metric_at_stencil_point_is_rejected():
@@ -695,7 +698,7 @@ def test_operators_on_a_stack_of_base_points_equal_the_one_point_calls():
             lambda x: exterior_derivative_oneform(manifold, alpha, x),
             lambda x: divergence(manifold, field, x),
             lambda x: differential(manifold, scalar, x),
-            lambda x: differential(manifold, scalar, x, order=4),
+            lambda x: five_point_differential(manifold, scalar, x),
             lambda x: euler_residual(manifold, field, scalar, x),
             lambda x: self_advection_identity_residual(manifold, field, x),
             lambda x: flat(manifold, field, x),
@@ -958,7 +961,7 @@ def surface_stencil_operators(surf):
         "exterior_derivative_oneform": lambda x: exterior_derivative_oneform(M, alpha, x),
         "divergence": lambda x: divergence(M, K, x),
         "differential": lambda x: differential(M, P, x),
-        "differential order 4": lambda x: differential(M, P, x, order=4),
+        "differential order 4": lambda x: five_point_differential(M, P, x),
         "euler_residual": lambda x: euler_residual(M, K, P, x),
         "self_advection_identity_residual": lambda x: self_advection_identity_residual(M, K, x),
     }
@@ -1055,7 +1058,7 @@ def test_stacked_geodesics_freeze_the_rows_that_leave_z_domain():
 # oracles
 
 
-def test_surface_closed_form_acceleration_equals_the_stencil_route():
+def test_surface_closed_form_acceleration_equals_the_stencil_route(monkeypatch):
     # rho, rho' and rho'' are O(1) on these profiles, so the error is taken relative to |u|^2
     rng = np.random.default_rng(63)
     for _ in range(50):
@@ -1063,7 +1066,8 @@ def test_surface_closed_form_acceleration_equals_the_stencil_route():
         M = surface_of_revolution(lambda z: a + b * np.sin(c * z), lambda z: b * c * np.cos(c * z)).manifold
         x = np.column_stack([rng.uniform(-1.5, 1.5, size=4), rng.uniform(0.0, 2.0 * np.pi, size=4)])
         u = rng.normal(size=(4, 2))
-        stencil = -np.einsum("mkij,mi,mj->mk", christoffel(M, x, GEODESIC_FD_STEP), u, u)
+        gamma = at_step(monkeypatch, GEODESIC_FD_STEP, lambda: christoffel(M, x))
+        stencil = -np.einsum("mkij,mi,mj->mk", gamma, u, u)
         error = np.linalg.norm(M.geodesic_spray(np.hstack([x, u]))[:, 2:] - stencil, axis=1) / (u * u).sum(axis=1)
         assert error.max() < 1e-8
 

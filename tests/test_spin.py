@@ -1,6 +1,7 @@
 """Polynomial spin wave functions: rotation action, velocity form, circulation."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -9,7 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import polynomial as P
 
+from helpers import spin_amplitudes, spin_matrices
 from qhydro import spin
+from qhydro.fluid import pressure
+from qhydro.hilbert import HermitianOperator, evolve
 from qhydro.spin import (
     EXCLUSION_TOL,
     SZ_ACTION_SIGN,
@@ -460,6 +464,33 @@ def test_contour_json_forms():
         contour_from_json({"square": {}})
 
 
+def test_circle_nodes_must_be_an_integer_of_at_least_4():
+    # 256.5 nodes would give a circulation of 2.0038, and 4.5 nodes 2.216, for two enclosed simple roots
+    for nodes in (256.5, 4.5, 256.0, "256"):
+        with pytest.raises(ValueError, match=f"^nodes must be an integer, got {re.escape(repr(nodes))}$"):
+            CircleContour(0.0, 1.0, nodes=nodes)
+    for nodes in (3, 0, -4):
+        with pytest.raises(ValueError, match=f"^nodes must be >= 4, got {nodes}$"):
+            CircleContour(0.0, 1.0, nodes=nodes)
+    chi = SpinWaveFunction.from_roots([(0.2, 1), (-0.3j, 1)])
+    ring = CircleContour(0.0, 1.0, nodes=np.int64(64))  # numpy integers count
+    assert type(ring.nodes) is int and circulation(chi, ring) == circulation(chi, CircleContour(0.0, 1.0, nodes=64))
+
+
+def test_polygon_nodes_per_edge_must_be_an_integer_of_at_least_2():
+    square = (1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j)
+    for nodes in (2.5, 32.0):
+        with pytest.raises(ValueError, match=f"^nodes_per_edge must be an integer, got {re.escape(repr(nodes))}$"):
+            PolygonContour(square, nodes_per_edge=nodes)
+    for nodes in (1, 0, -2):
+        with pytest.raises(ValueError, match=f"^nodes_per_edge must be >= 2, got {nodes}$"):
+            PolygonContour(square, nodes_per_edge=nodes)
+    chi = SpinWaveFunction.from_roots([(0.2, 1), (-0.3j, 1)])
+    poly = PolygonContour(square, nodes_per_edge=np.int32(8))
+    assert type(poly.nodes_per_edge) is int
+    assert circulation(chi, poly) == circulation(chi, PolygonContour(square, nodes_per_edge=8))
+
+
 # ---------------------------------------------------------------------------
 # Reference equality: the divisor and circulation path against a copy of the
 # plain algorithm (scalar polyval Newton, O(n^2) union-find clustering,
@@ -885,3 +916,39 @@ def test_json_whole_floats_count_as_integers():
         wavefunction_from_json({"roots": [[1.0, 0.0, 2]], "two_s": 3}).coeffs,
     )
     assert contour_from_json({"circle": {"radius": 1.0, "nodes": 64.0}}).nodes == 64
+
+
+# ---------------------------------------------------------------------------
+# Spin states are points of CP^{2s}: a spin polynomial's amplitudes
+# a_k = c_k / sqrt(binom(2s, k)) are a state of dimension 2s + 1, on which
+# the SU(2) action is the Schrodinger flow of a spin Hamiltonian
+
+
+@pytest.mark.parametrize("two_s", range(1, 9))
+def test_su2_action_is_the_schrodinger_flow_of_a_spin_hamiltonian(two_s):
+    # exp(-i t n.sigma / 2) acts as evolution under H = -n_x J_x - n_y J_y + n_z J_z, up to a global phase
+    rng = np.random.default_rng(900 + two_s)
+    Jx, Jy, Jz = spin_matrices(two_s)
+    sigma = (np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]), np.diag([1.0, -1.0]))
+    for _ in range(25):
+        n = rng.normal(size=3)
+        n /= np.linalg.norm(n)
+        t = rng.uniform(-3.0, 3.0)
+        g = SU2Element(np.cos(t / 2) * np.eye(2) - 1j * np.sin(t / 2) * sum(c * m for c, m in zip(n, sigma)))
+        chi = random_wavefunction(rng, two_s)
+        H = HermitianOperator(-n[0] * Jx - n[1] * Jy + n[2] * Jz)
+        evolved = evolve(H, spin_amplitudes(chi), t).amplitudes
+        acted = spin_amplitudes(su2_act(g, chi)).amplitudes
+        phase = np.vdot(acted, evolved)
+        assert np.abs(evolved - phase / abs(phase) * acted).max() < 1e-12
+
+
+@pytest.mark.parametrize("two_s", range(1, 9))
+def test_coherent_state_pressure_under_jz_is_the_closed_form(two_s):
+    # the 2s-fold vortex (zeta - a)^{2s} has pressure (s/4) sin^2(theta), sin^2(theta) = 4|a|^2 / (1 + |a|^2)^2
+    rng = np.random.default_rng(920 + two_s)
+    H = HermitianOperator(spin_matrices(two_s)[2])
+    for a in rng.normal(size=(10, 2)) @ [1.0, 1j] * rng.lognormal(size=10):
+        state = spin_amplitudes(SpinWaveFunction.from_roots([(a, two_s)]))
+        sin2 = 4.0 * abs(a) ** 2 / (1.0 + abs(a) ** 2) ** 2
+        assert abs(pressure(H, state) - two_s / 8.0 * sin2) < 1e-12
