@@ -42,7 +42,6 @@ DEFAULT_TOLS = {
     "vorticity": 1e-4,
     "transport": 1e-8,
     "pressure_grid": 1e-10,
-    "integrality": spin.INTEGRALITY_TOL,
 }
 
 
@@ -103,7 +102,7 @@ def _check(name, max_residual, threshold, n_points):
 
 def _verify_residuals(H, k, x):
     """verify's five residuals at the chart-k points x, one per point: one stencil stack evaluates g, X and p once."""
-    S = riemann._Stencil(projective.chart_manifold(H.dim, k), x, riemann.FD_STEP, 2)
+    S = riemann._Stencil(projective.chart_manifold(H.dim, k), x, riemann.FD_STEP)
     X = projective.fundamental_field(H, k)
     p = fluid.pressure_scalar_field(H, k)
     g = S.metric()[: len(x)]

@@ -34,6 +34,7 @@ from .projective import (
     fubini_study_distance,
     fundamental_field,
     horizontal_lift,
+    project_tangent,
     representative,
 )
 from .riemann import (
@@ -47,6 +48,7 @@ from .riemann import (
     flow_integrate,
     geodesic_integrate,
 )
+from .spin import NumericalBreakdownError
 
 __all__ = [
     "CriticalPoint",
@@ -102,31 +104,40 @@ class GradientCheckError(ValueError):
 def pressure_gradient(H: HermitianOperator, point) -> TangentAtPoint:
     """Riemannian pressure gradient (dp)^sharp at a state, as a horizontal tangent.
 
-    Computed two independent ways, both of step FD_STEP: a five-point finite
-    difference of the pressure scalar (returned), and -nabla_X X through the
-    chart Christoffel machinery. Disagreement beyond CROSS_TOL means the
-    metric normalization and the algebraic variance have fallen out of sync,
-    a bug, so it raises GradientCheckError rather than returning either
-    value. One state is the one-row case of critical_points' stacked gradients.
+    The closed form: at the unit representative v, grad p lifts to
+    P_perp (H - <H>)^2 v, P_perp removing the component along v. It is
+    checked against -nabla_X X by central differences of step FD_STEP:
+    disagreement beyond CROSS_TOL (metric normalization and variance out of
+    sync, a bug) raises GradientCheckError, and a gradient or disagreement
+    that is not finite raises NumericalBreakdownError. One state is the
+    one-row case of critical_points' stacked gradients.
     """
     k, x = chart_of(point)
     grads, mismatches = _pressure_gradients(H, [k], x[None])
-    return _gradient_tangent(k, x, grads[0], mismatches[0])
+    return _gradient_tangent(point, k, x, grads[0], mismatches[0])
+
+
+def _variance_gradient_lifts(H, v):
+    """(H - <H>)^2 v, whose part orthogonal to v lifts grad p, at each unit row v of a stack, each row on its own."""
+    Hv = H.apply_stack(v)
+    mean = (v.real * Hv.real + v.imag * Hv.imag).sum(axis=1)[:, None]
+    centred = Hv - mean * v
+    return H.apply_stack(centred) - mean * centred
 
 
 def _pressure_gradients(H, ks, xs):
-    """(dp)^sharp at each chart point (ks[n], xs[n]), and the norm of its mismatch with -nabla_X X.
+    """(dp)^sharp at each chart point (ks[n], xs[n]) in closed form, and the norm of its mismatch with -nabla_X X.
 
-    The points of one chart form one stack; g and nabla_X X share one order-2 stencil stack.
+    The points of one chart form one stack; g and nabla_X X share one stencil stack.
     """
     grads, mismatches = np.empty(xs.shape), np.empty(len(xs))
     for k, rows in chart_rows(ks):
         x = xs[rows]
-        manifold = chart_manifold(H.dim, k)
-        dp = _Stencil(manifold, x, FD_STEP, 4).stencil_partials(pressure_scalar_field(H, k))
-        S = _Stencil(manifold, x, FD_STEP, 2)
+        v = normalized_rows(representative(k, x))
+        # project_tangent drops the component along v: it applies P_perp
+        grad = project_tangent(v, _variance_gradient_lifts(H, v), k)
+        S = _Stencil(chart_manifold(H.dim, k), x, FD_STEP)
         g = S.metric()[: len(x)]
-        grad = np.linalg.solve(g, dp[:, :, None])[:, :, 0]
         X = fundamental_field(H, k)
         mismatch = grad + S.covariant_derivative(X, X)  # (dp)^sharp should equal -nabla_X X
         grads[rows] = grad
@@ -134,8 +145,12 @@ def _pressure_gradients(H, ks, xs):
     return grads, mismatches
 
 
-def _gradient_tangent(k, x, grad, mismatch):
-    """The gradient at the chart-k point x as a horizontal tangent, once its two routes agree to CROSS_TOL."""
+def _gradient_tangent(where, k, x, grad, mismatch):
+    """The gradient at the chart-k point x (`where` in errors) as a tangent, once finite and within CROSS_TOL."""
+    if not np.isfinite(grad).all():
+        raise NumericalBreakdownError(f"the pressure gradient at {where} is not finite: {grad}")
+    if not math.isfinite(mismatch):
+        raise NumericalBreakdownError(f"the pressure gradient routes at {where} disagree by {float(mismatch)!r}")
     if mismatch > CROSS_TOL:
         raise GradientCheckError(
             f"pressure gradient routes disagree by {float(mismatch)!r} (> {CROSS_TOL}); "
@@ -164,9 +179,10 @@ def critical_points(H: HermitianOperator) -> list:
     n(n+1)/2 equal-probability pair superpositions (e_j + e_i)/sqrt(2),
     i > j, each with pressure (lambda_i - lambda_j)^2 / 8. Pair entries are
     phase-orbit representatives (azimuth alpha = 0): the full critical set
-    is their U(1) circle. Each returned point is certified by a pressure
-    gradient below GRAD_TOL (routes within CROSS_TOL); the gradients of all
-    candidates are one stack per chart, and the first to fail raises.
+    is their U(1) circle. Each is certified by its closed-form pressure
+    gradient (norm below GRAD_TOL, within CROSS_TOL of -nabla_X X), all one
+    stack per chart; the first to fail raises, and an overflow raises
+    NumericalBreakdownError.
     """
     H.require_nondegenerate()
     vals, vecs = H.eigenvalues, H.eigenvectors
@@ -177,7 +193,7 @@ def critical_points(H: HermitianOperator) -> list:
             StateVector((vecs[:, j] + vecs[:, i]) / np.sqrt(2.0), normalize=True),
             "pair_superposition",
             (i, j),
-            float(vals[i] - vals[j]) ** 2 / 8.0,
+            _pair_pressure(vals, i, j),
             True,
         )
         for i in range(H.dim)
@@ -188,13 +204,22 @@ def critical_points(H: HermitianOperator) -> list:
     grads, mismatches = _pressure_gradients(H, ks, xs)
     out = []
     for (state, kind, indices, press, phase_orbit), k, x, grad, mismatch in zip(candidates, ks, xs, grads, mismatches):
-        norm = _gradient_tangent(k, x, grad, mismatch).norm
+        norm = _gradient_tangent(f"enumerated {kind} {indices}", k, x, grad, mismatch).norm
         if norm > GRAD_TOL:
             raise GradientCheckError(
                 f"enumerated {kind} {indices} fails the gradient check: |grad p| = {norm!r}"
             )
         out.append(CriticalPoint(kind, indices, state, press, phase_orbit, norm))
     return out
+
+
+def _pair_pressure(vals, i, j):
+    """(lambda_i - lambda_j)^2 / 8, the pressure of the pair superposition (i, j), named if it overflows."""
+    gap = float(vals[i] - vals[j])
+    try:
+        return gap**2 / 8.0
+    except OverflowError:
+        raise NumericalBreakdownError(f"the pressure of the pair superposition {(i, j)} overflows: gap {gap!r}") from None
 
 
 def scalar_vorticity(H: HermitianOperator, i, j, theta, phi) -> float:
@@ -257,9 +282,7 @@ class SphereProfile:
 
 def _sphere_grid(grid):
     """The theta nodes (both poles included), the phi nodes, and their (n_theta, n_phi) node grids."""
-    n_theta, n_phi = int(grid[0]), int(grid[1])
-    if n_theta < 2 or n_phi < 2:
-        raise ValueError(f"grid resolutions must be >= 2, got {grid}")
+    n_theta, n_phi = count("theta resolution", grid[0], 2), count("phi resolution", grid[1], 2)
     thetas = np.linspace(0.0, np.pi, n_theta)
     phis = np.linspace(0.0, 2.0 * np.pi, n_phi, endpoint=False)
     return (thetas, phis, *np.meshgrid(thetas, phis, indexing="ij"))

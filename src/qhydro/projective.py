@@ -24,6 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import jsonio
 from .hilbert import HermitianOperator, StateVector, _per_state, _row_norms, _row_products, normalized_rows
 from .riemann import ChartManifold, StackFunction, VectorField, _bilinear
 
@@ -315,19 +316,16 @@ class GeodesicSphere:
     With (theta, phi) positively ordered the area form is
     (1/4) sin(theta) dtheta ^ dphi and the Schrodinger flow rotates with
     dphi/dt = + (lambda_i - lambda_j); this orientation makes the signed
-    vorticity come out as 2 omega cos(theta) per unit area.
+    vorticity come out as 2 omega cos(theta) per unit area. The indices
+    are integers, 0 <= j < i < H.dim.
     """
 
     def __init__(self, H: HermitianOperator, i, j):
-        if i == j:
-            raise ValueError("geodesic sphere needs two distinct eigenstate indices")
-        if not (0 <= j < i < H.dim):
-            raise ValueError(f"indices must satisfy 0 <= j < i < {H.dim}, got i={i}, j={j}")
-        self.i = int(i)
-        self.j = int(j)
+        self.i = jsonio.integer("i", i, 1, H.dim - 1)
+        self.j = jsonio.integer("j", j, 0, self.i - 1)
         self.dim = H.dim
         self.basis = H.eigenvectors
-        self.omega = float(H.eigenvalues[i] - H.eigenvalues[j])
+        self.omega = float(H.eigenvalues[self.i] - H.eigenvalues[self.j])
 
     def representative(self, theta, phi) -> np.ndarray:
         b = self.basis
@@ -345,14 +343,6 @@ class GeodesicSphere:
         )
         d_ph = -1j * np.sin(theta / 2.0) * np.exp(-1j * phi) * b[:, self.i]
         return d_th, d_ph
-
-    def induced_metric(self, theta) -> np.ndarray:
-        """Pullback metric diag(1/4, 1/4 sin^2 theta) in (theta, phi)."""
-        return np.diag([0.25, 0.25 * np.sin(theta) ** 2])
-
-    def area_coefficient(self, theta) -> float:
-        """Coefficient of dtheta ^ dphi in the area form."""
-        return 0.25 * np.sin(theta)
 
     def oriented_frames(self, thetas, phis):
         """Positively oriented orthonormal tangent frames in chart coordinates, one row per node.

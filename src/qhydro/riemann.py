@@ -191,12 +191,9 @@ class ChartManifold:
     def _stencil_spray(self, y):
         """The geodesic spray from Christoffel symbols by central differences of step GEODESIC_FD_STEP."""
         x, u = y[:, : self.dim], y[:, self.dim :]
-        acc = np.einsum("mkij,mi,mj->mk", _Stencil(self, x, GEODESIC_FD_STEP, 2).christoffel(), u, u)
+        acc = np.einsum("mkij,mi,mj->mk", _Stencil(self, x, GEODESIC_FD_STEP).christoffel(), u, u)
         np.negative(acc, out=acc)
         return np.concatenate([u, acc], axis=1)
-
-    def contains(self, x) -> bool:
-        return self._first_outside(np.asarray(x, dtype=float)[None]) is None
 
     def _first_outside(self, points):
         """Index of the first point of an (N, dim) stack that is not in the chart, or None.
@@ -213,7 +210,7 @@ class ChartManifold:
         return None if first == len(points) else first
 
     def _rows_outside(self, points):
-        """Indices of the rows of an (N, dim) stack of points not in the chart, each row tested as contains tests it."""
+        """Indices of the rows of an (N, dim) stack of points not in the chart, each row tested on its own."""
         if self._first_outside(points) is None:
             return []
         return [r for r, y in enumerate(points) if self._first_outside(y[None]) is not None]
@@ -326,40 +323,29 @@ def _scalar_like(x, out):
     return out if np.ndim(x) == 2 else float(out[0])
 
 
-# order -> (shifts in units of h, their weights, denominator in units of h)
-_STENCILS = {
-    2: (np.array([1, -1]), (1.0, -1.0), 2.0),
-    4: (np.array([2, 1, -1, -2]), (-1.0, 8.0, -8.0, 1.0), 12.0),
-}
-
-
 @lru_cache(maxsize=32)
-def _stencil_offsets(dim, h, order):
-    """Offsets of a central stencil, one row per (coordinate, shift): built once per (dim, h, order), read-only."""
-    steps = (_STENCILS[order][0][None, :, None] * (h * np.eye(dim))[:, None, :]).reshape(-1, dim)
+def _stencil_offsets(dim, h):
+    """Offsets of the central stencil, one row per (coordinate, shift +h, -h): built once per (dim, h), read-only."""
+    steps = (np.array([1, -1])[None, :, None] * (h * np.eye(dim))[:, None, :]).reshape(-1, dim)
     steps.flags.writeable = False
     return steps
 
 
-def _with_stencils(xs, h, order):
+def _with_stencils(xs, h):
     """The base points xs, then their central stencils, one row per (base point, coordinate, shift), in one stack."""
     m, d = xs.shape
-    offsets = _stencil_offsets(d, float(h), order)
+    offsets = _stencil_offsets(d, float(h))
     points = np.empty((m * (len(offsets) + 1), d))
     points[:m] = xs
     np.add(xs[:, None, :], offsets, out=points[m:].reshape(m, len(offsets), d))
     return points
 
 
-def _combine(manifold, values, h, order):
+def _combine(manifold, values, h):
     """[d_i fn(x)]_i per base point, shape (M, dim, ...), from fn's values on the stencil rows of _with_stencils."""
-    _, weights, denom = _STENCILS[order]
-    if order == 2:
-        diff = values[0::2] - values[1::2]
-        diff /= denom * h
-        return diff.reshape(-1, manifold.dim, *values.shape[1:])
-    values = values.reshape(-1, manifold.dim, len(weights), *values.shape[1:])
-    return sum(w * values[:, :, j] for j, w in enumerate(weights)) / (denom * h)
+    diff = values[0::2] - values[1::2]
+    diff /= 2.0 * h
+    return diff.reshape(-1, manifold.dim, *values.shape[1:])
 
 
 def _lower(g, u):
@@ -378,7 +364,7 @@ def _covector_norms(g, a):
 
 
 class _Stencil:
-    """One evaluation of the stack S = _with_stencils(xs, h, order): the base points xs, then their stencil points.
+    """One evaluation of the stack S = _with_stencils(xs, h): the base points xs, then their stencil points.
 
     The metric is validated on S at most once, by _metric_stack(S, m), and a
     field evaluated at most once: on S, whose first m rows are its values at the
@@ -386,10 +372,10 @@ class _Stencil:
     evaluation checks the domain of S, base rows first.
     """
 
-    def __init__(self, manifold, x, h, order):
+    def __init__(self, manifold, x, h):
         xs = _bases(x)
-        self.manifold, self.h, self.order, self.m = manifold, h, order, len(xs)
-        self.points = _with_stencils(xs, h, order)
+        self.manifold, self.h, self.m = manifold, h, len(xs)
+        self.points = _with_stencils(xs, h)
         self._g, self._values = None, {}
 
     def metric(self):
@@ -414,11 +400,11 @@ class _Stencil:
     def stencil_partials(self, F):
         """partials of F from F evaluated at the stencil rows alone, for an operator that needs no base values."""
         self._check_domain()
-        return _combine(self.manifold, F.stack(self.points[self.m :]), self.h, self.order)
+        return _combine(self.manifold, F.stack(self.points[self.m :]), self.h)
 
     def partials(self, values):
         """[d_i v]_i per base point, shape (M, dim, ...), from values v at every row of S."""
-        return _combine(self.manifold, values[self.m :], self.h, self.order)
+        return _combine(self.manifold, values[self.m :], self.h)
 
     def christoffel(self):
         g = self.metric()
@@ -470,28 +456,28 @@ def christoffel(manifold, x):
     Gamma^k_ij = 1/2 g^kl (d_i g_jl + d_j g_il - d_l g_ij), with central
     differences of step FD_STEP. Symmetric in (i, j).
     """
-    return _like(x, _Stencil(manifold, x, FD_STEP, 2).christoffel())
+    return _like(x, _Stencil(manifold, x, FD_STEP).christoffel())
 
 
 def covariant_derivative(manifold, X, Y, x):
     """(nabla_X Y)^k = X^i d_i Y^k + Gamma^k_ij X^i Y^j at x, from one stencil stack: the metric, X and Y once each."""
-    return _like(x, _Stencil(manifold, x, FD_STEP, 2).covariant_derivative(X, Y))
+    return _like(x, _Stencil(manifold, x, FD_STEP).covariant_derivative(X, Y))
 
 
 def lie_derivative_metric(manifold, X, x):
     """Killing residual matrix (L_X g)_ij at x, zero iff X generates an isometry near x; one stencil stack."""
-    return _like(x, _Stencil(manifold, x, FD_STEP, 2).lie_derivative_metric(X))
+    return _like(x, _Stencil(manifold, x, FD_STEP).lie_derivative_metric(X))
 
 
 def lie_derivative_oneform(manifold, X, alpha, x):
     """(L_X alpha)_i = X^j d_j alpha_i + alpha_j d_i X^j at x, from one stencil stack: alpha and X once each."""
-    S = _Stencil(manifold, x, FD_STEP, 2)
+    S = _Stencil(manifold, x, FD_STEP)
     return _like(x, S.lie_derivative_oneform(X, S.values(alpha)))
 
 
 def lie_derivative_twoform(manifold, X, w, x):
     """(L_X w)_ij = X^k d_k w_ij + w_kj d_i X^k + w_ik d_j X^k at x, from one stencil stack: w and X once each."""
-    S = _Stencil(manifold, x, FD_STEP, 2)
+    S = _Stencil(manifold, x, FD_STEP)
     ws, Xs = S.values(w), S.values(X)
     dX, wx = S.partials(Xs), ws[: S.m]
     return _like(x, np.einsum("mk,mkij->mij", Xs[: S.m], S.partials(ws)) + dX @ wx + wx @ dX.transpose(0, 2, 1))
@@ -515,26 +501,23 @@ def flat_form(manifold, X):
 
 def exterior_derivative_oneform(manifold, alpha, x):
     """(d alpha)_ij = d_i alpha_j - d_j alpha_i at x, as an antisymmetric matrix."""
-    da = _Stencil(manifold, x, FD_STEP, 2).stencil_partials(alpha)  # da[m, i, j] = d_i alpha_j
+    da = _Stencil(manifold, x, FD_STEP).stencil_partials(alpha)  # da[m, i, j] = d_i alpha_j
     return _like(x, da - da.transpose(0, 2, 1))
 
 
 def divergence(manifold, X, x):
     """Riemannian divergence (1 / sqrt det g) d_i (sqrt(det g) X^i) at x, from one stencil stack: g and X once each."""
-    return _scalar_like(x, _Stencil(manifold, x, FD_STEP, 2).divergence(X))
+    return _scalar_like(x, _Stencil(manifold, x, FD_STEP).divergence(X))
 
 
 def differential(manifold, f, x):
-    """Components (df)_i of a scalar field at x by central differences of step FD_STEP, f evaluated once.
-
-    The five-point gradient is _Stencil(manifold, x, FD_STEP, 4).stencil_partials(f).
-    """
-    return _like(x, _Stencil(manifold, x, FD_STEP, 2).stencil_partials(f))
+    """Components (df)_i of a scalar field at x by central differences of step FD_STEP, f evaluated once."""
+    return _like(x, _Stencil(manifold, x, FD_STEP).stencil_partials(f))
 
 
 def euler_residual(manifold, X, p, x):
     """Stationary Euler residual (nabla_X X)^flat + dp at x (zero iff satisfied), from one stencil stack."""
-    return _like(x, _Stencil(manifold, x, FD_STEP, 2).euler_residual(X, p))
+    return _like(x, _Stencil(manifold, x, FD_STEP).euler_residual(X, p))
 
 
 def self_advection_identity_residual(manifold, Y, x):
@@ -544,7 +527,7 @@ def self_advection_identity_residual(manifold, Y, x):
     the finite-difference truncation and is a self-test of the operators.
     Its right side is the Euler residual of Y with pressure 1/2 <Y, Y>.
     """
-    S = _Stencil(manifold, x, FD_STEP, 2)
+    S = _Stencil(manifold, x, FD_STEP)
     return _like(x, S.lie_derivative_oneform(Y, S.flat(Y)) - S.euler_residual(Y, kinetic_energy_field(manifold, Y)))
 
 

@@ -70,10 +70,11 @@ class ClusterAmbiguityError(ValueError):
 
 
 class NumericalBreakdownError(ArithmeticError):
-    """Finite input whose divisor or circulation leaves double precision.
+    """Finite input whose arithmetic leaves double precision.
 
-    A derivative coefficient, the companion matrix, a root or the contour
-    integral overflows.
+    Here a derivative coefficient, the companion matrix, a root or the
+    contour integral overflows; in fluid, a pressure gradient or a pair
+    pressure.
 
     Not a ValueError: the input is well formed, the arithmetic broke down.
     """
@@ -360,8 +361,8 @@ class CircleContour:
     ccw: bool = True
 
     def __post_init__(self):
-        if self.radius <= 0:
-            raise ValueError(f"radius must be positive, got {self.radius}")
+        if not (math.isfinite(self.radius) and self.radius > 0):
+            raise ValueError(f"radius must be finite and positive, got {self.radius!r}")
         object.__setattr__(self, "nodes", jsonio.count("nodes", self.nodes, 4))
 
     def quadrature(self):

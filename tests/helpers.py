@@ -62,13 +62,6 @@ def assert_same_curve(curve, reference):
         assert np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
 
 
-def five_point_differential(manifold, f, x):
-    """df at x (one point or a stack) by the engine's five-point stencil of step FD_STEP, as the pressure gradient."""
-    from qhydro import riemann
-
-    return riemann._like(x, riemann._Stencil(manifold, x, riemann.FD_STEP, 4).stencil_partials(f))
-
-
 def same_bits(a, b):
     """Two arrays equal bit for bit: dtype, shape and bytes."""
     a, b = np.asarray(a), np.asarray(b)

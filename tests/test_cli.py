@@ -531,7 +531,7 @@ def test_verify_residuals_from_one_stencil_stack_equal_the_public_operators(dim)
         M, X, p = projective.chart_manifold(dim, k), projective.fundamental_field(H, k), fluid.pressure_scalar_field(H, k)
         alpha = riemann.flat_form(M, X)
         # one stack for all operators, in the order verify takes them
-        S = riemann._Stencil(M, x, riemann.FD_STEP, 2)
+        S = riemann._Stencil(M, x, riemann.FD_STEP)
         assert same_bits(S.metric()[:20], M.metric_at(x))
         assert same_bits(S.lie_derivative_metric(X), riemann.lie_derivative_metric(M, X, x))
         assert same_bits(S.euler_residual(X, p), riemann.euler_residual(M, X, p, x))

@@ -38,6 +38,7 @@ from qhydro.projective import (
     fundamental_field,
     representative,
 )
+from qhydro.spin import NumericalBreakdownError
 
 H01 = HermitianOperator.diagonal([0.0, 1.0])
 H123 = HermitianOperator.diagonal([1.0, 2.0, 3.0])
@@ -325,6 +326,18 @@ def test_profile_csv_round_trip(tmp_path):
     assert first[3] == pytest.approx(2.0)  # analytic 2 omega cos(0)
 
 
+def test_sphere_profiles_refuse_a_resolution_that_is_not_an_integer_of_at_least_2():
+    # int() took (17.5, 8.9) as a 17 x 8 grid
+    for grid, message in (
+        ((17.5, 8), "theta resolution must be an integer, got 17.5"),
+        ((17, 8.9), "phi resolution must be an integer, got 8.9"),
+        ((1, 8), "theta resolution must be >= 2, got 1"),
+    ):
+        for sample in (pressure_on_sphere, vorticity_on_sphere):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                sample(H123, 2, 0, grid=grid)
+
+
 @pytest.mark.parametrize("grid", [(9, 6), (16, 7)])  # odd and even n_theta; both hold both poles
 def test_profile_csv_parses_back_to_the_profile_theta_major(tmp_path, grid):
     H = random_hermitian(np.random.default_rng(69), 3)
@@ -352,17 +365,21 @@ def test_profile_csv_parses_back_to_the_profile_theta_major(tmp_path, grid):
 # trajectory deviations. A stack also equals its one-row calls.
 
 
+def variance_gradient_lift(H, v):
+    """grad p lifted to the unit vector v, one state at a time: (H - <H>)^2 v - (Delta H)^2 v."""
+    mean = expectation(H, v)
+    centred = H.apply(v) - mean * v.amplitudes
+    return H.matrix @ centred - mean * centred - dispersion_squared(H, v) * v.amplitudes
+
+
 @pytest.mark.parametrize("dim", [2, 3, 4, 5])
 def test_pressure_gradient_lifts_to_the_variance_formula(dim):
-    # grad p lifts to (H - <H>)^2 v - (Delta H)^2 v at the unit representative v of its base
     rng = np.random.default_rng(80 + dim)
     H = random_hermitian(rng, dim, spectral_range=2.0)
     for _ in range(5):
         grad = pressure_gradient(H, random_state(rng, dim))
-        v, mean = grad.base.amplitudes, expectation(H, grad.base)
-        centred = H.apply(grad.base) - mean * v
-        lift = H.matrix @ centred - mean * centred - dispersion_squared(H, grad.base) * v
-        assert np.abs(grad.horizontal - lift).max() < 1e-7
+        lift = variance_gradient_lift(H, grad.base)
+        assert np.abs(grad.horizontal - lift).max() < 1e-14 * np.linalg.norm(lift)
         assert np.linalg.norm(lift) > 1e-3
 
 
@@ -397,15 +414,16 @@ def test_critical_points_raise_for_the_first_candidate_above_a_threshold(monkeyp
         assert str(failed.value).startswith(expected)
 
 
-# The pressure gradient's two routes: the metric and nabla_X X share one
-# order-2 stencil stack per chart, and equal the public operators bit for bit.
+# The pressure gradient's two routes: the closed form P_perp (H - <H>)^2 v,
+# and -nabla_X X from one order-2 stencil stack per chart, whose metric
+# measures their disagreement.
 
 
 @pytest.mark.parametrize("dim", [3, 4, 5])
-def test_pressure_gradient_routes_from_one_stencil_stack_equal_the_public_operators(dim):
-    from helpers import five_point_differential, same_bits
+def test_pressure_gradient_is_the_closed_form_and_its_cross_check_equals_the_public_operators(dim):
+    from helpers import same_bits
     from qhydro import fluid
-    from qhydro.projective import chart_manifold
+    from qhydro.projective import chart_manifold, horizontal_lift
     from qhydro.riemann import _bilinear, covariant_derivative
 
     rng = np.random.default_rng(70 + dim)
@@ -415,11 +433,46 @@ def test_pressure_gradient_routes_from_one_stencil_stack_equal_the_public_operat
     grads, mismatches = fluid._pressure_gradients(H, ks, xs)
     for k in range(dim):
         x, M, X = xs[ks == k], chart_manifold(dim, k), fundamental_field(H, k)
+        for y, grad in zip(x, grads[ks == k]):
+            base, lift = horizontal_lift(k, y, grad)
+            assert np.abs(lift - variance_gradient_lift(H, StateVector(base))).max() < 1e-14 * np.linalg.norm(lift)
         g = M.metric_at(x)
-        grad = np.linalg.solve(g, five_point_differential(M, fluid.pressure_scalar_field(H, k), x)[:, :, None])[:, :, 0]
-        mismatch = grad + covariant_derivative(M, X, X, x)
-        assert same_bits(grads[ks == k], grad)
+        mismatch = grads[ks == k] + covariant_derivative(M, X, X, x)
         assert same_bits(mismatches[ks == k], np.sqrt(_bilinear(mismatch, g, mismatch)))
+
+
+def test_pressure_gradient_with_an_unsquared_centred_operator_fails_its_cross_check(monkeypatch):
+    # (H - <H>) v in place of its square lifts i X, orthogonal to grad p at a generic state
+    from qhydro import fluid
+
+    def unsquared(H, v):
+        Hv = H.apply_stack(v)
+        return Hv - (v.conj() * Hv).sum(axis=1, keepdims=True).real * v
+
+    rng = np.random.default_rng(78)
+    cases = [(random_hermitian(rng, dim), random_state(rng, dim)) for dim in (2, 3, 4, 5)]
+    assert all(pressure_gradient(H, state).norm > 1e-3 for H, state in cases)
+    monkeypatch.setattr(fluid, "_variance_gradient_lifts", unsquared)
+    for H, state in cases:
+        with pytest.raises(GradientCheckError, match="^pressure gradient routes disagree"):
+            pressure_gradient(H, state)
+
+
+@pytest.mark.parametrize(
+    "scale, gradient, critical",
+    [  # at 1e100 the pressures fit in a double and the routes' disagreement does not
+        (1e100, "routes at", "the pressure gradient routes at enumerated eigenstate (0,) disagree by inf"),
+        (1e300, "at", "the pressure of the pair superposition (1, 0) overflows: gap "),
+    ],
+)
+def test_a_gradient_or_pair_pressure_that_overflows_is_named(scale, gradient, critical):
+    rng = np.random.default_rng(79)
+    H, state = HermitianOperator(random_hermitian(rng, 3).matrix * scale), random_state(rng, 3)
+    with np.errstate(all="ignore"):
+        with pytest.raises(NumericalBreakdownError, match=f"^the pressure gradient {gradient} {re.escape(repr(state))} "):
+            pressure_gradient(H, state)
+        with pytest.raises(NumericalBreakdownError, match=f"^{re.escape(critical)}"):
+            critical_points(H)
 
 
 @pytest.mark.parametrize("dim", [3, 4, 5])

@@ -306,16 +306,24 @@ def test_sphere_poles_are_eigenstates():
 
 
 def test_sphere_rejects_bad_indices():
-    with pytest.raises(ValueError):
-        GeodesicSphere(H01, 1, 1)
-    with pytest.raises(ValueError):
-        GeodesicSphere(H01, 0, 1)
+    # (1.9, 0.2) ended in numpy's IndexError
+    H = HermitianOperator.diagonal([0.0, 1.0, 2.5])
+    for i, j, message in (
+        (1, 1, "'j' must be an integer in [0, 0], got 1"),
+        (0, 1, "'i' must be an integer in [1, 2], got 0"),
+        (1.9, 0.2, "'i' must be an integer in [1, 2], got 1.9"),
+        (2, 0.5, "'j' must be an integer in [0, 1], got 0.5"),
+    ):
+        with pytest.raises(ValueError) as refused:
+            GeodesicSphere(H, i, j)
+        assert str(refused.value) == message
+    assert GeodesicSphere(H, 2.0, np.int64(1)).omega == 1.5  # a whole float and a numpy integer are indices
 
 
 def test_sphere_total_area():
-    sph = GeodesicSphere(H01, 1, 0)
+    # the area form is (1/4) sin(theta) dtheta ^ dphi: a sphere of radius 1/2
     thetas = np.linspace(0.0, np.pi, 2001)
-    ring = np.trapezoid([sph.area_coefficient(t) for t in thetas], thetas)
+    ring = np.trapezoid(0.25 * np.sin(thetas), thetas)
     assert ring * 2.0 * np.pi == pytest.approx(np.pi, abs=1e-6)
 
 
@@ -333,7 +341,7 @@ def test_sphere_induced_metric_matches_pullback():
         t2 = project_tangent(v, d_ph, k)
         g = fubini_study_metric(chart_of(StateVector(v, normalize=True), k)[1])
         pulled = np.array([[t1 @ g @ t1, t1 @ g @ t2], [t2 @ g @ t1, t2 @ g @ t2]])
-        assert np.abs(pulled - sph.induced_metric(theta)).max() < 1e-8
+        assert np.abs(pulled - np.diag([0.25, 0.25 * np.sin(theta) ** 2])).max() < 1e-8
 
 
 def test_sphere_flow_rotates_azimuth_forward():

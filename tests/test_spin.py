@@ -464,7 +464,10 @@ def test_contour_json_forms():
         contour_from_json({"square": {}})
 
 
-def test_circle_nodes_must_be_an_integer_of_at_least_4():
+def test_circle_radius_must_be_finite_and_positive_and_nodes_an_integer_of_at_least_4():
+    for radius in (math.nan, math.inf, -math.inf, 0.0, -1.0):
+        with pytest.raises(ValueError, match=f"^radius must be finite and positive, got {re.escape(repr(radius))}$"):
+            CircleContour(0.0, radius)
     # 256.5 nodes would give a circulation of 2.0038, and 4.5 nodes 2.216, for two enclosed simple roots
     for nodes in (256.5, 4.5, 256.0, "256"):
         with pytest.raises(ValueError, match=f"^nodes must be an integer, got {re.escape(repr(nodes))}$"):
