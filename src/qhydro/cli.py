@@ -211,11 +211,8 @@ def cmd_vorticity(args: argparse.Namespace) -> int:
     profile = fluid.vorticity_on_sphere(H, i, j, (args.grid, args.grid))
     path = args.output or f"vorticity_S{i}{j}.csv"
     fluid.write_profile_csv(path, profile)
-    transport = max(
-        fluid.vorticity_transport_residual(H, i, j, th, ph)
-        for th in profile.thetas
-        for ph in profile.phis[:: max(1, len(profile.phis) // 8)]
-    )
+    nodes = np.meshgrid(profile.thetas, profile.phis[:: max(1, len(profile.phis) // 8)], indexing="ij")
+    transport = np.max(fluid.vorticity_transport_residual(H, i, j, *nodes))
     checks = [
         _check("vorticity_profile_rel_error", profile.max_rel_err, args.tols["vorticity"], args.grid**2),
         _check("vorticity_transport_residual", transport, args.tols["transport"], args.grid),

@@ -300,17 +300,18 @@ def vorticity_on_sphere(H: HermitianOperator, i, j, grid=(64, 64)) -> SphereProf
     return SphereProfile(int(i), int(j), sphere.omega, thetas, phis, numeric, 2.0 * sphere.omega * np.cos(th))
 
 
-def vorticity_transport_residual(H: HermitianOperator, i, j, theta, phi, field=None, h=FD_STEP) -> float:
+def vorticity_transport_residual(H: HermitianOperator, i, j, theta, phi, field=None, h=FD_STEP):
     """Residual of the stationary 2d vorticity transport on S_ij at (theta, phi).
 
     The scalar vorticity depends only on theta while the flow is purely
     azimuthal, so the advection term vanishes identically. `field` overrides
     the advecting velocity with (theta, phi) components, either a constant
     pair or a callable of (theta, phi); the default is the Schrodinger
-    rotation (0, omega).
+    rotation (0, omega). A float for scalar theta and phi; for arrays, one
+    value per node of their broadcast, each the bits of its scalar call.
     """
-    sphere = GeodesicSphere(H, i, j)
-    omega = sphere.omega
+    omega = GeodesicSphere(H, i, j).omega
+    theta, phi = np.broadcast_arrays(np.asarray(theta, dtype=float), np.asarray(phi, dtype=float))
 
     def w_tilde(th):
         return 2.0 * omega * np.cos(th)
@@ -323,7 +324,8 @@ def vorticity_transport_residual(H: HermitianOperator, i, j, theta, phi, field=N
         comp = np.asarray(field, dtype=float)
     dw_dtheta = (w_tilde(theta + h) - w_tilde(theta - h)) / (2.0 * h)
     dw_dphi = 0.0  # w depends on theta only; kept for the formula's shape
-    return abs(comp[0] * dw_dtheta + comp[1] * dw_dphi)
+    residual = np.abs(comp[0] * dw_dtheta + comp[1] * dw_dphi)
+    return float(residual) if residual.ndim == 0 else residual
 
 
 def zeno_decay(H: HermitianOperator, v: StateVector, t: float, N: int) -> float:
@@ -404,11 +406,17 @@ def pressure_on_sphere(H: HermitianOperator, i, j, grid=(64, 64)) -> SphereProfi
 def write_profile_csv(path, profile: SphereProfile):
     """Write one (theta, phi, numeric, analytic, abs_err) row per grid node, theta-major, under a fixed header.
 
-    Every value is written as its repr; each theta and phi node is formatted once.
+    Every value is written as its repr. Each theta and phi node is formatted
+    once, and so is each distinct double of the value columns, keyed by its
+    bits (not by value, which would merge -0.0 into 0.0): the pressure
+    repeats its values along every parallel.
     """
     phis = list(map(repr, profile.phis.tolist()))
     nodes = [f"{theta},{phi}," for theta in map(repr, profile.thetas.tolist()) for phi in phis]
-    values = [a.ravel().tolist() for a in (profile.numeric, profile.analytic, profile.abs_err)]
+    values = np.concatenate([a.ravel() for a in (profile.numeric, profile.analytic, profile.abs_err)], dtype=float)
+    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    texts = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
+    numeric, analytic, abs_err = texts[inverse.reshape(3, -1)].tolist()
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("theta,phi,numeric,analytic,abs_err\n")
-        fh.write("".join(map("{}{!r},{!r},{!r}\n".format, nodes, *values)))
+        fh.write("".join([f"{node}{a},{b},{c}\n" for node, a, b, c in zip(nodes, numeric, analytic, abs_err)]))

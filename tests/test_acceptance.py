@@ -195,11 +195,8 @@ def test_criterion_07_vorticity_profile():
     )
     pole_north = np.abs(profile.numeric[0] - 2.0 * profile.omega).max()
     pole_south = np.abs(profile.numeric[-1] + 2.0 * profile.omega).max()
-    transport = max(
-        fluid.vorticity_transport_residual(H01, 1, 0, th, ph)
-        for th in profile.thetas
-        for ph in profile.phis
-    )
+    nodes = np.meshgrid(profile.thetas, profile.phis, indexing="ij")
+    transport = np.max(fluid.vorticity_transport_residual(H01, 1, 0, *nodes))
     report(
         7,
         "sphere vorticity matches 2 omega cos(theta) with stationary transport",

@@ -12,6 +12,7 @@ from qhydro.fluid import (
     NODE_BLOCK,
     CriticalPoint,
     GradientCheckError,
+    SphereProfile,
     critical_points,
     pressure,
     pressure_gradient,
@@ -187,6 +188,17 @@ def test_transport_residual_detects_meridian_perturbation():
     assert res == pytest.approx(eps * 2.0 * omega * np.sin(theta), rel=1e-6)
 
 
+def test_transport_residual_on_arrays_is_its_scalar_calls_bit_for_bit():
+    H = random_hermitian(np.random.default_rng(4), 4)
+    th, ph = np.meshgrid(np.linspace(0.0, np.pi, 9), np.linspace(0.0, 2.0 * np.pi, 5, endpoint=False), indexing="ij")
+    for field in (None, (1e-3, 0.7), lambda theta, phi: (1e-3 * np.sin(phi), np.cos(theta))):
+        residuals = vorticity_transport_residual(H, 3, 1, th, ph, field=field)
+        scalars = [vorticity_transport_residual(H, 3, 1, a, b, field=field) for a, b in zip(th.flat, ph.flat)]
+        assert all(type(value) is float for value in scalars)
+        assert residuals.shape == th.shape
+        assert residuals.tobytes() == np.array(scalars).reshape(th.shape).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # Zeno decay
 
@@ -336,6 +348,36 @@ def test_sphere_profiles_refuse_a_resolution_that_is_not_an_integer_of_at_least_
         for sample in (pressure_on_sphere, vorticity_on_sphere):
             with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 sample(H123, 2, 0, grid=grid)
+
+
+def _per_value_csv_lines(profile):
+    """The CSV lines as written one repr per value, theta-major: the oracle of write_profile_csv's bytes."""
+    nodes = [f"{theta!r},{phi!r}," for theta in profile.thetas.tolist() for phi in profile.phis.tolist()]
+    values = [a.ravel().tolist() for a in (profile.numeric, profile.analytic, profile.abs_err)]
+    return ["theta,phi,numeric,analytic,abs_err", *map("{}{!r},{!r},{!r}".format, nodes, *values), ""]
+
+
+@pytest.mark.parametrize("grid", [(16, 16), (64, 64)])
+@pytest.mark.parametrize("dim", [3, 4, 5])
+def test_profile_csv_text_is_one_repr_per_value(tmp_path, dim, grid):
+    H = random_hermitian(np.random.default_rng(dim), dim)
+    path = tmp_path / "profile.csv"
+    for profile in (pressure_on_sphere(H, dim - 1, 0, grid=grid), vorticity_on_sphere(H, dim - 1, 1, grid=grid)):
+        write_profile_csv(path, profile)
+        assert path.read_bytes().decode("utf-8").split("\n") == _per_value_csv_lines(profile)
+
+
+def test_profile_csv_text_keeps_the_sign_of_zero_and_every_special_double(tmp_path):
+    # 0.0 and -0.0 compare equal: formatting each distinct value once must key them by bits
+    specials = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, 1e308, -0.0, 0.1, 0.0]
+    numeric = np.array(specials).reshape(2, 5)
+    analytic = np.array(specials[::-1]).reshape(2, 5)
+    profile = SphereProfile(1, 0, 1.0, np.array([0.0, np.pi]), np.linspace(0.0, 2.0, 5), numeric, analytic)
+    path = tmp_path / "profile.csv"
+    write_profile_csv(path, profile)
+    lines = path.read_bytes().decode("utf-8").split("\n")
+    assert lines == _per_value_csv_lines(profile)
+    assert lines[2] == "0.0,0.5,-0.0,0.1,0.1" and lines[9] == f"{np.pi!r},1.5,0.1,-0.0,0.1"
 
 
 @pytest.mark.parametrize("grid", [(9, 6), (16, 7)])  # odd and even n_theta; both hold both poles
