@@ -9,8 +9,8 @@ main alone turns that into the exit code and the stderr lines. Exit 1 also
 means a numerical breakdown on well-formed input (`error:`), an ambiguous
 root clustering (`divisor computation failed:`) or a failed pressure
 gradient (`critical-point gradient check failed:`); exit 2 means malformed
-input or a violated precondition (`error:`). Each warning comes first, as
-one `warning: <message>` line.
+input, a violated precondition or an output file that cannot be written
+(`error:`). Each warning comes first, as one `warning: <message>` line.
 """
 
 from __future__ import annotations
@@ -63,15 +63,18 @@ def _first_nonfinite(value, key=""):
 
 
 def _emit(report: dict, path=None):
-    """Write a report as deterministic JSON (sorted keys, fixed layout) to path, or to stdout."""
+    """Write a report as deterministic JSON (sorted keys, fixed layout) to path, or to stdout.
+
+    A path is rewritten in place by `jsonio.write_text`; one that cannot be
+    written raises a ValueError naming it, bad input (exit 2).
+    """
     try:
         text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
     except ValueError:  # a non-finite value from well-formed input: a breakdown, and nothing is written
         key, value = _first_nonfinite(report)
         raise ArithmeticError(f"the report value {key} is {value}, which JSON cannot carry") from None
     if path:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        jsonio.write_text(path, text)
     else:
         sys.stdout.write(text)
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hilbert import HermitianOperator, StateVector, dispersion_squared, normalized_rows, survival_probability
-from .jsonio import count
+from .jsonio import count, write_text
 from .projective import (
     GeodesicSphere,
     TangentAtPoint,
@@ -409,7 +409,9 @@ def write_profile_csv(path, profile: SphereProfile):
     Every value is written as its repr. Each theta and phi node is formatted
     once, and so is each distinct double of the value columns, keyed by its
     bits (not by value, which would merge -0.0 into 0.0): the pressure
-    repeats its values along every parallel.
+    repeats its values along every parallel. The file is rewritten in place
+    by `jsonio.write_text`, which names a path that cannot be written in a
+    ValueError.
     """
     phis = list(map(repr, profile.phis.tolist()))
     nodes = [f"{theta},{phi}," for theta in map(repr, profile.thetas.tolist()) for phi in phis]
@@ -417,6 +419,5 @@ def write_profile_csv(path, profile: SphereProfile):
     bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
     texts = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
     numeric, analytic, abs_err = texts[inverse.reshape(3, -1)].tolist()
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("theta,phi,numeric,analytic,abs_err\n")
-        fh.write("".join([f"{node}{a},{b},{c}\n" for node, a, b, c in zip(nodes, numeric, analytic, abs_err)]))
+    rows = [f"{node}{a},{b},{c}\n" for node, a, b, c in zip(nodes, numeric, analytic, abs_err)]
+    write_text(path, "".join(["theta,phi,numeric,analytic,abs_err\n", *rows]))

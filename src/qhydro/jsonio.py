@@ -1,8 +1,10 @@
-"""The input layer: one loader, one number validator, one integer validator, one count validator.
+"""The I/O layer: one loader and one writer, besides one number, one integer and one count validator.
 
 Every qhydro input (Hamiltonian, run, wave function, contour) enters through
-these functions. Each failure is a ValueError that names the offending key,
-which the CLI reports with exit code 2; `count` checks the library's counts.
+these functions, and every output file (report or profile CSV) leaves
+through `write_text`. Each failure is a ValueError that names the offending
+key or file, which the CLI reports with exit code 2; `count` checks the
+library's counts.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ import math
 import numbers
 import operator
 import os
+import stat
 
 import numpy as np
 
@@ -43,6 +46,29 @@ def load_object(source, what):
     if not isinstance(source, dict):
         raise ValueError(f"{what} JSON must be an object")
     return source
+
+
+def write_text(path, text):
+    """Write `text` to the file at `path` as UTF-8 with "\\n" line ends, rewriting it in place.
+
+    The file ends up holding exactly these bytes, as with `open(path, "w")`:
+    the same inode, links followed, its permissions kept, `0o666 & ~umask`
+    when it is created. It is opened without O_TRUNC and truncated after the
+    write, at the end of what was written; ext4 then starts no writeback at
+    close, as it does for a file truncated to zero and rewritten. Only a
+    regular file is truncated: /dev/null and a FIFO refuse it. The write is
+    not atomic, nor was open(path, "w"): a crash in the middle can leave a mix
+    of old and new bytes. A file that cannot be written raises a ValueError
+    that names it.
+    """
+    try:
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
+        with open(fd, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+            if stat.S_ISREG(os.fstat(fd).st_mode):
+                fh.truncate()
+    except OSError as exc:
+        raise ValueError(f"cannot write output file {path}: {exc.strerror}") from exc
 
 
 def real_array(name, obj, shape):

@@ -1,5 +1,6 @@
 """CLI: exit codes, report schemas, determinism."""
 
+import errno
 import json
 import os
 import subprocess
@@ -394,6 +395,38 @@ def test_emit_names_the_first_non_finite_key_and_writes_nothing(tmp_path, capsys
     with pytest.raises(ArithmeticError, match=r"^the report value checks\[1\]\.max_residual is nan, "):
         cli._emit(report, str(out))
     assert not out.exists() and capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize(
+    "argv, named, error",
+    [
+        (["verify", "--output", "."], ".", errno.EISDIR),
+        (["verify", "--output", "missing/r.json"], "missing/r.json", errno.ENOENT),
+        (["pressure", "--grid", "4", "--output", "missing/p"], "missing/p_S10.csv", errno.ENOENT),
+    ],
+    ids=["directory", "missing-directory", "pressure-missing-directory"],
+)
+def test_an_output_that_cannot_be_written_exits_2_with_one_line_naming_it(tmp_path, capsys, monkeypatch, argv, named,
+                                                                          error):
+    monkeypatch.chdir(tmp_path)
+    h = write_json(tmp_path / "H.json", H123_JSON)
+    assert main(argv + ["--input", h]) == EXIT_INPUT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: cannot write output file {named}: {os.strerror(error)}\n"
+
+
+def test_an_output_the_system_refuses_exits_2_with_one_line_naming_it(tmp_path, capsys, monkeypatch):
+    # the suite may run as root, past any file mode: the refusal is injected
+    def refuse(path, flags, mode=0o777):
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
+
+    h = write_json(tmp_path / "H.json", H01_JSON)
+    out = tmp_path / "r.json"
+    monkeypatch.setattr(os, "open", refuse)
+    assert main(["verify", "--input", h, "--output", str(out)]) == EXIT_INPUT_ERROR
+    assert capsys.readouterr().err == f"error: cannot write output file {out}: {os.strerror(errno.EACCES)}\n"
+    assert not out.exists()
 
 
 @pytest.mark.filterwarnings("error")

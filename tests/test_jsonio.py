@@ -1,6 +1,8 @@
-"""The JSON input layer: its validators, and every loader against arbitrary JSON."""
+"""The I/O layer: its validators, every loader against arbitrary JSON, and the one writer."""
 
 import json
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qhydro import jsonio
+from qhydro.cli import main
 from qhydro.hilbert import hermitian_from_json
 from qhydro.spin import contour_from_json, wavefunction_from_json
 
@@ -46,6 +49,67 @@ def test_load_object_reads_dicts_text_and_paths(tmp_path):
     for source in ["[1, 2]", [1], None, 3, 2.5, True, str(listed)]:
         with pytest.raises(ValueError, match="^x JSON must be an object$"):
             jsonio.load_object(source, "x")
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [("a longer old text\n" * 8, "new\n"), ("old\n", "a longer new text, \u00e9\n" * 8)],
+    ids=["shorter", "longer"],
+)
+def test_write_text_rewrites_the_same_inode_to_exactly_the_new_bytes(tmp_path, old, new):
+    path = tmp_path / "out.txt"
+    path.write_bytes(old.encode("utf-8"))
+    inode = path.stat().st_ino
+    jsonio.write_text(path, new)
+    assert path.read_bytes() == new.encode("utf-8")
+    assert path.stat().st_ino == inode
+
+
+def test_write_text_writes_through_links_and_keeps_them(tmp_path):
+    target, symlink, hardlink = tmp_path / "target.txt", tmp_path / "symlink.txt", tmp_path / "hardlink.txt"
+    target.write_text("the old text\n")
+    symlink.symlink_to(target)
+    os.link(target, hardlink)
+    jsonio.write_text(symlink, "new\n")
+    assert symlink.is_symlink() and target.read_bytes() == hardlink.read_bytes() == b"new\n"
+    jsonio.write_text(hardlink, "newer\n")
+    assert target.read_bytes() == b"newer\n" and target.stat().st_nlink == 2
+
+
+def test_write_text_creates_a_file_with_the_mode_open_gives_and_keeps_an_existing_mode(tmp_path):
+    with open(tmp_path / "by_open.txt", "w"):
+        pass
+    jsonio.write_text(tmp_path / "by_write_text.txt", "x\n")
+    assert (tmp_path / "by_write_text.txt").stat().st_mode == (tmp_path / "by_open.txt").stat().st_mode
+    os.chmod(tmp_path / "by_open.txt", 0o640)
+    jsonio.write_text(tmp_path / "by_open.txt", "y\n")
+    assert stat.S_IMODE((tmp_path / "by_open.txt").stat().st_mode) == 0o640
+
+
+def test_output_to_dev_null_exits_0(tmp_path):
+    # /dev/null is written without a truncate, which it refuses with EINVAL
+    h = tmp_path / "H.json"
+    h.write_text('{"dim": 2, "re": [[0, 1], [1, 0]]}')
+    assert main(["verify", "--input", str(h), "--output", os.devnull]) == 0
+
+
+def test_every_output_file_is_opened_by_os_open_without_o_trunc(tmp_path, monkeypatch):
+    # a return to open(path, "w") (O_TRUNC, and no os.open) fails here, not only in the benchmark
+    calls, os_open = [], os.open
+
+    def spy(path, flag, *args):
+        calls.append((os.fspath(path), flag))
+        return os_open(path, flag, *args)
+
+    h = tmp_path / "H.json"
+    h.write_text('{"dim": 3, "re": [[1, 0, 0], [0, 2, 0], [0, 0, 3]]}')
+    monkeypatch.setattr(os, "open", spy)
+    for argv in (["pressure", "--grid", "4", "--output", str(tmp_path / "p")],
+                 ["verify", "--output", str(tmp_path / "r.json")]):
+        for _ in range(2):  # created, then rewritten
+            assert main(argv + ["--input", str(h)]) == 0
+    assert sorted({path for path, _ in calls}) == sorted(str(path) for path in tmp_path.iterdir() if path != h)
+    assert [path for path, flag in calls if flag & os.O_TRUNC] == []
 
 
 # Keys the loaders read, so that arbitrary dicts reach their branches.
