@@ -9,8 +9,9 @@ main alone turns that into the exit code and the stderr lines. Exit 1 also
 means a numerical breakdown on well-formed input (`error:`), an ambiguous
 root clustering (`divisor computation failed:`) or a failed pressure
 gradient (`critical-point gradient check failed:`); exit 2 means malformed
-input, a violated precondition or an output file that cannot be written
-(`error:`). Each warning comes first, as one `warning: <message>` line.
+input, a violated precondition, an input file that cannot be read or an
+output file that cannot be written (`error:`). Each warning comes first, as
+one `warning: <message>` line.
 """
 
 from __future__ import annotations
@@ -398,11 +399,6 @@ def main(argv=None) -> int:
             code, failure = EXIT_CHECK_FAILED, f"divisor computation failed: {exc}"
         except fluid.GradientCheckError as exc:
             code, failure = EXIT_CHECK_FAILED, f"critical-point gradient check failed: {exc}"
-        except FileNotFoundError as exc:
-            code, failure = EXIT_INPUT_ERROR, f"error: input file not found: {exc.filename}"
-        except json.JSONDecodeError as exc:
-            code = EXIT_INPUT_ERROR
-            failure = f"error: malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         except ValueError as exc:
             code, failure = EXIT_INPUT_ERROR, f"error: {exc}"
         except ArithmeticError as exc:  # a numerical breakdown on well-formed input: a failed check, not bad input

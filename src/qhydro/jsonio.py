@@ -35,14 +35,26 @@ MAX_GRID_NODES = 2**18
 def load_object(source, what):
     """The JSON object in `source`: a dict, JSON text, or a path to a JSON file.
 
-    A string is JSON text when it starts with "{" or "[", else a path.
+    A string is JSON text when it starts with "{" or "[", else a path. A file
+    that cannot be read (missing, a directory, refused, not UTF-8) and text
+    that is not JSON each raise a ValueError; the first names the file.
     """
     if isinstance(source, (str, os.PathLike)):
         text = source
         if not (isinstance(source, str) and source.lstrip().startswith(("{", "["))):
-            with open(source, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        source = json.loads(text)
+            try:
+                with open(source, "r", encoding="utf-8") as fh:
+                    text = fh.read()
+            except FileNotFoundError as exc:
+                raise ValueError(f"input file not found: {source}") from exc
+            except OSError as exc:
+                raise ValueError(f"cannot read input file {source}: {exc.strerror}") from exc
+            except UnicodeDecodeError as exc:
+                raise ValueError(f"cannot read input file {source}: {exc}") from exc
+        try:
+            source = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     if not isinstance(source, dict):
         raise ValueError(f"{what} JSON must be an object")
     return source
@@ -103,6 +115,8 @@ def integer(name, value, minimum, maximum):
 def count(name, value, least):
     """`value` as an int of at least `least`: an int or a numpy integer, never truncated; else ValueError naming it."""
     try:
+        if isinstance(value, bool):  # operator.index takes True as 1
+            raise TypeError
         value = operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None

@@ -173,8 +173,9 @@ class ChartManifold:
         Christoffel symbols from metric differences of step
         GEODESIC_FD_STEP, resolved by each manifold when it is built and
         not stored here. It is called at the stage points of a chunk of RK4
-        steps before they are checked, so also past the step where a curve
-        leaves the chart, and again when the chunk is replayed (see _rk4).
+        steps before any point of the chunk is checked, so also past the
+        step where a curve leaves the chart, and again when the chunk is
+        replayed (see _rk4).
     """
 
     dim: int
@@ -208,12 +209,6 @@ class ChartManifold:
             if not _all(inside):
                 first = int(inside.argmin())
         return None if first == len(points) else first
-
-    def _rows_outside(self, points):
-        """Indices of the rows of an (N, dim) stack of points not in the chart, each row tested on its own."""
-        if self._first_outside(points) is None:
-            return []
-        return [r for r, y in enumerate(points) if self._first_outside(y[None]) is not None]
 
     def metric_at(self, x) -> np.ndarray:
         """Metric matrix at x (one per row of an (N, dim) stack), validated symmetric positive-definite."""
@@ -560,29 +555,28 @@ def vector_norm(manifold, u, x):
 _CHUNK = 32
 
 
-def _rk4(rhs, y0, T, steps, rows_outside=None, check_stages=None):
+def _rk4(rhs, y0, T, steps, check=None):
     """Fixed-step RK4 of y' = rhs(y) over [0, T] from an (M, n) stack of starts: (times, states, exited) per row.
 
-    Taken one step at a time, a row ends early at the first step that raises
-    ChartBoundaryError when the row takes it alone, or whose new state
-    `rows_outside` names; that step is not recorded, the row stays frozen,
-    and the step is redone for the rest. `check_stages`, if given, gets the
-    step's four stage points as one (4M, n) stack, stage by stage: y,
-    y + dt/2 k1, y + dt/2 k2, y + dt k3. A FloatingPointError or
-    OverflowError is raised again with the step and its time.
+    `check`, if given, sees every point the integration produces once, in
+    one stack per step: at step 1 the starts, then at every step the stage
+    points y + dt/2 k1, y + dt/2 k2 and y + dt k3 and the new state, stage
+    by stage. Taken one step at a time, a row ends early at the first step
+    where rhs or `check` raises ChartBoundaryError when the row takes it
+    alone; that step is not recorded, the row stays frozen, and the step is
+    redone for the rest. A FloatingPointError or OverflowError is raised
+    again with the step and its time.
 
     The steps are taken in chunks instead, of _CHUNK // M steps (at least
-    one) while M rows run, unchecked, under np.errstate(all="raise"); then
-    `check_stages` gets the stage points of the whole chunk as one stack,
-    step by step, and `rows_outside` its new states as one stack. A chunk
-    in which anything raises, or whose new states are not all inside, is
-    replayed from its start one step at a time, under the caller's
-    errstate, and that replay alone decides the exits and the errors; a
-    chunk of one step is that path. So rhs may be called past the step
-    where a row ends, and again on a replayed chunk, yet the states, exits
-    and errors are those of steps taken one at a time, bit for bit.
-    Warnings that rhs gives through the warnings module, not numpy's
-    errstate, are not held back.
+    one) while M rows run, under np.errstate(all="raise"), and `check` gets
+    the points of the whole chunk as one stack, step by step. A chunk in
+    which anything raises is replayed from its start one step at a time,
+    under the caller's errstate, and that replay alone decides the exits
+    and the errors; a chunk of one step is that path. So rhs may be called
+    past the step where a row ends, and again on a replayed chunk, yet the
+    states, exits and errors are those of steps taken one at a time, bit
+    for bit. Warnings that rhs gives through the warnings module, not
+    numpy's errstate, are not held back.
 
     rhs must return an array of the shape of the stack it is given; one of
     another shape raises ValueError, from the step whose first stage gets
@@ -595,51 +589,36 @@ def _rk4(rhs, y0, T, steps, rows_outside=None, check_stages=None):
     dt = float(T) / steps
     half, sixth = 0.5 * dt, dt / 6.0
 
-    def increment(y, stash=None):
-        """The RK4 increment at y; its stage points are checked now, or added to `stash` to be checked later."""
-        k1 = rhs(y)
-        if k1.shape != y.shape:
-            raise ValueError(f"rhs returned shape {k1.shape} for states of shape {y.shape}")
-        y2 = y + half * k1
-        k2 = rhs(y2)
-        y3 = y + half * k2
-        k3 = rhs(y3)
-        y4 = y + dt * k3
-        k4 = rhs(y4)
-        if stash is not None:
-            stash += (y, y2, y3, y4)
-        elif check_stages is not None:
-            check_stages(np.concatenate([y, y2, y3, y4]))
-        # k1 + 2 k2 + 2 k3 + k4, summed in that order, in one buffer
-        incr = k1 + 2 * k2
-        incr += 2 * k3
-        incr += k4
-        incr *= sixth
-        return incr
+    def step(y, n, stop):
+        """The new states of steps n to stop - 1 from y, one block row each, once `check` has seen their points."""
+        block = np.empty((stop - n, *y.shape))
+        points = [y] if n == 1 else []
+        for new in block:
+            k1 = rhs(y)
+            if k1.shape != y.shape:
+                raise ValueError(f"rhs returned shape {k1.shape} for states of shape {y.shape}")
+            y2 = y + half * k1
+            k2 = rhs(y2)
+            y3 = y + half * k2
+            k3 = rhs(y3)
+            y4 = y + dt * k3
+            k4 = rhs(y4)
+            # k1 + 2 k2 + 2 k3 + k4, summed in that order, in one buffer, then added to y
+            incr = k1 + 2 * k2
+            incr += 2 * k3
+            incr += k4
+            incr *= sixth
+            y = np.add(y, incr, out=new)
+            points += (y2, y3, y4, y)
+        if check is not None:
+            check(np.concatenate(points))
+        return block
 
-    def chunk(y, n, stop):
-        """Steps n to stop - 1 from y, checked together: the last state, or None if a new state is outside."""
-        stash, block = [], np.empty((stop - n, *y.shape))
-        with np.errstate(all="raise"):
-            for new in block:
-                y = np.add(y, increment(y, stash), out=new)
-            if check_stages is not None:
-                check_stages(np.concatenate(stash))
-            if rows_outside is not None and len(rows_outside(block.reshape(-1, y.shape[1]))):
-                return None
-        states[n:stop, live] = block
-        return y
-
-    def alone(row):
+    def alone(row, n):
         try:
-            return increment(row)
+            return step(row, n, n + 1)[0]
         except ChartBoundaryError:
             return None
-
-    def leave(y, live, left, n):
-        """y and live without the rows `left` (indices into y), which end at step n."""
-        ends[live[left]] = n
-        return np.delete(y, left, axis=0), np.delete(live, left)
 
     states = np.empty((steps + 1, *y0.shape))
     states[0] = y = y0
@@ -650,32 +629,30 @@ def _rk4(rhs, y0, T, steps, rows_outside=None, check_stages=None):
         stop = min(n + max(1, _CHUNK // len(live)), steps + 1)
         if stop - n > 1:
             try:
-                last = chunk(y, n, stop)
+                with np.errstate(all="raise"):
+                    block = step(y, n, stop)
             except Exception:  # raised again by the replay, or work past an exit that the replay skips
-                last = None
-            if last is not None:
-                y, n = last, stop
+                pass
+            else:
+                states[n:stop, live] = block
+                y, n = block[-1], stop
                 continue
-        # a chunk of one step, or the replay of a chunk that failed its check
+        # a chunk of one step, or the replay of a chunk that raised
         for n in range(n, stop):
             try:
                 try:
-                    incr = increment(y)
+                    y = step(y, n, n + 1)[0]
                 except ChartBoundaryError:
-                    rows = [alone(y[r : r + 1]) for r in range(len(y))]
-                    y, live = leave(y, live, [r for r, row in enumerate(rows) if row is None], n)
+                    rows = [alone(y[r : r + 1], n) for r in range(len(y))]
+                    left = [r for r, row in enumerate(rows) if row is None]
+                    ends[live[left]] = n
+                    live = np.delete(live, left)
                     if not len(live):
                         break
-                    incr = np.concatenate([row for row in rows if row is not None])
-                y = y + incr
+                    y = np.concatenate([row for row in rows if row is not None])
             except (FloatingPointError, OverflowError) as exc:
                 where = f"in step {n} of {steps}, from t = {(n - 1) * dt:.6g}"
                 raise type(exc)(f"broke down {where}: {exc}") from None
-            left = [] if rows_outside is None else rows_outside(y)
-            if left:
-                y, live = leave(y, live, left, n)
-                if not len(live):
-                    break
             states[n, live] = y
         n = stop
     return [(np.arange(end) * dt, states[:end, r], end <= steps) for r, end in enumerate(ends)]
@@ -694,28 +671,30 @@ def geodesic_integrate(manifold, x0, u0, T, steps):
     of different row counts, or a non-finite start raises ValueError; a
     finite x0 outside the chart gives a 1-sample curve with exited=True.
 
-    Every stage point is checked as metric_at checks a point, those of a
-    chunk of steps as one metric stack; the new samples of the chunk get
-    one domain test. A chunk that fails is replayed one step at a time, and
-    there the first offending point in stage order is named, and a domain
-    error at any stage of a step comes before a matrix error at any stage.
-    Curves, exits and errors are those of steps taken one at a time (see
-    _rk4). steps must be an integer of at least 1, and T finite.
+    Every point of the integration is checked once, as metric_at checks a
+    point: the starts, then each step's three later stage points and its
+    new sample, those of a chunk of steps as one metric stack. So every
+    returned sample has passed metric_at's checks. A chunk that fails is
+    replayed one step at a time, and there the first offending point in
+    stage order is named, and a domain error at any point of a step comes
+    before a matrix error at any point. Curves, exits and errors are those
+    of steps taken one at a time (see _rk4). steps must be an integer of
+    at least 1, and T finite.
 
     Returns
     -------
     DiscreteCurve, or a list of M of them for a stack of starts
         steps+1 samples, or a shorter curve with exited=True if a stage
-        point (or a point the spray differences) left the chart domain.
+        point, a new sample or a point the spray differences left the
+        chart domain.
     """
     d = manifold.dim
     xs, us = _starts(x0, "x0", d), _starts(u0, "u0", d)
     if len(xs) != len(us):
         raise ValueError(f"x0 and u0 must hold as many starts, got shapes {np.shape(x0)} and {np.shape(u0)}")
-    # the checks of metric_at at every stage point; the metrics are not needed
-    check_stages = lambda stages: manifold._metrics_at(stages[:, :d])
     y0 = np.concatenate([xs, us], axis=1)
-    runs = _rk4(manifold._spray, y0, T, steps, lambda y: manifold._rows_outside(y[:, :d]), check_stages)
+    # the checks of metric_at at every point of the curves; the metrics are not needed
+    runs = _rk4(manifold._spray, y0, T, steps, lambda points: manifold._metrics_at(points[:, :d]))
     return _like(x0, [DiscreteCurve(times, s[:, :d], s[:, d:], exited) for times, s, exited in runs])
 
 

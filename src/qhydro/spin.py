@@ -139,10 +139,9 @@ class SpinWaveFunction:
         c = np.array([1.0 + 0.0j])
         total = 0
         for a, mu in roots_with_mult:
-            if not isinstance(mu, (int, np.integer)) or mu < 1:
-                raise ValueError(f"multiplicity must be a positive integer, got {mu!r}")
-            total += int(mu)
-            c = P.polymul(c, P.polypow([-complex(a), 1.0], int(mu)))
+            mu = jsonio.count("multiplicity", mu, 1)
+            total += mu
+            c = P.polymul(c, P.polypow([-complex(a), 1.0], mu))
         if two_s is None:
             two_s = total
         if total > two_s:
@@ -361,7 +360,7 @@ class CircleContour:
     ccw: bool = True
 
     def __post_init__(self):
-        if not (math.isfinite(self.radius) and self.radius > 0):
+        if isinstance(self.radius, (bool, np.bool_)) or not (math.isfinite(self.radius) and self.radius > 0):
             raise ValueError(f"radius must be finite and positive, got {self.radius!r}")
         object.__setattr__(self, "nodes", jsonio.count("nodes", self.nodes, 4))
 

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qhydro import cli
+from qhydro import cli, jsonio
 from qhydro.cli import EXIT_CHECK_FAILED, EXIT_INPUT_ERROR, EXIT_OK, main
 from qhydro.fluid import GradientCheckError
 from qhydro.hilbert import DegenerateSpectrumError
@@ -252,17 +252,34 @@ def test_spin_circulation_degree_deficit_warning_is_one_fixed_line(tmp_path, cap
     assert json.loads(out.read_text())["warnings"] == [message]
 
 
-def test_missing_input_file(tmp_path, capsys):
-    assert main(["verify", "--input", str(tmp_path / "nope.json")]) == EXIT_INPUT_ERROR
-    assert "not found" in capsys.readouterr().err
+UNREADABLE_INPUTS = {
+    "missing": "error: input file not found: {path}",
+    "directory": "error: cannot read input file {path}: Is a directory",
+    "unreadable": "error: cannot read input file {path}: Permission denied",
+    "not UTF-8": "error: cannot read input file {path}: "
+    "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte",
+    "malformed": "error: malformed JSON at line 2, column 2: Expecting property name enclosed in double quotes",
+}
 
 
-def test_malformed_json_reports_location(tmp_path, capsys):
-    bad = tmp_path / "bad.json"
-    bad.write_text('{"dim": 2, "re": [[0, 1], [1, 0]]')
-    assert main(["verify", "--input", str(bad)]) == EXIT_INPUT_ERROR
-    err = capsys.readouterr().err
-    assert "line" in err and "column" in err
+@pytest.mark.parametrize("case", UNREADABLE_INPUTS)
+def test_an_input_that_cannot_be_read_exits_2_with_one_line(tmp_path, capsys, monkeypatch, case):
+    path = tmp_path / "H.json"
+    if case == "directory":
+        path.mkdir()
+    elif case == "not UTF-8":
+        path.write_bytes(b"\xff\xfe{")
+    elif case == "malformed":
+        path.write_text("{\n x")
+    elif case == "unreadable":
+        write_json(path, H01_JSON)
+
+        def refuse(file, *args, **kwargs):  # as the system refuses a file its user may not read; chmod does not stop root
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(file))
+
+        monkeypatch.setattr(jsonio, "open", refuse, raising=False)
+    assert main(["verify", "--input", str(path)]) == EXIT_INPUT_ERROR
+    assert capsys.readouterr() == ("", UNREADABLE_INPUTS[case].format(path=path) + "\n")
 
 
 def test_invalid_entry_reported(tmp_path, capsys):
@@ -464,9 +481,6 @@ def test_fresh_process_writes_a_warning_as_one_fixed_line(tmp_path):
          "error: gap 0 (critical-point enumeration assumes a nondegenerate spectrum)"),
         (ClusterAmbiguityError("clusters move"), EXIT_CHECK_FAILED, "divisor computation failed: clusters move"),
         (GradientCheckError("|grad p| = 1"), EXIT_CHECK_FAILED, "critical-point gradient check failed: |grad p| = 1"),
-        (FileNotFoundError(2, "No such file", "H.json"), EXIT_INPUT_ERROR, "error: input file not found: H.json"),
-        (json.JSONDecodeError("Expecting value", "{\n x", 3), EXIT_INPUT_ERROR,
-         "error: malformed JSON at line 2, column 2: Expecting value"),
         (ValueError("bad key"), EXIT_INPUT_ERROR, "error: bad key"),
         (OverflowError("t^2 overflows"), EXIT_CHECK_FAILED, "error: t^2 overflows"),
         (FloatingPointError("overflow encountered in multiply"), EXIT_CHECK_FAILED,

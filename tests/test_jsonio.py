@@ -1,7 +1,9 @@
 """The I/O layer: its validators, every loader against arbitrary JSON, and the one writer."""
 
 import json
+import math
 import os
+import re
 import stat
 
 import numpy as np
@@ -9,10 +11,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qhydro import jsonio
+from qhydro import fluid, jsonio
 from qhydro.cli import main
-from qhydro.hilbert import hermitian_from_json
-from qhydro.spin import contour_from_json, wavefunction_from_json
+from qhydro.fluid import zeno_decay
+from qhydro.hilbert import StateVector, hermitian_from_json
+from qhydro.riemann import ChartManifold, VectorField, flow_integrate, geodesic_integrate
+from qhydro.spin import CircleContour, SpinWaveFunction, contour_from_json, wavefunction_from_json
 
 
 def test_real_array_checks_shape_type_and_finiteness():
@@ -40,6 +44,32 @@ def test_integer_bounds_and_whole_floats():
             jsonio.integer("n", value, 0, 5)
 
 
+PLANE = ChartManifold(2, lambda x: np.eye(2))
+EQUAL = StateVector(np.array([1.0, 1.0]) / np.sqrt(2.0))
+H01 = hermitian_from_json({"dim": 2, "re": [[0.0, 0.0], [0.0, 1.0]]})
+# an entry point and the name its ValueError gives; True ran one step, one measurement, a 1-fold root and a
+# circle of radius True, and 2.5 is a radius
+SIZES = {
+    "geodesic_integrate": (lambda v: geodesic_integrate(PLANE, np.zeros(2), np.ones(2), 1.0, v), "steps"),
+    "flow_integrate": (lambda v: flow_integrate(VectorField(lambda x: -x), np.ones(2), 1.0, v), "steps"),
+    "zeno_decay": (lambda v: zeno_decay(H01, EQUAL, 0.1, v), "measurement count"),
+    "from_roots": (lambda v: SpinWaveFunction.from_roots([(0.5, v)]), "multiplicity"),
+    "CircleContour": (lambda v: CircleContour(0.0, v), "radius"),
+    "_sphere_grid": (lambda v: fluid._sphere_grid((v, 8)), "theta resolution"),
+}
+
+
+@pytest.mark.parametrize("value", [True, 2.5, math.nan, math.inf, -1, 0])
+@pytest.mark.parametrize("entry", SIZES)
+def test_a_bool_or_a_number_that_is_not_a_size_is_refused_by_name(entry, value):
+    call, name = SIZES[entry]
+    if entry == "CircleContour" and value == 2.5:
+        assert call(value).radius == 2.5
+        return
+    with pytest.raises(ValueError, match=f"^{name} must be "):
+        call(value)
+
+
 def test_load_object_reads_dicts_text_and_paths(tmp_path):
     path, listed = tmp_path / "x.json", tmp_path / "list.json"
     path.write_text('{"a": 1}')
@@ -49,6 +79,10 @@ def test_load_object_reads_dicts_text_and_paths(tmp_path):
     for source in ["[1, 2]", [1], None, 3, 2.5, True, str(listed)]:
         with pytest.raises(ValueError, match="^x JSON must be an object$"):
             jsonio.load_object(source, "x")
+    # every loader of the library refuses a missing file with a ValueError that names it
+    for loader in (hermitian_from_json, wavefunction_from_json, contour_from_json):
+        with pytest.raises(ValueError, match=f"^input file not found: {re.escape(str(tmp_path / 'missing.json'))}$"):
+            loader(str(tmp_path / "missing.json"))
 
 
 @pytest.mark.parametrize(

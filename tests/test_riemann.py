@@ -1339,7 +1339,7 @@ def test_chunked_steps_of_a_stack_whose_rows_exit_in_different_chunks(monkeypatc
 KICK = 10.0
 
 
-def kicked_plane(domain=None):
+def kicked_plane(domain=None, metric=lambda x: np.eye(2)):
     """A flat plane whose closed-form acceleration kicks y by KICK at x on the sample grid of DT, and not between it.
 
     From x = 0 at unit speed along x, the stages of a step meet the kick at the step's first stage only, so
@@ -1350,7 +1350,7 @@ def kicked_plane(domain=None):
         on_grid = np.abs(x[:, 0] / DT - np.round(x[:, 0] / DT)) < 0.25
         return np.column_stack([np.zeros(len(x)), np.where(on_grid, KICK, 0.0)])
 
-    return ChartManifold(2, lambda x: np.eye(2), domain, name="kicked", geodesic_spray=spray_of(acceleration))
+    return ChartManifold(2, metric, domain, name="kicked", geodesic_spray=spray_of(acceleration))
 
 
 def rising(n):
@@ -1384,7 +1384,8 @@ def test_chunked_surface_geodesics_leave_z_domain_at_the_steps_of_the_per_step_p
 
 @pytest.mark.parametrize("rows", [1, 3, K, 40])
 def test_a_chunk_holds_at_most_chunk_new_states_of_a_stack(rows):
-    # the metric check of a chunk sees its stage points: 4 per new state, or one step's of a stack of K rows or more
+    # the metric check of a chunk sees 4 points per new state (3 stage points and the state), or one step's of a
+    # stack of K rows or more; the first chunk also holds the starts
     seen = []
 
     def metric(points):
@@ -1394,7 +1395,50 @@ def test_a_chunk_holds_at_most_chunk_new_states_of_a_stack(rows):
     M = flat_with_zero_acceleration(metric=StackFunction(metric))
     x0 = np.column_stack([np.linspace(0.0, 1.0, rows), np.zeros(rows)])
     geodesic_integrate(M, x0, np.ones((rows, 2)), 1.0, 2 * K)
-    assert max(seen) == 4 * max(1, K // rows) * rows <= 4 * max(K, rows)
+    assert seen[0] == rows + 4 * max(1, K // rows) * rows <= rows + 4 * max(K, rows)
+    assert max(seen[1:]) == 4 * max(1, K // rows) * rows
+
+
+def test_each_point_of_an_integration_reaches_the_domain_once(monkeypatch):
+    # the starts, then each step's three later stage points and its new sample, each checked once; a harmonic
+    # spray keeps them distinct, and a run that stays inside replays no chunk
+    seen = []
+
+    def domain(points):
+        seen.extend(map(bytes, points))
+        return points[:, 0] < 10.0
+
+    spray = spray_of(lambda x, u: -x)
+    M = ChartManifold(2, lambda x: np.eye(2), StackFunction(domain), name="harmonic", geodesic_spray=spray)
+    one = (np.array([0.5, 0.0]), np.array([0.0, 1.0]))
+    starts = one, stack(*[(np.array([0.1 * r, 0.2]), np.ones(2)) for r in range(3)])
+    for chunk in (K, 1):
+        monkeypatch.setattr(riemann, "_CHUNK", chunk)
+        for x0, u0 in starts:
+            del seen[:]
+            curves = geodesic_integrate(M, x0, u0, 1.0, STEPS)
+            curves = curves if isinstance(curves, list) else [curves]
+            assert len(seen) == len(curves) * (1 + 4 * STEPS) and len(set(seen)) == len(seen)
+            samples = {bytes(x) for c in curves for x in c.points}
+            assert len(samples) == len(curves) * (STEPS + 1) and samples <= set(seen)
+
+
+@pytest.mark.parametrize("n", EXIT_STEPS[:-1])
+def test_a_sample_with_an_invalid_metric_is_refused_at_the_step_that_produced_it(monkeypatch, n):
+    # sample n is the first point past y = 1, where the metric is indefinite; step n + 1 would leave the chart
+    # at its first stage point, but the sample is refused first
+    M = kicked_plane(lambda x: x[1] < 1.0 + DT / 4.0, EDGE_METRIC)
+    call = lambda: geodesic_integrate(M, *rising(n), 1.0, STEPS)
+    error, message = assert_chunks_are_the_per_step_path(monkeypatch, call)
+    assert error is ValueError and re.fullmatch(r"metric not positive-definite at \[\S+\s+1\.0000\d+\]", message)
+
+
+def test_a_last_sample_whose_metric_is_indefinite_raises(monkeypatch):
+    # every stage point of the last step lies below y = 1, and the last sample above it
+    M = kicked_plane(metric=EDGE_METRIC)
+    call = lambda: geodesic_integrate(M, *rising(STEPS), 1.0, STEPS)
+    error, message = assert_chunks_are_the_per_step_path(monkeypatch, call)
+    assert error is ValueError and re.fullmatch(r"metric not positive-definite at \[\S+\s+1\.0000\d+\]", message)
 
 
 # A user acceleration may be called past the step where the chart ends a curve,

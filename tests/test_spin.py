@@ -12,7 +12,7 @@ from numpy.polynomial import polynomial as P
 
 from helpers import spin_amplitudes, spin_matrices
 from qhydro import spin
-from qhydro.fluid import pressure
+from qhydro.fluid import critical_points, pressure
 from qhydro.hilbert import HermitianOperator, evolve
 from qhydro.spin import (
     EXCLUSION_TOL,
@@ -955,3 +955,41 @@ def test_coherent_state_pressure_under_jz_is_the_closed_form(two_s):
         state = spin_amplitudes(SpinWaveFunction.from_roots([(a, two_s)]))
         sin2 = 4.0 * abs(a) ** 2 / (1.0 + abs(a) ** 2) ** 2
         assert abs(pressure(H, state) - two_s / 8.0 * sin2) < 1e-12
+
+
+def assert_divisor(entries, expected, tol):
+    """Divisor entries match the expected (location, multiplicity) pairs one to one, locations within tol (1 + |a|)."""
+    left = list(entries)
+    for a, mu in expected:
+        match = min(left, key=lambda entry: abs(entry[0] - a))
+        assert match[1] == mu and abs(match[0] - a) <= tol * (1.0 + abs(a)), (entries, expected)
+        left.remove(match)
+    assert not left, (entries, expected)
+
+
+@pytest.mark.parametrize("two_s", range(1, 9))
+def test_critical_points_of_jz_have_the_divisors_of_monomials_and_their_pairs(two_s):
+    # eigenstate k is c_k zeta^k: a k-fold root at 0, and 2s - k at infinity (the degree drop); pair (i, j) is
+    # zeta^j (c_j + c_i zeta^(i - j)): a j-fold root at 0 and the i - j simple roots of zeta^(i - j) = -c_j / c_i
+    weights = np.sqrt([math.comb(two_s, k) for k in range(two_s + 1)])
+    for cp in critical_points(HermitianOperator(spin_matrices(two_s)[2])):
+        c = cp.state.amplitudes * weights
+        i, j = cp.indices if cp.kind == "pair_superposition" else 2 * cp.indices  # eigenstate k: i = j = k
+        w, m = -c[j] / c[i], i - j
+        simple = [(abs(w) ** (1.0 / m) * np.exp(1j * (np.angle(w) + 2.0 * np.pi * n) / m), 1) for n in range(m)]
+        expected = simple + ([(0j, j)] if j else [])
+        assert_divisor(SpinWaveFunction(two_s, c).divisor().entries, expected, 1e-12)
+
+
+@pytest.mark.parametrize(
+    "two_s",
+    [1, 2] + [pytest.param(n, marks=pytest.mark.xfail(strict=True, reason="multiple-root divisor, ROADMAP direction 1"))
+              for n in range(3, 9)],
+)
+def test_rotated_coherent_states_have_the_mobius_image_of_their_root(two_s):
+    # su2_act(g, (zeta - a)^(2s)) is the coherent state of the rotated point: one 2s-fold root at g^-1(a)
+    rng = np.random.default_rng(940 + two_s)
+    for _ in range(8):
+        a, g = complex(*rng.normal(size=2)), SU2Element.random(rng)
+        chi = su2_act(g, SpinWaveFunction.from_roots([(a, two_s)]))
+        assert_divisor(chi.divisor().entries, [(g.inverse().mobius(a), two_s)], 1e-7)
