@@ -32,6 +32,7 @@ from .projective import (
     chart_of,
     chart_rows,
     fubini_study_distance,
+    fubini_study_metric,
     fundamental_field,
     horizontal_lift,
     project_tangent,
@@ -288,7 +289,7 @@ def _sphere_grid(grid):
     return (thetas, phis, *np.meshgrid(thetas, phis, indexing="ij"))
 
 
-def vorticity_on_sphere(H: HermitianOperator, i, j, grid=(64, 64)) -> SphereProfile:
+def vorticity_on_sphere(H: HermitianOperator, i, j, grid) -> SphereProfile:
     """Sample the sphere vorticity on a (theta, phi) grid against 2 omega cos(theta).
 
     The theta grid includes both poles, so max_rel_err is relative to the
@@ -300,31 +301,22 @@ def vorticity_on_sphere(H: HermitianOperator, i, j, grid=(64, 64)) -> SphereProf
     return SphereProfile(int(i), int(j), sphere.omega, thetas, phis, numeric, 2.0 * sphere.omega * np.cos(th))
 
 
-def vorticity_transport_residual(H: HermitianOperator, i, j, theta, phi, field=None, h=FD_STEP):
-    """Residual of the stationary 2d vorticity transport on S_ij at (theta, phi).
+def vorticity_transport_residual(H: HermitianOperator, i, j, theta, phi):
+    """|X . d(2 omega cos theta)| at (theta, phi) on S_ij, X the library's flow: zero for a stationary Euler flow.
 
-    The scalar vorticity depends only on theta while the flow is purely
-    azimuthal, so the advection term vanishes identically. `field` overrides
-    the advecting velocity with (theta, phi) components, either a constant
-    pair or a callable of (theta, phi); the default is the Schrodinger
-    rotation (0, omega). A float for scalar theta and phi; for arrays, one
-    value per node of their broadcast, each the bits of its scalar call.
+    X's theta component is 4 g(d/dtheta, X), as |d/dtheta| = 1/2, so this
+    is |g(d/dtheta, X) 8 omega sin(theta)|. A float for scalar theta and
+    phi; for arrays, one value per node of their broadcast, each the bits
+    of its scalar call.
     """
-    omega = GeodesicSphere(H, i, j).omega
+    sphere = GeodesicSphere(H, i, j)
     theta, phi = np.broadcast_arrays(np.asarray(theta, dtype=float), np.asarray(phi, dtype=float))
-
-    def w_tilde(th):
-        return 2.0 * omega * np.cos(th)
-
-    if field is None:
-        comp = np.array([0.0, omega])
-    elif callable(field):
-        comp = np.asarray(field(theta, phi), dtype=float)
-    else:
-        comp = np.asarray(field, dtype=float)
-    dw_dtheta = (w_tilde(theta + h) - w_tilde(theta - h)) / (2.0 * h)
-    dw_dphi = 0.0  # w depends on theta only; kept for the formula's shape
-    residual = np.abs(comp[0] * dw_dtheta + comp[1] * dw_dphi)
+    ks, coords, d_theta = sphere.meridians(theta.ravel(), phi.ravel())
+    X = np.empty_like(coords)
+    for k, rows in chart_rows(ks):
+        X[rows] = fundamental_field(H, k).stack(coords[rows])
+    along = _bilinear(d_theta, fubini_study_metric(coords), X).reshape(theta.shape)
+    residual = np.abs(along * (8.0 * sphere.omega * np.sin(theta)))
     return float(residual) if residual.ndim == 0 else residual
 
 
@@ -364,7 +356,7 @@ class TrajectoryReport:
     max_deviation: float
 
 
-def schrodinger_trajectory(H: HermitianOperator, point, T=1.0, steps=1000) -> TrajectoryReport:
+def schrodinger_trajectory(H: HermitianOperator, point, T, steps) -> TrajectoryReport:
     """Integrate the chart flow of the Schrodinger field and compare with the geodesic.
 
     Both curves start from the same point with the same initial velocity;
@@ -391,7 +383,7 @@ def schrodinger_trajectory(H: HermitianOperator, point, T=1.0, steps=1000) -> Tr
     return TrajectoryReport(k, flow, geo, devs, float(devs.max()))
 
 
-def pressure_on_sphere(H: HermitianOperator, i, j, grid=(64, 64)) -> SphereProfile:
+def pressure_on_sphere(H: HermitianOperator, i, j, grid) -> SphereProfile:
     """Sample the pressure on a (theta, phi) grid of S_ij against omega^2 sin^2(theta) / 8.
 
     All grid nodes are evaluated as one stack of states.

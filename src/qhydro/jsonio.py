@@ -37,11 +37,13 @@ def load_object(source, what):
 
     A string is JSON text when it starts with "{" or "[", else a path. A file
     that cannot be read (missing, a directory, refused, not UTF-8) and text
-    that is not JSON each raise a ValueError; the first names the file.
+    that is not JSON each raise a ValueError that names the file; text given
+    as JSON has no file to name.
     """
     if isinstance(source, (str, os.PathLike)):
-        text = source
+        text, where = source, ""
         if not (isinstance(source, str) and source.lstrip().startswith(("{", "["))):
+            where = f" in {source}"
             try:
                 with open(source, "r", encoding="utf-8") as fh:
                     text = fh.read()
@@ -54,7 +56,7 @@ def load_object(source, what):
         try:
             source = json.loads(text)
         except json.JSONDecodeError as exc:
-            raise ValueError(f"malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+            raise ValueError(f"malformed JSON{where} at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     if not isinstance(source, dict):
         raise ValueError(f"{what} JSON must be an object")
     return source

@@ -259,8 +259,19 @@ def project_tangent(v, w, chart_index) -> np.ndarray:
     if not pivot.all():
         raise ValueError(f"curve leaves chart {chart_index}: zero pivot amplitude")
     slots = _slots(v.shape[-1], chart_index)
-    zeta_dot = (w[..., slots] * pivot - v[..., slots] * w[..., chart_index, None]) / (pivot * pivot)
-    return _interleave(zeta_dot)
+    return _chart_velocity(pivot, v[..., slots], w[..., chart_index, None], w[..., slots])
+
+
+def _chart_velocity(v_k, v_s, w_k, w_s):
+    """d/dt of the chart coordinates v_s / v_k as real pairs, from the pivot and slot parts of v and of its velocity w."""
+    return _interleave((w_s * v_k - v_s * w_k) / (v_k * v_k))
+
+
+def _chart_picks(ks, dim):
+    """Indices into an (N, dim) stack that take row n at its own chart index ks[n]: its (N, 1) pivots, its (N, dim - 1) slots."""
+    n, k = np.arange(len(ks))[:, None], ks[:, None]
+    slots = np.arange(dim - 1)
+    return (n, k), (n, slots + (slots >= k))
 
 
 def dispersion_via_metric(H: HermitianOperator, v):
@@ -344,39 +355,37 @@ class GeodesicSphere:
         d_ph = -1j * np.sin(theta / 2.0) * np.exp(-1j * phi) * b[:, self.i]
         return d_th, d_ph
 
+    def meridians(self, thetas, phis):
+        """(chart indices, coords, d/dtheta) at each node, in the chart of its largest amplitude: |d/dtheta| = 1/2."""
+        th = np.asarray(thetas, dtype=float).reshape(-1, 1)
+        ph = np.asarray(phis, dtype=float).reshape(-1, 1)
+        v, d_th = self.representative(th, ph), self.embedding_velocities(th, ph)[0]
+        ks = np.abs(v).argmax(axis=1)
+        pivot, slots = _chart_picks(ks, self.dim)
+        unit = normalized_rows(v)
+        return ks, _interleave(unit[slots] / unit[pivot]), _chart_velocity(v[pivot], v[slots], d_th[pivot], d_th[slots])
+
     def oriented_frames(self, thetas, phis):
         """Positively oriented orthonormal tangent frames in chart coordinates, one row per node.
 
         Returns (chart indices, coords, u1, u2) for the nodes (thetas[n],
-        phis[n]). Each node is taken in the chart of its largest amplitude; away from
-        the poles u1, u2 point along d/dtheta and d/dphi. At the poles d/dphi
-        degenerates, so the frame is built from two meridian directions (phi
-        and phi + pi/2), each lifted through its own representative gauge,
-        with the ordering flipped at theta = pi where meridians converge.
-        The nodes of one chart are one metric stack.
+        phis[n]), taken as in `meridians`; away from the poles u1, u2 point
+        along d/dtheta and d/dphi. At the poles d/dphi degenerates, so the
+        frame is built from two meridian directions (phi and phi + pi/2),
+        each lifted through its own representative gauge, with the ordering
+        flipped at theta = pi where meridians converge.
         """
+        ks, coords, t1 = self.meridians(thetas, phis)
         th = np.asarray(thetas, dtype=float).reshape(-1, 1)
         ph = np.asarray(phis, dtype=float).reshape(-1, 1)
-        v = self.representative(th, ph)
-        d_th, d_ph = self.embedding_velocities(th, ph)
         # the second direction: d/dphi, or at a pole the meridian at phi + pi/2 in its own gauge
         pole = np.abs(np.sin(th[:, 0])) <= POLE_TOL
-        v2, d2 = v.copy(), d_ph
+        v2, d2 = self.representative(th, ph), self.embedding_velocities(th, ph)[1]
         v2[pole] = self.representative(th[pole], ph[pole] + np.pi / 2.0)
         d2[pole] = self.embedding_velocities(th[pole], ph[pole] + np.pi / 2.0)[0]
-        flip = pole & (th[:, 0] > np.pi / 2.0)
-        ks = np.abs(v).argmax(axis=1)
-        coords = np.empty((len(v), 2 * (self.dim - 1)))
-        u1, u2 = np.empty_like(coords), np.empty_like(coords)
-        unit = normalized_rows(v)
-        for k, rows in chart_rows(ks):
-            _, xy = chart_of(unit[rows], k)
-            t1 = project_tangent(v[rows], d_th[rows], k)
-            t2 = project_tangent(v2[rows], d2[rows], k)
-            t2[flip[rows]] *= -1.0
-            g = fubini_study_metric(xy)
-            coords[rows] = xy
-            u1[rows] = t1 / np.sqrt(_bilinear(t1, g, t1))[:, None]
-            u2[rows] = t2 / np.sqrt(_bilinear(t2, g, t2))[:, None]
-        return ks, coords, u1, u2
+        pivot, slots = _chart_picks(ks, self.dim)
+        t2 = _chart_velocity(v2[pivot], v2[slots], d2[pivot], d2[slots])
+        t2[pole & (th[:, 0] > np.pi / 2.0)] *= -1.0
+        g = fubini_study_metric(coords)
+        return ks, coords, t1 / np.sqrt(_bilinear(t1, g, t1))[:, None], t2 / np.sqrt(_bilinear(t2, g, t2))[:, None]
 

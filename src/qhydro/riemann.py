@@ -269,12 +269,12 @@ class ChartManifold:
 
 @dataclass(frozen=True)
 class DiscreteCurve:
-    """Sampled curve with velocities; `exited` marks early chart exit."""
+    """Sampled curve with velocities; `exited`, a bool, marks early chart exit."""
 
     times: np.ndarray
     points: np.ndarray
     velocities: np.ndarray
-    exited: bool = False
+    exited: bool
 
     def __len__(self):
         return self.points.shape[0]
@@ -655,7 +655,7 @@ def _rk4(rhs, y0, T, steps, check=None):
                 raise type(exc)(f"broke down {where}: {exc}") from None
             states[n, live] = y
         n = stop
-    return [(np.arange(end) * dt, states[:end, r], end <= steps) for r, end in enumerate(ends)]
+    return [(np.arange(end) * dt, states[:end, r], end <= steps) for r, end in enumerate(ends.tolist())]
 
 
 def geodesic_integrate(manifold, x0, u0, T, steps):

@@ -87,3 +87,21 @@ def count_field_stacks(monkeypatch, calls, owner, factory, kind):
         return type(F)(StackFunction(lambda points: (calls.append((kind, len(points))), F.stack(points))[1]))
 
     monkeypatch.setattr(owner, factory, counted)
+
+
+def field_with_pressure_gradient(eps):
+    """A stand-in for fluid.fundamental_field that adds eps grad p, grad p in closed form: a flow with a meridian part."""
+    from qhydro import fluid, projective
+    from qhydro.hilbert import normalized_rows
+    from qhydro.riemann import StackFunction, VectorField
+
+    def field(H, k):
+        X = projective.fundamental_field(H, k)
+
+        def stack(points):
+            v = normalized_rows(projective.representative(k, points))
+            return X.stack(points) + eps * projective.project_tangent(v, fluid._variance_gradient_lifts(H, v), k)
+
+        return VectorField(StackFunction(stack))
+
+    return field

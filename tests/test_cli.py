@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from helpers import field_with_pressure_gradient
 from qhydro import cli, jsonio
 from qhydro.cli import EXIT_CHECK_FAILED, EXIT_INPUT_ERROR, EXIT_OK, main
 from qhydro.fluid import GradientCheckError
@@ -258,19 +259,26 @@ UNREADABLE_INPUTS = {
     "unreadable": "error: cannot read input file {path}: Permission denied",
     "not UTF-8": "error: cannot read input file {path}: "
     "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte",
-    "malformed": "error: malformed JSON at line 2, column 2: Expecting property name enclosed in double quotes",
+    "malformed": "error: malformed JSON in {path} at line 2, column 2: Expecting property name enclosed in double quotes",
+    "malformed contour": "error: malformed JSON in {path} at line 1, column 12: Expecting value",
 }
 
 
 @pytest.mark.parametrize("case", UNREADABLE_INPUTS)
 def test_an_input_that_cannot_be_read_exits_2_with_one_line(tmp_path, capsys, monkeypatch, case):
     path = tmp_path / "H.json"
+    argv = ["verify", "--input", str(path)]
     if case == "directory":
         path.mkdir()
     elif case == "not UTF-8":
         path.write_bytes(b"\xff\xfe{")
     elif case == "malformed":
         path.write_text("{\n x")
+    elif case == "malformed contour":  # the second input file of a command is the one named
+        path = tmp_path / "bad.json"
+        path.write_text('{"circle": ')
+        chi = write_json(tmp_path / "chi.json", {"two_s": 2, "roots": [[0.5, 0.1, 1]]})
+        argv = ["spin-circulation", "--input", chi, "--contour", str(path)]
     elif case == "unreadable":
         write_json(path, H01_JSON)
 
@@ -278,7 +286,7 @@ def test_an_input_that_cannot_be_read_exits_2_with_one_line(tmp_path, capsys, mo
             raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(file))
 
         monkeypatch.setattr(jsonio, "open", refuse, raising=False)
-    assert main(["verify", "--input", str(path)]) == EXIT_INPUT_ERROR
+    assert main(argv) == EXIT_INPUT_ERROR
     assert capsys.readouterr() == ("", UNREADABLE_INPUTS[case].format(path=path) + "\n")
 
 
@@ -645,6 +653,20 @@ def test_pressure_fails_its_grid_check_on_a_scaled_profile(tmp_path, capsys, mon
     h = write_json(tmp_path / "H3.json", H123_JSON)
     assert main(["pressure", "--input", h, "--grid", "8", "--output", str(tmp_path / "p")]) == EXIT_CHECK_FAILED
     assert failed_checks(capsys) == {"pressure_grid_error"}
+
+
+def test_vorticity_fails_its_transport_check_when_the_flow_has_a_meridian_part(tmp_path, capsys, monkeypatch):
+    # X + 1e-3 grad p has the vorticity of X (d dp = 0), so only the transport check can see it
+    from qhydro import fluid
+
+    monkeypatch.setattr(fluid, "fundamental_field", field_with_pressure_gradient(1e-3))
+    h = write_json(tmp_path / "H3.json", H123_JSON)
+    argv = ["vorticity", "--input", h, "--grid", "16", "--pair", "2", "0", "--output", str(tmp_path / "w.csv")]
+    assert main(argv) == EXIT_CHECK_FAILED
+    (transport,) = [c for c in json.loads(capsys.readouterr().out)["checks"] if not c["passed"]]
+    assert transport["check"] == "vorticity_transport_residual" and transport["passed"] is False
+    assert transport["n_points"] == 16 * 8  # every theta node, every second phi node
+    assert transport["max_residual"] > 1e3 * transport["threshold"]
 
 
 def test_vorticity_fails_its_profile_check_on_scaled_vorticities(tmp_path, capsys, monkeypatch):

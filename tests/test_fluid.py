@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from helpers import random_hermitian, random_state
+from helpers import field_with_pressure_gradient, random_hermitian, random_state
 from qhydro.cli import main
 from qhydro.fluid import (
     NODE_BLOCK,
@@ -170,10 +170,10 @@ def test_vorticity_scales_with_level_spacing():
 
 
 def test_transport_residual_vanishes_for_schrodinger_flow():
-    rng = np.random.default_rng(54)
-    for _ in range(20):
-        theta, phi = rng.uniform(0.1, np.pi - 0.1), rng.uniform(0.0, 2 * np.pi)
-        assert vorticity_transport_residual(H01, 1, 0, theta, phi) < 1e-8
+    th, ph = np.meshgrid(np.linspace(0.0, np.pi, 12), np.linspace(0.0, 2.0 * np.pi, 12, endpoint=False), indexing="ij")
+    for H in (H01, random_hermitian(np.random.default_rng(3), 3), random_hermitian(np.random.default_rng(5), 5)):
+        for i, j in {(1, 0), (H.dim - 1, 0), (H.dim - 1, H.dim - 2)}:
+            assert vorticity_transport_residual(H, i, j, th, ph).max() < 1e-12
 
 
 def test_transport_residual_degenerate_pair_is_zero():
@@ -181,22 +181,30 @@ def test_transport_residual_degenerate_pair_is_zero():
     assert vorticity_transport_residual(H, 1, 0, 0.9, 0.1) == 0.0
 
 
-def test_transport_residual_detects_meridian_perturbation():
-    eps, theta = 1e-3, 1.1
-    omega = 1.0
-    res = vorticity_transport_residual(H01, 1, 0, theta, 0.0, field=(eps, omega))
-    assert res == pytest.approx(eps * 2.0 * omega * np.sin(theta), rel=1e-6)
+@pytest.mark.parametrize("dim, i, j", [(2, 1, 0), (4, 3, 1)])
+def test_transport_residual_is_the_meridian_slope_of_a_flow_with_a_pressure_gradient(monkeypatch, dim, i, j):
+    from qhydro import fluid
+
+    # X + eps grad p: along the unit meridian, dp = omega^2 sin(theta) cos(theta) / 2 (p = omega^2 sin^2(theta) / 8
+    # on a sphere of radius 1/2), so the residual is eps omega^2 sin cos / 2 * 4 |omega| sin = 2 eps |omega|^3 sin^2 |cos|
+    eps = 1e-3
+    H = H01 if dim == 2 else random_hermitian(np.random.default_rng(4), dim)
+    omega = GeodesicSphere(H, i, j).omega
+    th, ph = np.meshgrid(np.linspace(0.0, np.pi, 13), np.linspace(0.0, 2.0 * np.pi, 7, endpoint=False), indexing="ij")
+    monkeypatch.setattr(fluid, "fundamental_field", field_with_pressure_gradient(eps))
+    residuals = vorticity_transport_residual(H, i, j, th, ph)
+    expected = 2.0 * eps * abs(omega) ** 3 * np.sin(th) ** 2 * np.abs(np.cos(th))
+    assert np.abs(residuals - expected).max() < 1e-9 * expected.max()
 
 
 def test_transport_residual_on_arrays_is_its_scalar_calls_bit_for_bit():
     H = random_hermitian(np.random.default_rng(4), 4)
     th, ph = np.meshgrid(np.linspace(0.0, np.pi, 9), np.linspace(0.0, 2.0 * np.pi, 5, endpoint=False), indexing="ij")
-    for field in (None, (1e-3, 0.7), lambda theta, phi: (1e-3 * np.sin(phi), np.cos(theta))):
-        residuals = vorticity_transport_residual(H, 3, 1, th, ph, field=field)
-        scalars = [vorticity_transport_residual(H, 3, 1, a, b, field=field) for a, b in zip(th.flat, ph.flat)]
-        assert all(type(value) is float for value in scalars)
-        assert residuals.shape == th.shape
-        assert residuals.tobytes() == np.array(scalars).reshape(th.shape).tobytes()
+    residuals = vorticity_transport_residual(H, 3, 1, th, ph)
+    scalars = [vorticity_transport_residual(H, 3, 1, a, b) for a, b in zip(th.flat, ph.flat)]
+    assert all(type(value) is float for value in scalars)
+    assert residuals.shape == th.shape
+    assert residuals.tobytes() == np.array(scalars).reshape(th.shape).tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -79,6 +79,12 @@ def test_load_object_reads_dicts_text_and_paths(tmp_path):
     for source in ["[1, 2]", [1], None, 3, 2.5, True, str(listed)]:
         with pytest.raises(ValueError, match="^x JSON must be an object$"):
             jsonio.load_object(source, "x")
+    # malformed JSON read from a file names the file; JSON given as text has none to name
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"a": ')
+    for source, where in [('{"a": ', ""), (str(bad), f" in {bad}"), (bad, f" in {bad}")]:
+        with pytest.raises(ValueError, match=f"^malformed JSON{re.escape(where)} at line 1, column 7: Expecting value$"):
+            jsonio.load_object(source, "x")
     # every loader of the library refuses a missing file with a ValueError that names it
     for loader in (hermitian_from_json, wavefunction_from_json, contour_from_json):
         with pytest.raises(ValueError, match=f"^input file not found: {re.escape(str(tmp_path / 'missing.json'))}$"):

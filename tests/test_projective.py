@@ -364,6 +364,18 @@ def test_sphere_frame_is_orthonormal_and_smooth_at_poles():
         assert u1 @ g @ u2 == pytest.approx(0.0, abs=1e-12)
 
 
+def test_sphere_meridians_have_length_one_half_in_the_charts_of_the_frames():
+    # the transport residual reads the theta component of a field X as 4 g(d/dtheta, X)
+    sph = GeodesicSphere(random_hermitian(np.random.default_rng(7), 4), 3, 1)
+    th, ph = np.meshgrid(np.linspace(0.0, np.pi, 9), np.linspace(0.0, 2.0 * np.pi, 5, endpoint=False), indexing="ij")
+    ks, coords, d_theta = sph.meridians(th.ravel(), ph.ravel())
+    frame_ks, frame_coords, u1, _ = sph.oriented_frames(th.ravel(), ph.ravel())
+    assert ks.tobytes() == frame_ks.tobytes() and coords.tobytes() == frame_coords.tobytes()
+    lengths = np.sqrt(np.einsum("na,nab,nb->n", d_theta, fubini_study_metric(coords), d_theta))
+    assert np.abs(lengths - 0.5).max() < 1e-12
+    assert np.abs(u1 - 2.0 * d_theta).max() < 1e-12
+
+
 # ---------------------------------------------------------------------------
 # Stack evaluation: a point alone and the same point in a stack give the
 # same floating-point numbers

@@ -1336,6 +1336,14 @@ def test_chunked_steps_of_a_stack_whose_rows_exit_in_different_chunks(monkeypatc
     assert error is ValueError
 
 
+@pytest.mark.parametrize("route", ROUTES)
+def test_exited_is_a_python_bool_from_one_start_and_from_a_stack(route):
+    # so that a curve's exit goes into JSON as it is
+    one = integrate(route, *east(K))
+    curves = integrate(route, *stack(east(K), east(STEPS + 1)))
+    assert [(type(c.exited), c.exited) for c in [one, *curves]] == [(bool, True), (bool, True), (bool, False)]
+
+
 KICK = 10.0
 
 
