@@ -25,7 +25,7 @@ import warnings
 
 import numpy as np
 
-from . import fluid, jsonio, projective, riemann, spin
+from . import fluid, hilbert, jsonio, projective, riemann, spin
 from .hilbert import DegenerateSpectrumError, StateVector, dispersion_squared, hermitian_from_json, normalized_rows
 from .jsonio import MAX_GRID_NODES
 
@@ -209,8 +209,14 @@ def cmd_critical_points(args: argparse.Namespace) -> int:
 
 def cmd_vorticity(args: argparse.Namespace) -> int:
     H = hermitian_from_json(args.input)
-    H.require_nondegenerate()
     i, j = _pairs(args, H)[0]  # without --pair, the first pair is (1, 0)
+    # only the pair's own energies must differ: where they coincide, S_ij carries no flow to check
+    gap, spread = float(H.eigenvalues[i] - H.eigenvalues[j]), max(H.spectral_range, 1e-300)
+    if gap <= hilbert.DEGENERACY_RTOL * spread:
+        raise ValueError(
+            f"pair ({i}, {j}) is degenerate: E_{i} - E_{j} = {gap!r} "
+            f"is at most {hilbert.DEGENERACY_RTOL!r} times the spectral range {spread!r}"
+        )
     _require_affordable_grid(args, args.grid**2)
     profile = fluid.vorticity_on_sphere(H, i, j, (args.grid, args.grid))
     path = args.output or f"vorticity_S{i}{j}.csv"

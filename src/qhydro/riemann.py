@@ -64,6 +64,8 @@ FD_STEP = 1e-4
 # Christoffel truncation error, not the RK4 error, dominates conserved
 # quantities, and 1e-5 sits near the optimum of truncation vs round-off.
 GEODESIC_FD_STEP = 1e-5
+# The most points a surface of revolution keeps profile values for; its memo is emptied when full.
+_PROFILE_MEMO = 4096
 
 
 def _all(mask):
@@ -578,6 +580,12 @@ def _rk4(rhs, y0, T, steps, check=None):
     for bit. Warnings that rhs gives through the warnings module, not
     numpy's errstate, are not held back.
 
+    The stage points and the increment y + dt/6 (k1 + 2 k2 + 2 k3 + k4)
+    take dt, dt/2, dt/6 and 2 as 0-d float64 arrays: on rhs's float64
+    states these are the products of the Python floats, bit for bit,
+    without numpy converting a scalar for each. The times and the step's
+    time in an error are those of the Python float dt.
+
     rhs must return an array of the shape of the stack it is given; one of
     another shape raises ValueError, from the step whose first stage gets
     it. steps must be an integer (a numpy integer too) of at least 1, and
@@ -587,7 +595,7 @@ def _rk4(rhs, y0, T, steps, check=None):
     if not np.isfinite(T):
         raise ValueError(f"T must be finite, got {T}")
     dt = float(T) / steps
-    half, sixth = 0.5 * dt, dt / 6.0
+    full, half, sixth, two = (np.array(c) for c in (dt, 0.5 * dt, dt / 6.0, 2.0))
 
     def step(y, n, stop):
         """The new states of steps n to stop - 1 from y, one block row each, once `check` has seen their points."""
@@ -601,11 +609,11 @@ def _rk4(rhs, y0, T, steps, check=None):
             k2 = rhs(y2)
             y3 = y + half * k2
             k3 = rhs(y3)
-            y4 = y + dt * k3
+            y4 = y + full * k3
             k4 = rhs(y4)
             # k1 + 2 k2 + 2 k3 + k4, summed in that order, in one buffer, then added to y
-            incr = k1 + 2 * k2
-            incr += 2 * k3
+            incr = k1 + two * k2
+            incr += two * k3
             incr += k4
             incr *= sixth
             y = np.add(y, incr, out=new)
@@ -747,55 +755,69 @@ def surface_of_revolution(rho, drho, z_domain=None):
     The chart is (z, phi) with metric diag(1 + rho'(z)^2, rho(z)^2). The
     rotation field d/dphi is Killing, with pressure 1/2 rho^2; its critical
     parallels sit at rho' = 0. The metric and the domain are evaluated on
-    stacks of points, with z as a Python float: rho once per point of a
-    stack (the metric reuses the radii the domain computed for the same
-    stack) and drho once per point.
+    stacks of points, with z as a Python float.
+
+    rho and drho must be pure: each surface keeps one memo of the values it
+    computed, z -> rho(z) and, once computed, drho(z), which its spray, its
+    domain, its metric and its pressure all read and write. So the checks
+    of a geodesic's points and its clairaut_check find the values the spray
+    computed there. The memo holds at most _PROFILE_MEMO points and is
+    emptied when full; z == 0 gets no entry, so -0.0 and 0.0 never share
+    one, and a NaN never hits. At each z, rho is called before drho. Each
+    entry is replaced whole, so a call that races another one, or the
+    emptying, finds a whole entry or none, and recomputes.
 
     Geodesics take the closed-form connection of diag(E, rho^2), E = 1 +
     rho'^2: Gamma^z_zz = rho' rho''/E, Gamma^z_phiphi = -rho rho'/E and
     Gamma^phi_zphi = rho'/rho, so z'' = -(rho' rho'' z'^2 - rho rho' phi'^2)/E
     and phi'' = -2 (rho'/rho) z' phi'. The manifold's geodesic_spray maps
     each row (z, phi, z', phi') to (z', phi', z'', phi''), on Python floats.
-    rho'' is the one difference: drho at z +- GEODESIC_FD_STEP, centred. A
-    row whose z +- GEODESIC_FD_STEP leaves z_domain, or where rho(z) is not
-    positive, raises ChartBoundaryError before drho is called there, so a
-    geodesic exits where the Christoffel stencil would. christoffel and the
-    other operators keep the stencil.
+    rho'' is the one difference: drho at z +- GEODESIC_FD_STEP, centred, not
+    kept in the memo. A row whose z +- GEODESIC_FD_STEP leaves z_domain, or
+    where rho(z) is not positive, raises ChartBoundaryError before drho is
+    called there, so a geodesic exits where the Christoffel stencil would.
+    christoffel and the other operators keep the stencil.
 
     Parameters
     ----------
     rho, drho : callable
-        Profile radius and its derivative as functions of z.
+        Profile radius and its derivative as pure functions of z.
     z_domain : (float, float), optional
         Open z-interval of the chart; default unrestricted. rho is called
         only inside it.
     """
-    # (bytes of the z column, rho of each z) of the stack the domain last saw whole:
-    # one tuple, replaced at once, so a concurrent call sees a matching pair or none
-    radii = (None, None)
+    memo = {}  # z -> (rho(z),) or (rho(z), drho(z)); read as memo.get(z) or a computed entry
+
+    def keep(z, entry):
+        """entry, kept as z's unless z is NaN or zero; a full memo is emptied first."""
+        if z == z and z != 0.0:
+            if len(memo) >= _PROFILE_MEMO:
+                memo.clear()
+            memo[z] = entry
+        return entry
+
+    def computed(z):
+        """The entry (rho(z),) of a z the memo misses, computed and kept."""
+        return keep(z, (float(rho(z)),))
 
     def metric(points):
-        key, rs = radii
-        zs = points[:, 0].tolist()
-        if key != points[:, 0].tobytes():
-            rs = map(rho, zs)  # lazily, so each rho(z) comes before its drho(z), as without the shared radii
         entries = []
-        for z, r in zip(zs, rs):
-            r = float(r)
+        for z in points[:, 0].tolist():
+            entry = memo.get(z) or (float(rho(z)),)
+            r = entry[0]
             if r <= 0.0:
                 raise ValueError(f"profile radius must be positive, got rho({z}) = {r}")
-            rp = float(drho(z))
+            if len(entry) == 1:
+                entry = keep(z, (r, float(drho(z))))
+            rp = entry[1]
             entries += (1.0 + rp * rp, 0.0, 0.0, r * r)
         return np.array(entries).reshape(len(points), 2, 2)
 
     def domain(points):
-        nonlocal radii
         zs = points[:, 0].tolist()
-        if z_domain is not None and not all(z_domain[0] < z < z_domain[1] for z in zs):
-            return [z_domain[0] < z < z_domain[1] and float(rho(z)) > 0.0 for z in zs]
-        rs = [float(rho(z)) for z in zs]
-        radii = (points[:, 0].tobytes(), rs)
-        return [r > 0.0 for r in rs]
+        if z_domain is None:
+            return [(memo.get(z) or computed(z))[0] > 0.0 for z in zs]
+        return [z_domain[0] < z < z_domain[1] and (memo.get(z) or computed(z))[0] > 0.0 for z in zs]
 
     low, high = z_domain if z_domain is not None else (-np.inf, np.inf)
     h = GEODESIC_FD_STEP
@@ -806,16 +828,21 @@ def surface_of_revolution(rho, drho, z_domain=None):
             # z +- h inside the open z_domain puts z there too; a non-finite z fails both tests
             if not (low < z - h and z + h < high):
                 raise ChartBoundaryError(f"rho'' difference at z = {z} +- {h} leaves the chart domain")
-            r = float(rho(z))
+            entry = memo.get(z) or (float(rho(z)),)
+            r = entry[0]
             if not r > 0.0:
                 raise ChartBoundaryError(f"point with rho({z}) = {r} outside chart domain of surface_of_revolution")
-            rp = float(drho(z))
+            if len(entry) == 1:
+                entry = keep(z, (r, float(drho(z))))
+            rp = entry[1]
             rpp = (float(drho(z + h)) - float(drho(z - h))) / (2.0 * h)
             zpp = -(rp * rpp * vz * vz - r * rp * vphi * vphi) / (1.0 + rp * rp)
             entries += (vz, vphi, zpp, -2.0 * (rp / r) * vz * vphi)
         return np.array(entries).reshape(len(y), 4)
 
+    def pressure(points):
+        return [0.5 * (memo.get(z) or computed(z))[0] ** 2 for z in points[:, 0].tolist()]
+
     manifold = ChartManifold(2, StackFunction(metric), StackFunction(domain), "surface_of_revolution", geodesic_spray)
     killing = VectorField(StackFunction(lambda points: np.tile([0.0, 1.0], (len(points), 1))))
-    pressure = ScalarField(StackFunction(lambda points: [0.5 * float(rho(z)) ** 2 for z in points[:, 0].tolist()]))
-    return SurfaceOfRevolution(manifold, killing, pressure)
+    return SurfaceOfRevolution(manifold, killing, ScalarField(StackFunction(pressure)))

@@ -485,6 +485,23 @@ def total_spin_circulation(chi: SpinWaveFunction) -> float:
     return circulation(chi, ring)
 
 
+def _companion_roots(c):
+    """np.roots(c[::-1]).tolist() for coefficients c, low order first, whose last is nonzero, bit for bit.
+
+    The eigenvalues of the companion matrix of c with its low-order zeros
+    stripped, then a root 0 for each zero stripped. As in np.roots, they
+    are Python complex numbers, except for a monomial, whose roots are
+    Python floats.
+    """
+    low = int(np.flatnonzero(c)[0])
+    if low == len(c) - 1:
+        return [0.0] * low
+    p = c[low:][::-1]
+    A = np.eye(len(p) - 1, k=-1, dtype=p.dtype)
+    A[0] = -p[1:] / p[0]
+    return np.linalg.eigvals(A).tolist() + [0j] * low
+
+
 def vorticity_divisor(chi: SpinWaveFunction) -> VorticityDivisor:
     """Roots with multiplicities via companion-matrix eigenvalues.
 
@@ -541,7 +558,7 @@ def vorticity_divisor(chi: SpinWaveFunction) -> VorticityDivisor:
 
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite value is refused below
         try:
-            eigenvalues = np.roots(c[::-1]).tolist()
+            eigenvalues = _companion_roots(c)
         except np.linalg.LinAlgError:  # the companion matrix overflowed
             raise NumericalBreakdownError("companion matrix of the roots overflows double precision") from None
         refined = [polish(z) for z in eigenvalues]

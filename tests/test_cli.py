@@ -104,6 +104,18 @@ def test_vorticity_rejects_bad_pair(tmp_path, capsys):
     assert main(["vorticity", "--input", h, "--pair", "0", "1"]) == EXIT_INPUT_ERROR
 
 
+def test_vorticity_needs_only_its_own_pair_to_be_nondegenerate(tmp_path, capsys):
+    # E = (0, 0, 1): S_20 carries a flow, while on S_10 the flow vanishes and the profile check would pass vacuously
+    h = write_json(tmp_path / "H.json", {"dim": 3, "re": [[0, 0, 0], [0, 0, 0], [0, 0, 1]]})
+    argv = ["vorticity", "--input", h, "--grid", "16", "--output", str(tmp_path / "w.csv"), "--pair"]
+    assert main([*argv, "2", "0"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["passed"] is True
+    assert main([*argv, "1", "0"]) == EXIT_INPUT_ERROR
+    captured = capsys.readouterr()
+    message = "error: pair (1, 0) is degenerate: E_1 - E_0 = 0.0 is at most 1e-08 times the spectral range 1.0\n"
+    assert captured.out == "" and captured.err == message
+
+
 def test_trajectory_report(tmp_path):
     h = write_json(tmp_path / "H.json", H01_JSON)
     out = tmp_path / "traj.json"

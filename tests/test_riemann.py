@@ -1,6 +1,7 @@
 """Chart geometry operators against closed-form and hand-computed oracles."""
 
 import dataclasses
+import math
 import re
 import warnings
 
@@ -741,12 +742,15 @@ def uncached_christoffel(manifold, x, h):
     return 0.5 * np.einsum("mkl,mijl->mkij", np.linalg.inv(g[:1]), brackets)[0]
 
 
-def uncached_geodesic(manifold, x0, u0, T, steps, h):
+def uncached_geodesic(manifold, x0, u0, T, steps, h, rhs=None):
+    """RK4 one state at a time, with Python-float constants; rhs defaults to the uncached Christoffel stencil's spray."""
     d = manifold.dim
 
-    def rhs(y):
+    def stencil_rhs(y):
         gamma = uncached_christoffel(manifold, y[:d], h)
         return np.concatenate([y[d:], -np.einsum("kij,i,j->k", gamma, y[d:], y[d:])])
+
+    rhs = rhs or stencil_rhs
 
     y, dt = np.concatenate([x0, u0]), float(T) / int(steps)
     states = [y]
@@ -782,14 +786,34 @@ def per_point_surface(rho, drho, z_domain=None):
     return ChartManifold(2, metric, domain, name="surface_of_revolution")
 
 
+def closed_form_surface_rhs(rho, drho, z_domain=None):
+    """The closed-form spray of surface_of_revolution at one state, written per point on Python floats."""
+    low, high = z_domain or (-np.inf, np.inf)
+    h = GEODESIC_FD_STEP
+
+    def rhs(y):
+        z, _, vz, vphi = y.tolist()
+        if not (low < z - h and z + h < high):
+            raise ChartBoundaryError("rho'' difference leaves the chart")
+        r = float(rho(z))
+        if not r > 0.0:
+            raise ChartBoundaryError("rho not positive")
+        rp = float(drho(z))
+        rpp = (float(drho(z + h)) - float(drho(z - h))) / (2.0 * h)
+        zpp = -(rp * rpp * vz * vz - r * rp * vphi * vphi) / (1.0 + rp * rp)
+        return np.array([vz, vphi, zpp, -2.0 * (rp / r) * vz * vphi])
+
+    return rhs
+
+
 def stencil_route(surf):
     """The surface's metric and domain without its closed-form geodesic spray: the default, stencil spray."""
     return ChartManifold(2, surf.manifold.metric, surf.manifold.chart_domain, name="surface_of_revolution")
 
 
-def assert_geodesic_bits(manifold, reference, field, x0, u0, T, steps):
+def assert_geodesic_bits(manifold, reference, field, x0, u0, T, steps, rhs=None):
     curve = geodesic_integrate(manifold, x0, u0, T, steps)
-    points, velocities, exited = uncached_geodesic(reference, x0, u0, T, steps, GEODESIC_FD_STEP)
+    points, velocities, exited = uncached_geodesic(reference, x0, u0, T, steps, GEODESIC_FD_STEP, rhs)
     assert curve.exited == exited
     assert np.array_equal(curve.points, points) and np.array_equal(curve.velocities, velocities)
     # the signs of zeros too: array_equal takes -0.0 == 0.0
@@ -811,6 +835,24 @@ def test_geodesics_on_random_surfaces_equal_the_uncached_path_bit_for_bit():
         M = stencil_route(surf)
         curve = assert_geodesic_bits(M, per_point_surface(rho, drho), surf.killing_field, x0, u0, 1.0, 60)
         assert not curve.exited
+
+
+def test_closed_form_surface_geodesics_equal_a_per_point_rk4_of_the_formula_bit_for_bit():
+    # the library's route: chunks of stacked steps, 0-d array constants and the profile memo; the reference:
+    # one state at a time, Python-float constants, rho and drho called at every point
+    rng = np.random.default_rng(65)
+    exits = []
+    for z_domain in (None, (-0.5, 0.5)):
+        for _ in range(8):
+            a, b, c = rng.uniform(2.0, 3.0), rng.uniform(0.3, 1.0), rng.uniform(0.5, 1.5)
+            rho, drho = (lambda z: a + b * np.sin(c * z)), (lambda z: b * c * np.cos(c * z))
+            surf = surface_of_revolution(rho, drho, z_domain)
+            x0 = np.array([rng.uniform(-0.4, 0.4), rng.uniform(0.0, 2.0 * np.pi)])
+            u0 = rng.normal(size=2) * 0.5
+            reference = per_point_surface(rho, drho, z_domain)
+            rhs = closed_form_surface_rhs(rho, drho, z_domain)
+            exits.append(assert_geodesic_bits(surf.manifold, reference, surf.killing_field, x0, u0, 1.0, 60, rhs).exited)
+    assert not any(exits[:8]) and 0 < sum(exits[8:]) < 8
 
 
 def test_surface_killing_field_and_pressure_are_stack_functions_with_their_per_point_values():
@@ -910,11 +952,11 @@ def counted_profile(a=2.0, b=0.5, c=1.0):
     return rho, drho, calls
 
 
-def test_surface_christoffel_calls_rho_and_drho_once_per_stencil_point():
+def test_surface_christoffel_calls_rho_and_drho_once_per_distinct_z():
+    # the 5 stencil points of a base point in (z, phi) hold 3 values of z: the memo computes each once
     rho, drho, calls = counted_profile()
     christoffel(surface_of_revolution(rho, drho).manifold, np.array([0.3, 0.1]))
-    assert len(calls["rho"]) == 5 and len(calls["drho"]) == 5
-    assert calls["rho"] == calls["drho"]
+    assert calls["rho"] == calls["drho"] == [0.3, 0.3 + 1e-4, 0.3 - 1e-4]
 
 
 def test_surface_calls_rho_only_inside_z_domain():
@@ -968,18 +1010,112 @@ def test_every_stencil_operator_names_a_base_point_outside_the_chart_before_its_
             assert str(failed.value) == f"point {x} outside chart domain of surface_of_revolution", name
 
 
-def test_surface_metric_reuses_only_the_radii_of_its_own_stack():
+def test_surface_metric_never_takes_the_radius_of_another_z():
     # a concurrent caller can evaluate the domain of another stack between one stack's domain and metric;
-    # these two stacks differ only in the sign of a zero z
+    # these two stacks differ only in the sign of a zero z, which has no memo entry: rho(0.1) is kept, and
+    # rho at either zero is computed again by each metric
     rho, drho, calls = counted_profile()
     M = surface_of_revolution(rho, drho).manifold
     reference = per_point_surface(rho, drho)
     first, second = np.array([[0.1, 0.0], [0.0, 2.0]]), np.array([[0.1, 0.0], [-0.0, 2.0]])
-    for domain_of, metric_of, new_rho_calls in ((first, second, 2), (second, second, 0), (second, first, 2)):
+    for domain_of, metric_of, new_rho_calls in ((first, second, 1), (second, second, 1), (second, first, 1)):
         M.chart_domain.stack(domain_of)
         del calls["rho"][:]
         assert np.array_equal(M.metric.stack(metric_of), [reference.metric(y) for y in metric_of])
         assert len(calls["rho"]) == new_rho_calls + 2  # and the reference's own two
+
+
+def signed_zero_profile():
+    """A profile whose rho tells -0.0 from 0.0, and its per-point surface."""
+    rho = lambda z: 2.0 + np.sin(z) + math.copysign(0.25, z)
+    drho = lambda z: np.cos(z) + math.copysign(0.5, z)
+    return rho, drho, per_point_surface(rho, drho)
+
+
+def assert_surface_values_match(surf, rho, reference, points):
+    """The surface's domain, metric and pressure on a stack are the per-point reference's, signed zeros included."""
+    M = surf.manifold
+    assert M.chart_domain.stack(points) == [reference.chart_domain(y) for y in points]
+    g, expected = M.metric.stack(points), np.array([reference.metric(y) for y in points])
+    assert g.tobytes() == expected.tobytes()
+    assert surf.pressure.stack(points).tolist() == [0.5 * float(rho(z)) ** 2 for z in points[:, 0].tolist()]
+
+
+def test_surface_memo_keeps_signed_zeros_apart_and_never_hits_a_nan():
+    rho, drho, reference = signed_zero_profile()
+    surf = surface_of_revolution(rho, drho)
+    zs = [0.0, -0.0, 0.3, -0.3, 0.0, -0.0, 0.3]
+    for order in (zs, zs[::-1], [-0.0, 0.0] * 3):
+        assert_surface_values_match(surf, rho, reference, np.column_stack([order, np.zeros(len(order))]))
+    # the spray at either zero: its own radius and slope
+    for z in (0.0, -0.0):
+        y = np.array([[z, 0.0, 0.4, 0.3]])
+        assert surf.manifold.geodesic_spray(y).tobytes() == closed_form_surface_rhs(rho, drho)(y[0])[None].tobytes()
+    # a NaN z is computed at every call, never taken from the memo
+    rho, drho, calls = counted_profile()
+    M = surface_of_revolution(rho, drho).manifold
+    for _ in range(3):
+        M.metric.stack(np.array([[np.nan, 0.0], [0.1, 0.0]]))
+    assert len(calls["rho"]) == 4 and [z for z in calls["rho"] if z == z] == [0.1]
+
+
+def test_geodesic_and_clairaut_check_call_rho_and_drho_at_most_once_per_nonzero_z():
+    for x0 in ([0.3, 0.1], [0.0, 0.1], [-0.0, 0.2]):
+        rho, drho, calls = counted_profile()
+        surf = surface_of_revolution(rho, drho)
+        curve = geodesic_integrate(surf.manifold, np.array(x0), np.array([0.4, 0.3]), 1.0, 100)
+        assert not curve.exited
+        clairaut_check(surf.manifold, curve, surf.killing_field)
+        for name in ("rho", "drho"):
+            nonzero = [z for z in calls[name] if z != 0.0]
+            assert len(nonzero) == len(set(nonzero)), name
+        # rho at the start and at each step's three later stage points and new sample
+        assert len([z for z in calls["rho"] if z != 0.0]) == 4 * 100 + (x0[0] != 0.0)
+
+
+def test_a_surface_memo_emptied_at_every_few_points_gives_the_same_bits(monkeypatch):
+    rho, drho = (lambda z: 2.0 + np.sin(z)), np.cos
+    x0, u0 = np.array([[0.3, 0.1], [-0.2, 1.0]]), np.array([[0.4, 0.3], [-0.1, 0.5]])
+    surf = surface_of_revolution(rho, drho)
+    expected = geodesic_integrate(surf.manifold, x0, u0, 1.0, 50)
+    monkeypatch.setattr(riemann, "_PROFILE_MEMO", 3)
+    surf = surface_of_revolution(rho, drho)
+    for curve, other in zip(geodesic_integrate(surf.manifold, x0, u0, 1.0, 50), expected):
+        assert_same_curve(curve, other)
+        assert clairaut_check(surf.manifold, curve, surf.killing_field) == clairaut_check(
+            surf.manifold, other, surf.killing_field
+        )
+
+
+def test_threads_sharing_a_surface_memo_that_empties_get_the_per_point_values(monkeypatch):
+    import sys
+    import threading
+
+    monkeypatch.setattr(riemann, "_PROFILE_MEMO", 4)
+    rho, drho, reference = signed_zero_profile()
+    surf = surface_of_revolution(rho, drho)
+    rng = np.random.default_rng(66)
+    stacks = [np.column_stack([rng.choice([0.0, -0.0, 0.1, -0.1, 0.2, 0.3], 9), np.zeros(9)]) for _ in range(8)]
+    failures = []
+
+    def work(points):
+        try:
+            for _ in range(30):
+                assert_surface_values_match(surf, rho, reference, points)
+        except AssertionError as exc:
+            failures.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(points,)) for points in stacks]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads) and not failures
 
 
 def test_metric_at_returns_an_array_the_caller_owns():
