@@ -28,6 +28,8 @@ from .jsonio import count, write_text
 from .projective import (
     GeodesicSphere,
     TangentAtPoint,
+    _field_kernel,
+    _spray_kernel,
     chart_manifold,
     chart_of,
     chart_rows,
@@ -39,10 +41,12 @@ from .projective import (
     representative,
 )
 from .riemann import (
+    DiscreteCurve,
     FD_STEP,
     ScalarField,
     StackFunction,
     _bilinear,
+    _rk4,
     _Stencil,
     exterior_derivative_oneform,
     flat_form,
@@ -364,23 +368,68 @@ def schrodinger_trajectory(H: HermitianOperator, point, T, steps) -> TrajectoryR
     The deviation vanishes exactly when the start is a pressure critical
     point and grows at generic starts, where the flow follows a non-geodesic
     latitude circle.
+
+    The two curves are integrated as one RK4 system (see _packed_curves),
+    under np.errstate(all="raise"). If that run raises FloatingPointError,
+    OverflowError or ValueError, or its row exits, the curves are integrated
+    again by flow_integrate and then geodesic_integrate under the caller's
+    errstate, and those two runs decide the exits, errors and warnings. So
+    the report is bit for bit that of the two integrators called directly,
+    and an error names the curve and the chart that raised.
     """
     k, x = chart_of(point)
     manifold = chart_manifold(H.dim, k)
     X = fundamental_field(H, k)
-    curve = f"the flow on chart {k}"
     try:
-        flow = flow_integrate(X, x, T, steps)
-        curve = f"the geodesic on chart {k}"
-        geo = geodesic_integrate(manifold, x, X(x), T, steps)
-    except (FloatingPointError, OverflowError) as exc:  # the message names the step; add the curve
-        raise type(exc)(f"{curve} {exc}") from None
+        with np.errstate(all="raise"):
+            curves = _packed_curves(H, k, manifold, X, x, T, steps)
+    except (FloatingPointError, OverflowError, ValueError):  # ChartBoundaryError is a ValueError
+        curves = None
+    if curves is None:
+        curve = f"the flow on chart {k}"
+        try:
+            flow = flow_integrate(X, x, T, steps)
+            curve = f"the geodesic on chart {k}"
+            curves = flow, geodesic_integrate(manifold, x, X(x), T, steps)
+        except (FloatingPointError, OverflowError) as exc:  # the message names the step; add the curve
+            raise type(exc)(f"{curve} {exc}") from None
+    flow, geo = curves
     m = min(len(flow), len(geo))
     devs = fubini_study_distance(
         normalized_rows(representative(k, flow.points[:m])),
         normalized_rows(representative(k, geo.points[:m])),
     )
     return TrajectoryReport(k, flow, geo, devs, float(devs.max()))
+
+
+def _packed_curves(H, k, manifold, X, x, T, steps):
+    """The flow of X and the geodesic of `manifold` from the chart-k point x, as one RK4 row (x_flow, x_geo, u_geo).
+
+    One RK4 loop with one right-hand side call per stage, in place of two of
+    each: on one-row stacks, numpy's fixed cost per call is most of the
+    time. The right-hand side views the row as complex once, applies
+    _field_kernel (X's) to x_flow and _spray_kernel (the chart spray's) to
+    (x_geo, u_geo), and returns one row; its check is geodesic_integrate's,
+    on the x_geo columns. RK4 treats each column on its own, so the curves
+    are those of flow_integrate(X, x, T, steps) and
+    geodesic_integrate(manifold, x, X(x), T, steps), bit for bit. None if
+    the row exits.
+    """
+    n, m = len(x), len(x) // 2
+    field = _field_kernel(H, k)
+
+    def rhs(y):
+        zeta = y.view(complex)  # _rk4's states and stage points are C-contiguous rows
+        velocity = zeta[:, 2 * m :]
+        acceleration = _spray_kernel(y[:, n : 2 * n], zeta[:, m : 2 * m], velocity)
+        return np.concatenate([field(zeta[:, :m]), velocity, acceleration], axis=1).view(float)
+
+    y0 = np.concatenate([x, x, X(x)])[None]
+    [(times, s, exited)] = _rk4(rhs, y0, T, steps, lambda points: manifold._metrics_at(points[:, n : 2 * n]))
+    if exited:
+        return None
+    flow = s[:, :n]
+    return DiscreteCurve(times, flow, X.stack(flow), False), DiscreteCurve(times, s[:, n : 2 * n], s[:, 2 * n :], False)
 
 
 def pressure_on_sphere(H: HermitianOperator, i, j, grid) -> SphereProfile:

@@ -133,7 +133,7 @@ def _row_products(vectors, matrix):
     the (rows, len(matrix), m) temporary small.
     """
     if len(vectors) <= STACK_BLOCK:
-        return (vectors[:, None, :] * matrix).sum(axis=2)
+        return np.add.reduce(vectors[:, None, :] * matrix, axis=2)
     blocks = range(0, len(vectors), STACK_BLOCK)
     return np.concatenate([_row_products(vectors[start : start + STACK_BLOCK], matrix) for start in blocks])
 

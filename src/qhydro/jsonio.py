@@ -1,10 +1,10 @@
-"""The I/O layer: one loader and one writer, besides one number, one integer and one count validator.
+"""The I/O layer: one loader and one writer, besides number, integer and count validators.
 
 Every qhydro input (Hamiltonian, run, wave function, contour) enters through
 these functions, and every output file (report or profile CSV) leaves
 through `write_text`. Each failure is a ValueError that names the offending
-key or file, which the CLI reports with exit code 2; `count` checks the
-library's counts.
+key or file, which the CLI reports with exit code 2; `count` and `real`
+check the library's own counts and real numbers.
 """
 
 from __future__ import annotations
@@ -95,15 +95,32 @@ def real_array(name, obj, shape):
             raise ValueError(f"'{name}' must be a list of {shape[0]} {'numbers' if len(shape) == 1 else 'rows'}")
         rows = [real_array(f"{name}[{i}]", entry, shape[1:]) for i, entry in enumerate(obj)]
         return np.array(rows, dtype=float).reshape(shape)
-    if isinstance(obj, bool) or not isinstance(obj, numbers.Real):
+    value = _as_float(obj)
+    if value is None:
         raise ValueError(f"'{name}' is not a number: {obj!r}")
-    try:
-        value = float(obj)
-    except OverflowError:  # an int beyond the float range
-        value = math.inf
     if not math.isfinite(value):
         raise ValueError(f"'{name}' is not finite: {obj!r}")
     return value
+
+
+def real(name, value):
+    """`value` as a finite float: a real number (a numpy real or a 0-d array of one too), never a bool; else ValueError naming it."""
+    number = _as_float(value.item() if isinstance(value, np.ndarray) and value.ndim == 0 else value)
+    if number is None:
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    if not math.isfinite(number):
+        raise ValueError(f"{name} must be finite, got {value}")
+    return number
+
+
+def _as_float(value):
+    """A real number as a float, inf for an int beyond the float range; None for a bool or anything not a real number."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return None
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf
 
 
 def integer(name, value, minimum, maximum):

@@ -47,6 +47,11 @@ __all__ = [
 # GeodesicSphere.oriented_frames: d/dphi degenerates there.
 POLE_TOL = 1e-8
 
+# 1 and 2 of the geodesic spray as 0-d float64 arrays: its sums and products
+# with them are those of the Python floats, bit for bit, without numpy
+# converting a scalar on each call (it runs at every RK4 stage).
+_ONE, _TWO = np.array(1.0), np.array(2.0)
+
 
 @lru_cache(maxsize=None)
 def _slots(dim, k):
@@ -172,18 +177,30 @@ def fubini_study_metric(coords) -> np.ndarray:
 def _geodesic_spray(y):
     """The Fubini-Study geodesic spray: an (N, 4n) stack of rows (x, u) of chart points and velocities -> rows (u, x'').
 
+    x'' is returned interleaved as x; each row is computed on its own, by
+    _spray_kernel.
+    """
+    n = y.shape[1] // 2
+    x, u = y[:, :n], y[:, n:]
+    return np.concatenate([u, _interleave(_spray_kernel(x, _complexify(x), _complexify(u)))], axis=1)
+
+
+def _spray_kernel(x, zeta, dzeta):
+    """zeta'' of the Fubini-Study geodesic at each row: zeta the complex chart points, dzeta their velocities, x = zeta realified.
+
     The metric is Kahler with potential log(1 + |zeta|^2), and its connection
     Gamma^k_ij = -(delta^k_i conj(zeta_j) + delta^k_j conj(zeta_i)) / (1 + |zeta|^2)
     gives zeta'' = 2 <zeta, zeta'> zeta' / (1 + |zeta|^2), the same formula in
     every chart (Bengtsson and Zyczkowski, Geometry of Quantum States, ch. 4).
-    x'' is returned interleaved as x; each row is computed on its own.
+    |zeta|^2 is summed over the real pairs of x. Each row is computed on its
+    own (row products, row sums by np.add.reduce, the ufunc behind .sum
+    without its Python wrapper); _geodesic_spray and the packed right-hand
+    side of fluid.schrodinger_trajectory both call it, so they give the same
+    bits.
     """
-    n = y.shape[1] // 2
-    x, u = y[:, :n], y[:, n:]
-    zeta, dzeta = _complexify(x), _complexify(u)
-    scale = (zeta.conj() * dzeta).sum(axis=1)
-    scale *= 2.0 / (1.0 + (x * x).sum(axis=1))
-    return np.concatenate([u, _interleave(dzeta * scale[:, None])], axis=1)
+    scale = np.add.reduce(zeta.conj() * dzeta, axis=1)
+    scale *= _TWO / (_ONE + np.add.reduce(x * x, axis=1))
+    return dzeta * scale[:, None]
 
 
 def chart_manifold(dim, chart_index) -> ChartManifold:
@@ -205,17 +222,12 @@ def fundamental_field(A: HermitianOperator, chart_index) -> VectorField:
 
     The Hermitian input is converted internally to the skew-Hermitian
     generator G = -iA of the unitary flow; the horizontal lift of the returned
-    field at a unit v is -i (A - <A>) v. On chart k (s: the other slots) the
-    field is G_sk + G_ss zeta - zeta (G_kk + G_ks zeta), computed from the
-    complex coordinates zeta with the pieces of G cut once, here. Each point
-    of a stack is computed on its own (row products, row sums), so a point
-    gives the same components alone and in a stack.
+    field at a unit v is -i (A - <A>) v. Its components are those of
+    _field_kernel, on the complex coordinates of each (N, 2n) stack. Each
+    point of a stack is computed on its own, so a point gives the same
+    components alone and in a stack.
     """
-    _require_chart(A.dim, chart_index)
-    k, slots = chart_index, _slots(A.dim, chart_index)
-    G = -1j * A.matrix
-    rows = G[np.append(slots, k)][:, slots]  # G_ss above G_ks: one row product gives both
-    g_sk, g_kk = G[slots, k], G[k, k]
+    kernel = _field_kernel(A, chart_index)
 
     def stack(points):
         xy = _checked_coords(points)
@@ -223,13 +235,34 @@ def fundamental_field(A: HermitianOperator, chart_index) -> VectorField:
             raise ValueError(f"expected an (N, {2 * (A.dim - 1)}) stack of chart points, got shape {xy.shape}")
         if A.dim != xy.shape[-1] // 2 + 1:
             raise ValueError(f"dimension mismatch: operator {A.dim}, chart ambient {xy.shape[-1] // 2 + 1}")
-        zeta = _complexify(xy)
-        products = _row_products(zeta, rows)
-        x = products[:, :-1] + g_sk
-        x -= zeta * (products[:, -1:] + g_kk)
-        return _interleave(x)
+        return _interleave(kernel(_complexify(xy)))
 
     return VectorField(StackFunction(stack))
+
+
+def _field_kernel(A: HermitianOperator, chart_index):
+    """The complex components of fundamental_field(A, chart_index): an (N, n) stack of chart points zeta -> (N, n).
+
+    On chart k (s: the other slots) the field is
+    G_sk + G_ss zeta - zeta (G_kk + G_ks zeta), G = -iA, with the pieces of G
+    cut once, here. Each row is computed on its own (row products, row
+    sums); fundamental_field and the packed right-hand side of
+    fluid.schrodinger_trajectory both call it, so they give the same bits.
+    """
+    _require_chart(A.dim, chart_index)
+    k, slots = chart_index, _slots(A.dim, chart_index)
+    G = -1j * A.matrix
+    picks = np.append(slots, k)
+    # G_ss above G_ks, and G_sk above G_kk: one row product and one sum give both terms
+    rows, column = G[picks][:, slots], G[picks, k]
+
+    def kernel(zeta):
+        terms = _row_products(zeta, rows) + column
+        x = terms[:, :-1]
+        x -= zeta * terms[:, -1:]
+        return x
+
+    return kernel
 
 
 def horizontal_lift(k, coords, u) -> tuple[np.ndarray, np.ndarray]:
@@ -357,9 +390,17 @@ class GeodesicSphere:
 
     def meridians(self, thetas, phis):
         """(chart indices, coords, d/dtheta) at each node, in the chart of its largest amplitude: |d/dtheta| = 1/2."""
+        _, _, v, (d_th, _) = self._nodes(thetas, phis)
+        return self._meridians(v, d_th)
+
+    def _nodes(self, thetas, phis):
+        """The nodes as (N, 1) columns th and ph, with the representative and its d/dtheta and d/dphi at each."""
         th = np.asarray(thetas, dtype=float).reshape(-1, 1)
         ph = np.asarray(phis, dtype=float).reshape(-1, 1)
-        v, d_th = self.representative(th, ph), self.embedding_velocities(th, ph)[0]
+        return th, ph, self.representative(th, ph), self.embedding_velocities(th, ph)
+
+    def _meridians(self, v, d_th):
+        """meridians from the representatives v of the nodes and their d/dtheta."""
         ks = np.abs(v).argmax(axis=1)
         pivot, slots = _chart_picks(ks, self.dim)
         unit = normalized_rows(v)
@@ -373,14 +414,13 @@ class GeodesicSphere:
         along d/dtheta and d/dphi. At the poles d/dphi degenerates, so the
         frame is built from two meridian directions (phi and phi + pi/2),
         each lifted through its own representative gauge, with the ordering
-        flipped at theta = pi where meridians converge.
+        flipped at theta = pi where meridians converge. The representative
+        and its velocities are evaluated once per node.
         """
-        ks, coords, t1 = self.meridians(thetas, phis)
-        th = np.asarray(thetas, dtype=float).reshape(-1, 1)
-        ph = np.asarray(phis, dtype=float).reshape(-1, 1)
+        th, ph, v2, (d_th, d2) = self._nodes(thetas, phis)
+        ks, coords, t1 = self._meridians(v2, d_th)
         # the second direction: d/dphi, or at a pole the meridian at phi + pi/2 in its own gauge
         pole = np.abs(np.sin(th[:, 0])) <= POLE_TOL
-        v2, d2 = self.representative(th, ph), self.embedding_velocities(th, ph)[1]
         v2[pole] = self.representative(th[pole], ph[pole] + np.pi / 2.0)
         d2[pole] = self.embedding_velocities(th[pole], ph[pole] + np.pi / 2.0)[0]
         pivot, slots = _chart_picks(ks, self.dim)
@@ -388,4 +428,3 @@ class GeodesicSphere:
         t2[pole & (th[:, 0] > np.pi / 2.0)] *= -1.0
         g = fubini_study_metric(coords)
         return ks, coords, t1 / np.sqrt(_bilinear(t1, g, t1))[:, None], t2 / np.sqrt(_bilinear(t2, g, t2))[:, None]
-

@@ -23,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from .jsonio import count
+from .jsonio import count, real
 
 __all__ = [
     "FD_STEP",
@@ -589,12 +589,10 @@ def _rk4(rhs, y0, T, steps, check=None):
     rhs must return an array of the shape of the stack it is given; one of
     another shape raises ValueError, from the step whose first stage gets
     it. steps must be an integer (a numpy integer too) of at least 1, and
-    T finite.
+    T a finite real number (see jsonio.real).
     """
     steps = count("steps", steps, 1)
-    if not np.isfinite(T):
-        raise ValueError(f"T must be finite, got {T}")
-    dt = float(T) / steps
+    dt = real("T", T) / steps
     full, half, sixth, two = (np.array(c) for c in (dt, 0.5 * dt, dt / 6.0, 2.0))
 
     def step(y, n, stop):
@@ -687,7 +685,7 @@ def geodesic_integrate(manifold, x0, u0, T, steps):
     stage order is named, and a domain error at any point of a step comes
     before a matrix error at any point. Curves, exits and errors are those
     of steps taken one at a time (see _rk4). steps must be an integer of
-    at least 1, and T finite.
+    at least 1, and T a finite real number.
 
     Returns
     -------
@@ -718,7 +716,7 @@ def flow_integrate(X, x0, T, steps):
     evaluated past that step, up to the end of its chunk of steps, and
     again when the chunk is replayed (see _rk4); the curves are those of
     steps taken one at a time. steps must be an integer of at least 1, and
-    T finite.
+    T a finite real number.
 
     Returns
     -------

@@ -1,12 +1,15 @@
 """Pressure, critical set, vorticity, Zeno law, and trajectory comparisons."""
 
+import dataclasses
 import json
 import re
+import warnings
 
 import numpy as np
 import pytest
 
-from helpers import field_with_pressure_gradient, random_hermitian, random_state
+from helpers import field_with_pressure_gradient, random_hermitian, random_state, same_bits
+from qhydro import fluid
 from qhydro.cli import main
 from qhydro.fluid import (
     NODE_BLOCK,
@@ -31,19 +34,24 @@ from qhydro.hilbert import (
     dispersion_squared,
     expectation,
     hermitian_from_json,
+    normalized_rows,
 )
 from qhydro.projective import (
     GeodesicSphere,
+    chart_manifold,
     chart_of,
     dispersion_via_metric,
+    fubini_study_distance,
     fundamental_field,
     representative,
 )
+from qhydro.riemann import StackFunction, flow_integrate, geodesic_integrate
 from qhydro.spin import NumericalBreakdownError
 
 H01 = HermitianOperator.diagonal([0.0, 1.0])
 H123 = HermitianOperator.diagonal([1.0, 2.0, 3.0])
 EQUAL = StateVector(np.array([1.0, 1.0]) / np.sqrt(2.0))
+SIGMA_X = HermitianOperator(np.array([[0.0, 1.0], [1.0, 0.0]]))
 
 
 # ---------------------------------------------------------------------------
@@ -587,3 +595,102 @@ def test_trajectory_deviations_follow_the_flow_and_the_great_circle(dim):
     expected = np.arcsin(np.linalg.norm(normal, axis=1))
     assert np.abs(report.deviations - expected).max() < 1e-11
     assert report.max_deviation == report.deviations.max() > 1e-2
+
+
+# ---------------------------------------------------------------------------
+# The trajectory's packed RK4 row: the bits of the two integrators, or their run
+
+
+def two_integrators(H, state, T, steps, manifold=None):
+    """flow_integrate and geodesic_integrate from the trajectory's start, called directly, and the report's deviations."""
+    k, x = chart_of(state)
+    X = fundamental_field(H, k)
+    flow = flow_integrate(X, x, T, steps)
+    geo = geodesic_integrate(chart_manifold(H.dim, k) if manifold is None else manifold, x, X(x), T, steps)
+    m = min(len(flow), len(geo))
+    chart_points = (normalized_rows(representative(k, c.points[:m])) for c in (flow, geo))
+    return flow, geo, fubini_study_distance(*chart_points)
+
+
+def assert_report_is(report, flow, geo, deviations):
+    """The report's curves and deviations have the bytes of the given ones (NaNs included)."""
+    for curve, reference in ((report.flow, flow), (report.geodesic, geo)):
+        assert curve.exited is reference.exited
+        for name in ("times", "points", "velocities"):
+            assert same_bits(getattr(curve, name), getattr(reference, name))
+    assert same_bits(report.deviations, deviations)
+    assert repr(report.max_deviation) == repr(float(deviations.max()))
+
+
+def refuse(*args):
+    raise AssertionError("the trajectory ran the integrators one after the other")
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5])
+def test_trajectory_is_one_packed_rk4_row_with_the_bits_of_the_two_integrators(monkeypatch, dim):
+    # steps of 31, 32 and 33 end a one-row run's chunks of _rk4's 32 steps just before, at and just after a step
+    rng = np.random.default_rng(90 + dim)
+    H = random_hermitian(rng, dim)
+    starts = [random_state(rng, dim), random_state(rng, dim), StateVector(H.eigenvectors[:, dim - 1], normalize=True)]
+    for state in starts:
+        for steps in (1, 31, 32, 33, 100):
+            T = float(rng.choice([-1.0, 1.0]) * rng.uniform(0.1, 2.0))
+            with monkeypatch.context() as patch:
+                patch.setattr(fluid, "flow_integrate", refuse)
+                patch.setattr(fluid, "geodesic_integrate", refuse)
+                report = schrodinger_trajectory(H, state, T, steps)
+            assert_report_is(report, *two_integrators(H, state, T, steps))
+
+
+def test_a_trajectory_that_breaks_down_is_run_again_by_the_two_integrators(monkeypatch):
+    # sigma_x carries e_0 to the point at infinity of chart 0 at t = pi/2: the packed row raises, and the flow's
+    # own run names its step
+    calls = []
+    for name in ("flow_integrate", "geodesic_integrate"):
+        integrate = getattr(fluid, name)
+        monkeypatch.setattr(fluid, name, lambda *args, f=integrate, n=name: (calls.append(n), f(*args))[1])
+    message = "the flow on chart 0 broke down in step 317 of 400, from t = 1.58: overflow encountered in multiply"
+    with np.errstate(over="raise", invalid="raise"), pytest.raises(FloatingPointError, match=f"^{re.escape(message)}$"):
+        schrodinger_trajectory(SIGMA_X, StateVector.basis(2, 0), 2.0, 400)
+    assert calls == ["flow_integrate"]
+
+
+def test_a_geodesic_that_leaves_its_chart_gives_the_curves_and_exits_of_the_two_integrators(monkeypatch):
+    # a bounded chart makes the geodesic's point check raise ChartBoundaryError mid-run, in its second chunk of steps
+    rng = np.random.default_rng(7)
+    H, state = random_hermitian(rng, 3), random_state(rng, 3)
+    bound = np.abs(chart_of(state)[1]).max() + 0.05
+
+    def bounded(dim, k):
+        domain = StackFunction(lambda points: np.abs(points).max(axis=1) < bound)
+        return dataclasses.replace(chart_manifold(dim, k), chart_domain=domain)
+
+    monkeypatch.setattr(fluid, "chart_manifold", bounded)
+    report = schrodinger_trajectory(H, state, 2.0, 100)
+    flow, geo, deviations = two_integrators(H, state, 2.0, 100, bounded(3, report.chart_index))
+    assert geo.exited and 32 < len(geo) < 101 and not flow.exited
+    assert_report_is(report, flow, geo, deviations)
+
+
+@pytest.mark.parametrize("T, steps", [(1e308, 10), (1e200, 7), (50.0, 3)])
+def test_an_overflowing_trajectory_warns_and_ends_as_the_two_integrators_do(T, steps):
+    # under the default errstate the packed row raises, and the two integrators' run gives the curves, exits,
+    # warnings and errors
+    def run(call):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                out = call()
+            except ValueError as exc:
+                out = str(exc)
+        return out, [(w.category, str(w.message)) for w in caught]
+
+    rng = np.random.default_rng(0)
+    H, state = random_hermitian(rng, 3), random_state(rng, 3)
+    report, seen = run(lambda: schrodinger_trajectory(H, state, T, steps))
+    direct, expected = run(lambda: two_integrators(H, state, T, steps))
+    assert seen == expected and all(category is RuntimeWarning for category, _ in seen)
+    if isinstance(direct, str):
+        assert report == direct
+    else:
+        assert_report_is(report, *direct)

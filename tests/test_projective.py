@@ -376,6 +376,19 @@ def test_sphere_meridians_have_length_one_half_in_the_charts_of_the_frames():
     assert np.abs(u1 - 2.0 * d_theta).max() < 1e-12
 
 
+def test_sphere_frames_evaluate_the_representative_and_its_velocities_once_per_node(monkeypatch):
+    # and once more at each of the 10 pole nodes, for the meridian at phi + pi/2
+    sph = GeodesicSphere(random_hermitian(np.random.default_rng(7), 4), 3, 1)
+    th, ph = np.meshgrid(np.linspace(0.0, np.pi, 9), np.linspace(0.0, 2.0 * np.pi, 5, endpoint=False), indexing="ij")
+    rows = []
+    for name in ("representative", "embedding_velocities"):
+        evaluate = getattr(GeodesicSphere, name)
+        counted = lambda self, theta, phi, f=evaluate, n=name: (rows.append((n, np.size(theta))), f(self, theta, phi))[1]
+        monkeypatch.setattr(GeodesicSphere, name, counted)
+    sph.oriented_frames(th.ravel(), ph.ravel())
+    assert sorted(rows) == [("embedding_velocities", 10), ("embedding_velocities", 45), ("representative", 10), ("representative", 45)]
+
+
 # ---------------------------------------------------------------------------
 # Stack evaluation: a point alone and the same point in a stack give the
 # same floating-point numbers

@@ -10,6 +10,8 @@ import pytest
 
 from helpers import assert_same_curve, euclidean_plane, round_sphere
 from qhydro import riemann
+from qhydro.fluid import schrodinger_trajectory
+from qhydro.hilbert import HermitianOperator, StateVector
 from qhydro.riemann import (
     GEODESIC_FD_STEP,
     ChartBoundaryError,
@@ -1286,6 +1288,37 @@ def test_integrators_refuse_a_non_integer_step_count_and_take_numpy_integers():
         flow_integrate(VectorField(lambda x: -x), [1, 0], 1.0, 2.5)
     assert_same_curve(geodesic_integrate(PLANE, x0, u0, 1.0, np.int64(3)), geodesic_integrate(PLANE, x0, u0, 1.0, 3))
     assert_same_curve(flow_integrate(ROTATION, x0, 1.0, np.int32(3)), flow_integrate(ROTATION, x0, 1.0, 3))
+
+
+def test_integrators_refuse_a_horizon_that_is_not_a_real_number_and_take_numpy_reals():
+    # the trajectory runs both integrators as one packed RK4 row, whose refusal falls back to theirs
+    x0, u0 = np.array([0.3, 0.1]), np.array([0.4, 0.5])
+    H, start = HermitianOperator.diagonal([0.0, 1.0]), StateVector(np.array([0.6, 0.8]))
+
+    def trajectory(T):
+        report = schrodinger_trajectory(H, start, T, 4)
+        return [report.flow, report.geodesic]
+
+    def integrations(T):
+        """The three calls at horizon T, each giving its list of curves."""
+        return (
+            lambda: [geodesic_integrate(PLANE, x0, u0, T, 4)],
+            lambda: [flow_integrate(VectorField(lambda x: -x), [1.0, 0.0], T, 4)],
+            lambda: trajectory(T),
+        )
+
+    for T, message in [
+        *((T, f"T must be a real number, got {T!r}") for T in ("1", None, 1j, [1.0], True, np.bool_(True), np.ones(1))),
+        (10**400, f"T must be finite, got {10**400}"),
+        (np.array(np.nan), "T must be finite, got nan"),
+    ]:
+        for call in integrations(T):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                call()
+    for T in (1, np.float32(1.0), np.int64(1), np.array(1.0)):
+        for call, reference in zip(integrations(T), integrations(1.0)):
+            for curve, expected in zip(call(), reference(), strict=True):
+                assert_same_curve(curve, expected)
 
 
 def test_integrators_refuse_starts_of_the_wrong_shape_or_not_finite():
