@@ -202,9 +202,10 @@ class ChartManifold:
         """Index of the first point of an (N, dim) stack that is not in the chart, or None.
 
         The domain predicate sees the points before the first non-finite one.
+        A stack of another shape raises ValueError.
         """
         if points.ndim != 2 or points.shape[1] != self.dim:
-            return 0
+            raise ValueError(f"points of {self.name or 'manifold'} must be {self.dim} wide, got shape {points.shape}")
         first = len(points) if _all(np.isfinite(points)) else int(np.isfinite(points).all(axis=1).argmin())
         if self._stack_domain is not None and first:
             inside = np.asarray(self._stack_domain(points[:first]), dtype=bool)
@@ -241,7 +242,8 @@ class ChartManifold:
         except ValueError:  # rows of different shapes
             shaped = False
         if not shaped:
-            shape = next((np.shape(r) for r in rows if np.shape(r) != (self.dim, self.dim)), np.shape(rows))
+            wrong = [np.shape(r) for r in rows if np.shape(r) != (self.dim, self.dim)]
+            shape = wrong[0] if wrong else np.shape(rows)  # np.shape of a ragged list raises: only when needed
             raise ValueError(f"metric returned shape {shape}, expected {(self.dim, self.dim)}")
         gt = g.transpose(0, 2, 1)
         # a stack symmetric bit for bit (signed zeros included) is its own (g + g^T) / 2

@@ -240,7 +240,7 @@ def test_non_finite_circulation_exits_1_with_one_line_and_no_value(tmp_path, cap
     [
         (["zeno", "--t", "1e300"], "t^2 overflows a double at t = 1e+300"),
         (["trajectory", "--t", "1e300", "--grid", "10"], "overflow encountered"),
-        (["trajectory", "--t", "2.0", "--grid", "400"], "overflow encountered"),
+        (["trajectory", "--t", "2.0", "--grid", "400"], "broke down in step"),
     ],
 )
 def test_numerical_breakdown_exits_1_with_one_line(tmp_path, capsys, argv, needle):
@@ -348,6 +348,7 @@ def test_absurd_grid_is_rejected_with_its_estimate(tmp_path, capsys):
     "command, payload, needle",
     [
         ("trajectory", [1, 2], "input JSON must be an object"),
+        ("trajectory", {"hamiltonian": H01_JSON, "state": [1, 0]}, "'state' must be an object with 're' (and optional 'im') lists"),
         ("zeno", [1, 2], "input JSON must be an object"),
         ("zeno", {"hamiltonian": [1, 2]}, "hermitian JSON must be an object"),
         ("verify", None, "hermitian JSON must be an object"),
@@ -467,15 +468,30 @@ def test_an_output_the_system_refuses_exits_2_with_one_line_naming_it(tmp_path, 
 
 
 @pytest.mark.filterwarnings("error")
-def test_trajectory_breakdown_names_the_curve_the_step_and_the_chart(tmp_path, capsys):
-    # sigma_x carries e_0 to the point at infinity of chart 0 at t = pi/2; the flow overflows first
-    h = write_json(tmp_path / "S.json", {"hamiltonian": {"dim": 2, "re": [[0, 1], [1, 0]]}, "state": {"re": [1, 0]}})
+@pytest.mark.parametrize(
+    "hamiltonian, state, t, step, point",
+    [
+        # sigma_x carries e_0 to the point at infinity of chart 0 at t = pi/2; the geodesic breaks down first
+        ({"dim": 2, "re": [[0, 1], [1, 0]]}, [1, 0], "2.0", "316 of 400, from t = 1.575", "[ 0.00000000e+00 -3.92607695e+09]"),
+        # sigma_x - sigma_y from +x: the flow stays in chart 0, and the geodesic runs through its point at infinity
+        (
+            {"dim": 2, "re": [[0, 1], [1, 0]], "im": [[0, 1], [-1, 0]]},
+            [1, 1],
+            "3.0",
+            "316 of 400, from t = 2.3625",
+            "[-2.61759905e+09  0.00000000e+00]",
+        ),
+    ],
+)
+def test_trajectory_breakdown_names_the_curve_the_step_and_the_chart(tmp_path, capsys, hamiltonian, state, t, step, point):
+    h = write_json(tmp_path / "S.json", {"hamiltonian": hamiltonian, "state": {"re": state}})
     out = tmp_path / "trajectory.json"
-    assert main(["trajectory", "--input", h, "--t", "2.0", "--grid", "400", "--output", str(out)]) == EXIT_CHECK_FAILED
+    assert main(["trajectory", "--input", h, "--t", t, "--grid", "400", "--output", str(out)]) == EXIT_CHECK_FAILED
     captured = capsys.readouterr()
     assert captured.out == "" and not out.exists()
     assert captured.err == (
-        "error: the flow on chart 0 broke down in step 317 of 400, from t = 1.58: overflow encountered in multiply\n"
+        f"error: the trajectory on chart 0 broke down in step {step}: "
+        f"the geodesic's metric not positive-definite at {point}\n"
     )
 
 

@@ -3,7 +3,6 @@
 import dataclasses
 import json
 import re
-import warnings
 
 import numpy as np
 import pytest
@@ -45,7 +44,7 @@ from qhydro.projective import (
     fundamental_field,
     representative,
 )
-from qhydro.riemann import StackFunction, flow_integrate, geodesic_integrate
+from qhydro.riemann import DiscreteCurve, StackFunction, flow_integrate, geodesic_integrate
 from qhydro.spin import NumericalBreakdownError
 
 H01 = HermitianOperator.diagonal([0.0, 1.0])
@@ -598,7 +597,7 @@ def test_trajectory_deviations_follow_the_flow_and_the_great_circle(dim):
 
 
 # ---------------------------------------------------------------------------
-# The trajectory's packed RK4 row: the bits of the two integrators, or their run
+# The trajectory's packed RK4 row: one run, the bits of the two integrators, and one breakdown rule
 
 
 def two_integrators(H, state, T, steps, manifold=None):
@@ -622,8 +621,11 @@ def assert_report_is(report, flow, geo, deviations):
     assert repr(report.max_deviation) == repr(float(deviations.max()))
 
 
-def refuse(*args):
-    raise AssertionError("the trajectory ran the integrators one after the other")
+def count_rk4_runs(monkeypatch):
+    """A list that gets one entry at each _rk4 call of fluid from now on."""
+    runs, rk4 = [], fluid._rk4
+    monkeypatch.setattr(fluid, "_rk4", lambda *args: (runs.append(args[3]), rk4(*args))[1])
+    return runs
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4, 5])
@@ -636,27 +638,51 @@ def test_trajectory_is_one_packed_rk4_row_with_the_bits_of_the_two_integrators(m
         for steps in (1, 31, 32, 33, 100):
             T = float(rng.choice([-1.0, 1.0]) * rng.uniform(0.1, 2.0))
             with monkeypatch.context() as patch:
-                patch.setattr(fluid, "flow_integrate", refuse)
-                patch.setattr(fluid, "geodesic_integrate", refuse)
+                runs = count_rk4_runs(patch)
                 report = schrodinger_trajectory(H, state, T, steps)
+            assert runs == [steps]
             assert_report_is(report, *two_integrators(H, state, T, steps))
 
 
-def test_a_trajectory_that_breaks_down_is_run_again_by_the_two_integrators(monkeypatch):
-    # sigma_x carries e_0 to the point at infinity of chart 0 at t = pi/2: the packed row raises, and the flow's
-    # own run names its step
-    calls = []
-    for name in ("flow_integrate", "geodesic_integrate"):
-        integrate = getattr(fluid, name)
-        monkeypatch.setattr(fluid, name, lambda *args, f=integrate, n=name: (calls.append(n), f(*args))[1])
-    message = "the flow on chart 0 broke down in step 317 of 400, from t = 1.58: overflow encountered in multiply"
-    with np.errstate(over="raise", invalid="raise"), pytest.raises(FloatingPointError, match=f"^{re.escape(message)}$"):
-        schrodinger_trajectory(SIGMA_X, StateVector.basis(2, 0), 2.0, 400)
-    assert calls == ["flow_integrate"]
+# H = sigma_x - sigma_y from +x on the Bloch sphere: the flow circles 45 degrees from its axis inside chart 0, while
+# the geodesic is the great circle through e_1, chart 0's point at infinity; sigma_x carries e_0 there at t = pi/2
+SIGMA_X_MINUS_Y = HermitianOperator(np.array([[0.0, 1.0 + 1.0j], [1.0 - 1.0j, 0.0]]))
+PLUS_X = StateVector(np.array([1.0, 1.0]), normalize=True)
+BREAKDOWNS = [
+    (SIGMA_X, StateVector.basis(2, 0), 2.0, "316 of 400, from t = 1.575", "[ 0.00000000e+00 -3.92607695e+09]"),
+    (SIGMA_X_MINUS_Y, PLUS_X, 3.0, "316 of 400, from t = 2.3625", "[-2.61759905e+09  0.00000000e+00]"),
+]
 
 
-def test_a_geodesic_that_leaves_its_chart_gives_the_curves_and_exits_of_the_two_integrators(monkeypatch):
-    # a bounded chart makes the geodesic's point check raise ChartBoundaryError mid-run, in its second chunk of steps
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("H, state, T, step, point", BREAKDOWNS)
+@pytest.mark.parametrize("errstate", [{}, {"all": "ignore"}, {"over": "raise", "invalid": "raise"}])
+def test_a_geodesic_through_the_point_at_infinity_breaks_down_in_one_run(monkeypatch, H, state, T, step, point, errstate):
+    # the Fubini-Study metric is positive-definite in exact arithmetic: its check fails only by round-off, a
+    # breakdown named by the step, whatever the caller's errstate
+    runs = count_rk4_runs(monkeypatch)
+    message = f"the trajectory on chart 0 broke down in step {step}: the geodesic's metric not positive-definite at {point}"
+    with np.errstate(**errstate), pytest.raises(FloatingPointError, match=f"^{re.escape(message)}$"):
+        schrodinger_trajectory(H, state, T, 400)
+    assert runs == [400]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "T, steps, step", [(1e308, 10, "1 of 10, from t = 0"), (1e200, 7, "1 of 7, from t = 0"), (50.0, 3, "3 of 3, from t = 33.3333")]
+)
+def test_an_overflowing_trajectory_raises_naming_the_step_under_the_default_errstate(T, steps, step):
+    # no RuntimeWarning and no curve of NaNs: the row runs under over and invalid raise whatever the caller's errstate
+    rng = np.random.default_rng(0)
+    H, state = random_hermitian(rng, 3), random_state(rng, 3)
+    message = f"the trajectory on chart 0 broke down in step {step}: overflow encountered in multiply"
+    with pytest.raises(ArithmeticError, match=f"^{re.escape(message)}$"):
+        schrodinger_trajectory(H, state, T, steps)
+
+
+def test_a_row_exit_ends_both_curves_at_one_step(monkeypatch):
+    # a bounded chart makes the geodesic's point check raise ChartBoundaryError mid-run, in its second chunk of
+    # steps: an exit, not a breakdown, and the flow ends with the geodesic
     rng = np.random.default_rng(7)
     H, state = random_hermitian(rng, 3), random_state(rng, 3)
     bound = np.abs(chart_of(state)[1]).max() + 0.05
@@ -669,28 +695,6 @@ def test_a_geodesic_that_leaves_its_chart_gives_the_curves_and_exits_of_the_two_
     report = schrodinger_trajectory(H, state, 2.0, 100)
     flow, geo, deviations = two_integrators(H, state, 2.0, 100, bounded(3, report.chart_index))
     assert geo.exited and 32 < len(geo) < 101 and not flow.exited
-    assert_report_is(report, flow, geo, deviations)
-
-
-@pytest.mark.parametrize("T, steps", [(1e308, 10), (1e200, 7), (50.0, 3)])
-def test_an_overflowing_trajectory_warns_and_ends_as_the_two_integrators_do(T, steps):
-    # under the default errstate the packed row raises, and the two integrators' run gives the curves, exits,
-    # warnings and errors
-    def run(call):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            try:
-                out = call()
-            except ValueError as exc:
-                out = str(exc)
-        return out, [(w.category, str(w.message)) for w in caught]
-
-    rng = np.random.default_rng(0)
-    H, state = random_hermitian(rng, 3), random_state(rng, 3)
-    report, seen = run(lambda: schrodinger_trajectory(H, state, T, steps))
-    direct, expected = run(lambda: two_integrators(H, state, T, steps))
-    assert seen == expected and all(category is RuntimeWarning for category, _ in seen)
-    if isinstance(direct, str):
-        assert report == direct
-    else:
-        assert_report_is(report, *direct)
+    m = len(geo)
+    assert report.flow.exited and report.geodesic.exited and len(report.flow) == m
+    assert_report_is(report, DiscreteCurve(flow.times[:m], flow.points[:m], flow.velocities[:m], True), geo, deviations)

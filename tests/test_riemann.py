@@ -619,6 +619,28 @@ def test_metric_at_checks_shape():
     M = ChartManifold(2, lambda x: np.eye(3))
     with pytest.raises(ValueError, match=re.escape("metric returned shape (3, 3), expected (2, 2)")):
         M.metric_at(np.zeros(2))
+    # one row of a stack of the wrong size is named, not numpy's complaint about the ragged stack
+    ragged = ChartManifold(2, lambda x: np.eye(3) if x[0] > 0 else np.eye(2))
+    with pytest.raises(ValueError, match=re.escape("metric returned shape (3, 3), expected (2, 2)")):
+        ragged.metric_at(np.array([[0.0, 0.0], [1.0, 0.0]]))
+
+
+def test_points_of_the_wrong_width_are_bad_input_not_outside_the_chart():
+    M, x = ChartManifold(2, lambda x: np.eye(2)), [1.0, 2.0, 3.0]
+    X, alpha = VectorField(lambda x: np.zeros(3)), OneForm(lambda x: np.zeros(3))
+    curve = DiscreteCurve(np.zeros(2), np.zeros((2, 3)), np.zeros((2, 3)), False)
+    for call, shape in (
+        (lambda: M.metric_at(x), (1, 3)),
+        (lambda: christoffel(M, x), (7, 3)),  # the point and its stencil, one stack
+        (lambda: divergence(M, X, x), (7, 3)),
+        (lambda: sharp(M, alpha, x), (1, 3)),
+        (lambda: vector_norm(M, x, x), (1, 3)),
+        (lambda: clairaut_check(M, curve, X), (2, 3)),
+    ):
+        with pytest.raises(ValueError) as refused:
+            call()
+        assert type(refused.value) is ValueError
+        assert str(refused.value) == f"points of manifold must be 2 wide, got shape {shape}"
 
 
 # ---------------------------------------------------------------------------
@@ -1269,7 +1291,12 @@ def test_one_row_stack_of_starts_is_the_one_start_call():
 )
 def test_integrators_refuse_fewer_than_one_step_and_a_nonfinite_horizon(steps, T, message):
     x0, u0 = np.array([0.3, 0.1]), np.array([0.4, 0.5])
-    for call in (lambda: geodesic_integrate(PLANE, x0, u0, T, steps), lambda: flow_integrate(ROTATION, x0, T, steps)):
+    start = StateVector(np.array([0.6, 0.8]))
+    for call in (
+        lambda: geodesic_integrate(PLANE, x0, u0, T, steps),
+        lambda: flow_integrate(ROTATION, x0, T, steps),
+        lambda: schrodinger_trajectory(HermitianOperator.diagonal([0.0, 1.0]), start, T, steps),
+    ):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             call()
 
@@ -1291,7 +1318,7 @@ def test_integrators_refuse_a_non_integer_step_count_and_take_numpy_integers():
 
 
 def test_integrators_refuse_a_horizon_that_is_not_a_real_number_and_take_numpy_reals():
-    # the trajectory runs both integrators as one packed RK4 row, whose refusal falls back to theirs
+    # the trajectory's packed RK4 row refuses T as the two integrators do
     x0, u0 = np.array([0.3, 0.1]), np.array([0.4, 0.5])
     H, start = HermitianOperator.diagonal([0.0, 1.0]), StateVector(np.array([0.6, 0.8]))
 
