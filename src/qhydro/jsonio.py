@@ -20,15 +20,13 @@ import numpy as np
 
 # Largest sizes one input may ask for. A Hamiltonian spells out its dim^2
 # entries, but a degree, a multiplicity or a node count asks for work the file
-# does not show: the divisor of a degree-1024 polynomial takes seconds, and a
-# Gauss-Legendre rule solves an n x n eigenproblem (0.15 s at n = 1024, eight
-# times that per doubling).
+# does not show: the divisor of a degree-1024 polynomial takes seconds.
 MAX_DIM = 1024
 MAX_DEGREE = 1024
-MAX_GAUSS_NODES = 1024
+MAX_EDGE_SAMPLES = 1024
 # Most grid nodes one command may ask for: grid^2 per sphere for vorticity and
 # pressure (which samples every eigenstate pair), grid steps for trajectory,
-# quadrature nodes for a contour.
+# starting samples of a contour.
 MAX_GRID_NODES = 2**18
 
 

@@ -17,6 +17,7 @@ used as it is.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field, fields
 from functools import lru_cache
 from typing import Callable
@@ -71,6 +72,11 @@ _PROFILE_MEMO = 4096
 def _all(mask):
     """mask.all() for a boolean array, without the fixed cost of a ufunc reduction (it dominates on a stencil)."""
     return np.count_nonzero(mask) == mask.size
+
+
+def _one_line(point):
+    """A point as numpy prints it, on one line however many coordinates it has (a CLI error is one line)."""
+    return np.array2string(point, max_line_width=sys.maxsize)
 
 
 class ChartBoundaryError(ValueError):
@@ -250,7 +256,7 @@ class ChartManifold:
         if g.tobytes() != gt.tobytes():
             asym = np.abs(g - gt).max(axis=(1, 2)) > 1e-9 * np.maximum(np.abs(g).max(axis=(1, 2)), 1e-300)
             if asym.any():
-                raise ValueError(f"metric not symmetric at {checked[asym.argmax()]}")
+                raise ValueError(f"metric not symmetric at {_one_line(checked[asym.argmax()])}")
             g = (g + gt) / 2.0
         try:
             np.linalg.cholesky(g)
@@ -259,7 +265,7 @@ class ChartManifold:
                 try:
                     np.linalg.cholesky(gi)
                 except np.linalg.LinAlgError:
-                    raise ValueError(f"metric not positive-definite at {y}") from None
+                    raise ValueError(f"metric not positive-definite at {_one_line(y)}") from None
         if outside is not None:
             raise self._outside_error(points, outside, bases)
         return g
@@ -267,8 +273,8 @@ class ChartManifold:
     def _outside_error(self, points, row, bases):
         """The ChartBoundaryError for the row `row` of a stack whose first `bases` rows are base points."""
         if row < bases:
-            return ChartBoundaryError(f"point {points[row]} outside chart domain of {self.name or 'manifold'}")
-        return ChartBoundaryError(f"stencil point {points[row]} outside chart domain")
+            return ChartBoundaryError(f"point {_one_line(points[row])} outside chart domain of {self.name or 'manifold'}")
+        return ChartBoundaryError(f"stencil point {_one_line(points[row])} outside chart domain")
 
 
 @dataclass(frozen=True)
@@ -308,7 +314,7 @@ def _starts(x, name, dim=None):
         raise ValueError(f"{name} must have shape {expected}, got {np.shape(x)}")
     finite = np.isfinite(xs).all(axis=1)
     if not finite.all():
-        raise ValueError(f"{name} must be finite, got {xs[finite.argmin()]}")
+        raise ValueError(f"{name} must be finite, got {_one_line(xs[finite.argmin()])}")
     return xs
 
 

@@ -47,9 +47,40 @@ __all__ = [
     "contour_from_json",
 ]
 
-# Quadrature near a root of the wave function is ill-conditioned: the
-# integrand has a pole there. Evaluation closer than this is refused.
+# The Madelung-Bohm velocity has a pole at each root of the wave function:
+# madelung_velocity refuses points closer than this.
 EXCLUSION_TOL = 1e-6
+
+# Summing a polynomial of degree n errs by at most about n eps sum |c_k| |z|^k
+# (Higham, Accuracy and Stability of Numerical Algorithms, 5.1); complex
+# arithmetic and a margin take the constant to 4. Where |chi| is within
+# _ROUNDOFF n sum |c_k| |z|^k of zero its phase is noise: the contour passes
+# within round-off of a root, and is refused.
+_ROUNDOFF = 4.0 * np.finfo(float).eps
+# An arc between two samples is trusted on a certificate from its ends. Each
+# point of the arc lies within r = _HALF L of its nearer end, L the chord:
+# L / 2 along a polygon edge, a little more along a circle's arc of at most
+# pi / 2. With a_j chi's Taylor coefficients about an end, sum_{j >= 1}
+# |a_j| r^j <= _CERTIFIED |a_0| at both ends keeps chi within
+# _CERTIFIED |chi(end)| of chi(end) on each half, so the phase turns by less
+# than 2 asin(_CERTIFIED) < pi across the arc and the increment between the
+# ends is that turn: no root by the arc can hide, as other roots can hide one
+# from chi'/chi at the ends. The terms j < J = _TAYLOR_ORDER are computed at
+# each sample (all of them up to degree J - 1); the rest sum to at most
+# r^J max |chi^(J) / J!| on |zeta| <= R, at most r^J sum_k |c_k| C(k, J)
+# R^(k-J), R bounding |zeta| there. The margin below 1 absorbs round-off in
+# the a_j. Arcs without a certificate are cut in _SPLIT; the rounds of
+# cutting, and the arcs in one, are bounded, and a phase not resolved within
+# them is refused.
+_CERTIFIED = 0.9
+_HALF = 0.55
+_TAYLOR_ORDER = 8
+_SPLIT = 4
+_CUTS = (np.arange(1.0, _SPLIT) / _SPLIT)[:, None]
+_ROUNDS = 64
+_MAX_ARCS = 2**16
+# samples whose powers are formed at once, in rows of n + 1
+_BLOCK = 2**16
 
 # A circulation passes the integrality check within this distance of the
 # nearest integer; read when a record is built.
@@ -62,7 +93,7 @@ SZ_ACTION_SIGN = -1.0
 
 
 class ContourTooCloseError(ValueError):
-    """Contour passes within the exclusion tolerance of a root."""
+    """Contour passes so close to a root that the phase of chi cannot be read: within round-off of it."""
 
 
 class ClusterAmbiguityError(ValueError):
@@ -72,9 +103,8 @@ class ClusterAmbiguityError(ValueError):
 class NumericalBreakdownError(ArithmeticError):
     """Finite input whose arithmetic leaves double precision.
 
-    Here a derivative coefficient, the companion matrix, a root or the
-    contour integral overflows; in fluid, a pressure gradient or a pair
-    pressure.
+    Here a derivative coefficient, the companion matrix, a root or chi on
+    a contour overflows; in fluid, a pressure gradient or a pair pressure.
 
     Not a ValueError: the input is well formed, the arithmetic broke down.
     """
@@ -154,23 +184,8 @@ class SpinWaveFunction:
         return P.polyval(zeta, self.coeffs)
 
     def log_derivative(self, zeta):
-        """chi'(zeta) / chi(zeta); poles at the roots.
-
-        chi and chi' come from one Horner loop over both coefficient arrays,
-        each value with P.polyval's operations in P.polyval's order, so the
-        bits are those of P.polyval(zeta, dc) / P.polyval(zeta, c).
-        """
-        if isinstance(zeta, (tuple, list)):
-            zeta = np.asarray(zeta)
-        c, dc = self.coeffs, self._dcoeffs
-        zero = zeta * 0
-        value, deriv = c[-1] + zero, dc[-1] + zero
-        for ck, dk in zip(c[-2::-1], dc[-2::-1]):
-            value = ck + value * zeta
-            deriv = dk + deriv * zeta
-        if c.size > 1:
-            value = c[0] + value * zeta
-        return deriv / value
+        """chi'(zeta) / chi(zeta), the bits of P.polyval(zeta, dc) / P.polyval(zeta, c); poles at the roots."""
+        return P.polyval(zeta, self._dcoeffs) / P.polyval(zeta, self.coeffs)
 
     def weighted_norm(self):
         weights = np.array([1.0 / math.comb(self.two_s, k) for k in range(self.two_s + 1)])
@@ -352,7 +367,7 @@ def madelung_velocity(chi: SpinWaveFunction, zeta) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CircleContour:
-    """Closed circle for circulation quadrature (trapezoidal, spectrally accurate)."""
+    """Closed circle; circulation winds it from `nodes` equally spaced starting samples, counterclockwise when ccw."""
 
     center: complex
     radius: float
@@ -360,30 +375,30 @@ class CircleContour:
     ccw: bool = True
 
     def __post_init__(self):
+        if not cmath.isfinite(self.center):
+            raise ValueError(f"center must be finite, got {self.center!r}")
         if isinstance(self.radius, (bool, np.bool_)) or not (math.isfinite(self.radius) and self.radius > 0):
             raise ValueError(f"radius must be finite and positive, got {self.radius!r}")
         object.__setattr__(self, "nodes", jsonio.count("nodes", self.nodes, 4))
 
-    def quadrature(self):
-        """(points, weighted tangents): integral of f dz ~ sum f(points) * tangents."""
-        sign = 1.0 if self.ccw else -1.0
-        ring = _unit_ring(self.nodes, self.ccw)
-        points = self.center + self.radius * ring
-        tangents = sign * 2j * np.pi * self.radius * ring / self.nodes
-        return points, tangents
+    def _samples(self):
+        return self.center + self.radius * _unit_ring(self.nodes, self.ccw)
 
-    def distances_to(self, points) -> np.ndarray:
-        """Distance from each point of a 1-d complex array to the circle."""
-        d = np.asarray(points, dtype=complex) - complex(self.center)
-        return np.abs(np.hypot(d.real, d.imag) - self.radius)
+    def _extent(self):
+        """The chord between consecutive samples, and the largest |zeta| on the circle."""
+        return 2.0 * self.radius * math.sin(math.pi / self.nodes), abs(self.center) + self.radius
+
+    def _at(self, s):
+        """The points at parameters s, in starting samples: sample k is s = k."""
+        sign = 1.0 if self.ccw else -1.0
+        return self.center + self.radius * np.exp(sign * 2j * np.pi * (s / self.nodes))
 
 
 @dataclass(frozen=True)
 class PolygonContour:
-    """Closed polygonal loop; per-edge Gauss-Legendre quadrature.
+    """Closed polygonal loop; circulation winds it from `nodes_per_edge` equally spaced starting samples per edge.
 
-    Orientation follows the vertex order; the loop closes from the last
-    vertex back to the first.
+    Orientation follows the vertex order; each edge starts at its vertex, its first sample, and the last closes the loop.
     """
 
     vertices: tuple
@@ -393,36 +408,32 @@ class PolygonContour:
         verts = tuple(complex(v) for v in self.vertices)
         if len(verts) < 3:
             raise ValueError(f"polygon needs at least 3 vertices, got {len(verts)}")
+        for k, v in enumerate(verts):
+            if not cmath.isfinite(v):
+                raise ValueError(f"vertex {k} must be finite, got {v!r}")
         object.__setattr__(self, "vertices", verts)
         object.__setattr__(self, "nodes_per_edge", jsonio.count("nodes_per_edge", self.nodes_per_edge, 2))
 
-    def quadrature(self):
-        t, w = _gauss_legendre(self.nodes_per_edge)
-        verts = self.vertices
-        # each edge's midpoint and half-vector in Python's complex arithmetic, then all edges at once
-        mids, halves = np.array([((a + b) / 2.0, (b - a) / 2.0) for a, b in zip(verts, verts[1:] + verts[:1])]).T
-        return (mids[:, None] + t * halves[:, None]).ravel(), (w * halves[:, None]).ravel()
+    def _samples(self):
+        verts = np.array(self.vertices)
+        steps = np.arange(self.nodes_per_edge) / self.nodes_per_edge
+        return (verts[:, None] + steps * (np.array(self.vertices[1:] + self.vertices[:1]) - verts)[:, None]).ravel()
 
-    def distances_to(self, points) -> np.ndarray:
-        """Distance from each point of a complex array to the polygon."""
-        z = np.asarray(points, dtype=complex)
-        verts = self.vertices
-        # per edge: start a, edge vector, and |edge|^2 as the scalar formula rounds it; one row per edge
-        a, edge, length2 = (
-            np.array(column).reshape((-1,) + (1,) * z.ndim)
-            for column in zip(*[(a, b - a, abs(b - a) ** 2) for a, b in zip(verts, verts[1:] + verts[:1])])
-        )
-        along = (z.real - a.real) * edge.real + (z.imag - a.imag) * edge.imag
-        # a zero-length edge keeps frac = 0, the foot at its vertex
-        moving = length2 != 0
-        frac = np.where(moving, np.clip(along / np.where(moving, length2, 1.0), 0.0, 1.0), 0.0)
-        # z - (a + frac * edge) in the scalar formula's order; fmin skips a
-        # NaN distance as the scalar min over edges did
-        foot_re, foot_im = a.real + frac * edge.real, a.imag + frac * edge.imag
-        return np.fmin.reduce(np.hypot(z.real - foot_re, z.imag - foot_im), axis=0, initial=np.inf)
+    def _extent(self):
+        """The longest chord between consecutive samples, and the largest |zeta| on the polygon: at a vertex."""
+        edges = zip(self.vertices, self.vertices[1:] + self.vertices[:1])
+        return max(abs(b - a) for a, b in edges) / self.nodes_per_edge, max(map(abs, self.vertices))
+
+    def _at(self, s):
+        """The points at parameters s, in starting samples: sample k is s = k."""
+        edge, step = np.divmod(s, self.nodes_per_edge)
+        k = edge.astype(int) % len(self.vertices)  # a cut can round up to the loop's end, s = 0 again
+        verts = np.array(self.vertices + self.vertices[:1])
+        start = verts[k]
+        return start + (step / self.nodes_per_edge) * (verts[k + 1] - start)
 
 
-@functools.lru_cache(maxsize=8)
+@functools.lru_cache(maxsize=32)
 def _unit_ring(nodes, ccw):
     """exp(+-2 pi i k / nodes) for k = 0 .. nodes - 1, read-only, computed once per (nodes, ccw)."""
     sign = 1.0 if ccw else -1.0
@@ -431,58 +442,120 @@ def _unit_ring(nodes, ccw):
     return ring
 
 
-@functools.lru_cache(maxsize=8)
-def _gauss_legendre(n):
-    """Gauss-Legendre nodes and weights on [-1, 1], read-only, computed once per n."""
-    t, w = np.polynomial.legendre.leggauss(n)
-    t.setflags(write=False)
-    w.setflags(write=False)
-    return t, w
+@functools.lru_cache(maxsize=16)
+def _binomials(n):
+    """For degree n, J = _TAYLOR_ORDER, m <= n and j < min(n + 1, J): indices min(m + j, n), C(m + j, j) or 0 where
+    m + j > n, C(k, J) for J <= k <= n, and the exponents J, 1, 2, .. of a radius's powers."""
+    k = np.arange(n + 1)[:, None] + np.arange(min(n + 1, _TAYLOR_ORDER))
+    low = np.array([[math.comb(i, j) if i <= n else 0 for j, i in enumerate(row)] for row in k.tolist()], dtype=float)
+    high = np.array([float(math.comb(k, _TAYLOR_ORDER)) for k in range(_TAYLOR_ORDER, n + 1)])
+    return np.minimum(k, n), low, high, np.array([_TAYLOR_ORDER, *range(1, k.shape[1])])
+
+
+def _evaluated(c, taylor, floor, z):
+    """chi's Taylor coefficients a_j about the samples z, taylor @ [z^m], and |a_j|; refuses non-finite ones, and
+    round-off: |chi| at or below floor, the round-off bound at the contour's largest |zeta|, is checked sample by
+    sample."""
+    rows, blocks = max(1, _BLOCK // len(c)), []
+    for i in range(0, z.size, rows):  # in blocks: a block's powers are n + 1 times its size
+        block = z[i : i + rows]
+        powers = np.ones((len(c), block.size), complex)
+        for m in range(1, len(c)):
+            np.multiply(powers[m - 1], block, out=powers[m])
+        blocks.append(taylor @ powers)
+    a = blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=1)
+    size = np.abs(a)
+    if not math.isfinite(size.max()):
+        k = int(np.argmin(np.isfinite(size).all(axis=0)))
+        raise NumericalBreakdownError(f"chi is {complex(a[0, k])} at zeta = {complex(z[k])}: it or its Taylor "
+                                      "coefficients overflow double precision on the contour")
+    if not size[0].min() > floor:
+        bound = _ROUNDOFF * (len(c) - 1) * P.polyval(np.abs(z), np.abs(c))
+        k = int(np.argmax(size[0] <= bound))
+        if size[0, k] <= bound[k]:
+            raise ContourTooCloseError(f"contour passes within round-off of a root: |chi| = {float(size[0, k])!r} "
+                                       f"<= {float(bound[k])!r} at zeta = {complex(z[k])}")
+    return a[0], size
+
+
+def _winding(c, contour) -> float:
+    """The winding number of chi = sum c_k zeta^k along a contour: its increments angle(chi(z_k+1) / chi(z_k)) over 2 pi.
+
+    The starting arcs join consecutive samples. Each round sums the increments of the arcs with a certificate
+    (_CERTIFIED) and cuts the others, with one pass over all their new samples.
+    """
+    index, low, high, exponents = _binomials(len(c) - 1)
+    taylor, weights = (c[index] * low).T, (np.abs(c[_TAYLOR_ORDER:]) * high)[::-1].tolist() if high.size else []
+
+    def bounds(sizes, radius):
+        # (sum_{0 < j < J} r^j |a_j| + r^J sum_k |c_k| C(k, J) (reach + r)^(k-J)) / |a_0| about each sample, r = radius
+        powers = radius**exponents
+        tail = powers[0] * functools.reduce(lambda b, w: b * (reach + radius) + w, weights, 0.0)
+        return (powers[1:] @ sizes[1:] + tail) / sizes[0]
+
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # a non-finite chi is refused by _evaluated
+        (longest, reach), z = contour._extent(), contour._samples()
+        floor = _ROUNDOFF * (len(c) - 1) * functools.reduce(lambda b, w: b * reach + w, np.abs(c).tolist()[::-1], 0.0)
+        p, sizes = _evaluated(c, taylor, floor, z)
+        bound, after = bounds(sizes, _HALF * longest), np.arange(1, z.size + 1) % z.size
+        good = np.maximum(bound, bound[after]) <= _CERTIFIED
+        steps = np.angle(p[after] / p)
+        if good.all():
+            return float(steps.sum() / (2.0 * np.pi))
+        total = steps[good].sum()
+        # the arcs left, by the parameter (sample k is at k), the point, chi and |a_j| at each end
+        k = np.flatnonzero(~good)
+        lo, lo_sizes, k = np.array([k, z[k], p[k]]), sizes[:, k], after[k]
+        hi, hi_sizes = np.array([np.where(k, k, z.size), z[k], p[k]]), sizes[:, k]
+        for _ in range(_ROUNDS):
+            if lo.shape[1] * _SPLIT > _MAX_ARCS:
+                break
+            # _SPLIT arcs for each: (lo, first cut), .., (last cut, hi)
+            s = (lo[0].real + (hi[0].real - lo[0].real) * _CUTS).ravel()
+            z = contour._at(s)
+            p, sizes = _evaluated(c, taylor, floor, z)
+            lo, hi = np.concatenate((lo, [s, z, p]), axis=1), np.concatenate(([s, z, p], hi), axis=1)
+            radius = _HALF * float(np.abs(hi[1] - lo[1]).max())
+            cut = bounds(sizes, radius)
+            lo_bound = np.concatenate((bounds(lo_sizes, radius), cut))
+            good = np.maximum(lo_bound, np.concatenate((cut, bounds(hi_sizes, radius)))) <= _CERTIFIED
+            total += np.angle(hi[2, good] / lo[2, good]).sum()
+            if good.all():
+                return float(total / (2.0 * np.pi))
+            lo, lo_sizes = lo[:, ~good], np.concatenate((lo_sizes, sizes), axis=1)[:, ~good]
+            hi, hi_sizes = hi[:, ~good], np.concatenate((sizes, hi_sizes), axis=1)[:, ~good]
+    raise ContourTooCloseError(f"contour passes too close to a root: the phase of chi is not resolved in {_ROUNDS} "
+                               f"rounds of cutting into at most {_MAX_ARCS} arcs")
 
 
 def circulation(chi: SpinWaveFunction, contour) -> float:
     """Circulation (1 / 2 pi) of the Madelung-Bohm velocity around a contour.
 
-    Evaluates Im of the contour integral of chi'/chi; by the residue count
-    the result is the total multiplicity of the enclosed roots, so it must
-    come out an integer to quadrature accuracy.
+    The winding number of chi's phase, which counts the enclosed roots by multiplicity: an integer to round-off.
+    Raises ContourTooCloseError within round-off of a root, NumericalBreakdownError where chi overflows.
     """
-    locs = chi.roots()
-    if locs.size:
-        # Python's min over floats: the message shows a float's repr
-        nearest = min(contour.distances_to(locs).tolist())
-        if nearest <= EXCLUSION_TOL:
-            raise ContourTooCloseError(
-                f"contour passes within {nearest!r} of a root (need > {EXCLUSION_TOL})"
-            )
-    points, tangents = contour.quadrature()
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # a non-finite integral is refused below
-        integral = np.sum(chi.log_derivative(points) * tangents)
-    value = float(integral.imag / (2.0 * np.pi))
-    if not math.isfinite(value):
-        raise NumericalBreakdownError(
-            f"circulation integral is {value!r}: chi'/chi overflows double precision on the contour"
-        )
-    return value
+    return _winding(chi.coeffs, contour)
 
 
 def total_spin_circulation(chi: SpinWaveFunction) -> float:
-    """Circulation around all finite roots: the effective degree of chi.
+    """Circulation around all finite roots: the effective degree n of chi, 2s at full degree.
 
-    The contour is |zeta| = 2 max|root| + 1 with CircleContour's 256 nodes.
-    Equals 2s for a full-degree wave function. When the degree is deficient
-    the missing vorticity sits at infinity and a warning is emitted.
+    The winding of chi truncated at degree n on |zeta| = R = 2 (1 + max |c_k / c_n|), twice Cauchy's bound
+    on its roots, as that of q(w) = chi(R w) / (c_n R^n) on the unit circle, which cannot overflow. When the
+    degree is deficient the missing vorticity sits at infinity and a warning is emitted.
     """
-    if chi.effective_degree < chi.two_s:
-        warnings.warn(
-            f"degree {chi.effective_degree} < 2s = {chi.two_s}: "
-            "the remaining vorticity sits at infinity",
-            stacklevel=2,
-        )
-    locs = chi.roots()
-    maxmod = float(np.abs(locs).max()) if locs.size else 0.0
-    ring = CircleContour(0.0, 2.0 * maxmod + 1.0)
-    return circulation(chi, ring)
+    deg = chi.effective_degree
+    if deg < chi.two_s:
+        warnings.warn(f"degree {deg} < 2s = {chi.two_s}: the remaining vorticity sits at infinity", stacklevel=2)
+    c = chi.coeffs[: deg + 1]
+    if not c[-1]:
+        raise ContourTooCloseError("chi vanishes identically: every contour passes through a root")
+    radius = 2.0 * (1.0 + float(np.abs(c[:-1]).max(initial=0.0)) / float(abs(c[-1])))
+    values = P.polyval(_unit_ring(4 * deg + 4, True), c * radius ** np.arange(-deg, 1.0) / c[-1])
+    # |q(w) / w^n - 1| <= sum_{k < n} |c_k / c_n| R^(k-n) < 1 / 2 on |w| = 1, so arg q(w) - n arg w stays
+    # within pi / 6 of 0, and between samples 2 pi / (4 n + 4) apart q turns by less than n pi / (2 n + 2)
+    # + pi / 3 < pi: each increment is its turn
+    return float(np.angle(np.concatenate((values[1:], values[:1])) / values).sum() / (2.0 * np.pi))
 
 
 def _companion_roots(c):
@@ -658,7 +731,7 @@ def contour_from_json(source):
     """Parse a contour: {"circle": {...}} or {"polygon": {...}}.
 
     A circle takes at most jsonio.MAX_GRID_NODES nodes; a polygon at most
-    jsonio.MAX_GAUSS_NODES per edge and MAX_GRID_NODES in all.
+    jsonio.MAX_EDGE_SAMPLES per edge and MAX_GRID_NODES in all.
     """
     data = jsonio.load_object(source, "contour")
     if "circle" in data:
@@ -677,7 +750,7 @@ def contour_from_json(source):
         if not isinstance(raw, list) or len(raw) < 3:
             raise ValueError("'polygon.vertices' must list at least 3 [re, im] pairs")
         verts = tuple(x + 1j * y for x, y in jsonio.real_array("polygon.vertices", raw, (len(raw), 2)).tolist())
-        most = min(jsonio.MAX_GAUSS_NODES, jsonio.MAX_GRID_NODES // len(verts))
+        most = min(jsonio.MAX_EDGE_SAMPLES, jsonio.MAX_GRID_NODES // len(verts))
         nodes = jsonio.integer("polygon.nodes_per_edge", params.get("nodes_per_edge", 32), 2, most)
         return PolygonContour(verts, nodes)
     raise ValueError("contour JSON needs a 'circle' or 'polygon' key")

@@ -105,3 +105,34 @@ def field_with_pressure_gradient(eps):
         return VectorField(StackFunction(stack))
 
     return field
+
+
+def winding_about(contour, a):
+    """Winding number of a spin.CircleContour or spin.PolygonContour about the point a, from its geometry alone."""
+    if hasattr(contour, "radius"):
+        return (1 if contour.ccw else -1) if abs(a - contour.center) < contour.radius else 0
+    v = np.array(contour.vertices) - a
+    return int(round(float(np.angle(np.roll(v, -1) / v).sum()) / (2.0 * math.pi)))
+
+
+def _distances(contour, a):
+    """(distance from a, scale) per piece of a contour: the circle and its radius, or each edge and its length."""
+    if hasattr(contour, "radius"):
+        return [(abs(abs(a - contour.center) - contour.radius), contour.radius)]
+    verts, pieces = contour.vertices, []
+    for p, q in zip(verts, verts[1:] + verts[:1]):
+        edge = q - p
+        if edge:  # a zero-length edge is its vertex, which its neighbours end at
+            t = min(1.0, max(0.0, ((a - p) * edge.conjugate()).real / abs(edge) ** 2))
+            pieces.append((abs(a - (p + t * edge)), abs(edge)))
+    return pieces
+
+
+def contour_distance(contour, a):
+    """Distance from the point a to a contour."""
+    return min((d for d, _ in _distances(contour, a)), default=math.inf)
+
+
+def contour_gap(contour, a):
+    """Distance from a to a contour in units of its scale: the radius, or for a polygon each edge's length."""
+    return min((d / scale for d, scale in _distances(contour, a)), default=math.inf)

@@ -169,13 +169,15 @@ def test_spin_circulation_default_ring(tmp_path, capsys):
 def test_spin_circulation_and_bohr_sommerfeld_check_share_one_integrality_rule(tmp_path, capsys, monkeypatch):
     from qhydro import spin
 
-    # 32 nodes leave a quadrature error between 1e-12 and 1e-4 around the root at 0.6
+    # the winding is an integer to round-off; a seam moves it off by a deviation both readers must see
     chi_data, circle = {"roots": [[0.6, 0.0, 1], [0.0, 0.5, 2]]}, {"circle": {"radius": 1.0, "nodes": 32}}
     chi, ring = write_json(tmp_path / "chi.json", chi_data), write_json(tmp_path / "c.json", circle)
     out = tmp_path / "o.json"
     wave, contour = spin.wavefunction_from_json(chi_data), spin.contour_from_json(circle)
+    winding = spin.circulation
+    monkeypatch.setattr(spin, "circulation", lambda chi, contour: winding(chi, contour) + 3e-9)
     (record,) = spin.bohr_sommerfeld_check(wave, [contour])
-    assert 1e-12 < record.deviation < 1e-4 and record.nearest == 3
+    assert record.value == winding(wave, contour) + 3e-9 and 1e-9 < record.deviation < 1e-8 and record.nearest == 3
     for tol in (record.deviation / 2.0, record.deviation * 2.0):
         monkeypatch.setattr(spin, "INTEGRALITY_TOL", tol)
         ok = tol > record.deviation
@@ -197,21 +199,19 @@ def test_spin_divisor_report(tmp_path):
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("command", ["spin-divisor", "spin-circulation"])
-def test_divisor_overflow_exits_1_with_one_line(tmp_path, capsys, command):
+def test_divisor_overflow_exits_1_with_one_line(tmp_path, capsys):
     chi = write_json(tmp_path / "chi.json", {"two_s": 2, "coeffs_re": [1, 0, 1e308]})
     out = tmp_path / "out.json"
-    assert main([command, "--input", chi, "--output", str(out)]) == EXIT_CHECK_FAILED
+    assert main(["spin-divisor", "--input", chi, "--output", str(out)]) == EXIT_CHECK_FAILED
     captured = capsys.readouterr()
     assert captured.out == "" and not out.exists()
     assert captured.err == "error: derivative coefficients overflow double precision\n"
 
 
-@pytest.mark.parametrize("command", ["spin-divisor", "spin-circulation"])
-def test_cluster_ambiguity_exits_1_with_one_line(tmp_path, capsys, command):
+def test_cluster_ambiguity_exits_1_with_one_line(tmp_path, capsys):
     chi = write_json(tmp_path / "chi.json", {"roots": [[0, 0, 1], [2e-6, 0, 1]]})
     out = tmp_path / "out.json"
-    assert main([command, "--input", chi, "--output", str(out)]) == EXIT_CHECK_FAILED
+    assert main(["spin-divisor", "--input", chi, "--output", str(out)]) == EXIT_CHECK_FAILED
     captured = capsys.readouterr()
     assert captured.out == "" and not out.exists()
     assert captured.err.startswith("divisor computation failed: root clusters unstable")
@@ -220,18 +220,44 @@ def test_cluster_ambiguity_exits_1_with_one_line(tmp_path, capsys, command):
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize(
-    "coeffs, value",
-    [([4e304, 6e301, -1e306, 5e302], "nan"), ([-1e300, 7e303, -4e303, 5e307], "inf")],
+    "chi, contour, printed",
+    [
+        # the divisor of the two roots 2e-6 apart is ambiguous; their winding is not
+        ({"roots": [[0, 0, 1], [2e-6, 0, 1]]}, None, "2.000000000"),
+        # a quadrature of chi'/chi printed -388.127166458 here
+        ({"roots": [[1.00001, 0, 1], [0.2, 0, 2]]}, {"circle": {"radius": 1.0}}, "2.000000000"),
+        # the divisor overflows (exit 1 above); the total needs none, and its rescaled ring cannot overflow
+        ({"two_s": 2, "coeffs_re": [1, 0, 1e308]}, None, "2.000000000"),
+        ({"two_s": 3, "coeffs_re": [4e304, 6e301, -1e306, 5e302]}, None, "3.000000000"),
+    ],
+    ids=["ambiguous-divisor", "root-1e-5-outside", "divisor-overflow", "wide-ring"],
 )
-def test_non_finite_circulation_exits_1_with_one_line_and_no_value(tmp_path, capsys, coeffs, value):
+def test_spin_circulation_is_the_winding_without_the_divisor(tmp_path, capsys, chi, contour, printed):
+    argv = ["spin-circulation", "--input", write_json(tmp_path / "chi.json", chi)]
+    if contour is not None:
+        argv += ["--contour", write_json(tmp_path / "c.json", contour)]
+    assert main(argv) == EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.out == f"{printed}\n" and captured.err == ""
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "coeffs, radius, value",
+    [
+        ([4e304, 6e301, -1e306, 5e302], 4002.0, "chi is (-inf+nanj) at zeta = (4002+0j)"),
+        ([-1e300, 7e303, -4e303, 5e307], 2.0, "chi is (inf+nanj) at zeta = (2+0j)"),
+    ],
+    ids=["coeffs0-nan", "coeffs1-inf"],
+)
+def test_non_finite_circulation_exits_1_with_one_line_and_no_value(tmp_path, capsys, coeffs, radius, value):
     chi = write_json(tmp_path / "chi.json", {"two_s": 3, "coeffs_re": coeffs})
+    ring = write_json(tmp_path / "ring.json", {"circle": {"radius": radius}})
     out = tmp_path / "circ.json"
-    assert main(["spin-circulation", "--input", chi, "--output", str(out)]) == EXIT_CHECK_FAILED
+    assert main(["spin-circulation", "--input", chi, "--contour", ring, "--output", str(out)]) == EXIT_CHECK_FAILED
     captured = capsys.readouterr()
     assert captured.out == "" and not out.exists()
-    assert captured.err == (
-        f"error: circulation integral is {value}: chi'/chi overflows double precision on the contour\n"
-    )
+    assert captured.err == f"error: {value}: it or its Taylor coefficients overflow double precision on the contour\n"
 
 
 @pytest.mark.filterwarnings("error")

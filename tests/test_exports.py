@@ -10,7 +10,7 @@ import pytest
 import qhydro
 from qhydro.hilbert import HermitianOperator, StateVector, evolve
 from qhydro.projective import project_tangent
-from qhydro.spin import PolygonContour, SpinWaveFunction, SU2Element, contour_from_json, wavefunction_from_json
+from qhydro.spin import CircleContour, PolygonContour, SpinWaveFunction, SU2Element, contour_from_json, wavefunction_from_json
 
 MODULES = ["cli", "fluid", "hilbert", "jsonio", "projective", "riemann", "spin"]
 
@@ -53,6 +53,8 @@ def test_package_imports_only_names_in_their_module_all():
         (lambda: SU2Element(np.eye(3)), "expected a 2x2 matrix, got shape (3, 3)"),
         (lambda: SU2Element(np.diag([1.0, -1.0])), "matrix does not have unit determinant"),
         (lambda: PolygonContour((0.0, 1.0)), "polygon needs at least 3 vertices, got 2"),
+        (lambda: PolygonContour((0.0, 1.0, complex(np.inf, 0.0))), "vertex 2 must be finite, got (inf+0j)"),
+        (lambda: CircleContour(complex(np.nan, 0.0), 1.0), "center must be finite, got (nan+0j)"),
         (lambda: wavefunction_from_json({"roots": {"re": 0.5}}), "'roots' must be a list of [re, im, mult] triples"),
         (lambda: contour_from_json({"polygon": {"vertices": [[0, 0], [1, 0]]}}), "'polygon.vertices' must list at least 3 [re, im] pairs"),
         (lambda: project_tangent([0.0, 1.0], [1.0, 0.0], 0), "curve leaves chart 0: zero pivot amplitude"),

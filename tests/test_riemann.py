@@ -1714,3 +1714,19 @@ def test_rk4_refuses_a_right_hand_side_of_another_shape_than_its_states(monkeypa
     call = lambda: geodesic_integrate(M, np.zeros((3, 2)), np.ones((3, 2)), 1.0, STEPS)
     expected = (ValueError, "rhs returned shape (3, 2) for states of shape (3, 4)")
     assert assert_chunks_are_the_per_step_path(monkeypatch, call) == expected
+
+
+def test_errors_that_name_a_point_of_six_or_more_coordinates_stay_on_one_line():
+    # numpy's str wraps an array at 75 characters, and a CLI error is one line
+    x = [2.97926265e10, 1.2e9, -3.3e10, 3.04116324e10, -1.76133269e10, -4.09086679e10]
+    skew = np.eye(6)
+    skew[0, 1] = 1.0
+    for manifold, kind, needle in (
+        (ChartManifold(6, lambda x: -np.eye(6)), ValueError, "metric not positive-definite at ["),
+        (ChartManifold(6, lambda x: skew), ValueError, "metric not symmetric at ["),
+        (ChartManifold(6, lambda x: np.eye(6), chart_domain=lambda x: x[0] < 0, name="half"), ChartBoundaryError, "point ["),
+    ):
+        with pytest.raises(kind) as refused:
+            manifold.metric_at(x)
+        assert needle in str(refused.value) and "\n" not in str(refused.value)
+        assert "-4.09086679e+10]" in str(refused.value)

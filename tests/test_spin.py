@@ -1,5 +1,6 @@
 """Polynomial spin wave functions: rotation action, velocity form, circulation."""
 
+import cmath
 import math
 import re
 import warnings
@@ -10,12 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import polynomial as P
 
-from helpers import spin_amplitudes, spin_matrices
+from helpers import contour_distance, contour_gap, spin_amplitudes, spin_matrices, winding_about
 from qhydro import spin
 from qhydro.fluid import critical_points, pressure
 from qhydro.hilbert import HermitianOperator, evolve
 from qhydro.spin import (
-    EXCLUSION_TOL,
     SZ_ACTION_SIGN,
     CircleContour,
     ClusterAmbiguityError,
@@ -200,6 +200,12 @@ def test_circulation_counts_enclosed_multiplicities():
 def test_circulation_of_constant_vanishes():
     chi = SpinWaveFunction(0, [3.0])
     assert circulation(chi, CircleContour(0.5, 2.0)) == pytest.approx(0.0, abs=1e-14)
+    # the zero polynomial (S_z of its middle monomial) vanishes on every contour: a root everywhere
+    zero = sz_apply(SpinWaveFunction(2, [0.0, 1.0, 0.0]))
+    with pytest.raises(ContourTooCloseError, match=r"\|chi\| = 0.0 <= 0.0"):
+        circulation(zero, CircleContour(0.5, 2.0))
+    with pytest.warns(UserWarning, match="infinity"), pytest.raises(ContourTooCloseError):
+        total_spin_circulation(zero)
 
 
 def test_circulation_orientation_flag():
@@ -248,18 +254,13 @@ def test_total_spin_circulation_warns_on_degree_deficit():
     assert value == pytest.approx(1.0, abs=1e-10)
 
 
-def test_quadrature_is_spectrally_convergent():
-    # root at 0.65 inside the unit circle: slow-ish decay, visible convergence
-    chi = SpinWaveFunction.from_roots([(0.65, 1), (0.3j, 1)])
-    ring = lambda m: CircleContour(0.0, 1.0, nodes=m)
-    prev = abs(circulation(chi, ring(16)) - 2.0)
-    for m in (32, 64, 128):
-        cur = abs(circulation(chi, ring(m)) - 2.0)
-        if prev <= 1e-12:
-            break
-        assert cur <= prev / 10.0 or cur < 1e-12
-        prev = cur
-    assert abs(circulation(chi, ring(256)) - 2.0) < 1e-12
+def test_circulation_is_the_winding_from_any_starting_sample_count():
+    # a quadrature of chi'/chi needed many nodes near the root at 0.95; the winding bisects where it must
+    chi = SpinWaveFunction.from_roots([(0.95, 1), (0.3j, 2), (-1.05, 1)])
+    for nodes in (4, 5, 16, 64, 256):
+        assert abs(circulation(chi, CircleContour(0.0, 1.0, nodes=nodes)) - 3.0) < 1e-12
+    for nodes in (2, 3, 32):
+        assert abs(circulation(chi, PolygonContour((1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j), nodes)) - 3.0) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +276,7 @@ def test_circulation_invariant_under_rotations():
         center = complex(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5))
         radius = rng.uniform(0.5, 2.0)
         ring = CircleContour(center, radius)
-        if ring.distances_to(locs).min() < 0.05:
+        if min(contour_distance(ring, a) for a in locs) < 0.05:
             continue
         g = SU2Element.random(rng)
         moved = su2_act(g, chi)
@@ -285,10 +286,9 @@ def test_circulation_invariant_under_rotations():
             pole = np.conj(pull.a) / pull.b
             if abs(pole - center) < radius + 0.3:
                 continue  # disk would map to an exterior region, not a disk
-        nodes, _ = ring.quadrature()
-        image = [pull.mobius(z) for z in nodes]
+        image = [pull.mobius(z) for z in ring._samples()]
         transported = PolygonContour(tuple(image), nodes_per_edge=4)
-        if moved.roots().size and transported.distances_to(moved.roots()).min() < 0.05:
+        if any(contour_distance(transported, a) < 0.05 for a in moved.roots()):
             continue
         before = circulation(chi, ring)
         after = circulation(moved, transported)
@@ -356,25 +356,30 @@ def test_divisor_breakdown_on_finite_input_is_named_and_silent(coeffs, stage):
     with pytest.raises(NumericalBreakdownError, match=stage) as info:
         vorticity_divisor(chi)
     assert not isinstance(info.value, ValueError)  # well-formed input: not a bad-input error
-    with pytest.raises(NumericalBreakdownError):
-        total_spin_circulation(chi)
+    # the total needs no divisor, and its rescaled ring cannot overflow
+    assert abs(total_spin_circulation(chi) - 2.0) <= 1e-12
 
 
-# The divisor of each is fine; chi'/chi overflows on the contour, to nan and to inf
+# The divisor of each is fine; the parent's total overflowed on its ring |zeta| = 2 max |root| + 1
 NON_FINITE_CIRCULATION = [[4e304, 6e301, -1e306, 5e302], [-1e300, 7e303, -4e303, 5e307]]
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("coeffs", NON_FINITE_CIRCULATION)
-def test_non_finite_circulation_is_a_named_breakdown(coeffs):
+@pytest.mark.parametrize("coeffs, ring_value", zip(NON_FINITE_CIRCULATION, [None, 3.0]), ids=["coeffs0", "coeffs1"])
+def test_non_finite_circulation_is_a_named_breakdown(coeffs, ring_value):
     chi = SpinWaveFunction(3, coeffs)
     assert vorticity_divisor(chi).total == 3
-    with pytest.raises(NumericalBreakdownError, match="circulation integral is (nan|inf)") as info:
-        total_spin_circulation(chi)
-    assert not isinstance(info.value, ValueError)
+    # the total winds chi rescaled to the unit circle, which cannot overflow
+    assert abs(total_spin_circulation(chi) - 3.0) <= 1e-12
+    # on the ring |zeta| = 2 max |root| + 1, chi overflows for the first and stays finite for the second
     ring = CircleContour(0.0, 2.0 * float(np.abs(chi.roots()).max()) + 1.0)
-    with pytest.raises(NumericalBreakdownError):
-        circulation(chi, ring)
+    if ring_value is None:
+        message = r"^chi is \(-?inf\+nanj\) at zeta = .*: it or its Taylor coefficients overflow double precision on the contour$"
+        with pytest.raises(NumericalBreakdownError, match=message) as info:
+            circulation(chi, ring)
+        assert not isinstance(info.value, ValueError)
+    else:
+        assert abs(circulation(chi, ring) - ring_value) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -390,7 +395,7 @@ def test_integrality_for_random_contours():
         ring = CircleContour(
             complex(rng.uniform(-2, 2), rng.uniform(-2, 2)), rng.uniform(0.2, 3.0)
         )
-        if ring.distances_to(locs).min() > 0.2 * ring.radius:
+        if min(contour_gap(ring, a) for a in locs) > 0.2:
             contours.append(ring)
     records = bohr_sommerfeld_check(chi, contours)
     assert all(isinstance(r, IntegralityRecord) for r in records)
@@ -495,9 +500,9 @@ def test_polygon_nodes_per_edge_must_be_an_integer_of_at_least_2():
 
 
 # ---------------------------------------------------------------------------
-# Reference equality: the divisor and circulation path against a copy of the
-# plain algorithm (scalar polyval Newton, O(n^2) union-find clustering,
-# per-root distance minimum), bit for bit
+# Reference equality: the divisor against a copy of the plain algorithm
+# (scalar polyval Newton, O(n^2) union-find clustering), bit for bit; the
+# circulations against the roots the wave functions were built from
 
 
 def _reference_cluster(points, radius):
@@ -559,55 +564,45 @@ def _reference_divisor(chi):
     return tuple(entries)
 
 
-def _reference_distance(contour, z):
-    z = complex(z)
-    if isinstance(contour, CircleContour):
-        return abs(abs(z - contour.center) - contour.radius)
-    best = np.inf
-    verts = contour.vertices
-    for idx in range(len(verts)):
-        a, b = verts[idx], verts[(idx + 1) % len(verts)]
-        edge = b - a
-        length2 = abs(edge) ** 2
-        frac = 0.0 if length2 == 0 else np.clip(((z - a) * np.conj(edge)).real / length2, 0.0, 1.0)
-        best = min(best, abs(z - (a + frac * edge)))
-    return float(best)
-
-
-def _reference_circulation(chi, entries, contour):
-    """Circulation value, or the exception type and message it raises."""
-    if isinstance(entries, str):
-        return ClusterAmbiguityError, entries
-    locs = [a for a, mu in entries for _ in range(mu)]
-    if locs:
-        nearest = min(_reference_distance(contour, a) for a in locs)
-        if nearest <= EXCLUSION_TOL:
-            return ContourTooCloseError, f"contour passes within {nearest!r} of a root (need > {EXCLUSION_TOL})"
-    if isinstance(contour, CircleContour):
-        points, tangents = contour.quadrature()
-    else:
-        t, w = np.polynomial.legendre.leggauss(contour.nodes_per_edge)
-        verts = contour.vertices
-        ends = [(verts[i], verts[(i + 1) % len(verts)]) for i in range(len(verts))]
-        points = np.concatenate([(a + b) / 2.0 + t * ((b - a) / 2.0) for a, b in ends])
-        tangents = np.concatenate([w * ((b - a) / 2.0) for a, b in ends])
-    q = P.polyval(points, P.polyder(chi.coeffs)) / P.polyval(points, chi.coeffs)
-    return float(np.sum(q * tangents).imag / (2.0 * np.pi))
-
-
-def _reference_total(chi, entries):
-    if isinstance(entries, str):
-        return ClusterAmbiguityError, entries
-    locs = np.array([a for a, mu in entries for _ in range(mu)])
-    maxmod = float(np.abs(locs).max()) if locs.size else 0.0
-    return _reference_circulation(chi, entries, CircleContour(0.0, 2.0 * maxmod + 1.0, nodes=256))
-
-
 def _outcome(fn):
     try:
         return fn()
     except (ClusterAmbiguityError, ContourTooCloseError) as exc:
         return type(exc), str(exc)
+
+
+def _image_roots(roots, g):
+    """The finite roots of su2_act(g, chi) for the roots of chi: their images under g^-1."""
+    pull = g.inverse()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        images = [(complex(pull.mobius(a)), mu) for a, mu in roots]
+    return [(w, mu) for w, mu in images if cmath.isfinite(w)]
+
+
+def assert_counts_known_roots(psi, contour, roots):
+    """circulation(psi, contour) against the roots psi was built from.
+
+    It is their enclosed multiplicity within 1e-12 wherever every root lies
+    more than 1e-9 of the contour's scale from it, and an integer within
+    1e-12 nearer; it may refuse with ContourTooCloseError only where a root
+    lies within 0.25 of the scale.
+    """
+    gap = min((contour_gap(contour, a) for a, _ in roots), default=math.inf)
+    try:
+        value = circulation(psi, contour)
+    except ContourTooCloseError:
+        assert gap < 0.25
+        return
+    if gap > 1e-9:
+        assert abs(value - sum(mu * winding_about(contour, a) for a, mu in roots)) <= 1e-12
+    else:
+        assert abs(value - round(value)) <= 1e-12
+
+
+def assert_total_is_the_degree(psi):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # deficient degree after rounding
+        assert abs(total_spin_circulation(psi) - psi.effective_degree) <= 1e-12
 
 
 def _reference_su2_matrix(g, two_s):
@@ -639,16 +634,17 @@ def _seeded_corpus(rng):
                     k = int(rng.integers(3, 7))
                     angles = rng.uniform(0.0, 2.0 * np.pi) + 2.0 * np.pi * (np.arange(k) + rng.uniform(-0.3, 0.3, size=k)) / k
                     contours.append(PolygonContour(tuple(point(2.0) + rng.uniform(0.3, 2.5, size=k) * np.exp(1j * angles))))
-                yield chi, SU2Element.random(rng), contours
+                yield chi, roots, SU2Element.random(rng), contours
 
 
-def test_divisor_and_circulations_equal_reference_bit_for_bit():
+def test_divisor_equals_reference_bit_for_bit_and_circulations_count_the_known_roots():
     rng = np.random.default_rng(71)
     ambiguous = multiple = 0
-    for chi, g, contours in _seeded_corpus(rng):
+    for chi, roots, g, contours in _seeded_corpus(rng):
         matrix = su2_matrix(g, chi.two_s)
         assert np.array_equal(matrix, _reference_su2_matrix(g, chi.two_s))
-        for psi in (chi, su2_act(g, chi)):
+        assert chi.effective_degree == chi.two_s
+        for psi, known in ((chi, roots), (su2_act(g, chi), _image_roots(roots, g))):
             expected = _reference_divisor(psi)
             found = _outcome(lambda: psi.divisor().entries)
             if isinstance(expected, str):
@@ -658,12 +654,8 @@ def test_divisor_and_circulations_equal_reference_bit_for_bit():
                 multiple += any(mu > 1 for _, mu in expected)
                 assert found == expected
             for contour in contours:
-                assert _outcome(lambda: circulation(psi, contour)) == _reference_circulation(psi, expected, contour)
-                probes = np.array([a for a, _ in expected]) if not isinstance(expected, str) else np.array([0j])
-                assert contour.distances_to(probes).tolist() == [_reference_distance(contour, z) for z in probes]
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")  # deficient degree after rounding
-                assert _outcome(lambda: total_spin_circulation(psi)) == _reference_total(psi, expected)
+                assert_counts_known_roots(psi, contour, known)
+            assert_total_is_the_degree(psi)
     # the corpus reaches both the ambiguity refusal and multiple roots
     assert ambiguous > 0 and multiple > 0
 
@@ -680,41 +672,122 @@ def test_cluster_ambiguity_is_computed_once_and_raised_every_time(monkeypatch):
     chi = SpinWaveFunction.from_roots([(0.0, 1), (2e-6, 1)])
     message = _reference_divisor(chi)
     assert isinstance(message, str)
-    square = PolygonContour((1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j))
-    for call in (
-        chi.divisor,
-        chi.roots,
-        lambda: circulation(chi, CircleContour(0.0, 1.0)),
-        lambda: circulation(chi, square),
-        lambda: total_spin_circulation(chi),
-        chi.divisor,
-    ):
+    for call in (chi.divisor, chi.roots, chi.divisor):
         with pytest.raises(ClusterAmbiguityError) as info:
             call()
         assert str(info.value) == message
     assert len(calls) == 1
+    # the circulations wind chi's phase: the two roots are counted, and the divisor is not asked
+    square = PolygonContour((1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j))
+    for value in (circulation(chi, CircleContour(0.0, 1.0)), circulation(chi, square), total_spin_circulation(chi)):
+        assert abs(value - 2.0) <= 1e-12
+    assert len(calls) == 1
+
+
+def test_a_root_between_two_samples_is_found_by_cutting_the_arc():
+    # a root in the circular segment between two samples turns the phase by more than pi across their
+    # arc, and a double root by a polygon edge by nearly 2 pi, leaving a small increment: both arcs are cut
+    r = 1.0 - (1.0 - math.cos(math.pi / 64)) / 2.0
+    chi = SpinWaveFunction.from_roots([(r * cmath.exp(1j * math.pi / 64), 1)])
+    assert abs(circulation(chi, CircleContour(0.0, 1.0, nodes=64)) - 1.0) <= 1e-12
+    square, h = PolygonContour((1 - 1j, 1 + 1j, -1 + 1j, -1 - 1j)), 2.0 / 32
+    for side, count in ((-1, 3), (1, 1)):
+        chi = SpinWaveFunction.from_roots([(1.0 + side * 0.05 * h + 0.5j * h, 2), (0.3j, 1)])
+        assert abs(circulation(chi, square) - count) <= 1e-12
+
+
+@pytest.mark.parametrize("side, count", [(1, 6), (-1, 4)], ids=["inside", "outside"])
+@pytest.mark.parametrize("depth", [0.1, 0.03, 0.01])
+def test_roots_that_cancel_chi_prime_over_chi_at_an_arcs_ends_cannot_hide_a_root_by_it(side, count, depth):
+    # double roots: A a small depth (in sample spacings h) off the middle of the arc between samples 15 and 16
+    # of the bottom edge, B and C half a spacing beyond its ends; at both ends their terms of chi'/chi nearly
+    # cancel, and A turns the phase by nearly 2 pi across the arc, which a rule on the increment and on
+    # |chi'/chi| at the ends accepted, counting A once
+    square, h = PolygonContour((-1 - 1j, 1 - 1j, 1 + 1j, -1 + 1j)), 2.0 / 32
+    z0 = -1 + 15 * h - 1j
+    roots = [(z0 + h / 2 + side * 1j * depth * h, 2), (z0 - h / 2 + 0.05j * h, 2), (z0 + 1.5 * h + 0.05j * h, 2)]
+    assert abs(circulation(SpinWaveFunction.from_roots(roots), square) - count) <= 1e-12
+
+
+@pytest.mark.parametrize("scale", [1.0, 0.25, 0.0625], ids=["starting-arc", "cut-once", "cut-twice"])
+def test_an_arc_needs_the_certificate_of_both_its_ends(scale):
+    # A sits by the far end of an arc of the bottom edge from sample 15, outside the near end's half; with B
+    # above, the phase turns by more than pi across the arc, and the near end alone would pass it. Scaled by
+    # 1 / 4 and 1 / 16, the arc is one that cutting makes
+    square, h = PolygonContour((-1 - 1j, 1 - 1j, 1 + 1j, -1 + 1j)), 2.0 / 32
+    z0 = -1 + 15 * h - 1j
+    chi = SpinWaveFunction.from_roots([(z0 + scale * (0.95 + 0.005j) * h, 1), (z0 + scale * (0.5 + 3j) * h, 1)])
+    assert abs(circulation(chi, square) - 2.0) <= 1e-12
+
+
+@pytest.mark.filterwarnings("error")
+def test_the_total_of_a_high_degree_or_widely_spread_wave_function_is_its_degree():
+    # the ring at twice Cauchy's bound is wide, and chi^n on it overflowed: the winding of chi rescaled to the
+    # unit circle cannot
+    rng = np.random.default_rng(5)
+    chi = SpinWaveFunction(400, rng.normal(size=401) + 1j * rng.normal(size=401))
+    assert abs(total_spin_circulation(chi) - 400.0) <= 1e-12
+    # (zeta - 1e6)(zeta^54 - 1): the ring has radius about 2e6, whose 55th power overflows
+    spread = SpinWaveFunction(55, np.concatenate(([1e6, -1.0], np.zeros(52), [-1e6, 1.0])))
+    assert spread.effective_degree == 55 and abs(total_spin_circulation(spread) - 55.0) <= 1e-12
+    # (zeta - 2)^40: its coefficients below 1e-12 of the largest leave the effective degree 35
+    power = SpinWaveFunction.from_roots([(2.0, 40)])
+    with pytest.warns(UserWarning, match="degree 35 < 2s = 40"):
+        assert abs(total_spin_circulation(power) - 35.0) <= 1e-12
+
+
+def test_a_contour_through_the_round_off_of_a_triple_root_is_refused_by_the_bound():
+    # within about 1e-5 of the triple root chi is round-off, and its phase noise
+    chi = SpinWaveFunction.from_roots([(0.5, 3)])
+    message = r"^contour passes within round-off of a root: \|chi\| = (\S+) <= (\S+) at zeta = \(0\.5000001\+0j\)$"
+    with pytest.raises(ContourTooCloseError, match=message) as info:
+        circulation(chi, CircleContour(0.0, 0.5 + 1e-7))
+    size, bound = map(float, re.match(message, str(info.value)).groups())
+    assert 0.0 < size <= bound == spin._ROUNDOFF * 3 * P.polyval(0.5000001, np.abs(chi.coeffs))
+
+
+def test_the_total_ring_is_twice_cauchys_bound():
+    # chi = zeta^2 - M zeta - M has a root within 1 / M of Cauchy's bound 1 + M, where chi is round-off
+    chi = SpinWaveFunction(2, [-1e8, -1e8, 1.0])
+    assert total_spin_circulation(chi) == 2.0
+    # turned by 15 degrees, that root lies between two of the total's samples, where a ring at Cauchy's bound
+    # would let the phase turn by pi unseen
+    turn = cmath.exp(-1j * math.pi / 12)
+    assert abs(total_spin_circulation(SpinWaveFunction(2, [-1e8, -1e8 * turn, turn * turn])) - 2.0) <= 1e-12
+    with pytest.raises(ContourTooCloseError, match="within round-off of a root"):
+        circulation(chi, CircleContour(0.0, 1e8 + 1.0))
+
+
+def test_circulation_and_total_never_call_the_divisor(monkeypatch):
+    def refuse(chi):
+        raise AssertionError("vorticity_divisor called")
+
+    monkeypatch.setattr(spin, "vorticity_divisor", refuse)
+    chi = SpinWaveFunction.from_roots([(0.3 + 0.2j, 2), (-0.8, 1), (1.5j, 1)])
+    assert abs(circulation(chi, CircleContour(0.0, 1.0)) - 3.0) <= 1e-12
+    assert abs(circulation(chi, PolygonContour((2 + 2j, -2 + 2j, -2 - 2j, 2 - 2j))) - 4.0) <= 1e-12
+    assert abs(total_spin_circulation(chi) - 4.0) <= 1e-12
+    assert [r.nearest for r in bohr_sommerfeld_check(chi, [CircleContour(-0.8, 0.1)])] == [1]
+    with pytest.raises(AssertionError, match="vorticity_divisor called"):
+        chi.divisor()
 
 
 @pytest.mark.parametrize(
-    "contour, roots",
+    "contour, roots, count, through",
     [
-        (CircleContour(0.0, 1.0), [-1.0 - 6e-7, (1.0 + 2e-7) * 1j, 0.3, 1.0 + 4e-7]),
-        (PolygonContour((1 - 1j, 1 + 1j, -1 + 1j, -1 - 1j)), [-1.0 - 5e-7 + 0.2j, 0.1 + (1.0 - 3e-7) * 1j, 0.2, 1.0 + 4e-7 - 0.5j]),
+        (CircleContour(0.0, 1.0), [-1.0 - 6e-7, (1.0 + 2e-7) * 1j, 0.3, 1.0 + 4e-7], 1, 1.0),
+        (PolygonContour((1 - 1j, 1 + 1j, -1 + 1j, -1 - 1j)), [-1.0 - 5e-7 + 0.2j, 0.1 + (1.0 - 3e-7) * 1j, 0.2, 1.0 + 4e-7 - 0.5j], 2, 1 - 1j),
     ],
     ids=["circle", "polygon"],
 )
-def test_contour_too_close_reports_the_per_root_minimum(contour, roots):
-    # three roots within EXCLUSION_TOL of the contour; the nearest is not the first entry
+def test_contour_too_close_is_only_round_off_of_a_root(contour, roots, count, through):
+    # roots within 1e-6 of the contour, which the quadrature refused, are counted
     chi = SpinWaveFunction.from_roots([(a, 1) for a in roots])
-    entries = _reference_divisor(chi)
-    assert chi.divisor().entries == entries
-    kind, message = _reference_circulation(chi, entries, contour)
-    assert kind is ContourTooCloseError
-    with pytest.raises(ContourTooCloseError) as info:
-        circulation(chi, contour)
-    assert str(info.value) == message
-    for a, _ in entries:
-        assert float(contour.distances_to(np.array([a]))[0]) == _reference_distance(contour, a)
+    assert abs(circulation(chi, contour) - count) <= 1e-12
+    # a root on a starting sample is refused, naming the sample
+    on = SpinWaveFunction.from_roots([(a, 1) for a in roots] + [(through, 1)])
+    with pytest.raises(ContourTooCloseError, match=rf"^contour passes within round-off of a root: \|chi\| = .* <= .* at zeta = {re.escape(str(complex(through)))}$"):
+        circulation(on, contour)
 
 
 def _reference_log_derivative(chi, zeta):
@@ -727,13 +800,12 @@ def _same_bits(x, y):
 
 @pytest.mark.parametrize("nodes", [4, 7, 64, 256])
 @pytest.mark.parametrize("ccw", [True, False])
-def test_circle_quadrature_equals_the_ring_formula_and_shares_a_read_only_ring(nodes, ccw):
+def test_circle_samples_are_the_ring_formula_and_share_a_read_only_ring(nodes, ccw):
     contour = CircleContour(0.3 - 0.2j, 1.7, nodes=nodes, ccw=ccw)
     sign = 1.0 if ccw else -1.0
     ring = np.exp(sign * 2j * np.pi * (np.arange(nodes) / nodes))
-    points, tangents = contour.quadrature()
-    assert points.tobytes() == (contour.center + contour.radius * ring).tobytes()
-    assert tangents.tobytes() == (sign * 2j * np.pi * contour.radius * ring / nodes).tobytes()
+    assert contour._samples().tobytes() == (contour.center + contour.radius * ring).tobytes()
+    assert contour._at(np.arange(float(nodes))).tobytes() == contour._samples().tobytes()
     cached = spin._unit_ring(nodes, ccw)
     assert cached is spin._unit_ring(nodes, ccw) and cached.tobytes() == ring.tobytes()
     assert not cached.flags.writeable
@@ -743,8 +815,8 @@ def test_circle_quadrature_equals_the_ring_formula_and_shares_a_read_only_ring(n
 
 def test_rarely_reached_inputs_equal_reference_bit_for_bit():
     # branches the seeded corpus never reaches: clockwise circles, a repeated
-    # polygon vertex (a zero-length edge), NaN probes, scalar evaluation
-    # points and the constant wave function of spin 0
+    # polygon vertex (a zero-length edge), scalar evaluation points and the
+    # constant wave function of spin 0
     square = (1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j)
     contours = [
         CircleContour(0.1 + 0.2j, 1.3, ccw=False),
@@ -753,35 +825,23 @@ def test_rarely_reached_inputs_equal_reference_bit_for_bit():
         PolygonContour(square + (square[0],), nodes_per_edge=5),
     ]
     waves = [
-        SpinWaveFunction(0, [2.0 - 1.0j]),
-        SpinWaveFunction.from_roots([(0.2 + 0.1j, 2), (-0.7j, 1), (1.4, 1)]),
-        SpinWaveFunction.from_roots([(-0.0, 1), (0.5 - 0.0j, 1)], two_s=3),
+        (SpinWaveFunction(0, [2.0 - 1.0j]), []),
+        (SpinWaveFunction.from_roots([(0.2 + 0.1j, 2), (-0.7j, 1), (1.4, 1)]), [(0.2 + 0.1j, 2), (-0.7j, 1), (1.4, 1)]),
+        (SpinWaveFunction.from_roots([(-0.0, 1), (0.5 - 0.0j, 1)], two_s=3), [(0.0, 1), (0.5, 1)]),
     ]
-    probes = np.array([complex(np.nan, 0.0), complex(0.3, np.nan), -1.0 + 0.25j, 0j, complex(-0.0, -0.0)])
     points = np.array([0.37 - 0.91j, -1.2 + 0.4j, complex(0.0, -0.3), complex(-0.0, 0.5), 2.5])
-    for chi in waves:
+    for chi, roots in waves:
         entries = _reference_divisor(chi)
         assert chi.divisor().entries == entries
         for contour in contours:
-            assert _outcome(lambda: circulation(chi, contour)) == _reference_circulation(chi, entries, contour)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # the last wave function has degree 2 < 2s = 3
-            assert _outcome(lambda: total_spin_circulation(chi)) == _reference_total(chi, entries)
+            assert_counts_known_roots(chi, contour, roots)
+        assert_total_is_the_degree(chi)
         assert _same_bits(chi.log_derivative(points), _reference_log_derivative(chi, points))
         assert _same_bits(chi.log_derivative(points.tolist()), _reference_log_derivative(chi, points.tolist()))
         for zeta in points.tolist():
             q = _reference_log_derivative(chi, zeta)
             assert _same_bits(chi.log_derivative(zeta), q)
             assert _same_bits(madelung_velocity(chi, zeta), np.array([q.imag, q.real]))
-    for contour in contours[2:]:
-        # the per-edge loop: a NaN distance never wins the minimum
-        expected = [_reference_distance(contour, z) for z in probes]
-        assert contour.distances_to(probes).tolist() == expected
-        assert expected[0] == expected[1] == np.inf
-        assert contour.distances_to(probes[2]).tolist() == expected[2]
-        assert contour.distances_to(probes.reshape(5, 1)).tolist() == [[d] for d in expected]
-    assert contours[3].distances_to(np.array([], dtype=complex)).shape == (0,)
-    assert math.isnan(contours[0].distances_to(probes)[0])
 
 
 @pytest.mark.parametrize(
@@ -818,21 +878,40 @@ def _spin_cases(draw):
 
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(_spin_cases())
-def test_divisor_circulation_and_total_equal_reference_on_random_inputs(case):
+def test_divisor_equals_reference_and_circulations_count_the_known_roots_on_random_inputs(case):
     roots, phase, raw, contours = case
     chi = SpinWaveFunction.from_roots(roots)
     chi = SpinWaveFunction(chi.two_s, chi.coeffs * np.exp(2j * np.pi * phase) / np.linalg.norm(chi.coeffs))
     norm = math.hypot(*raw)
     g = SU2Element.from_params(complex(raw[0], raw[1]) / norm, complex(raw[2], raw[3]) / norm)
-    for psi in (chi, su2_act(g, chi)):
+    for psi, known in ((chi, roots), (su2_act(g, chi), _image_roots(roots, g))):
         expected = _reference_divisor(psi)
         found = _outcome(lambda: psi.divisor().entries)
         assert found == ((ClusterAmbiguityError, expected) if isinstance(expected, str) else expected)
         for contour in contours:
-            assert _outcome(lambda: circulation(psi, contour)) == _reference_circulation(psi, expected, contour)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # deficient degree after rounding
-            assert _outcome(lambda: total_spin_circulation(psi)) == _reference_total(psi, expected)
+            assert_counts_known_roots(psi, contour, known)
+        assert_total_is_the_degree(psi)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    st.lists(st.tuples(st.builds(complex, st.floats(-1.5, 1.5), st.floats(-1.5, 1.5)), st.integers(1, 3)), min_size=1, max_size=6),
+    st.one_of(
+        st.builds(CircleContour, st.builds(complex, st.floats(-1, 1), st.floats(-1, 1)), st.floats(0.05, 2.5), st.sampled_from([4, 16, 256]), st.booleans()),
+        st.builds(PolygonContour, st.lists(st.builds(complex, st.floats(-2, 2), st.floats(-2, 2)), min_size=3, max_size=6).map(tuple), st.integers(2, 32)),
+    ),
+)
+def test_circulation_is_the_enclosed_count_or_a_refusal(roots, contour):
+    # never another number: near a root too, down to a contour through it
+    chi = SpinWaveFunction.from_roots(roots)
+    try:
+        value = circulation(chi, contour)
+    except ContourTooCloseError:
+        return
+    if all(contour_gap(contour, a) > 1e-9 for a, _ in roots):
+        assert abs(value - sum(mu * winding_about(contour, a) for a, mu in roots)) <= 1e-9
+    else:  # a root on the contour: no count is the enclosed one, but it is an integer
+        assert abs(value - round(value)) <= 1e-9
 
 
 def _capped_polish(z, c, dchi):
