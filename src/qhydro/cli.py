@@ -6,12 +6,12 @@ reports; every JSON report is built here and written by _emit.
 
 A command returns 0 (all checks passed) or 1 (a check failed), or raises;
 main alone turns that into the exit code and the stderr lines. Exit 1 also
-means a numerical breakdown on well-formed input (`error:`), an ambiguous
-root clustering (`divisor computation failed:`) or a failed pressure
-gradient (`critical-point gradient check failed:`); exit 2 means malformed
-input, a violated precondition, an input file that cannot be read or an
-output file that cannot be written (`error:`). Each warning comes first, as
-one `warning: <message>` line.
+means a numerical breakdown on well-formed input (`error:`), a divisor that
+Pellet's test does not prove (`divisor computation failed:`) or a failed
+pressure gradient (`critical-point gradient check failed:`); exit 2 means
+malformed input, a violated precondition, an input file that cannot be read
+or an output file that cannot be written (`error:`). Each warning comes
+first, as one `warning: <message>` line.
 """
 
 from __future__ import annotations

@@ -75,12 +75,30 @@ _ROUNDOFF = 4.0 * np.finfo(float).eps
 _CERTIFIED = 0.9
 _HALF = 0.55
 _TAYLOR_ORDER = 8
+# the exponents J, 1, 2, .. of a radius's powers in a bound
+_EXPONENTS = np.array([_TAYLOR_ORDER, *range(1, _TAYLOR_ORDER)])
 _SPLIT = 4
 _CUTS = (np.arange(1.0, _SPLIT) / _SPLIT)[:, None]
 _ROUNDS = 64
 _MAX_ARCS = 2**16
 # samples whose powers are formed at once, in rows of n + 1
 _BLOCK = 2**16
+
+# A divisor is proven. The companion-matrix eigenvalues are grouped by single linkage at radii r = _LADDER
+# (1 + max |lambda|), finest first, and a group of m gets the disc about its mean of radius rho = its spread + r / 2:
+# lone eigenvalues more than r apart get disjoint discs. With a_j chi's Taylor coefficients about the mean, Pellet's
+# test |a_m| rho^m > sum_{j != m} |a_j| rho^j proves (Rouche's theorem against a_m (zeta - mean)^m) that the disc
+# holds exactly m roots (Becker, Sagraloff, Sharma and Yap, J. Symb. Comput. 86 (2018)). Each a_j is widened by its
+# round-off, at most _ROUNDOFF (n + 1) sum_k |c_k| C(k, j) |mean|^(k-j) with the mean's powers formed by repeated
+# products as in _evaluated; the a_j are computed for j < J = _TAYLOR_ORDER + 1 + the largest m, and the terms
+# j >= J sum to at most _winding's majorant rho^J sum_k |c_k| C(k, J) (|mean| + rho)^(k-J). The first radius whose
+# discs are disjoint and all pass gives the divisor: each holds its m roots, and the m sum to the degree.
+_LADDER = 10.0 ** (-6.0 + 0.5 * np.arange(12))
+# A group beyond the finest radius is one m-fold root only where chi is near one: its a_j, j < m, within _FOLD times
+# their round-off bound (Zeng, Math. Comp. 74 (2005)). su2_act's rounded product puts up to about 2e3 times it into
+# the benchmark's images of multiple roots; two multiple roots 1e-3 apart, whose eigenvalue clouds overlap, read
+# above 5e5 times it.
+_FOLD = 2.0**14
 
 # A circulation passes the integrality check within this distance of the
 # nearest integer; read when a record is built.
@@ -97,14 +115,14 @@ class ContourTooCloseError(ValueError):
 
 
 class ClusterAmbiguityError(ValueError):
-    """Root clustering changes with the clustering radius; multiplicities unsafe."""
+    """No radius of the divisor's ladder proves a grouping of the roots (see _LADDER); multiplicities unsafe."""
 
 
 class NumericalBreakdownError(ArithmeticError):
     """Finite input whose arithmetic leaves double precision.
 
-    Here a derivative coefficient, the companion matrix, a root or chi on
-    a contour overflows; in fluid, a pressure gradient or a pair pressure.
+    Here the companion matrix of the roots or chi on a contour overflows; in
+    fluid, a pressure gradient or a pair pressure.
 
     Not a ValueError: the input is well formed, the arithmetic broke down.
     """
@@ -132,7 +150,7 @@ class SpinWaveFunction:
         if not allow_zero and not np.any(c != 0):
             raise ValueError("wave function must not be identically zero")
         c.setflags(write=False)
-        with np.errstate(over="ignore", invalid="ignore"):  # overflow is refused by vorticity_divisor
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow makes log_derivative non-finite
             # P.polyder's bits: it scales by 1 first (which moves the signs of
             # zero parts), then multiplies coefficient k by k
             dc = (c * 1)[1:] * np.arange(1.0, c.size) if c.size > 1 else c[:1] * 0
@@ -159,7 +177,7 @@ class SpinWaveFunction:
         """Degree after stripping trailing coefficients below round-off scale, computed once."""
         if self._degree is None:
             mags = np.abs(self.coeffs)
-            live = np.flatnonzero(mags > 1e-12 * mags.max())  # empty for the zero polynomial
+            live = (mags > 1e-12 * np.maximum.reduce(mags)).nonzero()[0]  # empty for the zero polynomial
             object.__setattr__(self, "_degree", int(live[-1]) if live.size else 0)
         return self._degree
 
@@ -442,14 +460,14 @@ def _unit_ring(nodes, ccw):
     return ring
 
 
-@functools.lru_cache(maxsize=16)
-def _binomials(n):
-    """For degree n, J = _TAYLOR_ORDER, m <= n and j < min(n + 1, J): indices min(m + j, n), C(m + j, j) or 0 where
-    m + j > n, C(k, J) for J <= k <= n, and the exponents J, 1, 2, .. of a radius's powers."""
-    k = np.arange(n + 1)[:, None] + np.arange(min(n + 1, _TAYLOR_ORDER))
-    low = np.array([[math.comb(i, j) if i <= n else 0 for j, i in enumerate(row)] for row in k.tolist()], dtype=float)
-    high = np.array([float(math.comb(k, _TAYLOR_ORDER)) for k in range(_TAYLOR_ORDER, n + 1)])
-    return np.minimum(k, n), low, high, np.array([_TAYLOR_ORDER, *range(1, k.shape[1])])
+@functools.lru_cache(maxsize=64)
+def _binomials(n, order):
+    """For degree n, i <= n and j < min(n + 1, order): indices min(i + j, n), and C(i + j, j) or 0 where i + j > n.
+    Column j of c[index] * low holds chi^(j) / j!: at z, the Taylor coefficient a_j; with |c| at |z|, its majorant."""
+    k = np.arange(n + 1)[:, None] + np.arange(min(n + 1, order))
+    # a binomial beyond the float range is inf, and a test that meets it fails
+    low = [[math.comb(i, j) if i <= n else 0 for j, i in enumerate(row)] for row in k.tolist()]
+    return np.minimum(k, n), np.array([[b if b.bit_length() < 1024 else math.inf for b in row] for row in low], float)
 
 
 def _evaluated(c, taylor, floor, z):
@@ -484,8 +502,10 @@ def _winding(c, contour) -> float:
     The starting arcs join consecutive samples. Each round sums the increments of the arcs with a certificate
     (_CERTIFIED) and cuts the others, with one pass over all their new samples.
     """
-    index, low, high, exponents = _binomials(len(c) - 1)
-    taylor, weights = (c[index] * low).T, (np.abs(c[_TAYLOR_ORDER:]) * high)[::-1].tolist() if high.size else []
+    index, low = _binomials(len(c) - 1, _TAYLOR_ORDER + 1)
+    taylor, high = (c[index] * low).T[:_TAYLOR_ORDER], c[_TAYLOR_ORDER:]
+    # C(k, J) for the coefficients k >= J is column J of the table
+    weights, exponents = (np.abs(high) * low[: high.size, -1])[::-1].tolist(), _EXPONENTS[: len(taylor)]
 
     def bounds(sizes, radius):
         # (sum_{0 < j < J} r^j |a_j| + r^J sum_k |c_k| C(k, J) (reach + r)^(k-J)) / |a_0| about each sample, r = radius
@@ -559,113 +579,105 @@ def total_spin_circulation(chi: SpinWaveFunction) -> float:
 
 
 def _companion_roots(c):
-    """np.roots(c[::-1]).tolist() for coefficients c, low order first, whose last is nonzero, bit for bit.
-
-    The eigenvalues of the companion matrix of c with its low-order zeros
-    stripped, then a root 0 for each zero stripped. As in np.roots, they
-    are Python complex numbers, except for a monomial, whose roots are
-    Python floats.
-    """
-    low = int(np.flatnonzero(c)[0])
-    if low == len(c) - 1:
-        return [0.0] * low
+    """The companion-matrix eigenvalues of c (low order first, last nonzero) less its low-order zeros, then a 0 each."""
+    low = int(c.nonzero()[0][0])
     p = c[low:][::-1]
-    A = np.eye(len(p) - 1, k=-1, dtype=p.dtype)
-    A[0] = -p[1:] / p[0]
-    return np.linalg.eigvals(A).tolist() + [0j] * low
+    A = np.zeros((len(p) - 1, len(p) - 1), complex)
+    A.flat[len(p) - 1 :: len(p)], A[:1] = 1.0, -p[1:] / p[0]  # the subdiagonal, and a first row but for a monomial
+    return np.concatenate((np.linalg.eigvals(A), np.zeros(low, complex)))
+
+
+def _groups(z, near):
+    """Single-linkage groups of z at each radius t (near[t] its linked pairs): each group's t, size, mean and spread."""
+    n, levels = z.size, len(near)
+    labels, points = np.arange(levels * n).reshape(levels, n), np.concatenate([z] * levels)
+    if np.add.reduce(near, axis=None) == labels.size:  # each point alone
+        return labels.ravel() // n, np.ones(labels.size, int), points, np.zeros(labels.size)
+    # point i at radius t, labelled t n + i, takes the lowest label among its neighbours, then that label's own,
+    # until none moves
+    while True:
+        lowest = np.where(near, labels[:, None, :], labels.size).min(axis=2)
+        if ((lowest := lowest.ravel()[lowest]) == labels).all():
+            break
+        labels = lowest
+    first = (labels := labels.ravel()) == np.arange(labels.size)
+    group = (np.cumsum(first) - 1)[labels]
+    size = np.bincount(group)
+    mean, spread = (np.bincount(group, points.real) + 1j * np.bincount(group, points.imag)) / size, np.zeros(size.size)
+    np.maximum.at(spread, group, np.abs(points - mean[group]))
+    return first.nonzero()[0] // n, size, mean, spread
+
+
+def _pellet(c, z, m, rho):
+    """Pellet's test of the discs |zeta - z| < rho for m roots each of chi = sum c_k zeta^k, and where each |a_j|
+    exceeds _FOLD times its round-off bound."""
+    # a_j for j < J = order computed, the terms j >= J bounded by the majorant
+    n, count, order = len(c) - 1, z.size, min(len(c), int(np.maximum.reduce(m)) + 1 + _TAYLOR_ORDER)
+    index, low = _binomials(n, order + 1)
+    taylor, modulus = c[index] * low, np.abs(z)
+    # powers of the centres, and of |z| and |z| + rho for the bounds, by repeated products; where one could overflow,
+    # each disc's are those of chi(2^e zeta) / 2^(e n), exactly, with e >= 0 nearest log2(|z| + rho)
+    x, powers = np.concatenate((z, modulus, reach := modulus + rho)), np.empty((n + 1, 3 * count), complex)
+    powers[0] = 1.0
+    if big := n * math.log2(max(1.0, np.maximum.reduce(reach))) > 900:
+        e = np.concatenate([np.maximum(0.0, np.rint(np.log2(reach)))] * 3)
+        x *= 2.0**-e
+    for k in range(1, n + 1):
+        np.multiply(powers[k - 1], x, out=powers[k])
+    if big:
+        powers *= 2.0 ** (np.arange(-n, 1.0)[:, None] * e)
+    size, bound = np.abs(taylor[:, :order].T @ powers[:, :count]), np.abs(taylor).T @ powers[:, count:].real
+    width, j, at = _ROUNDOFF * (n + 1) * bound[:order, :count], np.arange(order + 1)[:, None], np.arange(count)
+    # |a_m| rho^m - sum_{j != m} |a_j| rho^j, each |a_j| widened by its round-off, is 2 |a_m| rho^m less the sum over
+    # j; all of it over 2^(t m), rho = f 2^t with f in [1/2, 1), exactly: no power of rho under- or overflows
+    frac, twos = np.frexp(rho)
+    scale = np.ldexp(frac**j, twos * (j - m))
+    tail = bound[-1, count:] * scale[order] if order <= n else 0.0
+    return 2.0 * size[m, at] * scale[m, at] > np.add.reduce((size + width) * scale[:order]) + tail, size > _FOLD * width
+
+
+def _certified(c, z, near, radii, start):
+    """Entries of the first radius (the ladder's from start on) whose groups' discs are disjoint and pass, or None."""
+    level, size, mean, spread = _groups(z, near)
+    rho = spread + 0.5 * radii[level]
+    passed, excess = _pellet(c, mean, size, rho)
+    for t in (np.bincount(level[~passed], minlength=radii.size) == 0).nonzero()[0]:
+        here = level == t
+        m = size[here]
+        if np.maximum.reduce(m) > 1:  # lone points more than r apart have disjoint discs of radius r / 2
+            # beyond the finest radius a group of m is an m-fold root only where chi is near one (_FOLD)
+            fold = excess[:, here] & (np.arange(len(excess))[:, None] < m * (m > 1)) if t + start else False
+            gap = np.abs(mean[here, None] - mean[here]) - rho[here, None] - rho[here] + np.diag(np.full(m.size, np.inf))
+            if np.logical_or.reduce(np.ravel(fold)) or not (gap > 0.0).all():
+                continue
+        return sorted(zip(mean[here].tolist(), m.tolist()), key=lambda e: (e[0].real, e[0].imag))
+    return None
 
 
 def vorticity_divisor(chi: SpinWaveFunction) -> VorticityDivisor:
-    """Roots with multiplicities via companion-matrix eigenvalues.
-
-    Each eigenvalue is Newton-polished for at most 20 steps. The polish stops
-    early at a relative step below 1e-15, and without taking it at the first
-    step no smaller than the step before: from there on round-off, not the
-    root, sets the correction (on a multiple root, after a few steps).
-    Polished roots are clustered within 1e-6 (1 + max modulus); a cluster
-    of m points is an m-fold root at their mean. Clustering that changes
-    when the radius moves a factor 4 either way raises ClusterAmbiguityError
-    instead of guessing.
-    """
-    deg = chi.effective_degree
-    if deg == 0:
-        return VorticityDivisor(())
-    c = chi.coeffs[: deg + 1]
-    # the derivative of the truncation is the truncated derivative
-    cs, dcs = c.tolist(), chi._dcoeffs[:deg].tolist()
-    if not all(map(cmath.isfinite, dcs)):
-        raise NumericalBreakdownError("derivative coefficients overflow double precision")
-    # chi and chi' by one Horner loop over Python complex coefficients, each
-    # in P.polyval's order: Python's complex product and sum round like
-    # numpy's scalar arithmetic (numpy's array product, a fused multiply-add,
-    # and Python's complex division do not)
-    top, dtop, pairs = cs[-1], dcs[-1], list(zip(cs[-2:0:-1], dcs[-2::-1]))
-    # numpy's complex division, which rounds unlike Python's: adding -0 (an
-    # exact identity) makes a numpy scalar of the numerator, and complex.__pos__
-    # takes the quotient back as a Python complex; both bit for bit, and
-    # cheaper than the np.complex128() and complex() constructors
-    neg_zero, as_python = np.complex128(complex(-0.0, -0.0)), complex.__pos__
-
-    def polish(z):
-        # Newton converges quadratically on simple roots and pulls the
-        # eigenvalue cloud of a multiple root well inside the cluster radius,
-        # until a step fails to shrink
-        last = math.inf
-        for _ in range(20):
-            zero = z * 0
-            value, deriv = top + zero, dtop + zero
-            for ck, dk in pairs:
-                value = ck + value * z
-                deriv = dk + deriv * z
-            if deriv == 0:
-                return z
-            step = as_python((neg_zero + (cs[0] + value * z)) / deriv)
-            size = abs(step)
-            if size > 0.1 * (1.0 + abs(z)) or size >= last:
-                return z  # left the local basin, or round-off sets the step: keep z
-            z -= step
-            if size < 1e-15 * (1.0 + abs(z)):
-                break
-            last = size
-        return z
-
-    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite value is refused below
+    """Roots with multiplicities, each proven by Pellet's test (see _LADDER); ClusterAmbiguityError when no radius of
+    the ladder proves them, NumericalBreakdownError where the companion matrix overflows."""
+    c = chi.coeffs[: (deg := chi.effective_degree) + 1]
+    if deg < 2:  # no root, or one: -c_0 / c_1
+        return VorticityDivisor(((complex(-c[0] / c[1]), 1),) if deg else ())
+    # an overflow is refused by eigvals; in a disc's test, a non-finite value fails it
+    with np.errstate(over="ignore", invalid="ignore"):
         try:
-            eigenvalues = _companion_roots(c)
+            z = _companion_roots(c)
         except np.linalg.LinAlgError:  # the companion matrix overflowed
             raise NumericalBreakdownError("companion matrix of the roots overflows double precision") from None
-        refined = [polish(z) for z in eigenvalues]
-    if not all(map(cmath.isfinite, refined)):
-        raise NumericalBreakdownError("Newton polish of the roots overflows double precision")
-    refined = np.array(refined)
-    radius = 1e-6 * (1.0 + float(np.abs(refined).max()))
-    # np.hypot on the parts, not np.abs, rounds like the scalar abs
-    diff = refined[:, None] - refined[None, :]
-    dist = np.hypot(diff.real, diff.imag)
-    # single-linkage clusters at the radius and a factor 4 either way, in one
-    # pass: each point takes the lowest label among itself and its neighbours
-    # until no label moves; label[i] == i starts a cluster, in index order
-    near = dist <= np.array([radius, radius * 0.25, radius * 4.0])[:, None, None]
-    n = refined.size
-    index = np.arange(n)
-    labels = np.tile(index, (3, 1))
-    while True:
-        lowest = np.minimum(labels, np.where(near, labels[:, None, :], n).min(axis=2))
-        if np.array_equal(lowest, labels):
-            break
-        labels = lowest
-    starts = np.count_nonzero(labels == index, axis=1)
-    if not (starts == starts[0]).all():
-        raise ClusterAmbiguityError(
-            f"root clusters unstable near radius {radius!r}; "
-            "multiplicities cannot be assigned reliably"
-        )
-    label = labels[0]
-    groups = [refined[label == first] for first in np.flatnonzero(label == index)]
-    # group.sum() / group.size is what np.mean computes for a complex group
-    entries = [(complex(group.sum() / group.size), group.size) for group in groups]
-    entries.sort(key=lambda e: (e[0].real, e[0].imag))
-    return VorticityDivisor(tuple(entries))
+        # the test runs on chi / 2^q, exactly, q putting its largest coefficient part in [1/2, 1)
+        scaled = np.ldexp(c.view(float), -math.frexp(float(np.maximum.reduce(np.abs(c.view(float)))))[1]).view(complex)
+        radii, dist = _LADDER * (1.0 + float(np.maximum.reduce(np.abs(z)))), np.abs(z[:, None] - z)
+        # the five finest radii first, where simple, double and triple roots pass; then the rest. A pass holds as many
+        # radii as keep its powers within 3 _BLOCK entries
+        step = max(1, _BLOCK // (deg + 1) ** 2)
+        cuts = [0, *range(min(5, step), _LADDER.size, step), _LADDER.size]
+        for lo, hi in zip(cuts, cuts[1:]):
+            if (entries := _certified(scaled, z, dist <= radii[lo:hi, None, None], radii[lo:hi], lo)) is not None:
+                return VorticityDivisor(tuple(entries))
+    raise ClusterAmbiguityError(f"no grouping of the roots at radii {float(radii[0])!r} to {float(radii[-1])!r} "
+                                "passes Pellet's test in disjoint discs; multiplicities cannot be assigned reliably")
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@
 import errno
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -200,21 +201,24 @@ def test_spin_divisor_report(tmp_path):
 
 @pytest.mark.filterwarnings("error")
 def test_divisor_overflow_exits_1_with_one_line(tmp_path, capsys):
-    chi = write_json(tmp_path / "chi.json", {"two_s": 2, "coeffs_re": [1, 0, 1e308]})
+    # numpy's complex division of the coefficients overflows in the companion matrix
+    chi = write_json(tmp_path / "chi.json", {"two_s": 2, "coeffs_re": [1e308, 0, 1e297], "coeffs_im": [1e308, 0, 1e297]})
     out = tmp_path / "out.json"
     assert main(["spin-divisor", "--input", chi, "--output", str(out)]) == EXIT_CHECK_FAILED
     captured = capsys.readouterr()
     assert captured.out == "" and not out.exists()
-    assert captured.err == "error: derivative coefficients overflow double precision\n"
+    assert captured.err == "error: companion matrix of the roots overflows double precision\n"
 
 
 def test_cluster_ambiguity_exits_1_with_one_line(tmp_path, capsys):
-    chi = write_json(tmp_path / "chi.json", {"roots": [[0, 0, 1], [2e-6, 0, 1]]})
+    # two triple roots 1e-3 apart: their eigenvalue clouds overlap, and chi is not near one sixfold root
+    chi = write_json(tmp_path / "chi.json", {"roots": [[0.5, 0, 3], [0.501, 0, 3]]})
     out = tmp_path / "out.json"
     assert main(["spin-divisor", "--input", chi, "--output", str(out)]) == EXIT_CHECK_FAILED
     captured = capsys.readouterr()
     assert captured.out == "" and not out.exists()
-    assert captured.err.startswith("divisor computation failed: root clusters unstable")
+    assert re.match(r"^divisor computation failed: no grouping of the roots at radii \S+ to \S+ passes Pellet's test in "
+                    r"disjoint discs; multiplicities cannot be assigned reliably\n$", captured.err)
     assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
 
 
@@ -222,12 +226,12 @@ def test_cluster_ambiguity_exits_1_with_one_line(tmp_path, capsys):
 @pytest.mark.parametrize(
     "chi, contour, printed",
     [
-        # the divisor of the two roots 2e-6 apart is ambiguous; their winding is not
-        ({"roots": [[0, 0, 1], [2e-6, 0, 1]]}, None, "2.000000000"),
+        # the divisor of the two triple roots 1e-3 apart is refused; their winding is not
+        ({"roots": [[0.5, 0, 3], [0.501, 0, 3]]}, None, "6.000000000"),
         # a quadrature of chi'/chi printed -388.127166458 here
         ({"roots": [[1.00001, 0, 1], [0.2, 0, 2]]}, {"circle": {"radius": 1.0}}, "2.000000000"),
         # the divisor overflows (exit 1 above); the total needs none, and its rescaled ring cannot overflow
-        ({"two_s": 2, "coeffs_re": [1, 0, 1e308]}, None, "2.000000000"),
+        ({"two_s": 2, "coeffs_re": [1e308, 0, 1e297], "coeffs_im": [1e308, 0, 1e297]}, None, "2.000000000"),
         ({"two_s": 3, "coeffs_re": [4e304, 6e301, -1e306, 5e302]}, None, "3.000000000"),
     ],
     ids=["ambiguous-divisor", "root-1e-5-outside", "divisor-overflow", "wide-ring"],
