@@ -84,20 +84,23 @@ _MAX_ARCS = 2**16
 # samples whose powers are formed at once, in rows of n + 1
 _BLOCK = 2**16
 
-# A divisor is proven. The companion-matrix eigenvalues are grouped by single linkage at radii r = _LADDER
-# (1 + max |lambda|), finest first, and a group of m gets the disc about its mean of radius rho = its spread + r / 2:
-# lone eigenvalues more than r apart get disjoint discs. With a_j chi's Taylor coefficients about the mean, Pellet's
-# test |a_m| rho^m > sum_{j != m} |a_j| rho^j proves (Rouche's theorem against a_m (zeta - mean)^m) that the disc
-# holds exactly m roots (Becker, Sagraloff, Sharma and Yap, J. Symb. Comput. 86 (2018)). Each a_j is widened by its
-# round-off, at most _ROUNDOFF (n + 1) sum_k |c_k| C(k, j) |mean|^(k-j) with the mean's powers formed by repeated
-# products as in _evaluated; the a_j are computed for j < J = _TAYLOR_ORDER + 1 + the largest m, and the terms
-# j >= J sum to at most _winding's majorant rho^J sum_k |c_k| C(k, J) (|mean| + rho)^(k-J). The first radius whose
-# discs are disjoint and all pass gives the divisor: each holds its m roots, and the m sum to the degree.
+# A divisor's counts are proven; its multiplicities are judged. chi's low-order zeros are a root at 0, exactly. The
+# companion-matrix eigenvalues of the rest are grouped by single linkage at radii r = _LADDER (1 + max |lambda|), and
+# a group of m gets the disc about its mean of radius rho = its spread + r / 2: lone eigenvalues more than r apart get
+# disjoint discs. With a_j chi's Taylor coefficients about the mean, Pellet's test |a_m| rho^m > sum_{j != m} |a_j|
+# rho^j proves (Rouche's theorem against a_m (zeta - mean)^m) that the disc holds exactly m roots (Becker, Sagraloff,
+# Sharma and Yap, J. Symb. Comput. 86 (2018)). Each a_j is widened by its round-off, at most _ROUNDOFF (n + 1) sum_k
+# |c_k| C(k, j) |mean|^(k-j) with the mean's powers formed by repeated products as in _evaluated; the a_j are
+# computed for j < J = _TAYLOR_ORDER + 1 + the largest m, and the terms j >= J sum to at most _winding's majorant
+# rho^J sum_k |c_k| C(k, J) (|mean| + rho)^(k-J). Each group is taken at the finest radius at which it passes and
+# holds no eigenvalue taken before (a pass after the first groups only the eigenvalues not yet taken). Once every
+# eigenvalue is taken the discs must be pairwise disjoint, else the divisor is refused: then each disc holds its m
+# roots and the m sum to the degree. That a disc's m roots are one m-fold root is not proven: see _FOLD.
 _LADDER = 10.0 ** (-6.0 + 0.5 * np.arange(12))
-# A group beyond the finest radius is one m-fold root only where chi is near one: its a_j, j < m, within _FOLD times
-# their round-off bound (Zeng, Math. Comp. 74 (2005)). su2_act's rounded product puts up to about 2e3 times it into
-# the benchmark's images of multiple roots; two multiple roots 1e-3 apart, whose eigenvalue clouds overlap, read
-# above 5e5 times it.
+# A group of m > 1 beyond the finest radius is taken as one m-fold root only where chi is near one: its a_j, j < m,
+# within _FOLD times their round-off bound (Zeng's numerical multiplicity, Math. Comp. 74 (2005)). su2_act's rounded
+# product puts up to about 2e3 times it into the benchmark's images of multiple roots; two multiple roots 1e-3 apart,
+# whose eigenvalue clouds overlap, read above 5e5 times it.
 _FOLD = 2.0**14
 
 # A circulation passes the integrality check within this distance of the
@@ -115,17 +118,12 @@ class ContourTooCloseError(ValueError):
 
 
 class ClusterAmbiguityError(ValueError):
-    """No radius of the divisor's ladder proves a grouping of the roots (see _LADDER); multiplicities unsafe."""
+    """The divisor's ladder proves no disjoint discs about all the roots (see _LADDER); multiplicities unsafe."""
 
 
 class NumericalBreakdownError(ArithmeticError):
-    """Finite input whose arithmetic leaves double precision.
-
-    Here the companion matrix of the roots or chi on a contour overflows; in
-    fluid, a pressure gradient or a pair pressure.
-
-    Not a ValueError: the input is well formed, the arithmetic broke down.
-    """
+    """Finite input whose arithmetic leaves double precision: chi on a contour; in fluid, a pressure gradient or a
+    pair pressure. Not a ValueError: the input is well formed, the arithmetic broke down."""
 
 
 class SpinWaveFunction:
@@ -578,21 +576,12 @@ def total_spin_circulation(chi: SpinWaveFunction) -> float:
     return float(np.angle(np.concatenate((values[1:], values[:1])) / values).sum() / (2.0 * np.pi))
 
 
-def _companion_roots(c):
-    """The companion-matrix eigenvalues of c (low order first, last nonzero) less its low-order zeros, then a 0 each."""
-    low = int(c.nonzero()[0][0])
-    p = c[low:][::-1]
-    A = np.zeros((len(p) - 1, len(p) - 1), complex)
-    A.flat[len(p) - 1 :: len(p)], A[:1] = 1.0, -p[1:] / p[0]  # the subdiagonal, and a first row but for a monomial
-    return np.concatenate((np.linalg.eigvals(A), np.zeros(low, complex)))
-
-
 def _groups(z, near):
-    """Single-linkage groups of z at each radius t (near[t] its linked pairs): each group's t, size, mean and spread."""
+    """Single-linkage groups of z at each radius t (near[t] its linked pairs): their t, size, mean, spread, members."""
     n, levels = z.size, len(near)
     labels, points = np.arange(levels * n).reshape(levels, n), np.concatenate([z] * levels)
     if np.add.reduce(near, axis=None) == labels.size:  # each point alone
-        return labels.ravel() // n, np.ones(labels.size, int), points, np.zeros(labels.size)
+        return labels.ravel() // n, np.ones(labels.size, int), points, np.zeros(labels.size), labels
     # point i at radius t, labelled t n + i, takes the lowest label among its neighbours, then that label's own,
     # until none moves
     while True:
@@ -605,7 +594,7 @@ def _groups(z, near):
     size = np.bincount(group)
     mean, spread = (np.bincount(group, points.real) + 1j * np.bincount(group, points.imag)) / size, np.zeros(size.size)
     np.maximum.at(spread, group, np.abs(points - mean[group]))
-    return first.nonzero()[0] // n, size, mean, spread
+    return first.nonzero()[0] // n, size, mean, spread, group.reshape(levels, n)
 
 
 def _pellet(c, z, m, rho):
@@ -629,55 +618,70 @@ def _pellet(c, z, m, rho):
     size, bound = np.abs(taylor[:, :order].T @ powers[:, :count]), np.abs(taylor).T @ powers[:, count:].real
     width, j, at = _ROUNDOFF * (n + 1) * bound[:order, :count], np.arange(order + 1)[:, None], np.arange(count)
     # |a_m| rho^m - sum_{j != m} |a_j| rho^j, each |a_j| widened by its round-off, is 2 |a_m| rho^m less the sum over
-    # j; all of it over 2^(t m), rho = f 2^t with f in [1/2, 1), exactly: no power of rho under- or overflows
+    # j; all of it over 2^(t m), rho = f 2^t with f in [1/2, 1), exactly. A power of 2 beyond the float range is
+    # inf, which fails the test, but a term that is exactly 0 stays 0
     frac, twos = np.frexp(rho)
-    scale = np.ldexp(frac**j, twos * (j - m))
+    scale = np.ldexp(frac**j, (twos * (j - m)).astype(np.int32))  # int32 exponents: numpy's fast ldexp loop
     tail = bound[-1, count:] * scale[order] if order <= n else 0.0
-    return 2.0 * size[m, at] * scale[m, at] > np.add.reduce((size + width) * scale[:order]) + tail, size > _FOLD * width
+    terms = np.where((sizes := size + width) == 0.0, 0.0, sizes * scale[:order])
+    return 2.0 * size[m, at] * scale[m, at] > np.add.reduce(terms) + tail, size > _FOLD * width
 
 
-def _certified(c, z, near, radii, start):
-    """Entries of the first radius (the ladder's from start on) whose groups' discs are disjoint and pass, or None."""
-    level, size, mean, spread = _groups(z, near)
-    rho = spread + 0.5 * radii[level]
-    passed, excess = _pellet(c, mean, size, rho)
-    for t in (np.bincount(level[~passed], minlength=radii.size) == 0).nonzero()[0]:
-        here = level == t
-        m = size[here]
-        if np.maximum.reduce(m) > 1:  # lone points more than r apart have disjoint discs of radius r / 2
-            # beyond the finest radius a group of m is an m-fold root only where chi is near one (_FOLD)
-            fold = excess[:, here] & (np.arange(len(excess))[:, None] < m * (m > 1)) if t + start else False
-            gap = np.abs(mean[here, None] - mean[here]) - rho[here, None] - rho[here] + np.diag(np.full(m.size, np.inf))
-            if np.logical_or.reduce(np.ravel(fold)) or not (gap > 0.0).all():
-                continue
-        return sorted(zip(mean[here].tolist(), m.tolist()), key=lambda e: (e[0].real, e[0].imag))
-    return None
+def _certified(c, z, near, radii, start, found):
+    """Adds each group of z at its finest passing radius to found as (mean, m, rho), and returns the points taken."""
+    # see _LADDER: the radii are the ladder's from start on, a group that holds a point taken before is skipped, and
+    # once every point is taken, discs that overlap are refused
+    level, size, mean, spread, member = _groups(z, near)
+    passed, excess = _pellet(c, mean, size, rho := spread + 0.5 * radii[level])
+    take, taken, count = np.zeros(size.size, bool), np.zeros(z.size, bool), 0
+    for t, points in enumerate(member, start):
+        if t == max(1, start):  # beyond the finest radius, a group of m is one m-fold root only near one
+            passed &= (size == 1) | ~(excess & (np.arange(len(excess))[:, None] < size)).any(axis=0)
+        take[points] = passed[points]
+        if count:
+            take[points[taken]] = False
+        found += zip(mean[new := take.nonzero()[0]].tolist(), m := size[new].tolist(), rho[new].tolist())
+        if (count := count + sum(m)) == z.size:
+            if start or len(found) < z.size:  # lone points at radius r are more than r apart, in discs of r / 2
+                a, r = (mean[new], rho[new]) if len(found) == new.size else np.array(found).T[::2]  # centres, radii
+                if not (np.abs(a[:, None] - a) - (r[:, None] + r).real > np.diag(np.full(a.size, -np.inf))).all():
+                    raise ClusterAmbiguityError("the discs that pass Pellet's test overlap; multiplicities unsafe")
+            return np.ones(z.size, bool)
+        taken |= take[points]
+        take[new] = False
+    return taken
 
 
 def vorticity_divisor(chi: SpinWaveFunction) -> VorticityDivisor:
-    """Roots with multiplicities, each proven by Pellet's test (see _LADDER); ClusterAmbiguityError when no radius of
-    the ladder proves them, NumericalBreakdownError where the companion matrix overflows."""
-    c = chi.coeffs[: (deg := chi.effective_degree) + 1]
-    if deg < 2:  # no root, or one: -c_0 / c_1
-        return VorticityDivisor(((complex(-c[0] / c[1]), 1),) if deg else ())
-    # an overflow is refused by eigvals; in a disc's test, a non-finite value fails it
-    with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            z = _companion_roots(c)
-        except np.linalg.LinAlgError:  # the companion matrix overflowed
-            raise NumericalBreakdownError("companion matrix of the roots overflows double precision") from None
-        # the test runs on chi / 2^q, exactly, q putting its largest coefficient part in [1/2, 1)
-        scaled = np.ldexp(c.view(float), -math.frexp(float(np.maximum.reduce(np.abs(c.view(float)))))[1]).view(complex)
-        radii, dist = _LADDER * (1.0 + float(np.maximum.reduce(np.abs(z)))), np.abs(z[:, None] - z)
-        # the five finest radii first, where simple, double and triple roots pass; then the rest. A pass holds as many
-        # radii as keep its powers within 3 _BLOCK entries
-        step = max(1, _BLOCK // (deg + 1) ** 2)
-        cuts = [0, *range(min(5, step), _LADDER.size, step), _LADDER.size]
-        for lo, hi in zip(cuts, cuts[1:]):
-            if (entries := _certified(scaled, z, dist <= radii[lo:hi, None, None], radii[lo:hi], lo)) is not None:
-                return VorticityDivisor(tuple(entries))
-    raise ClusterAmbiguityError(f"no grouping of the roots at radii {float(radii[0])!r} to {float(radii[-1])!r} "
-                                "passes Pellet's test in disjoint discs; multiplicities cannot be assigned reliably")
+    """Roots with multiplicities, their counts proven by Pellet's test in disjoint discs (see _LADDER), or refused."""
+    c = chi.coeffs[: chi.effective_degree + 1]
+    low = 0 if c[0] else int(np.argmax(c != 0))
+    # the rest are the roots of chi / (2^q zeta^low), exactly, q putting its largest coefficient part in [1/2, 1):
+    # their companion matrix, of first row -c_(n-1) / c_n, .., -c_0 / c_n, cannot overflow
+    c = np.ldexp(c[low:].view(float), -math.frexp(float(np.maximum.reduce(np.abs(c.view(float)))))[1]).view(complex)
+    # one root has the finest radius's disc
+    found = [(a := complex(-c[0] / c[1]), 1, 0.5 * _LADDER[0] * (1.0 + abs(a)))] if c.size == 2 else []
+    if c.size > 2:
+        companion = np.eye(c.size - 1, k=-1, dtype=complex)
+        companion[0] = -c[-2::-1] / c[-1]
+        z = np.linalg.eigvals(companion)
+        radii, rest, lo = _LADDER * (1.0 + float(np.maximum.reduce(np.abs(z)))), np.arange(z.size), 0
+        # the five finest radii first, where simple, double and triple roots pass; then the rest, over the eigenvalues
+        # not yet taken. A pass holds as many radii as keep its powers within 3 _BLOCK entries
+        with np.errstate(over="ignore", invalid="ignore"):  # in a disc's test, a non-finite value fails it
+            while rest.size:
+                if lo == _LADDER.size:
+                    raise ClusterAmbiguityError(f"no grouping of the roots at radii {float(radii[0])!r} to "
+                                                f"{float(radii[-1])!r} passes Pellet's test in disjoint discs; "
+                                                "multiplicities cannot be assigned reliably")
+                hi, x = min(lo + max(1, _BLOCK // (c.size * rest.size)), _LADDER.size if lo else 5), z[rest]
+                near = np.abs(x[:, None] - x) <= radii[lo:hi, None, None]
+                rest, lo = rest[~_certified(c, x, near, radii[lo:hi], lo, found)], hi
+    for k, (a, m, rho) in enumerate(found if low else ()):  # the disc that holds 0, if one does, holds its root too
+        if abs(a) < rho:
+            found[k], low = (a * m / (m + low), m + low, rho), 0
+    entries = [(a, m) for a, m, _ in found] + [(0j, low)] * bool(low)
+    return VorticityDivisor(tuple(sorted(entries, key=lambda e: (e[0].real, e[0].imag))))
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@
 
 import errno
 import json
+import math
 import os
 import re
 import subprocess
@@ -200,14 +201,17 @@ def test_spin_divisor_report(tmp_path):
 
 
 @pytest.mark.filterwarnings("error")
-def test_divisor_overflow_exits_1_with_one_line(tmp_path, capsys):
-    # numpy's complex division of the coefficients overflows in the companion matrix
+def test_divisor_of_coefficients_near_the_top_of_the_float_range_is_certified(tmp_path, capsys):
+    # numpy's complex division of these coefficients overflows; the divisor divides them scaled by a power of 2.
+    # The roots of zeta^2 = -1e11 are +-sqrt(1e11) i
     chi = write_json(tmp_path / "chi.json", {"two_s": 2, "coeffs_re": [1e308, 0, 1e297], "coeffs_im": [1e308, 0, 1e297]})
     out = tmp_path / "out.json"
-    assert main(["spin-divisor", "--input", chi, "--output", str(out)]) == EXIT_CHECK_FAILED
-    captured = capsys.readouterr()
-    assert captured.out == "" and not out.exists()
-    assert captured.err == "error: companion matrix of the roots overflows double precision\n"
+    assert main(["spin-divisor", "--input", chi, "--output", str(out)]) == EXIT_OK
+    assert capsys.readouterr().err == ""
+    report = json.loads(out.read_text())
+    assert report["total_strength"] == 2
+    for (re_, im, mu), sign in zip(report["roots"], (-1.0, 1.0)):
+        assert mu == 1 and abs(re_) <= 1e-6 and abs(im - sign * math.sqrt(1e11)) <= 1e-9 * math.sqrt(1e11)
 
 
 def test_cluster_ambiguity_exits_1_with_one_line(tmp_path, capsys):
@@ -230,7 +234,8 @@ def test_cluster_ambiguity_exits_1_with_one_line(tmp_path, capsys):
         ({"roots": [[0.5, 0, 3], [0.501, 0, 3]]}, None, "6.000000000"),
         # a quadrature of chi'/chi printed -388.127166458 here
         ({"roots": [[1.00001, 0, 1], [0.2, 0, 2]]}, {"circle": {"radius": 1.0}}, "2.000000000"),
-        # the divisor overflows (exit 1 above); the total needs none, and its rescaled ring cannot overflow
+        # numpy's complex division of the coefficients overflows, which the divisor's scaling avoids; the total
+        # divides none, and its rescaled ring cannot overflow
         ({"two_s": 2, "coeffs_re": [1e308, 0, 1e297], "coeffs_im": [1e308, 0, 1e297]}, None, "2.000000000"),
         ({"two_s": 3, "coeffs_re": [4e304, 6e301, -1e306, 5e302]}, None, "3.000000000"),
     ],

@@ -337,9 +337,10 @@ def test_divisor_total_matches_effective_degree():
 def test_roots_beyond_the_finest_radius_are_apart_and_within_it_one_vortex():
     # the finest radius is 1e-6 (1 + max |root|): two simple roots 2e-6 apart get two discs of radius 5e-7, and
     # two 1e-7 apart are one double vortex at their mean
-    assert vorticity_divisor(SpinWaveFunction.from_roots([(0.0, 1), (2e-6, 1)])).entries == ((0j, 1), (2e-6 + 0j, 1))
-    ((a, mu),) = vorticity_divisor(SpinWaveFunction.from_roots([(0.0, 1), (1e-7, 1)])).entries
-    assert mu == 2 and abs(a - 5e-8) <= 1e-15
+    assert_divisor(vorticity_divisor(SpinWaveFunction.from_roots([(0.5, 1), (0.5 + 2e-6, 1)])).entries,
+                   [(0.5, 1), (0.5 + 2e-6, 1)], 1e-9)
+    ((a, mu),) = vorticity_divisor(SpinWaveFunction.from_roots([(0.5, 1), (0.5 + 1e-7, 1)])).entries
+    assert mu == 2 and abs(a - (0.5 + 5e-8)) <= 1e-15
 
 
 # Each part of the divisor's certificate, the round-off widening, the bound on the Taylor terms not computed, the
@@ -353,6 +354,7 @@ def test_round_off_widening_keeps_a_triple_root_whole():
         assert_divisor(chi.divisor().entries, [(a, 3), (-0.3j, 1)], 1e-6)
 
 
+OVERLAP = r"^the discs that pass Pellet's test overlap; multiplicities unsafe$"
 AMBIGUITY = (r"^no grouping of the roots at radii \S+ to \S+ passes Pellet's test in disjoint discs; "
              r"multiplicities cannot be assigned reliably$")
 
@@ -368,21 +370,30 @@ def test_pellets_test_counts_the_roots_beyond_its_computed_terms():
     assert spin._pellet(c, center, one, np.array([0.1]))[0][0]
 
 
+def test_pellets_test_counts_exactly_zero_terms_as_zero_where_their_power_leaves_the_float_range():
+    # zeta^100 about 0: a_j = 0 for j < 100, and rho^(j - 100) at rho = 5e-7 is beyond the float range
+    c = np.eye(101, dtype=complex)[100]
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert spin._pellet(c, np.array([0j]), np.array([100]), np.array([5e-7]))[0][0]
+
+
 def test_the_divisor_does_not_trust_its_hints_past_disjoint_discs():
     # chi has roots 0, 0.95 r i and 5. Hints -r / 2 and r / 2 form a group whose disc of radius r about 0 holds
     # the first two, and a lone hint at 1.35 r i has a disc of radius r / 2 that holds the second again: each
-    # passes Pellet's test, and their counts sum to the degree, but the discs overlap and 5 is missed. The roots
-    # themselves, at radius r / 2, are certified
+    # passes Pellet's test, and their counts sum to the degree, but the discs overlap and 5 is missed: refused.
+    # The roots themselves, at radius r / 2, are certified
     r = 1e-2
     roots = [0.0, 0.95j * r, 5.0]
     c = P.polyfromroots(roots)
     for hints, radius in (([-r / 2, r / 2, 1.35j * r], r), (roots, r / 2)):
-        hints = np.array(hints, dtype=complex)
-        entries = spin._certified(c, hints, np.abs(hints[:, None] - hints)[None] <= radius, np.array([radius]), 0)
+        hints, found = np.array(hints, dtype=complex), []
+        near = np.abs(hints[:, None] - hints)[None] <= radius
         if radius == r:
-            assert entries is None
+            with pytest.raises(ClusterAmbiguityError, match=OVERLAP):
+                spin._certified(c, hints, near, np.array([radius]), 0, found)
         else:
-            assert_divisor(entries, [(a, 1) for a in roots], 1e-12)
+            assert spin._certified(c, hints, near, np.array([radius]), 0, found).all()
+            assert_divisor([(a, m) for a, m, _ in found], [(a, 1) for a in roots], 1e-12)
 
 
 MERGED_TRIPLES = [(0.5, 3), (0.501, 3)]
@@ -396,43 +407,63 @@ def test_multiple_roots_whose_clouds_overlap_are_refused_not_merged(roots):
         vorticity_divisor(SpinWaveFunction.from_roots(roots))
 
 
+@pytest.mark.parametrize("two_s, low", [(100, 80), (120, 60), (600, 600), (1000, 600)])
+def test_a_root_of_high_multiplicity_at_zero_is_one_vortex(two_s, low):
+    # zeta^low and zeta^low (1 + zeta^(two_s - low)): the low-order zeros are the root at 0, exactly, with no
+    # eigenvalues and no Pellet's test, whose rho^low at the finest radius leaves the float range
+    c = np.zeros(two_s + 1)
+    c[low] = c[-1] = 1.0
+    if low < two_s:
+        entries = vorticity_divisor(SpinWaveFunction(two_s, c)).entries
+        assert (0j, low) in entries and len(entries) == two_s - low + 1
+    assert vorticity_divisor(SpinWaveFunction(two_s, np.eye(two_s + 1)[low])).entries == ((0j, low),)
+    assert vorticity_divisor(wavefunction_from_json({"two_s": two_s, "roots": [[0, 0, low]]})).entries == ((0j, low),)
+
+
+def test_a_root_at_zero_and_one_within_the_finest_radius_are_one_vortex():
+    # zeta (zeta - 1e-7): the root of zeta - 1e-7 gets the finest radius's disc, which holds 0 too
+    assert vorticity_divisor(SpinWaveFunction.from_roots([(0.0, 1), (1e-7, 1)])).entries == ((5e-8 + 0j, 2),)
+    assert vorticity_divisor(SpinWaveFunction.from_roots([(0.0, 1), (2e-6, 1)])).entries == ((0j, 1), (2e-6 + 0j, 1))
+
+
+def test_each_group_of_roots_takes_its_own_finest_radius():
+    # the triple root's eigenvalues are about 1e-5 apart, and pass only at a radius where the two simple roots
+    # 5e-6 apart are one group; that group's disc holds both and passes Pellet's test, but each root passed alone
+    # at the finest radius, and is a vortex of its own
+    roots = [(0.5, 3), (-0.3, 1), (-0.3 + 5e-6, 1)]
+    assert_divisor(vorticity_divisor(SpinWaveFunction.from_roots(roots)).entries, roots, 1e-9)
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize(
-    "coeffs, stage",
+    "coeffs, roots",
     [
-        # numpy's complex division of the coefficients overflows in the companion matrix
-        ([1e308 + 1e308j, 0.0, 1e297 + 1e297j], "companion matrix"),
-        ([8.4e307 - 1.1e308j, -4.9e302 + 2.3e302j, -1.1e297 - 1.2e297j], "companion matrix"),
-        ([-1e308 + 1e308j, 1e300, -1e297 + 1e297j], "companion matrix"),
+        ([4e300 + 5.5e300j, -1.2e308 - 7.6e307j, -6.9e306 - 1.95e307j],
+         [(-5.3989623218887735 + 4.243444099589881j, 1), (4.450832667500069e-08 + 1.764472607753354e-08j, 1)]),
+        # numpy's complex division of these coefficients overflows; of the divisor's, scaled by a power of 2, not
+        ([1e308 + 1e308j, 0.0, 1e297 + 1e297j], [(1j * math.sqrt(1e11), 1), (-1j * math.sqrt(1e11), 1)]),
+        ([8.4e307 - 1.1e308j, -4.9e302 + 2.3e302j, -1.1e297 - 1.2e297j], None),
+        ([-1e308 + 1e308j, 1e300, -1e297 + 1e297j], None),
     ],
+    ids=["coeffs0", "coeffs1", "coeffs2", "coeffs3"],
 )
-def test_divisor_breakdown_on_finite_input_is_named_and_silent(coeffs, stage):
+def test_divisors_of_coefficients_near_the_top_of_the_float_range(coeffs, roots):
+    # two simple roots, whose product with c_2 is chi's coefficients to round-off
     chi = SpinWaveFunction(2, coeffs)
-    with pytest.raises(NumericalBreakdownError, match=rf"^{stage} of the roots overflows double precision$") as info:
-        vorticity_divisor(chi)
-    assert not isinstance(info.value, ValueError)  # well-formed input: not a bad-input error
+    entries = vorticity_divisor(chi).entries
+    assert [mu for _, mu in entries] == [1, 1]
+    if roots is not None:
+        assert_divisor(entries, roots, 1e-12)
+    scaled = chi.coeffs * 2.0**-1000
+    rebuilt = P.polyfromroots([a for a, _ in entries]) * scaled[-1]
+    assert np.abs(rebuilt - scaled).max() <= 1e-15 * np.abs(scaled).max()
     # the total needs no divisor, and its rescaled ring cannot overflow
     assert abs(total_spin_circulation(chi) - 2.0) <= 1e-12
 
 
-@pytest.mark.parametrize("two_s, low", [(100, 80), (120, 60)])
-def test_a_root_of_high_multiplicity_at_zero_is_one_vortex(two_s, low):
-    # zeta^low and zeta^low (1 + zeta^(two_s - low)): rho^low at the finest radius is below the float range, and
-    # Pellet's sums are taken over 2^(e low) instead
-    c = np.zeros(two_s + 1)
-    c[low] = c[-1] = 1.0
-    entries = vorticity_divisor(SpinWaveFunction(two_s, c)).entries
-    assert (0j, low) in entries and len(entries) == two_s - low + 1
-    assert vorticity_divisor(SpinWaveFunction(two_s, np.eye(two_s + 1)[low])).entries == ((0j, low),)
-
-
-@pytest.mark.filterwarnings("error")
-def test_divisors_of_coefficients_near_the_top_of_the_float_range():
-    # 1e308 zeta^2 + 1 is one double vortex at 0: its roots +-1e-154 i lie within the finest radius
+def test_a_double_root_below_the_float_range_is_one_vortex():
+    # 1e308 zeta^2 + 1: its roots +-1e-154 i lie within the finest radius
     assert vorticity_divisor(SpinWaveFunction(2, [1.0, 0.0, 1e308])).entries == ((0j, 2),)
-    chi = SpinWaveFunction(2, [4e300 + 5.5e300j, -1.2e308 - 7.6e307j, -6.9e306 - 1.95e307j])
-    roots = [(-5.3989623218887735 + 4.243444099589881j, 1), (4.450832667500069e-08 + 1.764472607753354e-08j, 1)]
-    assert_divisor(vorticity_divisor(chi).entries, roots, 1e-12)
 
 
 # The divisor of each is fine; the parent's total overflowed on its ring |zeta| = 2 max |root| + 1
@@ -606,14 +637,19 @@ def assert_counts_known_roots(psi, contour, roots):
         assert abs(value - round(value)) <= 1e-12
 
 
+def _merged(roots):
+    """A root listed twice is one of their summed multiplicity."""
+    merged = {}
+    for a, mu in roots:
+        merged[a] = merged.get(a, 0) + mu
+    return list(merged.items())
+
+
 def assert_divisor_of_known_roots(psi, roots):
     """psi's divisor against the roots psi was built from: each within 1e-6 (1 + |a|); or, where psi's rounded
     coefficients split a multiple root, entries nearest it whose multiplicities sum to its own, each the winding
     count of a circle about it that excludes the others. Returns whether a root was split."""
-    merged = {}
-    for a, mu in roots:  # a root listed twice is one of their summed multiplicity
-        merged[a] = merged.get(a, 0) + mu
-    roots, entries = list(merged.items()), psi.divisor().entries
+    roots, entries = _merged(roots), psi.divisor().entries
     try:
         assert_divisor(entries, roots, 1e-6)
         return False
@@ -916,11 +952,17 @@ def test_divisor_and_circulations_count_the_known_roots_on_random_inputs(case):
     chi = SpinWaveFunction(chi.two_s, chi.coeffs * np.exp(2j * np.pi * phase) / np.linalg.norm(chi.coeffs))
     norm = math.hypot(*raw)
     g = SU2Element.from_params(complex(raw[0], raw[1]) / norm, complex(raw[2], raw[3]) / norm)
-    for psi, known in ((chi, roots), (su2_act(g, chi), _image_roots(roots, g))):
-        try:
-            assert_divisor_of_known_roots(psi, known)
-        except ClusterAmbiguityError:
-            pass  # roots on the coordinate grid can lie 1e-3 apart, where two multiple roots' clouds overlap
+    image = su2_act(g, chi)
+    # roots on the coordinate grid can lie 1e-3 apart, where two multiple roots' clouds overlap: a refusal is allowed
+    try:
+        assert_divisor(chi.divisor().entries, _merged(roots), 1e-6)
+    except ClusterAmbiguityError:
+        pass
+    try:  # the image's rounded product can split a multiple root
+        assert_divisor_of_known_roots(image, _image_roots(roots, g))
+    except ClusterAmbiguityError:
+        pass
+    for psi, known in ((chi, roots), (image, _image_roots(roots, g))):
         for contour in contours:
             assert_counts_known_roots(psi, contour, known)
         assert_total_is_the_degree(psi)
